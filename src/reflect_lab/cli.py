@@ -32,8 +32,8 @@ from .corpus import (
 from .engines import ReflectConfig, run_rmtp, run_rtbs
 from .metrics import (
     accuracy_table,
-    binomial_zscore,
     estimate_verification_errors,
+    report_row,
     report_to_csv,
     theory_vs_sim_rows,
 )
@@ -43,6 +43,7 @@ from .mtp import (
     SelfVerifying,
     TaskName,
     run_nonreflective,
+    task_hooks,
 )
 from .sim import simulate_accuracy
 from .tasks import (
@@ -56,10 +57,10 @@ from .tasks import (
     step_leads_positive,
     transition_for,
 )
-from .theory import SimplifiedParams, curve_table, rho_nonreflective, rho_rmtp, rho_rtbs
+from .theory import SimplifiedParams, curve_table
 
 _TIER_CHOICES = [t.value for t in DifficultyTier]
-_TASK_CHOICES = [TaskName.MULT.value, TaskName.SUDOKU.value]
+_TASK_CHOICES = [t.value for t in TaskName if task_hooks(t).gen_query is not None]
 _STYLE_CHOICES = [s.value for s in CotStyle]
 
 _params_options = [
@@ -89,11 +90,6 @@ def _write_manifest(out: str, command: str, config: dict) -> None:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _check_format(fmt: str, allowed: str) -> None:
-    if fmt != allowed:
-        raise click.BadParameter(f"this command writes {allowed} output only")
 
 
 def _parse_tier_mix(text: str) -> tuple[tuple[DifficultyTier, float], ...]:
@@ -129,15 +125,13 @@ def main() -> None:
 @click.option("--n", "n_max", type=int, default=30, show_default=True,
               help="Largest scale tabulated.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv")
-def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out, fmt) -> None:
+def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out) -> None:
     """Tabulate the closed-form accuracy curves to CSV."""
-    _check_format(fmt, "csv")
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     _write_text(out, curve_table(params, tuple(m_list), n_max))
     _write_manifest(out, "theory-curve", {
         "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
-        "m": list(m_list), "n": n_max, "out": out, "format": fmt,
+        "m": list(m_list), "n": n_max, "out": out,
     })
 
 
@@ -147,7 +141,7 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out, fmt) -> None:
 @click.option("--m", type=int, default=None, help="Backtracking width (rtbs only).")
 @click.option("--n", type=int, required=True, help="Problem scale.")
 @click.option("--episodes", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--budget", type=int, default=None,
               help="Proposal budget per episode; default scales with the rates.")
 @click.option("--threads", type=int, default=None,
@@ -158,35 +152,20 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out, fmt) -> None:
               help="Give the backtracking root unlimited attempts (deployed "
                    "behavior; the closed forms assume a capped root).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv")
 def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
-                 threads, engine, root_unlimited, out, fmt) -> None:
+                 threads, engine, root_unlimited, out) -> None:
     """Monte-Carlo estimate of one (params, n, mode) point, with theory."""
-    _check_format(fmt, "csv")
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     result = simulate_accuracy(
         params, n, mode, episodes, seed, m=m, budget=budget, threads=threads,
         engine=engine, root_unlimited=root_unlimited,
     )
-    if mode == "none":
-        theory = rho_nonreflective(params, n)
-    elif mode == "rmtp":
-        theory = rho_rmtp(params, n)
-    else:
-        theory = rho_rtbs(params, m, n)
-    z = binomial_zscore(result.successes, episodes, theory)
-    lines = ["n,mode,m,episodes,acc_hat,ci_lo,ci_hi,theory,zscore"]
-    m_text = "" if m is None else str(m)
-    lines.append(
-        f"{n},{mode},{m_text},{episodes},{result.accuracy_hat!r},"
-        f"{result.wilson_ci[0]!r},{result.wilson_ci[1]!r},{theory!r},{z!r}"
-    )
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(out, report_to_csv([report_row(result)]))
     _write_manifest(out, "simulate", {
         "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
         "mode": mode, "m": m, "n": n, "episodes": episodes, "seed": seed,
         "budget": budget, "threads": threads, "engine": engine,
-        "root_unlimited": root_unlimited, "out": out, "format": fmt,
+        "root_unlimited": root_unlimited, "out": out,
     })
     if result.budget_dominated:
         click.echo(
@@ -206,12 +185,10 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
               help="Chance a step is corrupted; default 0.2 (0 for style none).")
 @click.option("--tier-mix", default="id_easy=0.5,id_hard=0.5", show_default=True,
               help="Comma list of tier=weight pairs over the training tiers.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["jsonl"]), default="jsonl")
-def cmd_gen_data(task, style, count, noise, tier_mix, seed, out, fmt) -> None:
+def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
     """Generate a labeled chain-of-thought corpus as JSONL (gzip by .gz)."""
-    _check_format(fmt, "jsonl")
     task_name = TaskName(task)
     style_enum = CotStyle(style)
     if noise is None:
@@ -228,7 +205,7 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out, fmt) -> None:
     _write_manifest(out, "gen-data", {
         "task": task, "style": style, "count": spec.example_count,
         "noise": noise, "tier_mix": tier_mix, "seed": seed,
-        "out": out, "format": fmt,
+        "out": out,
     })
     click.echo(f"wrote {written} examples to {out}")
 
@@ -241,7 +218,7 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out, fmt) -> None:
 @click.option("--m", type=int, default=4, show_default=True,
               help="Backtracking width (rtbs mode).")
 @click.option("--episodes", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True,
               help="Policy corruption probability.")
 @click.option("--e-minus", type=float, default=0.0, show_default=True,
@@ -255,11 +232,9 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out, fmt) -> None:
 @click.option("--budget", type=int, default=96, show_default=True,
               help="Total proposals per episode.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["jsonl"]), default="jsonl")
 def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
-                 verifier, reflective_budget, budget, out, fmt) -> None:
+                 verifier, reflective_budget, budget, out) -> None:
     """Run task episodes, write the records as JSONL, print the accuracy."""
-    _check_format(fmt, "jsonl")
     task_name = TaskName(task)
     tier_enum = DifficultyTier(tier)
     transition = transition_for(task_name)
@@ -296,7 +271,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
         "episodes": episodes, "seed": seed, "noise": noise,
         "e_minus": e_minus, "e_plus": e_plus, "verifier": verifier,
         "reflective_budget": reflective_budget, "budget": budget,
-        "out": out, "format": fmt,
+        "out": out,
     })
     click.echo(accuracy_table(records), nl=False)
 
@@ -310,10 +285,8 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
               help="rule: the task's exact rule verifier; truth: solvability "
                    "of the state the step leads to.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv")
-def cmd_estimate_errors(records_path, oracle, out, fmt) -> None:
+def cmd_estimate_errors(records_path, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
-    _check_format(fmt, "csv")
     if oracle == "truth":
         oracle_fn = step_leads_positive
     else:
@@ -333,7 +306,7 @@ def cmd_estimate_errors(records_path, oracle, out, fmt) -> None:
     ]
     _write_text(out, "\n".join(lines) + "\n")
     _write_manifest(out, "estimate-errors", {
-        "records": records_path, "oracle": oracle, "out": out, "format": fmt,
+        "records": records_path, "oracle": oracle, "out": out,
     })
 
 
@@ -346,14 +319,12 @@ def cmd_estimate_errors(records_path, oracle, out, fmt) -> None:
 @click.option("--n", "n_values", type=int, multiple=True, required=True,
               help="Scales, one row set each.")
 @click.option("--episodes", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--threads", type=int, default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv")
 def cmd_report(mu, e_minus, e_plus, f, modes, m_list, n_values, episodes, seed,
-               threads, out, fmt) -> None:
+               threads, out) -> None:
     """Theory-vs-Monte-Carlo comparison table over (n, mode, width)."""
-    _check_format(fmt, "csv")
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     rows = theory_vs_sim_rows(
         params, tuple(modes), tuple(n_values), tuple(m_list), episodes, seed,
@@ -364,7 +335,7 @@ def cmd_report(mu, e_minus, e_plus, f, modes, m_list, n_values, episodes, seed,
         "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
         "mode": list(modes), "m": list(m_list), "n": list(n_values),
         "episodes": episodes, "seed": seed, "threads": threads,
-        "out": out, "format": fmt,
+        "out": out,
     })
     degenerate = [r for r in rows if r.result.budget_dominated]
     if degenerate:

@@ -38,6 +38,7 @@ from .mtp import (
     Outcome,
     Query,
     Step,
+    TaskHooks,
     TaskName,
     Verification,
     VerifiedStep,
@@ -45,18 +46,12 @@ from .mtp import (
     task_hooks,
 )
 from .tasks import (
-    MultMove,
-    MultState,
-    SudokuBoard,
-    SudokuMove,
     TRAINING_TIERS,
     binary_verifier,
     detailed_verifier,
     expert_policy,
     gen_query,
     make_noisy_policy,
-    parse_mult_state,
-    render_state,
     transition_for,
 )
 
@@ -118,8 +113,8 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.task not in (TaskName.MULT, TaskName.SUDOKU):
-            raise ValueError("corpus generation supports the mult and sudoku tasks")
+        if task_hooks(self.task).gen_query is None:
+            raise ValueError("corpus generation needs a task with a query generator")
         if self.example_count < 0:
             raise ValueError("example_count must be >= 0")
         if not self.tier_mix:
@@ -237,101 +232,38 @@ def _labels_from_text(text: str) -> Verification:
     return Verification(tuple(ch == "+" for ch in text))
 
 
-def _query_payload_to_json(query: Query) -> Any:
-    if query.task is TaskName.MULT:
-        x, y = query.payload
-        return [x, y]
-    if query.task is TaskName.SUDOKU:
-        return query.payload.render()
-    return query.payload
-
-
-def _query_payload_from_json(task: TaskName, obj: Any) -> Any:
-    if task is TaskName.MULT:
-        x, y = obj
-        return (int(x), int(y))
-    if task is TaskName.SUDOKU:
-        return SudokuBoard.parse(obj)
-    return obj
-
-
-def _step_to_json(task: TaskName, step: Step) -> Any:
+def _step_to_json(hooks: TaskHooks, step: Step) -> Any:
     if step.is_answer:
-        if task is TaskName.SUDOKU:
-            return step.content.render()
-        return step.content
-    content = step.content
-    if isinstance(content, MultMove):
-        return {
-            "side": content.side,
-            "digit": content.digit,
-            "positions": list(content.positions),
-            "delta": content.delta,
-            "contributions": list(content.contributions),
-            "new_state": render_state(content.new_state),
-        }
-    if isinstance(content, SudokuMove):
-        return {
-            "fills": [list(f) for f in content.fills],
-            "guess": content.guess,
-            "board": content.new_board.render(),
-        }
-    if isinstance(content, bool):
-        return {"on_track": content}
-    raise CorpusFormatError(f"no JSON encoding for step content {type(content).__name__}")
+        return hooks.answer_to_json(step.content)
+    return hooks.move_to_json(step.content)
 
 
-def _step_from_json(task: TaskName, obj: Any, is_answer: bool) -> Step:
+def _step_from_json(hooks: TaskHooks, obj: Any, is_answer: bool) -> Step:
     if is_answer:
-        if task is TaskName.SUDOKU:
-            return Step(SudokuBoard.parse(obj), is_answer=True)
-        if task is TaskName.MULT:
-            return Step(int(obj), is_answer=True)
-        return Step(obj, is_answer=True)
-    if task is TaskName.MULT:
-        return Step(
-            MultMove(
-                side=obj["side"],
-                digit=int(obj["digit"]),
-                positions=tuple(int(p) for p in obj["positions"]),
-                delta=int(obj["delta"]),
-                contributions=tuple(int(c) for c in obj["contributions"]),
-                new_state=parse_mult_state(obj["new_state"]),
-            )
-        )
-    if task is TaskName.SUDOKU:
-        return Step(
-            SudokuMove(
-                fills=tuple((int(r), int(c), int(v)) for r, c, v in obj["fills"]),
-                guess=bool(obj["guess"]),
-                new_board=SudokuBoard.parse(obj["board"]),
-            )
-        )
-    if isinstance(obj, dict) and "on_track" in obj:
-        return Step(bool(obj["on_track"]))
-    raise CorpusFormatError(f"no step decoding for task {task.value}")
+        return Step(hooks.answer_from_json(obj), is_answer=True)
+    return Step(hooks.move_from_json(obj))
 
 
-def _state_from_json(task: TaskName, text: str) -> Any:
-    if task is TaskName.MULT:
-        return parse_mult_state(text)
-    if task is TaskName.SUDOKU:
-        return SudokuBoard.parse(text)
-    return text
+def _query_from_json(obj: dict) -> tuple[TaskHooks, Query]:
+    task = TaskName(obj["task"])
+    hooks = task_hooks(task)
+    tier = DifficultyTier(obj["tier"]) if obj.get("tier") else None
+    return hooks, Query(task, hooks.payload_from_json(obj["query"]), tier)
 
 
 def example_to_json(example: CotExample) -> dict:
     task = example.query.task
+    hooks = task_hooks(task)
     steps_json = []
     # Re-derive the state chain so each serialized step carries the state
     # it was proposed from.
-    state = task_hooks(task).initial_state(example.query)
+    state = hooks.initial_state(example.query)
     transition = transition_for(task)
     for vstep in example.steps:
         steps_json.append(
             {
-                "state": render_state(state),
-                "step": _step_to_json(task, vstep.step),
+                "state": hooks.render_state(state),
+                "step": _step_to_json(hooks, vstep.step),
                 "labels": _labels_to_text(vstep.verification),
             }
         )
@@ -339,39 +271,46 @@ def example_to_json(example: CotExample) -> dict:
     return {
         "task": task.value,
         "tier": example.query.tier.value if example.query.tier else None,
-        "query": _query_payload_to_json(example.query),
+        "query": hooks.payload_to_json(example.query.payload),
         "style": example.style.value,
         "steps": steps_json,
-        "answer": _step_to_json(task, example.answer),
+        "answer": _step_to_json(hooks, example.answer),
     }
 
 
 def example_from_json(obj: dict) -> CotExample:
+    """Decode one example, re-deriving its state chain from the query: a
+    step whose stored state disagrees with the chain raises
+    CorpusFormatError."""
     try:
-        task = TaskName(obj["task"])
-        tier = DifficultyTier(obj["tier"]) if obj.get("tier") else None
-        query = Query(task, _query_payload_from_json(task, obj["query"]), tier)
+        hooks, query = _query_from_json(obj)
         style = CotStyle(obj["style"])
-        steps = tuple(
-            VerifiedStep(
-                _step_from_json(task, item["step"], is_answer=False),
-                _labels_from_text(item["labels"]),
-            )
-            for item in obj["steps"]
-        )
-        answer = _step_from_json(task, obj["answer"], is_answer=True)
+        state = hooks.initial_state(query)
+        transition = transition_for(query.task)
+        steps = []
+        for index, item in enumerate(obj["steps"]):
+            expected = hooks.render_state(state)
+            if item["state"] != expected:
+                raise CorpusFormatError(
+                    f"step {index}: state {item['state']!r} does not follow "
+                    f"from the query and earlier steps (expected {expected!r})"
+                )
+            step = _step_from_json(hooks, item["step"], is_answer=False)
+            steps.append(VerifiedStep(step, _labels_from_text(item["labels"])))
+            state = transition.apply(state, step)
+        answer = _step_from_json(hooks, obj["answer"], is_answer=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(str(exc)) from exc
-    return CotExample(query, steps, answer, style)
+    return CotExample(query, tuple(steps), answer, style)
 
 
 def record_to_json(record: EpisodeRecord) -> dict:
     """Episode records reuse the example encodings, adding dispositions."""
-    task = record.query.task
+    hooks = task_hooks(record.query.task)
     events_json = [
         {
-            "state": render_state(event.state),
-            "step": _step_to_json(task, event.verified.step),
+            "state": hooks.render_state(event.state),
+            "step": _step_to_json(hooks, event.verified.step),
             "is_answer": event.verified.step.is_answer,
             "labels": _labels_to_text(event.verified.verification),
             "disposition": event.disposition.value,
@@ -379,25 +318,23 @@ def record_to_json(record: EpisodeRecord) -> dict:
         for event in record.events
     ]
     return {
-        "task": task.value,
+        "task": record.query.task.value,
         "tier": record.query.tier.value if record.query.tier else None,
-        "query": _query_payload_to_json(record.query),
+        "query": hooks.payload_to_json(record.query.payload),
         "events": events_json,
-        "answer": None if record.answer is None else _step_to_json(task, record.answer),
+        "answer": None if record.answer is None else _step_to_json(hooks, record.answer),
         "outcome": record.outcome.value,
     }
 
 
 def record_from_json(obj: dict) -> EpisodeRecord:
     try:
-        task = TaskName(obj["task"])
-        tier = DifficultyTier(obj["tier"]) if obj.get("tier") else None
-        query = Query(task, _query_payload_from_json(task, obj["query"]), tier)
+        hooks, query = _query_from_json(obj)
         events = tuple(
             Event(
-                state=_state_from_json(task, item["state"]),
+                state=hooks.parse_state(item["state"]),
                 verified=VerifiedStep(
-                    _step_from_json(task, item["step"], is_answer=bool(item["is_answer"])),
+                    _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
                     _labels_from_text(item["labels"]),
                 ),
                 disposition=Disposition(item["disposition"]),
@@ -407,7 +344,7 @@ def record_from_json(obj: dict) -> EpisodeRecord:
         answer = (
             None
             if obj["answer"] is None
-            else _step_from_json(task, obj["answer"], is_answer=True)
+            else _step_from_json(hooks, obj["answer"], is_answer=True)
         )
         outcome = Outcome(obj["outcome"])
     except (KeyError, TypeError, ValueError) as exc:

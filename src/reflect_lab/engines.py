@@ -9,7 +9,7 @@ attempts and walks back up the accepted chain when a state exhausts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -53,29 +53,6 @@ class ReflectConfig:
             raise ValueError("total_budget must be >= 1")
         if self.rtbs_width < 1:
             raise ValueError("rtbs_width must be >= 1")
-
-
-@dataclass
-class TraceStack:
-    """Stack of (parent state, attempts used there, the step taken from it).
-
-    One frame per accepted link of the current chain, oldest first.  Popping
-    a frame restores the parent state together with its attempt counter.
-    """
-
-    frames: list[tuple[Any, int, Step]] = field(default_factory=list)
-
-    def push(self, state: Any, attempts: int, step: Step) -> None:
-        self.frames.append((state, attempts, step))
-
-    def pop(self) -> tuple[Any, int, Step]:
-        return self.frames.pop()
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __bool__(self) -> bool:
-        return bool(self.frames)
 
 
 def _finish(
@@ -158,7 +135,9 @@ def run_rtbs(
     hooks = task_hooks(query.task)
     hooks.validate(query)
     state = hooks.initial_state(query)
-    stack = TraceStack()
+    # One (parent state, attempts used there, step taken from it) frame per
+    # accepted link of the current chain, oldest first.
+    stack: list[tuple[Any, int, Step]] = []
     events: list[Event] = []
     attempts = 0
     verified_used = 0
@@ -180,7 +159,7 @@ def run_rtbs(
             if step.is_answer:
                 answer = step
                 break
-            stack.push(state, attempts, step)
+            stack.append((state, attempts, step))
             state = transition.apply(state, step)
             attempts = 0
             continue

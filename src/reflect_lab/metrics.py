@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import rng as rng_mod
-from .mtp import Disposition, EpisodeRecord, Outcome, Query, Step, TaskName
+from .mtp import Disposition, EpisodeRecord, Outcome, Query, Step, TaskName, task_hooks
 from .sim import SimResult, simulate_accuracy, wilson_ci
 from .tasks import render_state
 from .theory import SimplifiedParams, rho_nonreflective, rho_rmtp, rho_rtbs
@@ -104,21 +104,16 @@ class GridCell:
 class FrequencyGrid:
     """How often steps carry non-empty verification, per difficulty cell.
 
-    Mult cells are (y digit count, x digit count); Sudoku cells are the
-    puzzle's blank count; anything else keys on the raw query payload.
+    Cells are keyed by the task record's grid_key: Mult cells are (y digit
+    count, x digit count), Sudoku cells the puzzle's blank count, and the
+    synthetic task keys on the raw query payload.
     """
 
     task: TaskName
     cells: dict[Any, GridCell]
 
     def to_csv(self) -> str:
-        if self.task is TaskName.MULT:
-            key_header = "y_digits,x_digits"
-        elif self.task is TaskName.SUDOKU:
-            key_header = "blanks"
-        else:
-            key_header = "key"
-        lines = [f"{key_header},verified,total,pct,ratio"]
+        lines = [f"{task_hooks(self.task).grid_header},verified,total,pct,ratio"]
         for key in sorted(self.cells):
             cell = self.cells[key]
             key_text = (
@@ -131,16 +126,6 @@ class FrequencyGrid:
         return "\n".join(lines) + "\n"
 
 
-def _grid_key(record: EpisodeRecord) -> Any:
-    query = record.query
-    if query.task is TaskName.MULT:
-        x, y = query.payload
-        return (len(str(y)), len(str(x)))
-    if query.task is TaskName.SUDOKU:
-        return query.payload.blank_count
-    return query.payload
-
-
 def reflection_frequency(records: Iterable[EpisodeRecord]) -> FrequencyGrid:
     """Percentage of proposal events with non-empty verification per cell."""
     task: Optional[TaskName] = None
@@ -150,7 +135,7 @@ def reflection_frequency(records: Iterable[EpisodeRecord]) -> FrequencyGrid:
             task = record.query.task
         elif task is not record.query.task:
             raise ValueError("all records in one grid must share a task")
-        key = _grid_key(record)
+        key = task_hooks(task).grid_key(record.query.payload)
         cell = counts.setdefault(key, [0, 0])
         for event in record.events:
             if event.disposition is Disposition.TRACEBACK:
@@ -203,6 +188,20 @@ class ReportRow:
     zscore: float
 
 
+def report_row(result: SimResult) -> ReportRow:
+    """A Monte-Carlo point next to its mode's closed form and z-score."""
+    params, n, m = result.params, result.n, result.m
+    if result.mode == "none":
+        theory = rho_nonreflective(params, n)
+    elif result.mode == "rmtp":
+        theory = rho_rmtp(params, n)
+    else:
+        assert m is not None
+        theory = rho_rtbs(params, m, n)
+    z = binomial_zscore(result.successes, result.episodes, theory)
+    return ReportRow(n, result.mode, m, result, theory, z)
+
+
 def theory_vs_sim_rows(
     params: SimplifiedParams,
     modes: Sequence[str],
@@ -224,20 +223,11 @@ def theory_vs_sim_rows(
         for mode in modes:
             widths: Sequence[Optional[int]] = m_list if mode == "rtbs" else [None]
             for m in widths:
-                if mode == "none":
-                    theory = rho_nonreflective(params, n)
-                elif mode == "rmtp":
-                    theory = rho_rmtp(params, n)
-                else:
-                    assert m is not None
-                    theory = rho_rtbs(params, m, n)
                 row_seed = rng_mod.derive_key(seed, index)[1]
                 index += 1
-                result = simulate_accuracy(
+                rows.append(report_row(simulate_accuracy(
                     params, n, mode, episodes, row_seed, m=m, threads=threads
-                )
-                z = binomial_zscore(result.successes, episodes, theory)
-                rows.append(ReportRow(n, mode, m, result, theory, z))
+                )))
     return rows
 
 
@@ -252,19 +242,3 @@ def report_to_csv(rows: Iterable[ReportRow]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def theory_vs_sim_report(
-    params: SimplifiedParams,
-    modes: Sequence[str],
-    n_values: Sequence[int],
-    m_list: Sequence[int],
-    episodes: int,
-    seed: int,
-    *,
-    threads: Optional[int] = None,
-) -> str:
-    return report_to_csv(
-        theory_vs_sim_rows(
-            params, modes, n_values, m_list, episodes, seed, threads=threads
-        )
-    )

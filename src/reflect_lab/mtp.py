@@ -138,25 +138,59 @@ class SelfVerifying:
         return self.verifier.verify(state, step, rng)
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
 @dataclass(frozen=True)
 class TaskHooks:
-    """Task-level services the runners need but the core cannot define.
+    """Everything the package knows about one task, in one record.
 
-    initial_state builds the root state from a query, check_answer is the
-    final-answer oracle, and validate raises ValueError on malformed
-    payloads.  Tasks register their hooks at import time.
+    Each task module registers its record at import time.  The fields after
+    grid_header exist for rule-checkable tasks only and are None elsewhere.
     """
 
+    # Episode: root state of a query, final-answer oracle, and a payload check
+    # that raises ValueError.
     initial_state: Callable[[Query], Any]
     check_answer: Callable[[Query, Step], bool]
     validate: Callable[[Query], None]
+    # State: its class (render_state finds the record by it), its stable text
+    # form in JSONL, and the ground-truth oracle "can this state still reach a
+    # correct answer of the query?".
+    state_type: type
+    render_state: Callable[[Any], str]
+    parse_state: Callable[[str], Any]
+    polarity: Callable[[Query, Any], bool]
+    # JSON codec of moves (non-answer step contents), query payloads and
+    # answers; payloads and answers default to being their own JSON.
+    move_to_json: Callable[[Any], Any]
+    move_from_json: Callable[[Any], Any]
+    payload_to_json: Callable[[Any], Any] = _same
+    payload_from_json: Callable[[Any], Any] = _same
+    answer_to_json: Callable[[Any], Any] = _same
+    answer_from_json: Callable[[Any], Any] = _same
+    # Reflection-frequency grid: a payload's cell key and the key's CSV header.
+    grid_key: Callable[[Any], Any] = _same
+    grid_header: str = "key"
+    # gen_query(tier, rng), the expert policy and transition, the exact
+    # binary and detailed rules, and corrupt(state, move, rng), which returns
+    # a wrong version of an honest move (or None) for noisy policies.
+    gen_query: Optional[Callable[[DifficultyTier, np.random.Generator], Query]] = None
+    expert_policy: Optional[PolicyInterface] = None
+    transition: Optional[TransitionInterface] = None
+    binary_rule: Optional[Callable[[Any, Step], Verification]] = None
+    detailed_rule: Optional[Callable[[Any, Step], Verification]] = None
+    corrupt: Optional[Callable[[Any, Any, np.random.Generator], Any]] = None
 
 
 _TASK_HOOKS: dict[TaskName, TaskHooks] = {}
+_HOOKS_BY_STATE_TYPE: dict[type, TaskHooks] = {}
 
 
 def register_task(task: TaskName, hooks: TaskHooks) -> None:
     _TASK_HOOKS[task] = hooks
+    _HOOKS_BY_STATE_TYPE[hooks.state_type] = hooks
 
 
 def task_hooks(task: TaskName) -> TaskHooks:
@@ -166,9 +200,9 @@ def task_hooks(task: TaskName) -> TaskHooks:
         raise KeyError(f"no hooks registered for task {task!r}") from None
 
 
-def is_rejected(verification: Verification) -> bool:
-    """A step is rejected iff at least one negative label is present."""
-    return verification.rejected
+def state_hooks(state: Any) -> Optional[TaskHooks]:
+    """The record of the task whose states have this exact type, if any."""
+    return _HOOKS_BY_STATE_TYPE.get(type(state))
 
 
 def run_nonreflective(

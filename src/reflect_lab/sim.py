@@ -118,12 +118,25 @@ def _synthetic_validate(query: Query) -> None:
         raise ValueError("synthetic scale must be >= 0")
 
 
+def _render_synthetic(state: SyntheticState) -> str:
+    return f"scale {state.scale}{'+' if state.positive else '-'}"
+
+
+# The synthetic policy, verifier and transition are built from rate
+# parameters (synthetic_self_verifying), so the record carries no query
+# generator, expert, transition or rule verifiers.  Decoded states stay text.
 register_task(
     TaskName.SYNTHETIC,
     TaskHooks(
         initial_state=_synthetic_initial,
         check_answer=_synthetic_check,
         validate=_synthetic_validate,
+        state_type=SyntheticState,
+        render_state=_render_synthetic,
+        parse_state=str,
+        polarity=lambda query, state: bool(state.positive),
+        move_to_json=lambda on_track: {"on_track": on_track},
+        move_from_json=lambda obj: bool(obj["on_track"]),
     ),
 )
 
@@ -169,7 +182,12 @@ def _threads(threads: Optional[int]) -> int:
         return threads
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 

@@ -1,14 +1,14 @@
-"""Concrete tasks: query generation, tier ranges, verifier adapters, noise
-injection, and ground-truth oracles.
+"""Concrete tasks: lookups into the per-task records, verifier adapters,
+noise injection, and ground-truth oracles.
 
-Importing this package registers the task hooks that the episode runners
-look up by task name.
+Each task module defines its record (`mtp.TaskHooks`) and registers it when
+imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -17,160 +17,42 @@ from ..mtp import (
     PolicyInterface,
     Query,
     Step,
-    TaskHooks,
     TaskName,
     TransitionInterface,
     Verification,
     VerifierInterface,
-    register_task,
+    state_hooks,
     task_hooks,
 )
-from .mult import (
-    MultExpertPolicy,
-    MultMove,
-    MultState,
-    MultTransition,
-    digit_at,
-    make_move,
-    mult_expert_step,
-    nonzero_digits,
-    perturb_contribution,
-    verify_binary_mult,
-    verify_detailed_mult,
-)
-from .sudoku import (
-    DeadEndError,
-    SudokuBoard,
-    SudokuExpertPolicy,
-    SudokuMove,
-    SudokuTransition,
-    consistent,
-    generate_full_board,
-    make_puzzle,
-    misfill,
-    solvable,
-    solve,
-    sorted_fills,
-    sudoku_expert_step,
-    verify_binary_sudoku,
-    verify_detailed_sudoku,
-)
+# Importing the task modules registers their records; these names are
+# re-exported for callers that import them from the package.
+from .mult import MULT_TIER_DIGITS, parse_mult_state
+from .sudoku import SUDOKU_TIER_BLANKS, generate_full_board, make_puzzle
 
-# Difficulty ranges: digits of the greater Mult operand, blank cells of a
-# Sudoku puzzle.  The hardest bucket is held out of training data.
-MULT_TIER_DIGITS: dict[DifficultyTier, tuple[int, int]] = {
-    DifficultyTier.ID_EASY: (1, 5),
-    DifficultyTier.ID_HARD: (6, 8),
-    DifficultyTier.OOD_HARD: (9, 10),
-}
-SUDOKU_TIER_BLANKS: dict[DifficultyTier, tuple[int, int]] = {
-    DifficultyTier.ID_EASY: (9, 35),
-    DifficultyTier.ID_HARD: (36, 53),
-    DifficultyTier.OOD_HARD: (54, 62),
-}
 TRAINING_TIERS: tuple[DifficultyTier, ...] = (
     DifficultyTier.ID_EASY,
     DifficultyTier.ID_HARD,
 )
 
 
-def _random_with_digits(digits: int, rng: np.random.Generator) -> int:
-    if digits == 1:
-        return int(rng.integers(0, 10))
-    return int(rng.integers(10 ** (digits - 1), 10**digits))
+def _required(task: TaskName, field: str, what: str) -> Any:
+    value = getattr(task_hooks(task), field)
+    if value is None:
+        raise ValueError(f"no {what} for task {task!r}")
+    return value
 
 
 def gen_query(task: TaskName, tier: DifficultyTier, rng: np.random.Generator) -> Query:
     """Draw one query in the tier's difficulty range."""
-    if task is TaskName.MULT:
-        lo, hi = MULT_TIER_DIGITS[tier]
-        big_digits = int(rng.integers(lo, hi + 1))
-        small_digits = int(rng.integers(1, big_digits + 1))
-        big = _random_with_digits(big_digits, rng)
-        small = _random_with_digits(small_digits, rng)
-        pair = (big, small) if rng.random() < 0.5 else (small, big)
-        return Query(TaskName.MULT, pair, tier)
-    if task is TaskName.SUDOKU:
-        lo, hi = SUDOKU_TIER_BLANKS[tier]
-        full = generate_full_board(rng)
-        blanks = int(rng.integers(lo, hi + 1))
-        return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
-    raise ValueError(f"no query generator for task {task!r}")
-
-
-def _mult_initial(query: Query) -> MultState:
-    x, y = query.payload
-    return MultState(x, y, 0)
-
-
-def _mult_check(query: Query, answer: Step) -> bool:
-    x, y = query.payload
-    return answer.is_answer and answer.content == x * y
-
-
-def _mult_validate(query: Query) -> None:
-    payload = query.payload
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 2
-        or any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in payload)
-    ):
-        raise ValueError("mult payload must be a pair of nonnegative ints")
-
-
-def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
-    """Every given (nonzero) cell of the puzzle is preserved in the board."""
-    return all(
-        given == cell
-        for given, cell in zip(puzzle.cells, board.cells)
-        if given != 0
-    )
-
-
-def _sudoku_initial(query: Query) -> SudokuBoard:
-    return query.payload
-
-
-def _sudoku_check(query: Query, answer: Step) -> bool:
-    board = answer.content
-    return (
-        answer.is_answer
-        and isinstance(board, SudokuBoard)
-        and board.full
-        and consistent(board)
-        and board_extends(query.payload, board)
-    )
-
-
-def _sudoku_validate(query: Query) -> None:
-    if not isinstance(query.payload, SudokuBoard):
-        raise ValueError("sudoku payload must be a board")
-    if not consistent(query.payload):
-        raise ValueError("sudoku payload must be a consistent board")
-
-
-register_task(
-    TaskName.MULT, TaskHooks(_mult_initial, _mult_check, _mult_validate)
-)
-register_task(
-    TaskName.SUDOKU, TaskHooks(_sudoku_initial, _sudoku_check, _sudoku_validate)
-)
+    return _required(task, "gen_query", "query generator")(tier, rng)
 
 
 def expert_policy(task: TaskName) -> PolicyInterface:
-    if task is TaskName.MULT:
-        return MultExpertPolicy()
-    if task is TaskName.SUDOKU:
-        return SudokuExpertPolicy()
-    raise ValueError(f"no expert policy for task {task!r}")
+    return _required(task, "expert_policy", "expert policy")
 
 
 def transition_for(task: TaskName) -> TransitionInterface:
-    if task is TaskName.MULT:
-        return MultTransition()
-    if task is TaskName.SUDOKU:
-        return SudokuTransition()
-    raise ValueError(f"no transition for task {task!r}")
+    return _required(task, "transition", "transition")
 
 
 @dataclass(frozen=True)
@@ -184,27 +66,21 @@ class RuleVerifier:
 
 
 def binary_verifier(task: TaskName) -> RuleVerifier:
-    if task is TaskName.MULT:
-        return RuleVerifier(verify_binary_mult)
-    if task is TaskName.SUDOKU:
-        return RuleVerifier(verify_binary_sudoku)
-    raise ValueError(f"no rule verifier for task {task!r}")
+    return RuleVerifier(_required(task, "binary_rule", "rule verifier"))
 
 
 def detailed_verifier(task: TaskName) -> RuleVerifier:
-    if task is TaskName.MULT:
-        return RuleVerifier(verify_detailed_mult)
-    if task is TaskName.SUDOKU:
-        return RuleVerifier(verify_detailed_sudoku)
-    raise ValueError(f"no rule verifier for task {task!r}")
+    return RuleVerifier(_required(task, "detailed_rule", "rule verifier"))
 
 
 @dataclass(frozen=True)
 class NoisyPolicy:
     """Wraps a policy: with probability error_prob a non-answer step is
-    corrupted (Mult: one contribution digit; Sudoku: one fill value).
-    Answer steps are never corrupted.  With error_prob 0 the wrapper draws
-    nothing extra, so it is behaviorally identical to the base policy."""
+    corrupted by the record of the state's task (Mult: one contribution
+    digit; Sudoku: one fill value).  Answer steps, and steps of tasks
+    without a corruption, are never corrupted.  With error_prob 0 the
+    wrapper draws nothing extra, so it is behaviorally identical to the base
+    policy."""
 
     base: PolicyInterface
     error_prob: float
@@ -215,16 +91,11 @@ class NoisyPolicy:
             return step
         if rng.random() >= self.error_prob:
             return step
-        content = step.content
-        if isinstance(content, MultMove):
-            corrupted, _ = perturb_contribution(state, content, rng)
-            return Step(content=corrupted)
-        if isinstance(content, SudokuMove):
-            result = misfill(state, content, rng)
-            if result is None:
-                return step
-            return Step(content=result[0])
-        return step
+        hooks = state_hooks(state)
+        if hooks is None or hooks.corrupt is None:
+            return step
+        corrupted = hooks.corrupt(state, step.content, rng)
+        return step if corrupted is None else Step(content=corrupted)
 
 
 def make_noisy_policy(base: PolicyInterface, error_prob: float) -> PolicyInterface:
@@ -269,18 +140,7 @@ def make_noisy_verifier(
 
 def state_polarity(query: Query, state: Any) -> bool:
     """Ground truth: can this state still reach a correct answer?"""
-    if query.task is TaskName.MULT:
-        x, y = query.payload
-        return state.value() == x * y
-    if query.task is TaskName.SUDOKU:
-        return (
-            consistent(state)
-            and board_extends(query.payload, state)
-            and solvable(state)
-        )
-    if hasattr(state, "positive"):
-        return bool(state.positive)
-    raise ValueError(f"no polarity oracle for task {query.task!r}")
+    return task_hooks(query.task).polarity(query, state)
 
 
 def step_leads_positive(query: Query, state: Any, step: Step) -> bool:
@@ -306,17 +166,5 @@ class OracleVerifier:
 
 def render_state(state: Any) -> str:
     """Stable text rendering, also used as the JSONL state encoding."""
-    if isinstance(state, MultState):
-        return f"{state.x}*{state.y}+{state.z}"
-    if isinstance(state, SudokuBoard):
-        return state.render()
-    if hasattr(state, "scale") and hasattr(state, "positive"):
-        sign = "+" if state.positive else "-"
-        return f"scale {state.scale}{sign}"
-    return repr(state)
-
-
-def parse_mult_state(text: str) -> MultState:
-    x_part, rest = text.split("*", 1)
-    y_part, z_part = rest.split("+", 1)
-    return MultState(int(x_part), int(y_part), int(z_part))
+    hooks = state_hooks(state)
+    return repr(state) if hooks is None else hooks.render_state(state)

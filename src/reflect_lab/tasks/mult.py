@@ -13,7 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mtp import Step, Verification
+from ..mtp import (
+    DifficultyTier,
+    Query,
+    Step,
+    TaskHooks,
+    TaskName,
+    Verification,
+    register_task,
+)
+
+# Digits of the greater operand per tier; ood_hard is held out of training.
+MULT_TIER_DIGITS: dict[DifficultyTier, tuple[int, int]] = {
+    DifficultyTier.ID_EASY: (1, 5),
+    DifficultyTier.ID_HARD: (6, 8),
+    DifficultyTier.OOD_HARD: (9, 10),
+}
 
 
 @dataclass(frozen=True)
@@ -192,3 +207,115 @@ def perturb_contribution(
         move.side, move.digit, move.positions, move.delta, contributions, new_state
     )
     return (corrupted_move, 1 + ci)
+
+
+def _random_with_digits(digits: int, rng: np.random.Generator) -> int:
+    if digits == 1:
+        return int(rng.integers(0, 10))
+    return int(rng.integers(10 ** (digits - 1), 10**digits))
+
+
+def gen_mult_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
+    """Draw an operand pair whose greater operand has the tier's digits."""
+    lo, hi = MULT_TIER_DIGITS[tier]
+    big_digits = int(rng.integers(lo, hi + 1))
+    small_digits = int(rng.integers(1, big_digits + 1))
+    big = _random_with_digits(big_digits, rng)
+    small = _random_with_digits(small_digits, rng)
+    pair = (big, small) if rng.random() < 0.5 else (small, big)
+    return Query(TaskName.MULT, pair, tier)
+
+
+def _mult_initial(query: Query) -> MultState:
+    x, y = query.payload
+    return MultState(x, y, 0)
+
+
+def _mult_check(query: Query, answer: Step) -> bool:
+    x, y = query.payload
+    return answer.is_answer and answer.content == x * y
+
+
+def _mult_validate(query: Query) -> None:
+    payload = query.payload
+    if (
+        not isinstance(payload, tuple)
+        or len(payload) != 2
+        or any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in payload)
+    ):
+        raise ValueError("mult payload must be a pair of nonnegative ints")
+
+
+def _mult_polarity(query: Query, state: MultState) -> bool:
+    x, y = query.payload
+    return state.value() == x * y
+
+
+def render_mult_state(state: MultState) -> str:
+    return f"{state.x}*{state.y}+{state.z}"
+
+
+def parse_mult_state(text: str) -> MultState:
+    x_part, rest = text.split("*", 1)
+    y_part, z_part = rest.split("+", 1)
+    return MultState(int(x_part), int(y_part), int(z_part))
+
+
+def _mult_move_to_json(move: MultMove) -> dict:
+    return {
+        "side": move.side,
+        "digit": move.digit,
+        "positions": list(move.positions),
+        "delta": move.delta,
+        "contributions": list(move.contributions),
+        "new_state": render_mult_state(move.new_state),
+    }
+
+
+def _mult_move_from_json(obj: dict) -> MultMove:
+    return MultMove(
+        side=obj["side"],
+        digit=int(obj["digit"]),
+        positions=tuple(int(p) for p in obj["positions"]),
+        delta=int(obj["delta"]),
+        contributions=tuple(int(c) for c in obj["contributions"]),
+        new_state=parse_mult_state(obj["new_state"]),
+    )
+
+
+def _mult_payload_from_json(obj: list) -> tuple[int, int]:
+    x, y = obj
+    return (int(x), int(y))
+
+
+def _mult_grid_key(payload: tuple[int, int]) -> tuple[int, int]:
+    """(y digit count, x digit count)."""
+    x, y = payload
+    return (len(str(y)), len(str(x)))
+
+
+register_task(
+    TaskName.MULT,
+    TaskHooks(
+        initial_state=_mult_initial,
+        check_answer=_mult_check,
+        validate=_mult_validate,
+        state_type=MultState,
+        render_state=render_mult_state,
+        parse_state=parse_mult_state,
+        polarity=_mult_polarity,
+        move_to_json=_mult_move_to_json,
+        move_from_json=_mult_move_from_json,
+        payload_to_json=list,
+        payload_from_json=_mult_payload_from_json,
+        answer_from_json=int,
+        grid_key=_mult_grid_key,
+        grid_header="y_digits,x_digits",
+        gen_query=gen_mult_query,
+        expert_policy=MultExpertPolicy(),
+        transition=MultTransition(),
+        binary_rule=verify_binary_mult,
+        detailed_rule=verify_detailed_mult,
+        corrupt=lambda state, move, rng: perturb_contribution(state, move, rng)[0],
+    ),
+)

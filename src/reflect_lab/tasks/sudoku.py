@@ -20,7 +20,22 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..mtp import Step, Verification
+from ..mtp import (
+    DifficultyTier,
+    Query,
+    Step,
+    TaskHooks,
+    TaskName,
+    Verification,
+    register_task,
+)
+
+# Blank cells of the puzzle per tier; ood_hard is held out of training.
+SUDOKU_TIER_BLANKS: dict[DifficultyTier, tuple[int, int]] = {
+    DifficultyTier.ID_EASY: (9, 35),
+    DifficultyTier.ID_HARD: (36, 53),
+    DifficultyTier.OOD_HARD: (54, 62),
+}
 
 _ALL_MASK = 0b1111111110  # candidate bits for values 1..9
 
@@ -403,3 +418,97 @@ def misfill(
     corrupted = SudokuMove(fills, move.guess, new_board)
     label_index = sorted_fills(corrupted).index((row, col, chosen))
     return (corrupted, label_index)
+
+
+def gen_sudoku_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
+    """Blank a random completed board down to the tier's blank count."""
+    lo, hi = SUDOKU_TIER_BLANKS[tier]
+    full = generate_full_board(rng)
+    blanks = int(rng.integers(lo, hi + 1))
+    return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
+
+
+def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
+    """Every given (nonzero) cell of the puzzle is preserved in the board."""
+    return all(
+        given == cell
+        for given, cell in zip(puzzle.cells, board.cells)
+        if given != 0
+    )
+
+
+def _sudoku_check(query: Query, answer: Step) -> bool:
+    board = answer.content
+    return (
+        answer.is_answer
+        and isinstance(board, SudokuBoard)
+        and board.full
+        and consistent(board)
+        and board_extends(query.payload, board)
+    )
+
+
+def _sudoku_validate(query: Query) -> None:
+    if not isinstance(query.payload, SudokuBoard):
+        raise ValueError("sudoku payload must be a board")
+    if not consistent(query.payload):
+        raise ValueError("sudoku payload must be a consistent board")
+
+
+def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
+    return (
+        consistent(state)
+        and board_extends(query.payload, state)
+        and solvable(state)
+    )
+
+
+def _sudoku_move_to_json(move: SudokuMove) -> dict:
+    return {
+        "fills": [list(f) for f in move.fills],
+        "guess": move.guess,
+        "board": move.new_board.render(),
+    }
+
+
+def _sudoku_move_from_json(obj: dict) -> SudokuMove:
+    return SudokuMove(
+        fills=tuple((int(r), int(c), int(v)) for r, c, v in obj["fills"]),
+        guess=bool(obj["guess"]),
+        new_board=SudokuBoard.parse(obj["board"]),
+    )
+
+
+def _sudoku_corrupt(
+    state: SudokuBoard, move: SudokuMove, rng: np.random.Generator
+) -> Optional[SudokuMove]:
+    result = misfill(state, move, rng)
+    return None if result is None else result[0]
+
+
+register_task(
+    TaskName.SUDOKU,
+    TaskHooks(
+        initial_state=lambda query: query.payload,
+        check_answer=_sudoku_check,
+        validate=_sudoku_validate,
+        state_type=SudokuBoard,
+        render_state=SudokuBoard.render,
+        parse_state=SudokuBoard.parse,
+        polarity=_sudoku_polarity,
+        move_to_json=_sudoku_move_to_json,
+        move_from_json=_sudoku_move_from_json,
+        payload_to_json=SudokuBoard.render,
+        payload_from_json=SudokuBoard.parse,
+        answer_to_json=SudokuBoard.render,
+        answer_from_json=SudokuBoard.parse,
+        grid_key=lambda puzzle: puzzle.blank_count,
+        grid_header="blanks",
+        gen_query=gen_sudoku_query,
+        expert_policy=SudokuExpertPolicy(),
+        transition=SudokuTransition(),
+        binary_rule=verify_binary_sudoku,
+        detailed_rule=verify_detailed_sudoku,
+        corrupt=_sudoku_corrupt,
+    ),
+)

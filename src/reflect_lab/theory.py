@@ -140,7 +140,6 @@ class RtbsRecursionTable:
     sigma[t]: chance a scale-t state advances on track within its m
         attempts; the backtracking success probability at scale n is the
         product of sigma over scales 1..n.
-    phi, psi: delta**m and epsilon**m (whole-state failure chances).
     """
 
     params: SimplifiedParams
@@ -148,8 +147,6 @@ class RtbsRecursionTable:
     delta: np.ndarray
     epsilon: np.ndarray
     sigma: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
 
     @property
     def n_max(self) -> int:
@@ -178,8 +175,6 @@ def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsRecursionTab
         delta=delta,
         epsilon=epsilon,
         sigma=sigma,
-        phi=delta**m,
-        psi=epsilon**m,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import hashlib
 import json
 import os
 
@@ -247,3 +248,67 @@ def test_report_covers_requested_grid(runner, tmp_path):
     assert read_bytes(out) == read_bytes(out_b)
     manifest = json.loads(read_bytes(out + ".manifest.json"))
     assert manifest["n"] == [1, 2] and manifest["mode"] == ["none", "rmtp", "rtbs"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", *REF_FLAGS, "--mode", "rmtp", "--n", "3", "--episodes", "10"],
+        ["gen-data", "--task", "mult", "--count", "1"],
+        ["run-task", "--task", "mult", "--tier", "id_easy", "--episodes", "1"],
+        ["report", *REF_FLAGS, "--n", "2", "--episodes", "10"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_negative_seed_is_usage_error(runner, tmp_path, command):
+    # seed & MASK64 would alias -1 to 2**64 - 1, so it is refused up front.
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, [*command, "--seed", "-1", "--out", out])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+    assert not os.path.exists(out)
+
+
+# sha256 of small data outputs, recorded before the per-task code moved into
+# one record per task module.  They tie every build to the same bytes, where
+# the reproducibility checks compare two runs of one build.  The draws come
+# from numpy's Philox generator, so a numpy release that changes a Generator
+# method's stream would change them too.
+PINNED_OUTPUTS = {
+    "mult_detailed.jsonl": (
+        ["gen-data", "--task", "mult", "--style", "detailed", "--count", "24",
+         "--seed", "3"],
+        "3b449386fc21789299e77567d56c6bda2db200eb959f6f12b3bc9476424489d4",
+    ),
+    "sudoku_optional.jsonl": (
+        ["gen-data", "--task", "sudoku", "--style", "optional_detailed",
+         "--count", "3", "--seed", "3"],
+        "dcb9b049bd272e1ac7918f76aab3a8b4bb892718740359e8b556092a6100f411",
+    ),
+    "sudoku_rtbs.jsonl": (
+        ["run-task", "--task", "sudoku", "--tier", "id_hard", "--mode", "rtbs",
+         "--m", "2", "--episodes", "3", "--seed", "6", "--noise", "0.3",
+         "--e-minus", "0.1", "--e-plus", "0.1"],
+        "b6126e5addb54f871c3be1432319a315d7c9a3c856527f23354676f05bc6b701",
+    ),
+    "mult_detailed_rmtp.jsonl": (
+        ["run-task", "--task", "mult", "--tier", "id_hard", "--verifier", "detailed",
+         "--episodes", "12", "--seed", "4", "--noise", "0.2",
+         "--e-minus", "0.1", "--e-plus", "0.1"],
+        "c3cf0a51f3bcc9b9859f3675a4b1b7c62db928a71d2a5c4fd6f2a328178db50e",
+    ),
+    "sim_small.csv": (
+        ["simulate", *REF_FLAGS, "--mode", "rtbs", "--m", "2", "--n", "6",
+         "--episodes", "3000", "--seed", "11", "--threads", "1"],
+        "4d1d583d6d4a85a9d2b238578de5308deab773ca1b6fb7c8f907847ed490ac60",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_data_outputs_match_pinned_sha256(runner, tmp_path, name):
+    args, digest = PINNED_OUTPUTS[name]
+    out = str(tmp_path / name)
+    result = runner.invoke(main, [*args, "--out", out])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(read_bytes(out)).hexdigest() == digest

@@ -4,6 +4,8 @@ import gzip
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflect_lab import rng as rng_mod
 from reflect_lab.corpus import (
@@ -24,7 +26,7 @@ from reflect_lab.corpus import (
     write_examples,
     write_records,
 )
-from reflect_lab.engines import ReflectConfig, run_rmtp
+from reflect_lab.engines import ReflectConfig, run_rmtp, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
     Query,
@@ -39,6 +41,7 @@ from reflect_lab.tasks import (
     binary_verifier,
     expert_policy,
     gen_query,
+    make_noisy_policy,
     make_noisy_verifier,
     transition_for,
 )
@@ -268,6 +271,22 @@ def test_schema_violation_raises_format_error():
         example_from_json(obj2)
 
 
+def test_states_that_do_not_follow_from_the_steps_are_refused():
+    example = next(iter(generate_corpus(small_spec(example_count=1, seed=4))))
+    assert len(example.steps) >= 2
+    obj = example_to_json(example)
+    for item in obj["steps"]:
+        item["state"] = "0*0+999"
+    with pytest.raises(CorpusFormatError, match="step 0"):
+        example_from_json(obj)
+    # One wrong state deeper in the chain is caught at its own step.
+    obj = example_to_json(example)
+    x, y, z = obj["steps"][1]["state"].replace("*", "+").split("+")
+    obj["steps"][1]["state"] = f"{x}*{y}+{int(z) + 1}"
+    with pytest.raises(CorpusFormatError, match="step 1"):
+        example_from_json(obj)
+
+
 def test_record_round_trip(tmp_path):
     rng = rng_mod.stream(21, 0)
     query = gen_query(TaskName.MULT, DifficultyTier.ID_EASY, rng)
@@ -287,3 +306,55 @@ def test_record_round_trip(tmp_path):
     # the answer flag is what distinguishes answer steps on decode
     assert any(item["is_answer"] for item in obj["events"])
     assert record_from_json(json.loads(dumps_json_line(obj))) == record
+
+
+# --- codec round trips over both tasks ---
+
+
+@given(
+    task=st.sampled_from([TaskName.MULT, TaskName.SUDOKU]),
+    style=st.sampled_from(list(CotStyle)),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_examples_round_trip_through_json(task, style, noisy, seed):
+    noise = 0.3 if noisy and style is not CotStyle.NONE else 0.0
+    spec = CorpusSpec(
+        task=task,
+        example_count=1,
+        tier_mix=((DifficultyTier.ID_EASY, 1.0), (DifficultyTier.ID_HARD, 1.0)),
+        style=style,
+        proposal_noise=noise,
+        seed=seed,
+    )
+    for example in generate_corpus(spec):
+        line = dumps_json_line(example_to_json(example))
+        assert example_from_json(json.loads(line)) == example
+
+
+@given(
+    task=st.sampled_from([TaskName.MULT, TaskName.SUDOKU]),
+    backtrack=st.booleans(),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_records_round_trip_through_json(task, backtrack, noisy, seed):
+    rng = rng_mod.stream(seed, 0)
+    query = gen_query(task, DifficultyTier.ID_EASY, rng)
+    policy = expert_policy(task)
+    verifier = binary_verifier(task)
+    if noisy:
+        policy = make_noisy_policy(policy, 0.3)
+        verifier = make_noisy_verifier(verifier, 0.2, 0.2)
+    run = run_rtbs if backtrack else run_rmtp
+    record = run(
+        SelfVerifying(policy, verifier),
+        transition_for(task),
+        query,
+        ReflectConfig(reflective_budget=24, total_budget=32, rtbs_width=2),
+        rng,
+    )
+    line = dumps_json_line(record_to_json(record))
+    assert record_from_json(json.loads(line)) == record

@@ -14,7 +14,6 @@ from reflect_lab.metrics import (
     estimate_verification_errors,
     reflection_frequency,
     report_to_csv,
-    theory_vs_sim_report,
     theory_vs_sim_rows,
 )
 from reflect_lab.mtp import (
@@ -277,13 +276,11 @@ def test_report_csv_layout_and_determinism(ref_params):
     kwargs = dict(
         modes=("rmtp",), n_values=(2,), m_list=(), episodes=1000, seed=3, threads=1
     )
-    text = theory_vs_sim_report(ref_params, **kwargs)
-    again = theory_vs_sim_report(ref_params, **kwargs)
+    text = report_to_csv(theory_vs_sim_rows(ref_params, **kwargs))
+    again = report_to_csv(theory_vs_sim_rows(ref_params, **kwargs))
     assert text == again
     lines = text.strip().split("\n")
     assert lines[0] == "n,mode,m,episodes,acc_hat,ci_lo,ci_hi,theory,zscore"
     fields = lines[1].split(",")
     assert fields[0] == "2" and fields[1] == "rmtp" and fields[2] == ""
     assert float(fields[7]) == pytest.approx(rho_rmtp(ref_params, 2))
-    rows = theory_vs_sim_rows(ref_params, **kwargs)
-    assert report_to_csv(rows) == text

@@ -18,7 +18,6 @@ from reflect_lab.mtp import (
     TaskName,
     Verification,
     VerifiedStep,
-    is_rejected,
     reflective_transition,
     run_nonreflective,
 )
@@ -71,7 +70,7 @@ def test_verification_rejected_flag():
     assert not Verification(()).rejected
     assert not Verification((True, True)).rejected
     assert Verification((True, False, True)).rejected
-    assert is_rejected(Verification((False,)))
+    assert Verification((False,)).rejected
 
 
 def test_episode_record_validates_event_count():

@@ -98,6 +98,12 @@ def test_thread_count_does_not_change_results(ref_params, monkeypatch):
     assert c.successes == a.successes
 
 
+def test_non_integer_thread_variable_names_itself(ref_params, monkeypatch):
+    monkeypatch.setenv("REFLECT_LAB_THREADS", "two")
+    with pytest.raises(ValueError, match="REFLECT_LAB_THREADS"):
+        simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
+
+
 # --- agreement with closed forms ---
 
 
