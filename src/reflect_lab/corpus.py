@@ -327,20 +327,67 @@ def record_to_json(record: EpisodeRecord) -> dict:
     }
 
 
+def _event_from_json(hooks: TaskHooks, state: Any, item: dict) -> Event:
+    return Event(
+        state=state,
+        verified=VerifiedStep(
+            _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
+            _labels_from_text(item["labels"]),
+        ),
+        disposition=Disposition(item["disposition"]),
+    )
+
+
+def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]:
+    """Re-derive each event's state from the query, the accepted steps and
+    the tracebacks: an accepted non-answer step moves to its successor and
+    keeps its parent, a traceback restores the latest kept parent and undoes
+    the step taken from it.  An event whose stored state or undone step
+    disagrees raises CorpusFormatError."""
+    state = hooks.initial_state(query)
+    # (parent state, step taken from it) per accepted link, oldest first.
+    parents = []
+    events = []
+    for index, item in enumerate(items):
+        disposition = Disposition(item["disposition"])
+        undone = None
+        if disposition is Disposition.TRACEBACK:
+            if not parents:
+                raise CorpusFormatError(
+                    f"event {index}: traceback with no accepted step to undo"
+                )
+            state, undone = parents.pop()
+        expected = hooks.render_state(state)
+        if item["state"] != expected:
+            raise CorpusFormatError(
+                f"event {index}: state {item['state']!r} does not follow from the "
+                f"query and earlier events (expected {expected!r})"
+            )
+        event = _event_from_json(hooks, state, item)
+        step = event.verified.step
+        if undone is not None and step != undone:
+            raise CorpusFormatError(
+                f"event {index}: traceback undoes a step that was not taken"
+            )
+        events.append(event)
+        if disposition is Disposition.ACCEPTED and not step.is_answer:
+            parents.append((state, step))
+            state = hooks.transition.apply(state, step)
+    return events
+
+
 def record_from_json(obj: dict) -> EpisodeRecord:
+    """Decode one episode record.  Tasks with a transition re-derive every
+    event's state (see _replayed_events); the others parse the stored text."""
     try:
         hooks, query = _query_from_json(obj)
-        events = tuple(
-            Event(
-                state=hooks.parse_state(item["state"]),
-                verified=VerifiedStep(
-                    _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
-                    _labels_from_text(item["labels"]),
-                ),
-                disposition=Disposition(item["disposition"]),
-            )
-            for item in obj["events"]
-        )
+        if hooks.transition is None:
+            events = [
+                _event_from_json(hooks, hooks.parse_state(item["state"]), item)
+                for item in obj["events"]
+            ]
+        else:
+            events = _replayed_events(hooks, query, obj["events"])
         answer = (
             None
             if obj["answer"] is None
@@ -349,7 +396,7 @@ def record_from_json(obj: dict) -> EpisodeRecord:
         outcome = Outcome(obj["outcome"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(str(exc)) from exc
-    return EpisodeRecord(query, events, answer, len(events), outcome)
+    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)
 
 
 # --- JSONL I/O -------------------------------------------------------------

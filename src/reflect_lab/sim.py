@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -122,9 +123,16 @@ def _render_synthetic(state: SyntheticState) -> str:
     return f"scale {state.scale}{'+' if state.positive else '-'}"
 
 
+def _parse_synthetic(text: str) -> SyntheticState:
+    match = re.fullmatch(r"scale (\d+)([+-])", text)
+    if match is None:
+        raise ValueError(f"not a synthetic state: {text!r}")
+    return SyntheticState(int(match[1]), match[2] == "+")
+
+
 # The synthetic policy, verifier and transition are built from rate
 # parameters (synthetic_self_verifying), so the record carries no query
-# generator, expert, transition or rule verifiers.  Decoded states stay text.
+# generator, expert, transition or rule verifiers.
 register_task(
     TaskName.SYNTHETIC,
     TaskHooks(
@@ -133,7 +141,7 @@ register_task(
         validate=_synthetic_validate,
         state_type=SyntheticState,
         render_state=_render_synthetic,
-        parse_state=str,
+        parse_state=_parse_synthetic,
         polarity=lambda query, state: bool(state.positive),
         move_to_json=lambda on_track: {"on_track": on_track},
         move_from_json=lambda obj: bool(obj["on_track"]),
@@ -221,6 +229,35 @@ def _posterior_luts(
     return (beta, beta + gamma)
 
 
+# Doubles per draw of the loop-free none mode, so that a chunk at large n
+# draws in bounded blocks.
+_NONE_BLOCK = 1 << 17
+
+
+def _none_chunk(
+    mu: float, n: int, budget: int, episodes: int, rng: np.random.Generator
+) -> tuple[int, int, int, int]:
+    """Mode none of _mc_chunk without its loop.
+
+    Every row proposes once per pass and accepts every step, so no row closes
+    before pass min(n, budget): the loop would draw `episodes` uniforms per
+    pass and never compact.  Drawing those passes pass-major in one stream
+    (in blocks) gives the same numbers.  A row succeeds when all n of its
+    draws advance.
+    """
+    passes = min(n, max(budget, 1))
+    if passes < n:
+        return (0, 0, episodes, episodes)
+    on_track = np.ones(episodes, dtype=bool)
+    per_block = max(1, _NONE_BLOCK // episodes)
+    for start in range(0, passes, per_block):
+        k = min(per_block, passes - start)
+        u = rng.random(k * episodes).reshape(k, episodes)
+        on_track &= (u < mu).all(axis=0)
+    successes = int(np.count_nonzero(on_track))
+    return (successes, successes * n, 0, episodes)
+
+
 def _mc_chunk(
     params: SimplifiedParams,
     n: int,
@@ -241,6 +278,8 @@ def _mc_chunk(
     if n == 0:
         # One restating answer step per episode, always on track.
         return (episodes, episodes, 0, episodes)
+    if mode == "none":
+        return _none_chunk(params.mu, n, budget, episodes, rng)
     beta_lut, bg_lut = _posterior_luts(posterior, params)
     lut_top = len(beta_lut) - 1
     one_minus_f = 1.0 - (posterior.f if posterior is not None else params.f)
@@ -267,22 +306,18 @@ def _mc_chunk(
     while alive_count > 0:
         size = depth.shape[0]
         u = rng.random(size)
-        if mode == "none":
-            advance = alive & cur_pol & (u < params.mu)
-            accepted = alive.copy()
+        if lut_top > 0:
+            b = beta_lut[np.minimum(att, lut_top)]
+            bg = bg_lut[np.minimum(att, lut_top)]
         else:
-            if lut_top > 0:
-                b = beta_lut[np.minimum(att, lut_top)]
-                bg = bg_lut[np.minimum(att, lut_top)]
-            else:
-                b = beta_lut[0]
-                bg = bg_lut[0]
-            on_track = alive & cur_pol
-            off_track = alive & ~cur_pol
-            advance = on_track & (u < b)
-            derail = on_track & ~advance & (u < bg)
-            accept_neg = off_track & (u < one_minus_f)
-            accepted = advance | derail | accept_neg
+            b = beta_lut[0]
+            bg = bg_lut[0]
+        on_track = alive & cur_pol
+        off_track = alive & ~cur_pol
+        advance = on_track & (u < b)
+        derail = on_track & ~advance & (u < bg)
+        accept_neg = off_track & (u < one_minus_f)
+        accepted = advance | derail | accept_neg
         np.add(proposals, 1, out=proposals, where=alive)
 
         last_level = depth == (n - 1)
@@ -300,28 +335,27 @@ def _mc_chunk(
                 att[di] = 0
 
         dead_now = np.zeros(size, dtype=bool)
-        if mode != "none":
-            rejected = alive & ~accepted
-            if track_attempts:
-                ri = np.flatnonzero(rejected)
-                if ri.size:
-                    att[ri] += 1
-            if rtbs:
-                over = rejected & (att >= m_eff)
+        rejected = alive & ~accepted
+        if track_attempts:
+            ri = np.flatnonzero(rejected)
+            if ri.size:
+                att[ri] += 1
+        if rtbs:
+            over = rejected & (att >= m_eff)
+            if not root_unlimited:
+                dead_now |= over & (depth == 0)
+            ni = np.flatnonzero(over & (depth > 0))
+            while ni.size:
+                depth[ni] -= 1
+                d = depth[ni]
+                att[ni] = att_stack[ni, d]
+                cur_pol[ni] = pol_stack[ni, d]
+                again = att[ni] >= m_eff
+                at_root = d == 0
                 if not root_unlimited:
-                    dead_now |= over & (depth == 0)
-                ni = np.flatnonzero(over & (depth > 0))
-                while ni.size:
-                    depth[ni] -= 1
-                    d = depth[ni]
-                    att[ni] = att_stack[ni, d]
-                    cur_pol[ni] = pol_stack[ni, d]
-                    again = att[ni] >= m_eff
-                    at_root = d == 0
-                    if not root_unlimited:
-                        dr = ni[again & at_root]
-                        dead_now[dr] = True
-                    ni = ni[again & ~at_root]
+                    dr = ni[again & at_root]
+                    dead_now[dr] = True
+                ni = ni[again & ~at_root]
 
         out_of_budget = alive & (proposals >= budget) & ~finishing & ~dead_now
 

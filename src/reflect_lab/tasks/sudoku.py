@@ -15,7 +15,7 @@ expert-policy code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -38,6 +38,19 @@ SUDOKU_TIER_BLANKS: dict[DifficultyTier, tuple[int, int]] = {
 }
 
 _ALL_MASK = 0b1111111110  # candidate bits for values 1..9
+# The values whose bits a mask sets, ascending, for every candidate mask.
+_CANDIDATES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(v for v in range(1, 10) if mask >> v & 1) for mask in range(_ALL_MASK + 1)
+)
+_DIGITS = frozenset(range(10))
+_TEXT_OF_CELL = bytes.maketrans(bytes(range(10)), b"0123456789")
+# (row, column, box) of each cell index, row-major.
+_UNITS: tuple[tuple[int, int, int], ...] = tuple(
+    (idx // 9, idx % 9, (idx // 27) * 3 + idx % 9 // 3) for idx in range(81)
+)
+
+# Used-value bitmasks per row, column and box.
+Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class DeadEndError(Exception):
@@ -51,14 +64,22 @@ class DeadEndError(Exception):
 
 @dataclass(frozen=True)
 class SudokuBoard:
-    """Row-major cells, 81 ints in 0..9 (0 = blank)."""
+    """Row-major cells, 81 ints in 0..9 (0 = blank).
+
+    The text and the unit masks are computed at most once per board.
+    """
 
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) != 81:
+        cells = self.cells
+        if len(cells) != 81:
             raise ValueError("a board needs exactly 81 cells")
-        if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in self.cells):
+        # Plain ints in 0..9 pass the set test; anything else (int
+        # subclasses, bools, numpy scalars) gets the per-cell check.
+        if not (set(map(type, cells)) <= {int} and set(cells) <= _DIGITS) and any(
+            not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells
+        ):
             raise ValueError("cell values must be ints in 0..9")
 
     def get(self, row: int, col: int) -> int:
@@ -78,17 +99,27 @@ class SudokuBoard:
     def blank_count(self) -> int:
         return self.cells.count(0)
 
+    @cached_property
+    def _text(self) -> str:
+        # Every cell is an int in 0..9, so its byte maps to its digit.
+        digits = bytes(self.cells).translate(_TEXT_OF_CELL).decode()
+        return "\n".join([digits[r : r + 9] for r in range(0, 81, 9)])
+
+    @cached_property
+    def masks(self) -> Optional[Masks]:
+        """Used-value bitmasks per row, column and box, or None when a unit
+        holds a duplicate."""
+        return _masks(self.cells)
+
     def render(self) -> str:
-        return "\n".join(
-            "".join(str(v) for v in self.cells[r * 9 : r * 9 + 9]) for r in range(9)
-        )
+        return self._text
 
     @staticmethod
     def parse(text: str) -> "SudokuBoard":
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
-        return SudokuBoard(tuple(int(ch) for row in rows for ch in row))
+        return SudokuBoard(tuple(map(int, "".join(rows))))
 
 
 @dataclass(frozen=True)
@@ -100,37 +131,27 @@ class SudokuMove:
     new_board: SudokuBoard
 
 
-def _box(row: int, col: int) -> int:
-    return (row // 3) * 3 + col // 3
-
-
-def _masks(cells: tuple[int, ...] | list[int]) -> Optional[tuple[list[int], list[int], list[int]]]:
+def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
     """Used-value bitmasks per row/col/box, or None when a unit holds a
     duplicate."""
     rows = [0] * 9
     cols = [0] * 9
     boxes = [0] * 9
-    for idx, value in enumerate(cells):
+    for (r, c, b), value in zip(_UNITS, cells):
         if value == 0:
             continue
-        r, c = divmod(idx, 9)
-        b = _box(r, c)
         bit = 1 << value
         if (rows[r] | cols[c] | boxes[b]) & bit:
             return None
         rows[r] |= bit
         cols[c] |= bit
         boxes[b] |= bit
-    return rows, cols, boxes
+    return tuple(rows), tuple(cols), tuple(boxes)
 
 
 def consistent(board: SudokuBoard) -> bool:
     """No duplicated value in any row, column, or block."""
-    return _masks(board.cells) is not None
-
-
-def _candidate_values(mask: int) -> list[int]:
-    return [v for v in range(1, 10) if mask & (1 << v)]
+    return board.masks is not None
 
 
 def solve(
@@ -142,34 +163,33 @@ def solve(
     unsolvable.  With an rng, candidate values are tried in random order
     (used for board generation); otherwise ascending.
     """
-    units = _masks(board.cells)
+    units = board.masks
     if units is None:
         return None
-    rows, cols, boxes = units
+    rows, cols, boxes = (list(u) for u in units)
     cells = list(board.cells)
-    blanks = [idx for idx, v in enumerate(cells) if v == 0]
+    blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
 
     def search() -> bool:
-        best_idx = -1
-        best_mask = 0
+        best = None
+        best_values: tuple[int, ...] = ()
         best_count = 10
-        for idx in blanks:
+        for blank in blanks:
+            idx, r, c, b = blank
             if cells[idx]:
                 continue
-            r, c = divmod(idx, 9)
-            mask = _ALL_MASK & ~(rows[r] | cols[c] | boxes[_box(r, c)])
-            count = mask.bit_count()
+            values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
+            count = len(values)
             if count == 0:
                 return False
             if count < best_count:
-                best_idx, best_mask, best_count = idx, mask, count
+                best, best_values, best_count = blank, values, count
                 if count == 1:
                     break
-        if best_idx < 0:
+        if best is None:
             return True
-        r, c = divmod(best_idx, 9)
-        b = _box(r, c)
-        values = _candidate_values(best_mask)
+        best_idx, r, c, b = best
+        values = best_values
         if rng is not None:
             values = [values[i] for i in rng.permutation(len(values))]
         for v in values:
@@ -192,12 +212,13 @@ def solve(
 
 
 @lru_cache(maxsize=1 << 16)
-def _solvable_cached(cells: tuple[int, ...]) -> bool:
-    return solve(SudokuBoard(cells)) is not None
+def _solvable_cached(cells: bytes) -> bool:
+    return solve(SudokuBoard(tuple(cells))) is not None
 
 
 def solvable(board: SudokuBoard) -> bool:
-    return _solvable_cached(board.cells)
+    # 81-byte keys: an 81-tuple key costs about 700 bytes per cached board.
+    return _solvable_cached(bytes(board.cells))
 
 
 def generate_full_board(rng: np.random.Generator) -> SudokuBoard:
@@ -226,27 +247,26 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     """
     if board.full:
         return Step(content=board, is_answer=True)
-    units = _masks(board.cells)
+    units = board.masks
     if units is None:
         # The board itself is illegal; candidates are meaningless.  Treat the
         # first blank as dead so callers handle it like any stuck branch.
         idx = board.cells.index(0)
         raise DeadEndError(*divmod(idx, 9))
-    rows, cols, boxes = units
+    rows, cols, boxes = (list(u) for u in units)
     cells = list(board.cells)
+    blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
     fills: list[tuple[int, int, int]] = []
     while True:
         filled_one = False
-        for idx in range(81):
+        for idx, r, c, b in blanks:
             if cells[idx]:
                 continue
-            r, c = divmod(idx, 9)
-            b = _box(r, c)
-            mask = _ALL_MASK & ~(rows[r] | cols[c] | boxes[b])
-            if mask == 0:
+            values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
+            if not values:
                 raise DeadEndError(r, c)
-            if mask.bit_count() == 1:
-                v = mask.bit_length() - 1
+            if len(values) == 1:
+                v = values[0]
                 cells[idx] = v
                 rows[r] |= 1 << v
                 cols[c] |= 1 << v
@@ -258,19 +278,16 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     if fills:
         return Step(content=SudokuMove(tuple(fills), False, SudokuBoard(tuple(cells))))
     # No forced cell anywhere: guess at one of the most constrained blanks.
-    counts: dict[int, int] = {}
-    for idx in range(81):
-        if cells[idx]:
-            continue
-        r, c = divmod(idx, 9)
-        mask = _ALL_MASK & ~(rows[r] | cols[c] | boxes[_box(r, c)])
-        counts[idx] = mask.bit_count()
-    fewest = min(counts.values())
-    ties = sorted(idx for idx, n in counts.items() if n == fewest)
+    # Nothing was filled, so every blank is still blank.
+    candidates = {
+        idx: _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
+        for idx, r, c, b in blanks
+    }
+    fewest = min(map(len, candidates.values()))
+    ties = [idx for idx, values in candidates.items() if len(values) == fewest]
     pick = ties[int(rng.integers(len(ties)))]
-    r, c = divmod(pick, 9)
-    mask = _ALL_MASK & ~(rows[r] | cols[c] | boxes[_box(r, c)])
-    values = _candidate_values(mask)
+    r, c, _ = _UNITS[pick]
+    values = candidates[pick]
     v = values[int(rng.integers(len(values)))]
     fill = (r, c, v)
     return Step(

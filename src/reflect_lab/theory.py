@@ -419,7 +419,6 @@ class PosteriorRtbsTable:
     as in the constant-rate table.
     """
 
-    pparams: PosteriorParams
     m: int
     delta: np.ndarray
     epsilon: np.ndarray
@@ -453,7 +452,7 @@ def posterior_rtbs_table(
             running *= delta[t, j - 1]
             acc += abg[j][1] * running
         sigma[t] = acc
-    return PosteriorRtbsTable(pparams=pparams, m=m, delta=delta, epsilon=epsilon, sigma=sigma)
+    return PosteriorRtbsTable(m=m, delta=delta, epsilon=epsilon, sigma=sigma)
 
 
 def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:

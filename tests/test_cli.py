@@ -302,13 +302,29 @@ PINNED_OUTPUTS = {
          "--episodes", "3000", "--seed", "11", "--threads", "1"],
         "4d1d583d6d4a85a9d2b238578de5308deab773ca1b6fb7c8f907847ed490ac60",
     ),
+    # Reads the records above back, replaying every state, and asks the
+    # solvability oracle about each first attempt.
+    "sudoku_rtbs_errors.csv": (
+        ["estimate-errors", "--records", "sudoku_rtbs.jsonl", "--oracle", "truth"],
+        "a63f864f4fe0c6b7c38b04efb0b1ee506792cdab6a77359020646a56d1dee5e1",
+    ),
 }
+
+
+def _pinned_output(runner, tmp_path, name):
+    """Write one pinned output, first writing any pinned output it reads."""
+    args, _ = PINNED_OUTPUTS[name]
+    args = [
+        _pinned_output(runner, tmp_path, arg) if arg in PINNED_OUTPUTS else arg
+        for arg in args
+    ]
+    out = str(tmp_path / name)
+    result = runner.invoke(main, [*args, "--out", out])
+    assert result.exit_code == 0, result.output
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
 def test_data_outputs_match_pinned_sha256(runner, tmp_path, name):
-    args, digest = PINNED_OUTPUTS[name]
-    out = str(tmp_path / name)
-    result = runner.invoke(main, [*args, "--out", out])
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
+    out = _pinned_output(runner, tmp_path, name)
+    assert hashlib.sha256(read_bytes(out)).hexdigest() == PINNED_OUTPUTS[name][1]

@@ -29,6 +29,7 @@ from reflect_lab.corpus import (
 from reflect_lab.engines import ReflectConfig, run_rmtp, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
+    Disposition,
     Query,
     Step,
     SelfVerifying,
@@ -37,6 +38,7 @@ from reflect_lab.mtp import (
     VerifiedStep,
     task_hooks,
 )
+from reflect_lab.sim import SimplifiedParams, SyntheticTransition, synthetic_self_verifying
 from reflect_lab.tasks import (
     binary_verifier,
     expert_policy,
@@ -287,17 +289,21 @@ def test_states_that_do_not_follow_from_the_steps_are_refused():
         example_from_json(obj)
 
 
-def test_record_round_trip(tmp_path):
-    rng = rng_mod.stream(21, 0)
+def _mult_rmtp_record(seed):
+    rng = rng_mod.stream(seed, 0)
     query = gen_query(TaskName.MULT, DifficultyTier.ID_EASY, rng)
     verifier = make_noisy_verifier(binary_verifier(TaskName.MULT), 0.2, 0.1)
-    record = run_rmtp(
+    return run_rmtp(
         SelfVerifying(expert_policy(TaskName.MULT), verifier),
         transition_for(TaskName.MULT),
         query,
         ReflectConfig(reflective_budget=32, total_budget=48),
         rng,
     )
+
+
+def test_record_round_trip(tmp_path):
+    record = _mult_rmtp_record(21)
     path = str(tmp_path / "episodes.jsonl")
     assert write_records([record], path) == 1
     restored = list(read_records(path))
@@ -306,6 +312,70 @@ def test_record_round_trip(tmp_path):
     # the answer flag is what distinguishes answer steps on decode
     assert any(item["is_answer"] for item in obj["events"])
     assert record_from_json(json.loads(dumps_json_line(obj))) == record
+
+
+def test_record_states_that_do_not_follow_are_refused():
+    obj = record_to_json(_mult_rmtp_record(21))
+    for item in obj["events"]:
+        item["state"] = "0*0+999"
+    with pytest.raises(CorpusFormatError, match="event 0"):
+        record_from_json(obj)
+
+
+def _sudoku_rtbs_record_with_traceback():
+    for seed in range(100):
+        rng = rng_mod.stream(seed, 0)
+        query = gen_query(TaskName.SUDOKU, DifficultyTier.ID_HARD, rng)
+        record = run_rtbs(
+            SelfVerifying(
+                make_noisy_policy(expert_policy(TaskName.SUDOKU), 0.3),
+                make_noisy_verifier(binary_verifier(TaskName.SUDOKU), 0.1, 0.1),
+            ),
+            transition_for(TaskName.SUDOKU),
+            query,
+            ReflectConfig(reflective_budget=64, total_budget=96, rtbs_width=2),
+            rng,
+        )
+        dispositions = [e.disposition for e in record.events]
+        for index in range(len(dispositions) - 1):
+            if dispositions[index : index + 2] == [Disposition.TRACEBACK, Disposition.REJECTED]:
+                return record, index
+    raise AssertionError("no rtbs record with a traceback")
+
+
+def test_sudoku_states_after_a_traceback_are_replayed():
+    record, index = _sudoku_rtbs_record_with_traceback()
+    assert record_from_json(record_to_json(record)) == record
+    # The state right after the traceback is the restored ancestor.
+    obj = record_to_json(record)
+    after = obj["events"][index + 1]
+    assert after["state"] == obj["events"][index]["state"]
+    after["state"] = after["state"].replace("0", "1", 1)
+    with pytest.raises(CorpusFormatError, match=f"event {index + 1}:"):
+        record_from_json(obj)
+    # So is the traceback event's own state, not the child it leaves.
+    obj = record_to_json(record)
+    child = obj["events"][index - 1]["state"]
+    assert child != obj["events"][index]["state"]
+    obj["events"][index]["state"] = child
+    with pytest.raises(CorpusFormatError, match=f"event {index}:"):
+        record_from_json(obj)
+
+
+def test_traceback_of_a_step_not_taken_is_refused():
+    record, index = _sudoku_rtbs_record_with_traceback()
+    obj = record_to_json(record)
+    step = obj["events"][index]["step"]
+    step["fills"] = [[0, 0, 0], *step["fills"]]
+    with pytest.raises(CorpusFormatError, match=f"event {index}: traceback undoes"):
+        record_from_json(obj)
+
+
+def test_traceback_without_an_accepted_step_is_refused():
+    obj = record_to_json(_mult_rmtp_record(21))
+    obj["events"][0]["disposition"] = "traceback"
+    with pytest.raises(CorpusFormatError, match="event 0: traceback"):
+        record_from_json(obj)
 
 
 # --- codec round trips over both tasks ---
@@ -355,6 +425,25 @@ def test_records_round_trip_through_json(task, backtrack, noisy, seed):
         query,
         ReflectConfig(reflective_budget=24, total_budget=32, rtbs_width=2),
         rng,
+    )
+    line = dumps_json_line(record_to_json(record))
+    assert record_from_json(json.loads(line)) == record
+
+
+@given(
+    backtrack=st.booleans(),
+    scale=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_synthetic_records_round_trip_through_json(backtrack, scale, seed):
+    run = run_rtbs if backtrack else run_rmtp
+    record = run(
+        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticTransition(),
+        Query(TaskName.SYNTHETIC, scale),
+        ReflectConfig(reflective_budget=24, total_budget=32, rtbs_width=2),
+        rng_mod.stream(seed, 0),
     )
     line = dumps_json_line(record_to_json(record))
     assert record_from_json(json.loads(line)) == record

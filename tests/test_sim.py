@@ -104,6 +104,62 @@ def test_non_integer_thread_variable_names_itself(ref_params, monkeypatch):
         simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
 
 
+# --- golden pin of the vector engine ---
+
+_REF = SimplifiedParams(0.8, 0.3, 0.2, 0.8)
+_ALT = SimplifiedParams(0.6, 0.25, 0.1, 0.5)
+_BASE = SimplifiedParams(0.9, 0.1, 0.05, 0.8)
+_POST = PosteriorParams(
+    mu=(0.9, 0.6, 0.4), e_minus=(0.1, 0.1, 0.1), e_plus=(0.05, 0.05, 0.05), f=0.8
+)
+
+# (params, n, mode, m, episodes, seed, options) ->
+# (successes, mean_length_correct, budget_exhausted), recorded from the engine
+# before its none mode stopped looping.  Any change to the random stream, the
+# draw order or the compaction schedule moves these; 70k episodes span three
+# chunks.
+GOLDEN_ENGINE_RESULTS = [
+    (_REF, 0, "none", None, 500, 1, {}, (500, 1.0, 0)),
+    (_REF, 1, "none", None, 3000, 2, {}, (2411, 1.0, 0)),
+    (_REF, 5, "none", None, 3000, 3, {}, (970, 5.0, 0)),
+    (_ALT, 13, "none", None, 3000, 4, {}, (3, 13.0, 0)),
+    (_REF, 5, "none", None, 3000, 5, {"budget": 3}, (0, None, 3000)),
+    (_REF, 13, "none", None, 70_000, 6, {}, (3949, 13.0, 0)),
+    (_REF, 30, "none", None, 40_000, 26, {}, (60, 30.0, 0)),
+    (_ALT, 5, "none", None, 3000, 27, {"budget": 1}, (0, None, 3000)),
+    (_ALT, 4, "none", None, 3000, 28, {"budget": 40}, (410, 4.0, 0)),
+    (_REF, 0, "rmtp", None, 500, 7, {}, (500, 1.0, 0)),
+    (_REF, 1, "rmtp", None, 3000, 8, {}, (2817, 1.651047213347533, 0)),
+    (_ALT, 5, "rmtp", None, 3000, 9, {}, (1997, 10.241362043064598, 0)),
+    (_REF, 13, "rmtp", None, 3000, 10, {}, (1255, 21.70996015936255, 0)),
+    (_REF, 8, "rmtp", None, 3000, 11, {"budget": 9}, (109, 8.779816513761467, 2873)),
+    (_REF, 5, "rmtp", None, 70_000, 12, {}, (49832, 8.33010916680045, 0)),
+    (_REF, 0, "rtbs", 2, 500, 13, {}, (500, 1.0, 0)),
+    (_REF, 1, "rtbs", 4, 3000, 14, {}, (2743, 1.5964272694130515, 0)),
+    (_REF, 5, "rtbs", 1, 3000, 15, {}, (177, 5.0, 0)),
+    (_REF, 5, "rtbs", 2, 3000, 16, {}, (1484, 8.349056603773585, 0)),
+    (_REF, 5, "rtbs", 4, 3000, 17, {}, (2439, 9.551045510455104, 0)),
+    (_ALT, 5, "rtbs", 2, 3000, 18, {"root_unlimited": True}, (1964, 17.19602851323829, 0)),
+    (_REF, 13, "rtbs", 4, 3000, 19, {"root_unlimited": True}, (2407, 32.3041130037391, 0)),
+    (_REF, 13, "rtbs", 2, 3000, 20, {}, (1139, 31.4468832309043, 0)),
+    (_REF, 6, "rtbs", 4, 3000, 21, {"budget": 15}, (1916, 10.020876826722338, 590)),
+    (_ALT, 5, "rtbs", 4, 3000, 29, {"root_unlimited": True, "budget": 20},
+     (1883, 10.200212426978226, 125)),
+    (_REF, 5, "rtbs", 2, 70_000, 25, {}, (35133, 8.455412290439188, 0)),
+    (_BASE, 5, "rmtp", None, 3000, 22, {"posterior": _POST}, (2784, 6.809985632183908, 0)),
+    (_BASE, 5, "rtbs", 4, 3000, 23, {"posterior": _POST}, (2724, 7.142437591776799, 0)),
+    (_BASE, 5, "rtbs", 2, 3000, 24, {"posterior": _POST, "root_unlimited": True},
+     (2950, 8.012881355932203, 0)),
+]
+
+
+def test_vector_engine_matches_golden_results():
+    for params, n, mode, m, episodes, seed, options, expected in GOLDEN_ENGINE_RESULTS:
+        r = simulate_accuracy(params, n, mode, episodes, seed, m=m, threads=1, **options)
+        got = (r.successes, r.mean_length_correct, r.budget_exhausted)
+        assert got == expected, (params, n, mode, m, episodes, seed, options)
+
+
 # --- agreement with closed forms ---
 
 

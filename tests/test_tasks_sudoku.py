@@ -5,6 +5,9 @@ backtracking solver from tests/helpers.py, independent of the package's
 bitmask machinery.
 """
 
+import enum
+
+import numpy as np
 import pytest
 
 from helpers import (
@@ -64,6 +67,39 @@ def test_board_validation():
         SudokuBoard(cells=(0,) * 80)
     with pytest.raises(ValueError):
         SudokuBoard(cells=(0,) * 80 + (10,))
+    for bad in (True, np.int64(3), -1):
+        with pytest.raises(ValueError, match="cell values"):
+            SudokuBoard(cells=PUZZLE.cells[:40] + (bad,) + PUZZLE.cells[41:])
+    # int subclasses other than bool are cells like any int.
+    Digit = enum.IntEnum("Digit", [("FIVE", 5)])
+    board = SudokuBoard(cells=(Digit.FIVE,) + PUZZLE.cells[1:])
+    assert board == PUZZLE
+    assert board.render() == PUZZLE.render()
+
+
+def test_non_canonical_text_parses_to_the_same_board():
+    rows = PUZZLE.render().splitlines()
+    indented = "\n\n  " + "\n\t".join(rows) + "  \n\n"
+    spaced = "\n\n".join(f" {row} " for row in rows)
+    assert SudokuBoard.parse(indented) == PUZZLE
+    assert SudokuBoard.parse(spaced) == PUZZLE
+    with pytest.raises(ValueError, match="9 lines"):
+        SudokuBoard.parse("\n".join(rows[:8]))
+    with pytest.raises(ValueError):
+        SudokuBoard.parse("\n".join(rows[:8] + ["00008007x"]))
+
+
+def test_solver_and_expert_leave_the_cached_masks_alone():
+    for board in (PUZZLE, make_puzzle(generate_full_board(rng_mod.stream(8, 0)), 50,
+                                      rng_mod.stream(8, 1))):
+        masks = board.masks
+        assert consistent(board)
+        solve(board)
+        sudoku_expert_step(board, rng_mod.stream(8, 2))
+        assert board.masks == masks
+        # A fresh board of the same cells agrees with the cached value.
+        assert SudokuBoard(board.cells).masks == masks
+        assert consistent(board)
 
 
 def test_board_accessors():
