@@ -9,7 +9,9 @@ unsolvable and raises DeadEndError.
 The rule-based verifiers check only Sudoku legality (no given modified, no
 duplicate in a row, column, or block).  Solvability questions go through an
 independent most-constrained-first backtracking solver kept free of the
-expert-policy code path.
+expert-policy code path.  The solver decides every board that no completion
+found so far covers; a known completion of the puzzle that agrees with every
+filled cell of a board is a proof that the board is solvable.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ _CANDIDATES: tuple[tuple[int, ...], ...] = tuple(
 )
 _DIGITS = frozenset(range(10))
 _TEXT_OF_CELL = bytes.maketrans(bytes(range(10)), b"0123456789")
+# ASCII digits to cell values; every other byte to 0xFF, which no cell holds.
+_CELL_OF_TEXT = bytes(ch - 48 if 48 <= ch <= 57 else 0xFF for ch in range(256))
+# Blank cells to 0x00 and filled ones to 0xFF: a byte mask of the filled cells.
+_FILLED = bytes.maketrans(bytes(range(10)), b"\x00" + b"\xff" * 9)
+# render() text: 9 rows of 9 digits, 8 newlines.
+_TEXT_LENGTH = 89
+_ROW_ENDS = b"\n" * 8
 # (row, column, box) of each cell index, row-major.
 _UNITS: tuple[tuple[int, int, int], ...] = tuple(
     (idx // 9, idx % 9, (idx // 27) * 3 + idx % 9 // 3) for idx in range(81)
@@ -116,6 +125,15 @@ class SudokuBoard:
 
     @staticmethod
     def parse(text: str) -> "SudokuBoard":
+        # Canonical text, as render() writes it, decodes in one translate and
+        # becomes the board's text; any other layout takes the general path.
+        if len(text) == _TEXT_LENGTH and text.isascii():
+            raw = text.encode()
+            digits = raw.translate(_CELL_OF_TEXT, b"\n")
+            if len(digits) == 81 and raw[9::10] == _ROW_ENDS and 0xFF not in digits:
+                board = SudokuBoard(tuple(digits))
+                board.__dict__["_text"] = text
+                return board
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
@@ -147,6 +165,16 @@ def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
         cols[c] |= bit
         boxes[b] |= bit
     return tuple(rows), tuple(cols), tuple(boxes)
+
+
+def _board_with_masks(
+    cells: list[int], rows: list[int], cols: list[int], boxes: list[int]
+) -> SudokuBoard:
+    """A board whose unit masks the caller already holds; they become its
+    cached `masks` (a cached_property reads the instance dict first)."""
+    board = SudokuBoard(tuple(cells))
+    board.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
+    return board
 
 
 def consistent(board: SudokuBoard) -> bool:
@@ -211,14 +239,8 @@ def solve(
     return SudokuBoard(tuple(cells))
 
 
-@lru_cache(maxsize=1 << 16)
-def _solvable_cached(cells: bytes) -> bool:
-    return solve(SudokuBoard(tuple(cells))) is not None
-
-
 def solvable(board: SudokuBoard) -> bool:
-    # 81-byte keys: an 81-tuple key costs about 700 bytes per cached board.
-    return _solvable_cached(bytes(board.cells))
+    return solve(board) is not None
 
 
 def generate_full_board(rng: np.random.Generator) -> SudokuBoard:
@@ -276,7 +298,8 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
         if not filled_one:
             break
     if fills:
-        return Step(content=SudokuMove(tuple(fills), False, SudokuBoard(tuple(cells))))
+        new_board = _board_with_masks(cells, rows, cols, boxes)
+        return Step(content=SudokuMove(tuple(fills), False, new_board))
     # No forced cell anywhere: guess at one of the most constrained blanks.
     # Nothing was filled, so every blank is still blank.
     candidates = {
@@ -286,13 +309,16 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     fewest = min(map(len, candidates.values()))
     ties = [idx for idx, values in candidates.items() if len(values) == fewest]
     pick = ties[int(rng.integers(len(ties)))]
-    r, c, _ = _UNITS[pick]
+    r, c, b = _UNITS[pick]
     values = candidates[pick]
     v = values[int(rng.integers(len(values)))]
-    fill = (r, c, v)
-    return Step(
-        content=SudokuMove((fill,), True, board.with_fills((fill,)))
-    )
+    # v is a candidate, so the guessed board stays consistent.
+    cells[pick] = v
+    rows[r] |= 1 << v
+    cols[c] |= 1 << v
+    boxes[b] |= 1 << v
+    new_board = _board_with_masks(cells, rows, cols, boxes)
+    return Step(content=SudokuMove(((r, c, v),), True, new_board))
 
 
 class SudokuExpertPolicy:
@@ -413,19 +439,26 @@ def misfill(
     fi = int(rng.integers(len(move.fills)))
     row, col, honest = move.fills[fi]
     wrong = [v for v in range(1, 10) if v != honest]
-    order = rng.permutation(len(wrong))
-    base_cells = list(move.new_board.cells)
-    chosen: Optional[int] = None
-    for oi in order:
-        candidate = wrong[int(oi)]
-        if not require_conflict:
-            chosen = candidate
-            break
-        base_cells[row * 9 + col] = candidate
-        if _masks(base_cells) is None:
-            chosen = candidate
-            break
-    base_cells[row * 9 + col] = move.new_board.get(row, col)
+    candidates = [wrong[int(oi)] for oi in rng.permutation(len(wrong))]
+    idx = row * 9 + col
+    chosen: Optional[int]
+    if not require_conflict:
+        chosen = candidates[0]
+    elif move.new_board.masks is not None:
+        # The rest of the board is consistent, so a value clashes exactly
+        # when another cell of the cell's row, column or box holds it: the
+        # unit masks without this cell's own value.
+        r, c, b = _UNITS[idx]
+        rows, cols, boxes = move.new_board.masks
+        others = (rows[r] | cols[c] | boxes[b]) & ~(1 << move.new_board.cells[idx])
+        chosen = next((v for v in candidates if others >> v & 1), None)
+    else:
+        # A clash elsewhere may involve this cell: test each whole board.
+        cells = list(move.new_board.cells)
+        chosen = next(
+            (v for v in candidates if _masks(cells[:idx] + [v] + cells[idx + 1:]) is None),
+            None,
+        )
     if chosen is None:
         return None
     fills = tuple(
@@ -445,13 +478,42 @@ def gen_sudoku_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
     return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
 
 
+class _PuzzleFacts:
+    """What the solvability oracle has learned about one puzzle.
+
+    Boards are compared as 81-byte big-endian integers, one byte per cell:
+    `board & givens_mask == givens` says the board keeps every given, and
+    `completion & filled == board`, with `filled` the byte mask of the
+    board's filled cells, says the completion agrees with every one of them.
+    """
+
+    __slots__ = ("givens", "givens_mask", "completions", "unsolvable")
+
+    def __init__(self, puzzle: SudokuBoard) -> None:
+        cells = bytes(puzzle.cells)
+        self.givens = int.from_bytes(cells)
+        self.givens_mask = int.from_bytes(cells.translate(_FILLED))
+        # Completions of the puzzle found by solve, and boards it refuted.
+        self.completions: list[int] = []
+        self.unsolvable: set[int] = set()
+
+    def extended_by(self, board: int) -> bool:
+        return board & self.givens_mask == self.givens
+
+
+@lru_cache(maxsize=1 << 10)
+def _puzzle_facts(puzzle: SudokuBoard) -> _PuzzleFacts:
+    """The facts of one puzzle; the 1024 most recently used puzzles are kept.
+
+    A puzzle holds one completion per board the solver proved solvable and
+    no known completion covered, and one entry per board it refuted.
+    """
+    return _PuzzleFacts(puzzle)
+
+
 def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
     """Every given (nonzero) cell of the puzzle is preserved in the board."""
-    return all(
-        given == cell
-        for given, cell in zip(puzzle.cells, board.cells)
-        if given != 0
-    )
+    return _puzzle_facts(puzzle).extended_by(int.from_bytes(bytes(board.cells)))
 
 
 def _sudoku_check(query: Query, answer: Step) -> bool:
@@ -473,11 +535,29 @@ def _sudoku_validate(query: Query) -> None:
 
 
 def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
-    return (
-        consistent(state)
-        and board_extends(query.payload, state)
-        and solvable(state)
-    )
+    """consistent(state), board_extends(puzzle, state) and solvable(state).
+
+    A completion found earlier for the same puzzle that agrees with every
+    filled cell proves the state solvable; only states that no known
+    completion covers are searched, and each search's answer is kept.
+    """
+    facts = _puzzle_facts(query.payload)
+    cells = bytes(state.cells)
+    board = int.from_bytes(cells)
+    if not facts.extended_by(board):
+        return False
+    filled = int.from_bytes(cells.translate(_FILLED))
+    for completion in facts.completions:
+        if completion & filled == board:
+            return True
+    if not consistent(state) or board in facts.unsolvable:
+        return False
+    solution = solve(state)
+    if solution is None:
+        facts.unsolvable.add(board)
+        return False
+    facts.completions.append(int.from_bytes(bytes(solution.cells)))
+    return True
 
 
 def _sudoku_move_to_json(move: SudokuMove) -> dict:

@@ -17,12 +17,16 @@ from helpers import (
 )
 from reflect_lab import rng as rng_mod
 from reflect_lab.mtp import Outcome, Query, Step, TaskName, task_hooks
+from reflect_lab.tasks import expert_policy, make_noisy_policy, state_polarity
 from reflect_lab.tasks.sudoku import (
     DeadEndError,
     SudokuBoard,
     SudokuExpertPolicy,
     SudokuMove,
     SudokuTransition,
+    _masks,
+    _puzzle_facts,
+    board_extends,
     consistent,
     generate_full_board,
     make_puzzle,
@@ -87,6 +91,24 @@ def test_non_canonical_text_parses_to_the_same_board():
         SudokuBoard.parse("\n".join(rows[:8]))
     with pytest.raises(ValueError):
         SudokuBoard.parse("\n".join(rows[:8] + ["00008007x"]))
+    # Near-canonical layouts read like any other text.
+    text = PUZZLE.render()
+    assert SudokuBoard.parse("\r\n".join(rows)) == PUZZLE
+    assert SudokuBoard.parse("\r\n".join(rows) + "\r\n") == PUZZLE
+    assert SudokuBoard.parse("\n\n" + text + "\n\n") == PUZZLE
+    assert SudokuBoard.parse(text + "\n") == PUZZLE
+    assert SudokuBoard.parse("\n".join(f"  {row}\t" for row in rows)) == PUZZLE
+    with pytest.raises(ValueError, match="9 lines"):
+        SudokuBoard.parse(text + "\n000000000")
+    # Canonical length and row ends, but not nine digits per row.
+    for char in "x+ ":
+        with pytest.raises(ValueError):
+            SudokuBoard.parse(text[:40] + char + text[41:])
+    with pytest.raises(ValueError, match="9 lines"):
+        SudokuBoard.parse(text[:9] + text[10] + "\n" + text[11:])
+    # int() reads non-ASCII digits too; that path is kept.
+    arabic_three = SudokuBoard.parse(text[:40] + "\u0663" + text[41:])
+    assert arabic_three.cells[36] == 3
 
 
 def test_solver_and_expert_leave_the_cached_masks_alone():
@@ -100,6 +122,142 @@ def test_solver_and_expert_leave_the_cached_masks_alone():
         # A fresh board of the same cells agrees with the cached value.
         assert SudokuBoard(board.cells).masks == masks
         assert consistent(board)
+
+
+def test_boards_carry_the_masks_and_text_of_their_cells():
+    """Boards built by the expert step and by parse come with derived data;
+    it must be what a fresh board of the same cells computes."""
+
+    def check(board: SudokuBoard) -> None:
+        assert board.masks == _masks(board.cells)
+        assert board.render() == SudokuBoard(board.cells).render()
+
+    boards = []
+    saw_guess = False
+    for seed, puzzle in enumerate((PUZZLE, make_puzzle(
+            generate_full_board(rng_mod.stream(21, 0)), 58, rng_mod.stream(21, 1)))):
+        rng = rng_mod.stream(21, 2, seed)
+        board = puzzle
+        while True:
+            try:
+                step = sudoku_expert_step(board, rng)
+            except DeadEndError:
+                break
+            if step.is_answer:
+                break
+            saw_guess = saw_guess or step.content.guess
+            board = step.content.new_board
+            boards.append(board)
+    assert saw_guess and len(boards) > 4
+    clash = PUZZLE.with_fills(((0, 2, 5),))
+    for board in boards + [PUZZLE, clash]:
+        check(board)
+        parsed = SudokuBoard.parse(board.render())
+        assert parsed == board
+        check(parsed)
+        check(SudokuBoard.parse("\r\n".join(board.render().splitlines())))
+
+
+def _polarity_reference(puzzle: SudokuBoard, state: SudokuBoard) -> bool:
+    """The oracle's definition, on a fresh board with nothing cached."""
+    fresh = SudokuBoard(state.cells)
+    keeps_givens = all(g == 0 or g == c for g, c in zip(puzzle.cells, fresh.cells))
+    return consistent(fresh) and keeps_givens and solve(fresh) is not None
+
+
+def _check_polarity(query: Query, states: list[SudokuBoard]) -> None:
+    """The oracle equals its definition on a cold cache, and again on a warm
+    one with fresh boards in reverse order."""
+    puzzle = query.payload
+    expected = [_polarity_reference(puzzle, s) for s in states]
+    assert [board_extends(puzzle, s) for s in states] == [
+        all(g == 0 or g == c for g, c in zip(puzzle.cells, s.cells)) for s in states
+    ]
+    _puzzle_facts.cache_clear()
+    assert [state_polarity(query, s) for s in states] == expected
+    warm = [state_polarity(query, SudokuBoard(s.cells)) for s in reversed(states)]
+    assert warm[::-1] == expected
+
+
+def test_polarity_oracle_matches_its_definition_on_noisy_rollouts():
+    policy = make_noisy_policy(expert_policy(TaskName.SUDOKU), 0.3)
+    transition = SudokuTransition()
+    seen = []
+    for seed, blanks in enumerate((44, 48, 50, 53)):
+        full = generate_full_board(rng_mod.stream(22, seed))
+        query = Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng_mod.stream(22, seed, 1)))
+        rng = rng_mod.stream(22, seed, 2)
+        # Like a verified rollout: every proposal is asked about, and only
+        # states that can still be solved are kept.
+        state = query.payload
+        states = [state]
+        for _ in range(60):
+            step = policy.sample(state, rng)
+            if step.is_answer:
+                break
+            proposed = transition.apply(state, step)
+            states.append(proposed)
+            if _polarity_reference(query.payload, proposed):
+                state = proposed
+        seen += [(consistent(s), _polarity_reference(query.payload, s)) for s in states]
+        _check_polarity(query, states)
+    # Solvable, inconsistent and consistent-but-dead states all occurred.
+    assert {(True, True), (False, False), (True, False)} <= set(seen)
+
+
+def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
+    full = generate_full_board(rng_mod.stream(23, 0))
+    puzzle = make_puzzle(full, 64, rng_mod.stream(23, 1))
+    first = solve(puzzle)
+    second = next(
+        board for k in range(50)
+        if (board := solve(puzzle, rng=rng_mod.stream(23, 2, k))) != first
+    )
+    blanks = [i for i, v in enumerate(puzzle.cells) if v == 0]
+    order = [blanks[int(i)] for i in rng_mod.stream(23, 3).permutation(len(blanks))]
+
+    def following(completion: SudokuBoard) -> list[SudokuBoard]:
+        cells = list(puzzle.cells)
+        states = []
+        for idx in order:
+            cells[idx] = completion.cells[idx]
+            states.append(SudokuBoard(tuple(cells)))
+        return states
+
+    givens = [i for i, v in enumerate(puzzle.cells) if v != 0]
+    dropped = [  # boards that lose a given: still consistent, often solvable
+        SudokuBoard(tuple(0 if i == idx else v for i, v in enumerate(board.cells)))
+        for board in (puzzle, first, second) for idx in givens[:3]
+    ]
+    changed = [  # a given overwritten by another value
+        SudokuBoard(tuple(
+            (v % 9) + 1 if i == givens[0] else v for i, v in enumerate(board.cells)))
+        for board in (puzzle, first)
+    ]
+    row = next(r for r in range(9) if puzzle.cells[9 * r:9 * r + 9].count(0) >= 2)
+    a, b = [9 * row + c for c in range(9) if puzzle.cells[9 * row + c] == 0][:2]
+    clash = SudokuBoard(tuple(
+        second.cells[a] if i in (a, b) else v for i, v in enumerate(puzzle.cells)))
+    wrong = [  # one blank filled with a value neither completion has there
+        SudokuBoard(tuple(
+            next(x for x in range(1, 10) if x not in (first.cells[i], second.cells[i]))
+            if i == idx else v for i, v in enumerate(puzzle.cells)))
+        for idx in order[:6]
+    ]
+    query = Query(TaskName.SUDOKU, puzzle)
+    states = ([puzzle] + following(first)[::7] + following(second)
+              + dropped + changed + [clash] + wrong)
+    assert not consistent(clash)
+    assert not any(_polarity_reference(puzzle, s) for s in dropped + changed)
+    assert any(consistent(s) and solve(s) is not None for s in dropped)
+    _check_polarity(query, states)
+    # States that follow the second completion first missed the known
+    # completions and were searched, then were covered by what was found.
+    facts = _puzzle_facts(query.payload)
+    searched = len(facts.completions) + len(facts.unsolvable)
+    solvable_states = sum(_polarity_reference(puzzle, s) for s in states)
+    assert len(facts.completions) >= 2
+    assert searched < solvable_states / 4
 
 
 def test_board_accessors():
@@ -308,6 +466,54 @@ def test_misfill_localized_by_detailed_verifier():
         assert labels[label_index] is False
         caught += 1
     assert caught > 0
+
+
+def _misfill_reference(state, move, rng):
+    """misfill(require_conflict=True) by its definition: the first wrong
+    value, in the drawn order, whose whole board has a duplicate."""
+    fi = int(rng.integers(len(move.fills)))
+    row, col, honest = move.fills[fi]
+    wrong = [v for v in range(1, 10) if v != honest]
+    cells = list(move.new_board.cells)
+    for oi in rng.permutation(len(wrong)):
+        cells[row * 9 + col] = wrong[int(oi)]
+        if not sudoku_no_duplicates(cells):
+            return fi, wrong[int(oi)]
+    return None
+
+
+def test_misfill_conflict_matches_whole_board_check():
+    moves = []
+    for seed, puzzle in enumerate((PUZZLE, make_puzzle(
+            generate_full_board(rng_mod.stream(24, 0)), 50, rng_mod.stream(24, 1)))):
+        board = puzzle
+        for k in range(30):
+            step = SudokuExpertPolicy().sample(board, rng_mod.stream(24, 2, seed, k))
+            if step.is_answer:
+                break
+            moves.append((board, step.content))
+            board = step.content.new_board
+    # Moves whose new board already clashes: elsewhere, or at a filled cell.
+    for fills in (((0, 2, 5),), ((0, 2, 5), (4, 4, 5)), ((4, 4, 5), (0, 2, 1))):
+        moves.append((PUZZLE, SudokuMove(fills, True, PUZZLE.with_fills(fills))))
+    # On an empty board no value can clash.
+    moves.append((EMPTY, SudokuMove(((4, 4, 5),), True, EMPTY.with_fills(((4, 4, 5),)))))
+    assert not all(consistent(move.new_board) for _, move in moves)
+    outcomes = set()
+    for i, (state, move) in enumerate(moves):
+        for seed in range(4):
+            expected = _misfill_reference(state, move, rng_mod.stream(25, i, seed))
+            result = misfill(state, move, rng_mod.stream(25, i, seed), require_conflict=True)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert result is None
+                continue
+            fi, value = expected
+            corrupted, _ = result
+            row, col, _ = move.fills[fi]
+            assert corrupted.fills == move.fills[:fi] + ((row, col, value),) + move.fills[fi + 1:]
+            assert corrupted.new_board == state.with_fills(corrupted.fills)
+    assert outcomes == {True, False}
 
 
 def test_misfill_without_conflict_still_breaks_solution():
