@@ -239,10 +239,6 @@ def solve(
     return SudokuBoard(tuple(cells))
 
 
-def solvable(board: SudokuBoard) -> bool:
-    return solve(board) is not None
-
-
 def generate_full_board(rng: np.random.Generator) -> SudokuBoard:
     """A uniform-ish random completed board via randomized backtracking."""
     empty = SudokuBoard((0,) * 81)
@@ -439,26 +435,19 @@ def misfill(
     fi = int(rng.integers(len(move.fills)))
     row, col, honest = move.fills[fi]
     wrong = [v for v in range(1, 10) if v != honest]
-    candidates = [wrong[int(oi)] for oi in rng.permutation(len(wrong))]
-    idx = row * 9 + col
-    chosen: Optional[int]
-    if not require_conflict:
-        chosen = candidates[0]
-    elif move.new_board.masks is not None:
-        # The rest of the board is consistent, so a value clashes exactly
-        # when another cell of the cell's row, column or box holds it: the
-        # unit masks without this cell's own value.
-        r, c, b = _UNITS[idx]
-        rows, cols, boxes = move.new_board.masks
-        others = (rows[r] | cols[c] | boxes[b]) & ~(1 << move.new_board.cells[idx])
-        chosen = next((v for v in candidates if others >> v & 1), None)
-    else:
-        # A clash elsewhere may involve this cell: test each whole board.
-        cells = list(move.new_board.cells)
-        chosen = next(
-            (v for v in candidates if _masks(cells[:idx] + [v] + cells[idx + 1:]) is None),
-            None,
-        )
+    order = rng.permutation(len(wrong))
+    base_cells = list(move.new_board.cells)
+    chosen: Optional[int] = None
+    for oi in order:
+        candidate = wrong[int(oi)]
+        if not require_conflict:
+            chosen = candidate
+            break
+        base_cells[row * 9 + col] = candidate
+        if _masks(base_cells) is None:
+            chosen = candidate
+            break
+    base_cells[row * 9 + col] = move.new_board.get(row, col)
     if chosen is None:
         return None
     fills = tuple(
@@ -478,6 +467,14 @@ def gen_sudoku_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
     return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
 
 
+# The solvability oracle's memory: at most _FACTS_PUZZLES puzzles, each with
+# at most _FACTS_COMPLETIONS completions and _FACTS_REFUTED refuted boards,
+# so 65536 boards in all.  A state the full lists do not answer is searched.
+_FACTS_PUZZLES = 512
+_FACTS_COMPLETIONS = 32
+_FACTS_REFUTED = 96
+
+
 class _PuzzleFacts:
     """What the solvability oracle has learned about one puzzle.
 
@@ -491,29 +488,26 @@ class _PuzzleFacts:
 
     def __init__(self, puzzle: SudokuBoard) -> None:
         cells = bytes(puzzle.cells)
-        self.givens = int.from_bytes(cells)
-        self.givens_mask = int.from_bytes(cells.translate(_FILLED))
+        self.givens = int.from_bytes(cells, "big")
+        self.givens_mask = int.from_bytes(cells.translate(_FILLED), "big")
         # Completions of the puzzle found by solve, and boards it refuted.
         self.completions: list[int] = []
         self.unsolvable: set[int] = set()
 
-    def extended_by(self, board: int) -> bool:
-        return board & self.givens_mask == self.givens
 
-
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=_FACTS_PUZZLES)
 def _puzzle_facts(puzzle: SudokuBoard) -> _PuzzleFacts:
-    """The facts of one puzzle; the 1024 most recently used puzzles are kept.
-
-    A puzzle holds one completion per board the solver proved solvable and
-    no known completion covered, and one entry per board it refuted.
-    """
+    """The facts of one of the _FACTS_PUZZLES most recently used puzzles."""
     return _PuzzleFacts(puzzle)
 
 
 def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
     """Every given (nonzero) cell of the puzzle is preserved in the board."""
-    return _puzzle_facts(puzzle).extended_by(int.from_bytes(bytes(board.cells)))
+    return all(
+        given == cell
+        for given, cell in zip(puzzle.cells, board.cells)
+        if given != 0
+    )
 
 
 def _sudoku_check(query: Query, answer: Step) -> bool:
@@ -535,18 +529,20 @@ def _sudoku_validate(query: Query) -> None:
 
 
 def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
-    """consistent(state), board_extends(puzzle, state) and solvable(state).
+    """consistent(state), board_extends(puzzle, state) and solve(state) is
+    not None.
 
     A completion found earlier for the same puzzle that agrees with every
     filled cell proves the state solvable; only states that no known
-    completion covers are searched, and each search's answer is kept.
+    completion covers are searched, and each search's answer is kept while
+    the puzzle's lists have room.
     """
     facts = _puzzle_facts(query.payload)
     cells = bytes(state.cells)
-    board = int.from_bytes(cells)
-    if not facts.extended_by(board):
+    board = int.from_bytes(cells, "big")
+    if board & facts.givens_mask != facts.givens:
         return False
-    filled = int.from_bytes(cells.translate(_FILLED))
+    filled = int.from_bytes(cells.translate(_FILLED), "big")
     for completion in facts.completions:
         if completion & filled == board:
             return True
@@ -554,9 +550,11 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
         return False
     solution = solve(state)
     if solution is None:
-        facts.unsolvable.add(board)
+        if len(facts.unsolvable) < _FACTS_REFUTED:
+            facts.unsolvable.add(board)
         return False
-    facts.completions.append(int.from_bytes(bytes(solution.cells)))
+    if len(facts.completions) < _FACTS_COMPLETIONS:
+        facts.completions.append(int.from_bytes(bytes(solution.cells), "big"))
     return True
 
 

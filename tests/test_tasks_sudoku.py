@@ -18,6 +18,7 @@ from helpers import (
 from reflect_lab import rng as rng_mod
 from reflect_lab.mtp import Outcome, Query, Step, TaskName, task_hooks
 from reflect_lab.tasks import expert_policy, make_noisy_policy, state_polarity
+from reflect_lab.tasks import sudoku as sudoku_module
 from reflect_lab.tasks.sudoku import (
     DeadEndError,
     SudokuBoard,
@@ -26,12 +27,10 @@ from reflect_lab.tasks.sudoku import (
     SudokuTransition,
     _masks,
     _puzzle_facts,
-    board_extends,
     consistent,
     generate_full_board,
     make_puzzle,
     misfill,
-    solvable,
     solve,
     sorted_fills,
     sudoku_expert_step,
@@ -170,9 +169,6 @@ def _check_polarity(query: Query, states: list[SudokuBoard]) -> None:
     one with fresh boards in reverse order."""
     puzzle = query.payload
     expected = [_polarity_reference(puzzle, s) for s in states]
-    assert [board_extends(puzzle, s) for s in states] == [
-        all(g == 0 or g == c for g, c in zip(puzzle.cells, s.cells)) for s in states
-    ]
     _puzzle_facts.cache_clear()
     assert [state_polarity(query, s) for s in states] == expected
     warm = [state_polarity(query, SudokuBoard(s.cells)) for s in reversed(states)]
@@ -205,7 +201,9 @@ def test_polarity_oracle_matches_its_definition_on_noisy_rollouts():
     assert {(True, True), (False, False), (True, False)} <= set(seen)
 
 
-def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
+def _many_solution_case() -> tuple[Query, list[SudokuBoard]]:
+    """A 64-blank puzzle and states that follow two of its completions, drop
+    or change a given, clash, or fill a value neither completion has."""
     full = generate_full_board(rng_mod.stream(23, 0))
     puzzle = make_puzzle(full, 64, rng_mod.stream(23, 1))
     first = solve(puzzle)
@@ -244,12 +242,17 @@ def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
             if i == idx else v for i, v in enumerate(puzzle.cells)))
         for idx in order[:6]
     ]
-    query = Query(TaskName.SUDOKU, puzzle)
-    states = ([puzzle] + following(first)[::7] + following(second)
-              + dropped + changed + [clash] + wrong)
     assert not consistent(clash)
     assert not any(_polarity_reference(puzzle, s) for s in dropped + changed)
     assert any(consistent(s) and solve(s) is not None for s in dropped)
+    states = ([puzzle] + following(first)[::7] + following(second)
+              + dropped + changed + [clash] + wrong)
+    return Query(TaskName.SUDOKU, puzzle), states
+
+
+def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
+    query, states = _many_solution_case()
+    puzzle = query.payload
     _check_polarity(query, states)
     # States that follow the second completion first missed the known
     # completions and were searched, then were covered by what was found.
@@ -258,6 +261,17 @@ def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
     solvable_states = sum(_polarity_reference(puzzle, s) for s in states)
     assert len(facts.completions) >= 2
     assert searched < solvable_states / 4
+
+
+def test_polarity_oracle_with_full_lists_searches_again(monkeypatch):
+    # Once a puzzle's lists are full, what they do not answer is searched.
+    monkeypatch.setattr(sudoku_module, "_FACTS_COMPLETIONS", 1)
+    monkeypatch.setattr(sudoku_module, "_FACTS_REFUTED", 1)
+    query, states = _many_solution_case()
+    _check_polarity(query, states)
+    facts = _puzzle_facts(query.payload)
+    assert len(facts.completions) == 1
+    assert len(facts.unsolvable) <= 1
 
 
 def test_board_accessors():
@@ -303,7 +317,7 @@ def test_solve_detects_unsolvable():
     assert not consistent(bad) or solve(bad) is None
     inconsistent = PUZZLE.with_fills(((0, 2, 5),))
     assert solve(inconsistent) is None
-    assert not solvable(inconsistent)
+    assert solve(inconsistent) is None
 
 
 def test_generate_full_board_is_valid_and_seeded():
@@ -323,7 +337,7 @@ def test_make_puzzle_blanks_exactly():
     assert all(
         p == 0 or p == f for p, f in zip(puzzle.cells, full.cells)
     )
-    assert solvable(puzzle)
+    assert solve(puzzle) is not None
 
 
 # --- expert policy ---
@@ -393,7 +407,7 @@ def test_expert_recovers_from_dead_end_with_conflicting_fill():
     assert not step.is_answer
     assert step.content.guess
     new_board = step.content.new_board
-    assert not consistent(new_board) or not solvable(new_board)
+    assert not consistent(new_board) or solve(new_board) is None
 
 
 def test_dead_end_error_carries_location():
@@ -468,54 +482,6 @@ def test_misfill_localized_by_detailed_verifier():
     assert caught > 0
 
 
-def _misfill_reference(state, move, rng):
-    """misfill(require_conflict=True) by its definition: the first wrong
-    value, in the drawn order, whose whole board has a duplicate."""
-    fi = int(rng.integers(len(move.fills)))
-    row, col, honest = move.fills[fi]
-    wrong = [v for v in range(1, 10) if v != honest]
-    cells = list(move.new_board.cells)
-    for oi in rng.permutation(len(wrong)):
-        cells[row * 9 + col] = wrong[int(oi)]
-        if not sudoku_no_duplicates(cells):
-            return fi, wrong[int(oi)]
-    return None
-
-
-def test_misfill_conflict_matches_whole_board_check():
-    moves = []
-    for seed, puzzle in enumerate((PUZZLE, make_puzzle(
-            generate_full_board(rng_mod.stream(24, 0)), 50, rng_mod.stream(24, 1)))):
-        board = puzzle
-        for k in range(30):
-            step = SudokuExpertPolicy().sample(board, rng_mod.stream(24, 2, seed, k))
-            if step.is_answer:
-                break
-            moves.append((board, step.content))
-            board = step.content.new_board
-    # Moves whose new board already clashes: elsewhere, or at a filled cell.
-    for fills in (((0, 2, 5),), ((0, 2, 5), (4, 4, 5)), ((4, 4, 5), (0, 2, 1))):
-        moves.append((PUZZLE, SudokuMove(fills, True, PUZZLE.with_fills(fills))))
-    # On an empty board no value can clash.
-    moves.append((EMPTY, SudokuMove(((4, 4, 5),), True, EMPTY.with_fills(((4, 4, 5),)))))
-    assert not all(consistent(move.new_board) for _, move in moves)
-    outcomes = set()
-    for i, (state, move) in enumerate(moves):
-        for seed in range(4):
-            expected = _misfill_reference(state, move, rng_mod.stream(25, i, seed))
-            result = misfill(state, move, rng_mod.stream(25, i, seed), require_conflict=True)
-            outcomes.add(expected is None)
-            if expected is None:
-                assert result is None
-                continue
-            fi, value = expected
-            corrupted, _ = result
-            row, col, _ = move.fills[fi]
-            assert corrupted.fills == move.fills[:fi] + ((row, col, value),) + move.fills[fi + 1:]
-            assert corrupted.new_board == state.with_fills(corrupted.fills)
-    assert outcomes == {True, False}
-
-
 def test_misfill_without_conflict_still_breaks_solution():
     # A wrong value that does not clash outright still diverges from the
     # unique solution, so the board stops being solvable-consistent.
@@ -525,7 +491,7 @@ def test_misfill_without_conflict_still_breaks_solution():
     corrupted, _ = result
     assert corrupted.fills != step.content.fills
     new = corrupted.new_board
-    assert not (consistent(new) and solvable(new) and new.cells == solve(PUZZLE).cells)
+    assert not (consistent(new) and solve(new) is not None and new.cells == solve(PUZZLE).cells)
 
 
 # --- task hooks ---
