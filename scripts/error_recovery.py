@@ -1,9 +1,10 @@
 """Inject known verifier error rates on the long-multiplication task and
 estimate them back from episode records.
 
-For each (e-, e+) pair on a small grid: run noisy-policy episodes under a
-retry-in-place engine whose verifier flips verdicts at the injected rates,
-then compare first-attempt verdicts against the clean rule verifier.
+For each (e-, e+) pair on a small grid: run noisy-policy episodes in
+retry-in-place (rmtp) mode with a verifier that flips verdicts at the
+injected rates, then compare first-attempt verdicts against the clean rule
+verifier.
 
     python3 scripts/error_recovery.py --episodes 2000
 """
@@ -11,7 +12,7 @@ then compare first-attempt verdicts against the clean rule verifier.
 import argparse
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.engines import ReflectConfig, run_rmtp
+from reflect_lab.engines import mode_config, run_rtbs
 from reflect_lab.metrics import estimate_verification_errors
 from reflect_lab.mtp import DifficultyTier, SelfVerifying, TaskName
 from reflect_lab.tasks import (
@@ -32,13 +33,13 @@ def recover(e_minus, e_plus, episodes, noise, seed):
     verifier = make_noisy_verifier(binary_verifier(TaskName.MULT), e_minus, e_plus)
     bundle = SelfVerifying(policy, verifier)
     transition = transition_for(TaskName.MULT)
-    config = ReflectConfig(reflective_budget=512, total_budget=512)
+    config = mode_config("rmtp", None, 512, 512)
     records = []
     for i in range(episodes):
         rng = rng_mod.stream(seed, i)
         tier = (DifficultyTier.ID_EASY, DifficultyTier.ID_HARD)[i % 2]
         q = gen_query(TaskName.MULT, tier, rng)
-        records.append(run_rmtp(bundle, transition, q, config, rng))
+        records.append(run_rtbs(bundle, transition, q, config, rng))
     return estimate_verification_errors(
         records, lambda query, state, step: not rule(state, step).rejected
     )

@@ -1,6 +1,7 @@
 """Reflective step-wise reasoning lab.
 
-Executors that verify and retry or backtrack over reasoning steps, the
+One executor that verifies and retries or backtracks over reasoning steps
+(`run_rtbs`; `mode_config` sets it up for mode none, rmtp or rtbs), the
 closed-form accuracy theory of the synthetic rate model, Monte-Carlo
 validation, two rule-checkable tasks (long multiplication and Sudoku),
 corpus generation, and group-relative advantage utilities.
@@ -8,7 +9,7 @@ corpus generation, and group-relative advantage utilities.
 
 from . import sim as _sim  # noqa: F401  (registers the synthetic task)
 from . import tasks as _tasks  # noqa: F401  (registers mult and sudoku)
-from .engines import ReflectConfig, run_rmtp, run_rtbs
+from .engines import MODES, ReflectConfig, mode_config, run_rtbs
 from .mtp import (
     DifficultyTier,
     Disposition,
@@ -21,7 +22,6 @@ from .mtp import (
     TaskName,
     Verification,
     VerifiedStep,
-    run_nonreflective,
 )
 from .theory import SimplifiedParams, derived_rates
 
@@ -32,6 +32,7 @@ __all__ = [
     "Disposition",
     "EpisodeRecord",
     "Event",
+    "MODES",
     "Outcome",
     "Query",
     "ReflectConfig",
@@ -42,8 +43,7 @@ __all__ = [
     "Verification",
     "VerifiedStep",
     "derived_rates",
-    "run_nonreflective",
-    "run_rmtp",
+    "mode_config",
     "run_rtbs",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .corpus import (
     write_records,
     read_records,
 )
-from .engines import ReflectConfig, run_rmtp, run_rtbs
+from .engines import MODES, mode_config, run_rtbs
 from .metrics import (
     accuracy_table,
     estimate_verification_errors,
@@ -42,7 +42,6 @@ from .mtp import (
     Outcome,
     SelfVerifying,
     TaskName,
-    run_nonreflective,
     task_hooks,
 )
 from .sim import simulate_accuracy
@@ -120,9 +119,10 @@ def main() -> None:
 
 @main.command("theory-curve")
 @_with_options(_params_options)
-@click.option("--m", "m_list", type=int, multiple=True, default=(1, 2, 4, 16, 64),
-              show_default=True, help="Backtracking widths, one column each.")
-@click.option("--n", "n_max", type=int, default=30, show_default=True,
+@click.option("--m", "m_list", type=click.IntRange(min=1), multiple=True,
+              default=(1, 2, 4, 16, 64), show_default=True,
+              help="Backtracking widths, one column each.")
+@click.option("--n", "n_max", type=click.IntRange(min=0), default=30, show_default=True,
               help="Largest scale tabulated.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out) -> None:
@@ -137,14 +137,15 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out) -> None:
 
 @main.command("simulate")
 @_with_options(_params_options)
-@click.option("--mode", type=click.Choice(["none", "rmtp", "rtbs"]), required=True)
-@click.option("--m", type=int, default=None, help="Backtracking width (rtbs only).")
-@click.option("--n", type=int, required=True, help="Problem scale.")
-@click.option("--episodes", type=int, default=200_000, show_default=True)
+@click.option("--mode", type=click.Choice(MODES), required=True)
+@click.option("--m", type=click.IntRange(min=1), default=None,
+              help="Backtracking width (rtbs only).")
+@click.option("--n", type=click.IntRange(min=0), required=True, help="Problem scale.")
+@click.option("--episodes", type=click.IntRange(min=1), default=200_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--budget", type=int, default=None,
+@click.option("--budget", type=click.IntRange(min=1), default=None,
               help="Proposal budget per episode; default scales with the rates.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Worker threads; REFLECT_LAB_THREADS, then all cores.")
 @click.option("--engine", type=click.Choice(["vector", "episode"]), default="vector",
               show_default=True)
@@ -179,7 +180,7 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
 @click.option("--task", type=click.Choice(_TASK_CHOICES), required=True)
 @click.option("--style", type=click.Choice(_STYLE_CHOICES), default="binary",
               show_default=True)
-@click.option("--count", type=int, default=None,
+@click.option("--count", type=click.IntRange(min=0), default=None,
               help="Examples to generate; defaults to the task's training size.")
 @click.option("--noise", type=float, default=None,
               help="Chance a step is corrupted; default 0.2 (0 for style none).")
@@ -213,11 +214,10 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
 @main.command("run-task")
 @click.option("--task", type=click.Choice(_TASK_CHOICES), required=True)
 @click.option("--tier", type=click.Choice(_TIER_CHOICES), required=True)
-@click.option("--mode", type=click.Choice(["none", "rmtp", "rtbs"]), default="rmtp",
-              show_default=True)
-@click.option("--m", type=int, default=4, show_default=True,
+@click.option("--mode", type=click.Choice(MODES), default="rmtp", show_default=True)
+@click.option("--m", type=click.IntRange(min=1), default=4, show_default=True,
               help="Backtracking width (rtbs mode).")
-@click.option("--episodes", type=int, default=1000, show_default=True)
+@click.option("--episodes", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True,
               help="Policy corruption probability.")
@@ -227,9 +227,10 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
               help="Injected false acceptance rate on the verifier.")
 @click.option("--verifier", type=click.Choice(["binary", "detailed", "oracle"]),
               default="binary", show_default=True)
-@click.option("--reflective-budget", type=int, default=64, show_default=True,
+@click.option("--reflective-budget", type=click.IntRange(min=0), default=64,
+              show_default=True,
               help="Verified proposals before reverting to non-reflective.")
-@click.option("--budget", type=int, default=96, show_default=True,
+@click.option("--budget", type=click.IntRange(min=1), default=96, show_default=True,
               help="Total proposals per episode.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
@@ -240,11 +241,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
     transition = transition_for(task_name)
     base_policy = expert_policy(task_name)
     policy = make_noisy_policy(base_policy, noise) if noise > 0 else base_policy
-    config = ReflectConfig(
-        reflective_budget=reflective_budget,
-        total_budget=budget,
-        rtbs_width=m if mode == "rtbs" else budget + 1,
-    )
+    config = mode_config(mode, m, reflective_budget, budget)
 
     def episode(index: int):
         erng = rng_mod.stream(seed, index)
@@ -258,10 +255,6 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
         if e_minus > 0 or e_plus > 0:
             base_verifier = make_noisy_verifier(base_verifier, e_minus, e_plus)
         sv = SelfVerifying(policy, base_verifier)
-        if mode == "none":
-            return run_nonreflective(policy, transition, query, budget, erng)
-        if mode == "rmtp":
-            return run_rmtp(sv, transition, query, config, erng)
         return run_rtbs(sv, transition, query, config, erng)
 
     records = [episode(i) for i in range(episodes)]
@@ -312,15 +305,15 @@ def cmd_estimate_errors(records_path, oracle, out) -> None:
 
 @main.command("report")
 @_with_options(_params_options)
-@click.option("--mode", "modes", type=click.Choice(["none", "rmtp", "rtbs"]),
-              multiple=True, default=("none", "rmtp", "rtbs"), show_default=True)
-@click.option("--m", "m_list", type=int, multiple=True, default=(4,),
+@click.option("--mode", "modes", type=click.Choice(MODES), multiple=True, default=MODES,
+              show_default=True)
+@click.option("--m", "m_list", type=click.IntRange(min=1), multiple=True, default=(4,),
               show_default=True, help="Backtracking widths (rtbs rows).")
-@click.option("--n", "n_values", type=int, multiple=True, required=True,
+@click.option("--n", "n_values", type=click.IntRange(min=0), multiple=True, required=True,
               help="Scales, one row set each.")
-@click.option("--episodes", type=int, default=200_000, show_default=True)
+@click.option("--episodes", type=click.IntRange(min=1), default=200_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_report(mu, e_minus, e_plus, f, modes, m_list, n_values, episodes, seed,
                threads, out) -> None:

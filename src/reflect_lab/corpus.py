@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator, Optional
 
 from . import rng as rng_mod
+from .engines import mode_config, run_rtbs
 from .mtp import (
     DifficultyTier,
     Disposition,
@@ -37,12 +38,12 @@ from .mtp import (
     Event,
     Outcome,
     Query,
+    SelfVerifying,
     Step,
     TaskHooks,
     TaskName,
     Verification,
     VerifiedStep,
-    run_nonreflective,
     task_hooks,
 )
 from .tasks import (
@@ -196,12 +197,15 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[CotExample]:
         if spec.style is CotStyle.NONE
         else make_noisy_policy(base, spec.proposal_noise)
     )
+    # Budget 0: the verifier is never consulted; the rule labels steps afterwards.
+    sv = SelfVerifying(policy, binary_verifier(spec.task))
+    config = mode_config("none", None, 0, _EPISODE_BUDGET)
     transition = transition_for(spec.task)
     rule = None if spec.style is CotStyle.NONE else _labeling_rule(spec.task, spec.style)
     for index, tier in enumerate(assignments):
         example_rng = rng_mod.stream(spec.seed, index)
         query = gen_query(spec.task, tier, example_rng)
-        record = run_nonreflective(policy, transition, query, _EPISODE_BUDGET, example_rng)
+        record = run_rtbs(sv, transition, query, config, example_rng)
         if record.answer is None:
             raise RuntimeError("episode budget exhausted during corpus generation")
         steps = []

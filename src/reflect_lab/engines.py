@@ -1,10 +1,12 @@
-"""Reflective executors: retry-in-place search and width-limited backtracking.
+"""The reflective executor: one self-verifying loop for every mode.
 
-Both engines drive a self-verifying policy.  Proposals are verified while the
+`run_rtbs` drives a self-verifying policy.  Proposals are verified while the
 reflective budget lasts; once it is spent the run reverts to non-reflective
-behavior (every later proposal is accepted unverified).  The backtracking
-engine additionally limits each non-root state to `rtbs_width` proposal
-attempts and walks back up the accepted chain when a state exhausts them.
+behavior (every later proposal is accepted unverified).  Each non-root state
+gets `rtbs_width` proposal attempts, and a state that exhausts them hands the
+rejection back up the accepted chain.  The three modes are configurations of
+this one loop, built by `mode_config`: none verifies nothing, rmtp (retry in
+place) takes a width no state can reach, and rtbs backtracks at width m.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from .mtp import (
 
 @dataclass(frozen=True)
 class ReflectConfig:
-    """Budgets and width for the reflective executors.
+    """Budgets and width for the reflective executor.
 
     reflective_budget counts verified proposals; after that many the run
     stops verifying.  total_budget counts proposals of any kind.  rtbs_width
-    is the per-state attempt cap of the backtracking engine.  root_unlimited
-    keeps the root query exempt from the attempt cap (the deployed behavior);
-    the synthetic validator turns it off to match the closed-form recursion,
-    which charges the root exactly rtbs_width attempts like any other state.
+    is the per-state attempt cap.  root_unlimited keeps the root query
+    exempt from the attempt cap (the deployed behavior); the synthetic
+    validator turns it off to match the closed-form recursion, which charges
+    the root exactly rtbs_width attempts like any other state.
     """
 
     reflective_budget: int = 64
@@ -55,58 +57,36 @@ class ReflectConfig:
             raise ValueError("rtbs_width must be >= 1")
 
 
-def _finish(
-    query: Query,
-    events: list[Event],
-    answer: Optional[Step],
-    budget_hit: bool,
-) -> EpisodeRecord:
-    hooks = task_hooks(query.task)
-    if answer is not None:
-        outcome = Outcome.CORRECT if hooks.check_answer(query, answer) else Outcome.INCORRECT
-    elif budget_hit:
-        outcome = Outcome.BUDGET_EXHAUSTED
-    else:
-        outcome = Outcome.INCORRECT
-    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)
+MODES = ("none", "rmtp", "rtbs")
+
+# The empty verification of every unverified proposal; frozen, so one is shared.
+_UNVERIFIED = Verification()
 
 
-def run_rmtp(
-    self_verifying: SelfVerifying,
-    transition: TransitionInterface,
-    query: Query,
-    config: ReflectConfig,
-    rng: np.random.Generator,
-) -> EpisodeRecord:
-    """Reflective chain with unlimited retries at the current state.
+def mode_config(
+    mode: str,
+    m: Optional[int],
+    reflective_budget: int,
+    total_budget: int,
+    root_unlimited: bool = True,
+) -> ReflectConfig:
+    """The run_rtbs configuration of one executor mode.
 
-    Rejected proposals leave the state unchanged and are retried; there is no
-    backtracking.  Terminates on an accepted answer step or on the total
-    budget.
+    none verifies nothing (reflective budget 0).  rmtp takes width
+    total_budget + 1, which no state can reach, so a rejection is always
+    retried in place.  rtbs backtracks at width m.  m is read in rtbs mode
+    only.
     """
-    hooks = task_hooks(query.task)
-    hooks.validate(query)
-    state = hooks.initial_state(query)
-    events: list[Event] = []
-    verified_used = 0
-    answer: Optional[Step] = None
-    while len(events) < config.total_budget:
-        step = self_verifying.sample(state, rng)
-        if verified_used < config.reflective_budget:
-            verification = self_verifying.verify(state, step, rng)
-            verified_used += 1
-        else:
-            verification = Verification()
-        vstep = VerifiedStep(step, verification)
-        if verification.rejected:
-            events.append(Event(state, vstep, Disposition.REJECTED))
-            continue
-        events.append(Event(state, vstep, Disposition.ACCEPTED))
-        if step.is_answer:
-            answer = step
-            break
-        state = transition.apply(state, step)
-    return _finish(query, events, answer, answer is None and len(events) >= config.total_budget)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "rtbs" and (m is None or m < 1):
+        raise ValueError("rtbs mode needs a width m >= 1")
+    return ReflectConfig(
+        reflective_budget=0 if mode == "none" else reflective_budget,
+        total_budget=total_budget,
+        rtbs_width=m if mode == "rtbs" else total_budget + 1,
+        root_unlimited=root_unlimited,
+    )
 
 
 def run_rtbs(
@@ -116,7 +96,9 @@ def run_rtbs(
     config: ReflectConfig,
     rng: np.random.Generator,
 ) -> EpisodeRecord:
-    """Backtracking search with a per-state attempt cap.
+    """Self-verifying search with a per-state attempt cap.
+
+    Run it with a `mode_config` configuration; every mode is this loop.
 
     Each accepted step pushes (parent state, attempt counter, step) and
     resets the counter.  When a non-root state collects `rtbs_width` rejected
@@ -152,7 +134,7 @@ def run_rtbs(
             verification = self_verifying.verify(state, step, rng)
             verified_used += 1
         else:
-            verification = Verification()
+            verification = _UNVERIFIED
         vstep = VerifiedStep(step, verification)
         if not verification.rejected:
             events.append(Event(state, vstep, Disposition.ACCEPTED))
@@ -188,5 +170,10 @@ def run_rtbs(
                 break
         if root_exhausted:
             break
-    budget_hit = answer is None and not root_exhausted and proposals >= config.total_budget
-    return _finish(query, events, answer, budget_hit)
+    if answer is not None:
+        outcome = Outcome.CORRECT if hooks.check_answer(query, answer) else Outcome.INCORRECT
+    elif not root_exhausted and proposals >= config.total_budget:
+        outcome = Outcome.BUDGET_EXHAUSTED
+    else:
+        outcome = Outcome.INCORRECT
+    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)

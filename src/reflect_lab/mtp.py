@@ -203,50 +203,3 @@ def task_hooks(task: TaskName) -> TaskHooks:
 def state_hooks(state: Any) -> Optional[TaskHooks]:
     """The record of the task whose states have this exact type, if any."""
     return _HOOKS_BY_STATE_TYPE.get(type(state))
-
-
-def run_nonreflective(
-    policy: PolicyInterface,
-    transition: TransitionInterface,
-    query: Query,
-    budget: int,
-    rng: np.random.Generator,
-) -> EpisodeRecord:
-    """Run a plain (unverified) chain until an answer or the step budget.
-
-    Every proposed step is accepted and applied; verification lists stay
-    empty.  The outcome is CORRECT iff an answer was produced and the task's
-    answer oracle accepts it.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    hooks = task_hooks(query.task)
-    hooks.validate(query)
-    state = hooks.initial_state(query)
-    events: list[Event] = []
-    answer: Optional[Step] = None
-    while len(events) < budget:
-        step = policy.sample(state, rng)
-        events.append(Event(state, VerifiedStep(step), Disposition.ACCEPTED))
-        if step.is_answer:
-            answer = step
-            break
-        state = transition.apply(state, step)
-    if answer is None:
-        outcome = Outcome.BUDGET_EXHAUSTED
-    elif hooks.check_answer(query, answer):
-        outcome = Outcome.CORRECT
-    else:
-        outcome = Outcome.INCORRECT
-    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)
-
-
-def reflective_transition(
-    state: Any,
-    verified: VerifiedStep,
-    transition: TransitionInterface,
-) -> Any:
-    """Apply a verified step: rejected steps leave the state unchanged."""
-    if verified.verification.rejected:
-        return state
-    return transition.apply(state, verified.step)

@@ -7,7 +7,8 @@ probability mu, the verifier false-alarms with e_minus, misses with e_plus,
 and rejects everything at derailed states with probability f.
 
 Two engines estimate success probabilities.  The interface engine drives the
-generic executors episode by episode and produces full event logs.  The
+one executor, `engines.run_rtbs`, episode by episode with the configuration
+`engines.mode_config` builds for the mode, and produces full event logs.  The
 vector engine simulates the same event chain for whole batches of episodes in
 numpy and exists purely for throughput; equivalence of the two is pinned by
 tests.  Unless asked otherwise the backtracking mode charges the root its m
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rng_mod
-from .engines import ReflectConfig, run_rmtp, run_rtbs
+from .engines import mode_config, run_rtbs
 from .mtp import (
     Disposition,
     Outcome,
@@ -38,14 +39,12 @@ from .mtp import (
     TaskName,
     Verification,
     register_task,
-    run_nonreflective,
 )
 from .theory import PosteriorParams, SimplifiedParams, derived_rates
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 _CHUNK = 32768
-_MODES = ("none", "rmtp", "rtbs")
 
 THREADS_ENV_VAR = "REFLECT_LAB_THREADS"
 
@@ -384,12 +383,8 @@ def _mc_chunk(
 
 
 def _validate_mode(mode: str, m: Optional[int]) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "rtbs":
-        if m is None or m < 1:
-            raise ValueError("rtbs mode needs a width m >= 1")
-    elif m is not None:
+    mode_config(mode, m, 0, 1)  # refuses a mode not in MODES and a bad rtbs width
+    if mode != "rtbs" and m is not None:
         raise ValueError(f"mode {mode!r} takes no width")
 
 
@@ -407,23 +402,12 @@ def _episode_engine(
     query = Query(TaskName.SYNTHETIC, n)
     sv = synthetic_self_verifying(params)
     transition = SyntheticTransition()
-    config = ReflectConfig(
-        reflective_budget=budget,
-        total_budget=budget,
-        rtbs_width=m if mode == "rtbs" else budget + 1,
-        root_unlimited=root_unlimited,
-    )
+    config = mode_config(mode, m, budget, budget, root_unlimited)
     successes = 0
     len_sum = 0
     exhausted = 0
     for episode in range(episodes):
-        erng = rng_mod.stream(seed, episode)
-        if mode == "none":
-            record = run_nonreflective(sv.policy, transition, query, max(n, 1), erng)
-        elif mode == "rmtp":
-            record = run_rmtp(sv, transition, query, config, erng)
-        else:
-            record = run_rtbs(sv, transition, query, config, erng)
+        record = run_rtbs(sv, transition, query, config, rng_mod.stream(seed, episode))
         if record.outcome is Outcome.CORRECT:
             successes += 1
             len_sum += sum(
@@ -514,29 +498,6 @@ def simulate_accuracy(
         budget_exhausted=exhausted,
         seed=seed,
     )
-
-
-def simulate_length(
-    params: SimplifiedParams,
-    n: int,
-    episodes: int,
-    seed: int,
-    *,
-    budget: Optional[int] = None,
-    threads: Optional[int] = None,
-) -> float:
-    """Mean proposal count among retry-in-place episodes that end correctly.
-
-    Counts every proposal, rejected ones included.  Raises when no episode
-    succeeds; callers should confirm the success rate is workable first.
-    """
-    result = simulate_accuracy(
-        params, n, "rmtp", episodes, seed, budget=budget, threads=threads
-    )
-    if result.successes == 0:
-        raise ValueError("no correct episodes observed; cannot estimate length")
-    assert result.mean_length_correct is not None
-    return result.mean_length_correct
 
 
 @dataclass(frozen=True)

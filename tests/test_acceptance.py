@@ -27,7 +27,7 @@ from click.testing import CliRunner
 from helpers import solve_sudoku_reference, sudoku_is_complete_valid
 from reflect_lab import rng as rng_mod
 from reflect_lab.cli import main as cli_main
-from reflect_lab.engines import ReflectConfig, run_rmtp, run_rtbs
+from reflect_lab.engines import ReflectConfig, mode_config, run_rtbs
 from reflect_lab.metrics import estimate_verification_errors, theory_vs_sim_rows
 from reflect_lab.mtp import (
     DifficultyTier,
@@ -41,7 +41,6 @@ from reflect_lab.mtp import (
     TaskName,
     Verification,
     VerifiedStep,
-    run_nonreflective,
 )
 from reflect_lab.rlkit import (
     early_truncate,
@@ -267,14 +266,14 @@ def test_criterion_06_expert_policies_solve_their_tasks():
     and 95% of 500 hard puzzles solved, every reported solution checked by
     an independent set-based validator and the puzzle by an independent
     backtracking solver."""
-    policy = expert_policy(TaskName.MULT)
+    plain = SelfVerifying(expert_policy(TaskName.MULT), binary_verifier(TaskName.MULT))
     transition = transition_for(TaskName.MULT)
     tiers = (DifficultyTier.ID_EASY, DifficultyTier.ID_HARD, DifficultyTier.OOD_HARD)
     for ti, tier in enumerate(tiers):
         for i in range(1000):
             rng = rng_mod.stream(ACCEPTANCE_SEED, 6, 100 + ti, i)
             q = gen_query(TaskName.MULT, tier, rng)
-            record = run_nonreflective(policy, transition, q, 64, rng)
+            record = run_rtbs(plain, transition, q, mode_config("none", None, 0, 64), rng)
             x, y = q.payload
             assert record.answer is not None and record.answer.content == x * y, (
                 f"expert failed {x} * {y} ({tier.value})"
@@ -400,13 +399,13 @@ def test_criterion_08_injected_error_rates_are_recovered():
     )
     bundle = SelfVerifying(policy, noisy)
     transition = transition_for(TaskName.MULT)
-    config = ReflectConfig(reflective_budget=512, total_budget=512)
+    config = mode_config("rmtp", None, 512, 512)
     records = []
     for i in range(4000):
         rng = rng_mod.stream(ACCEPTANCE_SEED, 8, i)
         tier = (DifficultyTier.ID_EASY, DifficultyTier.ID_HARD)[i % 2]
         q = gen_query(TaskName.MULT, tier, rng)
-        records.append(run_rmtp(bundle, transition, q, config, rng))
+        records.append(run_rtbs(bundle, transition, q, config, rng))
 
     def clean_verdict(query, state, step):
         return not rule(state, step).rejected
@@ -429,7 +428,9 @@ def test_criterion_09_reflection_helps_until_rejections_hurt():
     episodes = 4000
     policy = make_noisy_policy(expert_policy(TaskName.MULT), noise)
     transition = transition_for(TaskName.MULT)
-    config = ReflectConfig(reflective_budget=256, total_budget=256)
+    plain = SelfVerifying(policy, binary_verifier(TaskName.MULT))
+    plain_config = mode_config("none", None, 0, 64)
+    config = mode_config("rmtp", None, 256, 256)
 
     def run_arm(arm_index, e_minus):
         correct = 0
@@ -437,12 +438,12 @@ def test_criterion_09_reflection_helps_until_rejections_hurt():
             rng = rng_mod.stream(ACCEPTANCE_SEED, 9, arm_index, i)
             q = gen_query(TaskName.MULT, DifficultyTier.ID_HARD, rng)
             if e_minus is None:
-                record = run_nonreflective(policy, transition, q, 64, rng)
+                record = run_rtbs(plain, transition, q, plain_config, rng)
             else:
                 verifier = make_noisy_verifier(
                     binary_verifier(TaskName.MULT), e_minus, 0.1
                 )
-                record = run_rmtp(
+                record = run_rtbs(
                     SelfVerifying(policy, verifier), transition, q, config, rng
                 )
             correct += record.outcome is Outcome.CORRECT

@@ -96,6 +96,20 @@ def test_simulate_budget_dominated_exits_3(runner, tmp_path):
     assert os.path.exists(out)  # the estimate is still written, just flagged
 
 
+def test_episode_engine_ends_mode_none_at_the_budget(runner, tmp_path):
+    # Five steps do not fit in three proposals, so every episode is exhausted.
+    out = str(tmp_path / "none.csv")
+    result = runner.invoke(
+        main,
+        [
+            "simulate", *REF_FLAGS, "--mode", "none", "--n", "5", "--budget", "3",
+            "--episodes", "200", "--engine", "episode", "--out", out,
+        ],
+    )
+    assert result.exit_code == 3
+    assert "200 of 200 episodes hit the proposal budget" in result.output
+
+
 def test_gen_data_counts_and_determinism(runner, tmp_path):
     args = [
         "gen-data", "--task", "mult", "--count", "12", "--seed", "4",
@@ -266,6 +280,41 @@ def test_negative_seed_is_usage_error(runner, tmp_path, command):
     result = runner.invoke(main, [*command, "--seed", "-1", "--out", out])
     assert result.exit_code == 2
     assert "--seed" in result.output
+    assert not os.path.exists(out)
+
+
+_SIMULATE = ["simulate", *REF_FLAGS, "--mode", "rmtp", "--n", "3", "--episodes", "10"]
+_RUN_TASK = ["run-task", "--task", "mult", "--tier", "id_easy", "--episodes", "1"]
+_REPORT = ["report", *REF_FLAGS, "--n", "2", "--episodes", "10"]
+_THEORY = ["theory-curve", *REF_FLAGS]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        [*_RUN_TASK, "--mode", "rtbs", "--m", "0"],
+        [*_RUN_TASK, "--budget", "0"],
+        [*_RUN_TASK, "--reflective-budget", "-1"],
+        [*_RUN_TASK, "--episodes", "-1"],
+        [*_SIMULATE, "--episodes", "0"],
+        [*_SIMULATE, "--budget", "0"],
+        [*_SIMULATE, "--threads", "0"],
+        [*_SIMULATE, "--n", "-1"],
+        ["simulate", *REF_FLAGS, "--mode", "rtbs", "--n", "3", "--m", "0"],
+        [*_REPORT, "--episodes", "0"],
+        [*_REPORT, "--m", "0"],
+        [*_REPORT, "--threads", "0"],
+        ["gen-data", "--task", "mult", "--count", "-1"],
+        [*_THEORY, "--m", "0"],
+        [*_THEORY, "--n", "-1"],
+    ],
+    ids=lambda command: " ".join([command[0], *command[-2:]]),
+)
+def test_out_of_range_integer_is_usage_error(runner, tmp_path, command):
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, [*command, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert command[-2] in result.output
     assert not os.path.exists(out)
 
 

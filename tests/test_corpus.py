@@ -26,7 +26,7 @@ from reflect_lab.corpus import (
     write_examples,
     write_records,
 )
-from reflect_lab.engines import ReflectConfig, run_rmtp, run_rtbs
+from reflect_lab.engines import ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
     Disposition,
@@ -293,11 +293,11 @@ def _mult_rmtp_record(seed):
     rng = rng_mod.stream(seed, 0)
     query = gen_query(TaskName.MULT, DifficultyTier.ID_EASY, rng)
     verifier = make_noisy_verifier(binary_verifier(TaskName.MULT), 0.2, 0.1)
-    return run_rmtp(
+    return run_rtbs(
         SelfVerifying(expert_policy(TaskName.MULT), verifier),
         transition_for(TaskName.MULT),
         query,
-        ReflectConfig(reflective_budget=32, total_budget=48),
+        mode_config("rmtp", None, 32, 48),
         rng,
     )
 
@@ -418,12 +418,11 @@ def test_records_round_trip_through_json(task, backtrack, noisy, seed):
     if noisy:
         policy = make_noisy_policy(policy, 0.3)
         verifier = make_noisy_verifier(verifier, 0.2, 0.2)
-    run = run_rtbs if backtrack else run_rmtp
-    record = run(
+    record = run_rtbs(
         SelfVerifying(policy, verifier),
         transition_for(task),
         query,
-        ReflectConfig(reflective_budget=24, total_budget=32, rtbs_width=2),
+        mode_config("rtbs" if backtrack else "rmtp", 2, 24, 32),
         rng,
     )
     line = dumps_json_line(record_to_json(record))
@@ -437,12 +436,11 @@ def test_records_round_trip_through_json(task, backtrack, noisy, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_synthetic_records_round_trip_through_json(backtrack, scale, seed):
-    run = run_rtbs if backtrack else run_rmtp
-    record = run(
+    record = run_rtbs(
         synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
         SyntheticTransition(),
         Query(TaskName.SYNTHETIC, scale),
-        ReflectConfig(reflective_budget=24, total_budget=32, rtbs_width=2),
+        mode_config("rtbs" if backtrack else "rmtp", 2, 24, 32),
         rng_mod.stream(seed, 0),
     )
     line = dumps_json_line(record_to_json(record))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.engines import ReflectConfig, run_rmtp
+from reflect_lab.engines import mode_config, run_rtbs
 from reflect_lab.metrics import (
     ErrorEstimate,
     binomial_zscore,
@@ -134,12 +134,12 @@ def test_error_recovery_from_noisy_episodes():
     verifier = make_noisy_verifier(binary_verifier(TaskName.MULT), e_minus, e_plus)
     bundle = SelfVerifying(policy, verifier)
     transition = transition_for(TaskName.MULT)
-    config = ReflectConfig(reflective_budget=512, total_budget=512)
+    config = mode_config("rmtp", None, 512, 512)
     records = []
     for i in range(400):
         rng = rng_mod.stream(77, i)
         query = gen_query(TaskName.MULT, DifficultyTier.ID_EASY, rng)
-        records.append(run_rmtp(bundle, transition, query, config, rng))
+        records.append(run_rtbs(bundle, transition, query, config, rng))
 
     def clean_verdict(query, state, step):
         return not rule(state, step).rejected

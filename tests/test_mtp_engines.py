@@ -1,13 +1,16 @@
-"""Exact bookkeeping tests for the episode executors, driven by scripted
-policies and verifiers so every disposition is forced."""
+"""Exact bookkeeping tests for the episode executor in each mode, driven by
+scripted policies and verifiers so every disposition is forced."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.engines import ReflectConfig, run_rmtp, run_rtbs
+from reflect_lab.corpus import dumps_json_line, record_to_json
+from reflect_lab.engines import MODES, ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
+    DifficultyTier,
     Disposition,
     EpisodeRecord,
     Event,
@@ -18,14 +21,21 @@ from reflect_lab.mtp import (
     TaskName,
     Verification,
     VerifiedStep,
-    reflective_transition,
-    run_nonreflective,
 )
 from reflect_lab.sim import (
     SimplifiedParams,
     SyntheticState,
     SyntheticTransition,
     synthetic_self_verifying,
+)
+from reflect_lab.tasks import (
+    binary_verifier,
+    detailed_verifier,
+    expert_policy,
+    gen_query,
+    make_noisy_policy,
+    make_noisy_verifier,
+    transition_for,
 )
 
 
@@ -89,36 +99,40 @@ def test_reflect_config_validation():
         ReflectConfig(reflective_budget=-1)
 
 
-def test_reflective_transition_keeps_state_on_rejection():
-    state = SyntheticState(3, True)
-    trans = SyntheticTransition()
-    rejected = VerifiedStep(Step(True, False), Verification((False,)))
-    accepted = VerifiedStep(Step(True, False), Verification((True,)))
-    assert reflective_transition(state, rejected, trans) is state
-    assert reflective_transition(state, accepted, trans) == SyntheticState(2, True)
+def test_mode_config_sets_up_each_mode():
+    assert MODES == ("none", "rmtp", "rtbs")
+    assert mode_config("none", None, 64, 96) == ReflectConfig(0, 96, 97, True)
+    assert mode_config("rmtp", 4, 64, 96, False) == ReflectConfig(64, 96, 97, False)
+    assert mode_config("rtbs", 4, 64, 96) == ReflectConfig(64, 96, 4, True)
+    for mode, m in (("bogus", 4), ("rtbs", None), ("rtbs", 0)):
+        with pytest.raises(ValueError):
+            mode_config(mode, m, 64, 96)
 
 
 def test_synthetic_query_validation():
     with pytest.raises(ValueError):
-        run_nonreflective(
-            ScriptedPolicy([ANSWER]), SyntheticTransition(), Query(TaskName.SYNTHETIC, -1), 4, rng_mod.stream(0)
+        run_rtbs(
+            scripted([ANSWER], []), SyntheticTransition(), Query(TaskName.SYNTHETIC, -1),
+            mode_config("none", None, 0, 4), rng_mod.stream(0)
         )
     with pytest.raises(ValueError):
-        run_nonreflective(
-            ScriptedPolicy([ANSWER]), SyntheticTransition(), Query(TaskName.SYNTHETIC, "3"), 4, rng_mod.stream(0)
+        run_rtbs(
+            scripted([ANSWER], []), SyntheticTransition(), Query(TaskName.SYNTHETIC, "3"),
+            mode_config("none", None, 0, 4), rng_mod.stream(0)
         )
 
 
-# --- plain chain ---
+# --- plain chain (mode none) ---
 
 
 def test_nonreflective_accepts_everything():
-    record = run_nonreflective(
-        ScriptedPolicy([ADVANCE, ANSWER]),
+    # The verifier has no verdicts to give: mode none must never ask it.
+    record = run_rtbs(
+        scripted([ADVANCE, ANSWER], []),
         SyntheticTransition(),
         query(2),
-        budget=10,
-        rng=rng_mod.stream(0),
+        mode_config("none", None, 10, 10),
+        rng_mod.stream(0),
     )
     assert record.outcome is Outcome.CORRECT
     assert record.steps_used == 2
@@ -127,40 +141,43 @@ def test_nonreflective_accepts_everything():
 
 
 def test_nonreflective_wrong_answer_is_incorrect():
-    record = run_nonreflective(
-        ScriptedPolicy([(False, False), WRONG_ANSWER]),
+    record = run_rtbs(
+        scripted([(False, False), WRONG_ANSWER], []),
         SyntheticTransition(),
         query(2),
-        budget=10,
-        rng=rng_mod.stream(0),
+        mode_config("none", None, 0, 10),
+        rng_mod.stream(0),
     )
     assert record.outcome is Outcome.INCORRECT
     assert record.answer is not None
 
 
 def test_nonreflective_budget_exhaustion():
-    record = run_nonreflective(
-        ScriptedPolicy([ADVANCE] * 3),
+    record = run_rtbs(
+        scripted([ADVANCE] * 3, []),
         SyntheticTransition(),
         query(9),
-        budget=3,
-        rng=rng_mod.stream(0),
+        mode_config("none", None, 0, 3),
+        rng_mod.stream(0),
     )
     assert record.outcome is Outcome.BUDGET_EXHAUSTED
     assert record.answer is None
     assert record.steps_used == 3
     with pytest.raises(ValueError):
-        run_nonreflective(
-            ScriptedPolicy([]), SyntheticTransition(), query(1), budget=0, rng=rng_mod.stream(0)
+        run_rtbs(
+            scripted([], []), SyntheticTransition(), query(1),
+            mode_config("none", None, 0, 0), rng_mod.stream(0)
         )
 
 
-# --- retry-in-place engine ---
+# --- retry in place (mode rmtp) ---
 
 
 def test_rmtp_rejection_retries_in_place():
     sv = scripted([ADVANCE, ADVANCE, ANSWER], [False, True, True])
-    record = run_rmtp(sv, SyntheticTransition(), query(2), ReflectConfig(), rng_mod.stream(0))
+    record = run_rtbs(
+        sv, SyntheticTransition(), query(2), mode_config("rmtp", None, 64, 96), rng_mod.stream(0)
+    )
     assert record.outcome is Outcome.CORRECT
     assert [e.disposition for e in record.events] == [
         Disposition.REJECTED,
@@ -175,8 +192,8 @@ def test_rmtp_rejection_retries_in_place():
 
 def test_rmtp_total_budget_exhaustion():
     sv = scripted([ADVANCE] * 4, [False] * 4)
-    record = run_rmtp(
-        sv, SyntheticTransition(), query(1), ReflectConfig(total_budget=4), rng_mod.stream(0)
+    record = run_rtbs(
+        sv, SyntheticTransition(), query(1), mode_config("rmtp", None, 64, 4), rng_mod.stream(0)
     )
     assert record.outcome is Outcome.BUDGET_EXHAUSTED
     assert record.steps_used == 4
@@ -184,8 +201,8 @@ def test_rmtp_total_budget_exhaustion():
 
 def test_rmtp_stops_verifying_after_reflective_budget():
     sv = scripted([ADVANCE, ADVANCE, (False, False), WRONG_ANSWER], [False, True])
-    cfg = ReflectConfig(reflective_budget=2, total_budget=10)
-    record = run_rmtp(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
+    cfg = mode_config("rmtp", None, 2, 10)
+    record = run_rtbs(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
     # First two proposals verified, the rest carry empty label lists and
     # are accepted unconditionally (a derailing step slips through).
     labels = [e.verified.verification.labels for e in record.events]
@@ -196,14 +213,16 @@ def test_rmtp_stops_verifying_after_reflective_budget():
 
 def test_rmtp_rejected_answer_step_does_not_terminate():
     sv = scripted([ANSWER, ANSWER], [False, True])
-    record = run_rmtp(sv, SyntheticTransition(), query(1), ReflectConfig(), rng_mod.stream(0))
+    record = run_rtbs(
+        sv, SyntheticTransition(), query(1), mode_config("rmtp", None, 64, 96), rng_mod.stream(0)
+    )
     assert record.outcome is Outcome.CORRECT
     assert record.steps_used == 2
     assert record.events[0].disposition is Disposition.REJECTED
     assert record.events[0].verified.step.is_answer
 
 
-# --- backtracking engine ---
+# --- backtracking (mode rtbs) ---
 
 
 def test_rtbs_traceback_restores_parent_and_recounts():
@@ -213,7 +232,7 @@ def test_rtbs_traceback_restores_parent_and_recounts():
         [ADVANCE, ADVANCE, ADVANCE, ADVANCE, ADVANCE, ANSWER],
         [True, False, False, True, True, True],
     )
-    cfg = ReflectConfig(rtbs_width=2, total_budget=20)
+    cfg = mode_config("rtbs", 2, 64, 20)
     record = run_rtbs(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
     dispositions = [e.disposition for e in record.events]
     assert dispositions == [
@@ -242,7 +261,7 @@ def test_rtbs_width_one_cascades_to_root():
         [ADVANCE, ADVANCE, ADVANCE, ADVANCE, ADVANCE, ANSWER],
         [True, True, False, True, True, True],
     )
-    cfg = ReflectConfig(rtbs_width=1, total_budget=20)
+    cfg = mode_config("rtbs", 1, 64, 20)
     record = run_rtbs(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
     dispositions = [e.disposition for e in record.events]
     # One rejection at scale 1 pops both ancestors in order.
@@ -263,7 +282,7 @@ def test_rtbs_width_one_cascades_to_root():
 
 def test_rtbs_capped_root_dies_without_exhausting_budget():
     sv = scripted([ANSWER, ANSWER], [False, False])
-    cfg = ReflectConfig(rtbs_width=2, total_budget=50, root_unlimited=False)
+    cfg = mode_config("rtbs", 2, 64, 50, root_unlimited=False)
     record = run_rtbs(sv, SyntheticTransition(), query(1), cfg, rng_mod.stream(0))
     assert record.outcome is Outcome.INCORRECT  # dead search, not budget
     assert record.answer is None
@@ -272,7 +291,7 @@ def test_rtbs_capped_root_dies_without_exhausting_budget():
 
 def test_rtbs_unlimited_root_keeps_retrying():
     sv = scripted([ANSWER] * 5, [False, False, False, False, True])
-    cfg = ReflectConfig(rtbs_width=2, total_budget=50, root_unlimited=True)
+    cfg = mode_config("rtbs", 2, 64, 50, root_unlimited=True)
     record = run_rtbs(sv, SyntheticTransition(), query(1), cfg, rng_mod.stream(0))
     assert record.outcome is Outcome.CORRECT
     assert record.steps_used == 5
@@ -285,7 +304,7 @@ def test_rtbs_capped_root_counts_failed_subtrees():
         [ADVANCE, ADVANCE, ADVANCE, ADVANCE],
         [True, False, False, False],
     )
-    cfg = ReflectConfig(rtbs_width=2, total_budget=50, root_unlimited=False)
+    cfg = mode_config("rtbs", 2, 64, 50, root_unlimited=False)
     record = run_rtbs(sv, SyntheticTransition(), query(2), cfg, rng_mod.stream(0))
     assert [e.disposition for e in record.events] == [
         Disposition.ACCEPTED,
@@ -304,7 +323,7 @@ def test_rtbs_budget_counts_proposals_not_tracebacks():
         [ADVANCE, ADVANCE, ADVANCE, ADVANCE],
         [True, False, False, True],
     )
-    cfg = ReflectConfig(rtbs_width=2, total_budget=4)
+    cfg = mode_config("rtbs", 2, 64, 4)
     record = run_rtbs(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
     assert record.outcome is Outcome.BUDGET_EXHAUSTED
     proposals = [e for e in record.events if e.disposition is not Disposition.TRACEBACK]
@@ -312,28 +331,68 @@ def test_rtbs_budget_counts_proposals_not_tracebacks():
     assert len(record.events) == 5
 
 
+# sha256 per seed over the JSON lines of the records that the separate
+# retry-in-place and plain-chain executors wrote for _executor_records, taken
+# before run_rtbs replaced them.
+PINNED_RMTP_AND_NONE_DIGESTS = {
+    0: "a46e8578d4ed51add3347a248088d78186d4dd5e192ea5d6bc03ba285e2fab80",
+    1: "8d1ffe3877bb3e17745f0ad84dfaec5239d256fdc567eb6dd7028580a343422f",
+    2: "6e685dba2f57cc5037a2f9400d41dd71d4ed878bfb7ac56b24a9c4282b35927e",
+    3: "47a58a38751a21b9c68b24e4d189720b3407dd6fe98b9d7608cada51a6b7d512",
+    17: "490b48bab9460b2431335a5576e850bc42035b4e7d4a4812d3677be9e9cdc559",
+}
+
+
+def _bundle(task, noisy, ref_params):
+    if task is TaskName.SYNTHETIC:
+        clean = SimplifiedParams(1.0, 0.0, 0.0, 1.0)
+        return synthetic_self_verifying(ref_params if noisy else clean), SyntheticTransition()
+    if noisy:
+        policy = make_noisy_policy(expert_policy(task), 0.3)
+        verifier = make_noisy_verifier(detailed_verifier(task), 0.2, 0.2)
+    else:
+        policy, verifier = expert_policy(task), binary_verifier(task)
+    return SelfVerifying(policy, verifier), transition_for(task)
+
+
+def _executor_records(seed, root_unlimited, ref_params):
+    """Four rmtp and four none episodes for each task, clean and noisy
+    bundle and (reflective, total) budget pair: 192 records."""
+    tiers = (DifficultyTier.ID_EASY, DifficultyTier.ID_HARD)
+    index = 0
+    for task in (TaskName.SYNTHETIC, TaskName.MULT, TaskName.SUDOKU):
+        for noisy in (False, True):
+            sv, transition = _bundle(task, noisy, ref_params)
+            for reflective, total in ((64, 96), (0, 40), (5, 12), (3, 3)):
+                for mode in ("rmtp", "none"):
+                    config = mode_config(mode, None, reflective, total, root_unlimited)
+                    for _ in range(4):
+                        erng = rng_mod.stream(seed, index)
+                        if task is TaskName.SYNTHETIC:
+                            q = query(8)
+                        else:
+                            q = gen_query(task, tiers[index % 2], erng)
+                        index += 1
+                        yield run_rtbs(sv, transition, q, config, erng)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_rtbs_with_wide_cap_is_event_identical_to_rmtp(seed, ref_params):
     # With the width beyond the proposal budget no traceback can ever fire,
-    # and both engines consume the random stream in the same order.
-    sv = synthetic_self_verifying(ref_params)
-    trans = SyntheticTransition()
-    q = query(8)
-    budget = 60
-    rmtp_cfg = ReflectConfig(reflective_budget=budget, total_budget=budget)
-    rtbs_cfg = ReflectConfig(
-        reflective_budget=budget, total_budget=budget, rtbs_width=budget + 1
-    )
-    a = run_rmtp(sv, trans, q, rmtp_cfg, rng_mod.stream(seed, 1))
-    b = run_rtbs(sv, trans, q, rtbs_cfg, rng_mod.stream(seed, 1))
-    assert a.events == b.events
-    assert a.outcome == b.outcome
-    assert a.answer == b.answer
+    # so the root's cap does not matter either, and with reflective budget 0
+    # nothing is verified: the records equal those of the deleted executors.
+    for root_unlimited in (True, False):
+        lines = "\n".join(
+            dumps_json_line(record_to_json(record))
+            for record in _executor_records(seed, root_unlimited, ref_params)
+        )
+        digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
+        assert digest == PINNED_RMTP_AND_NONE_DIGESTS[seed], root_unlimited
 
 
 def test_rtbs_stops_verifying_after_reflective_budget():
     sv = scripted([ADVANCE, ADVANCE, (False, False), ANSWER], [False, True])
-    cfg = ReflectConfig(reflective_budget=2, total_budget=10, rtbs_width=3)
+    cfg = mode_config("rtbs", 3, 2, 10)
     record = run_rtbs(sv, SyntheticTransition(), query(3), cfg, rng_mod.stream(0))
     labels = [e.verified.verification.labels for e in record.events]
     assert labels[:2] == [(False,), (True,)]
@@ -342,6 +401,8 @@ def test_rtbs_stops_verifying_after_reflective_budget():
 
 def test_records_are_immutable():
     sv = scripted([ANSWER], [True])
-    record = run_rmtp(sv, SyntheticTransition(), query(1), ReflectConfig(), rng_mod.stream(0))
+    record = run_rtbs(
+        sv, SyntheticTransition(), query(1), mode_config("rmtp", None, 64, 96), rng_mod.stream(0)
+    )
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.outcome = Outcome.INCORRECT

@@ -12,7 +12,6 @@ from reflect_lab.sim import (
     auto_budget,
     crossover_scan,
     simulate_accuracy,
-    simulate_length,
     wilson_ci,
 )
 from reflect_lab.theory import (
@@ -160,6 +159,49 @@ def test_vector_engine_matches_golden_results():
         assert got == expected, (params, n, mode, m, episodes, seed, options)
 
 
+# The same pin for the episode engine, recorded while each mode still had its
+# own executor.  The two none points with budget < n are the exception: that
+# executor capped the chain at n proposals instead of the budget, so they
+# read (0, None, episodes), as the vector engine does, instead of the
+# recorded (298, 5.0, 0) and (80, 5.0, 0).
+GOLDEN_EPISODE_RESULTS = [
+    (_REF, 0, "none", None, 300, 1, {}, (300, 1.0, 0)),
+    (_REF, 1, "none", None, 1000, 2, {}, (802, 1.0, 0)),
+    (_REF, 5, "none", None, 1000, 3, {}, (331, 5.0, 0)),
+    (_ALT, 13, "none", None, 1000, 4, {"root_unlimited": True}, (1, 13.0, 0)),
+    (_REF, 5, "none", None, 1000, 5, {"budget": 3}, (0, None, 1000)),
+    (_ALT, 5, "none", None, 1000, 27, {"budget": 1}, (0, None, 1000)),
+    (_ALT, 4, "none", None, 1000, 28, {"budget": 40}, (126, 4.0, 0)),
+    (_REF, 0, "rmtp", None, 300, 7, {}, (300, 1.4066666666666667, 0)),
+    (_REF, 1, "rmtp", None, 1000, 8, {}, (939, 1.65814696485623, 0)),
+    (_ALT, 5, "rmtp", None, 1000, 9, {}, (682, 10.217008797653959, 0)),
+    (_REF, 8, "rmtp", None, 1000, 11, {"budget": 9}, (44, 8.704545454545455, 953)),
+    (_REF, 5, "rmtp", None, 1000, 12, {"root_unlimited": True}, (731, 8.367989056087552, 0)),
+    (_REF, 0, "rtbs", 2, 300, 13, {}, (276, 1.2210144927536233, 0)),
+    (_REF, 1, "rtbs", 4, 1000, 14, {}, (901, 1.5216426193118757, 0)),
+    (_REF, 5, "rtbs", 1, 1000, 15, {}, (52, 5.0, 0)),
+    (_REF, 5, "rtbs", 2, 1000, 16, {}, (503, 8.475149105367793, 0)),
+    (_ALT, 5, "rtbs", 2, 1000, 18, {"root_unlimited": True}, (629, 18.0906200317965, 0)),
+    (_REF, 6, "rtbs", 4, 1000, 21, {"budget": 15}, (650, 9.815384615384616, 192)),
+    (_ALT, 5, "rtbs", 4, 1000, 29, {"root_unlimited": True, "budget": 20},
+     (607, 10.504118616144975, 53)),
+]
+
+
+def test_episode_engine_matches_golden_results():
+    for params, n, mode, m, episodes, seed, options, expected in GOLDEN_EPISODE_RESULTS:
+        r = simulate_accuracy(params, n, mode, episodes, seed, m=m, engine="episode", **options)
+        got = (r.successes, r.mean_length_correct, r.budget_exhausted)
+        assert got == expected, (params, n, mode, m, episodes, seed, options)
+
+
+def test_both_engines_end_mode_none_at_the_budget():
+    # Five steps cannot fit in a budget of three proposals.
+    for engine in ("vector", "episode"):
+        r = simulate_accuracy(_REF, 5, "none", 3000, 5, budget=3, engine=engine, threads=1)
+        assert (r.successes, r.budget_exhausted) == (0, 3000), engine
+
+
 # --- agreement with closed forms ---
 
 
@@ -253,14 +295,14 @@ def test_budget_exhaustion_is_flagged(ref_params):
 
 def test_mean_length_matches_closed_form(ref_params):
     # n / (beta + gamma) = 10 / 0.6 at the reference point.
-    mean = simulate_length(ref_params, 10, 50_000, 11, threads=1)
+    mean = simulate_accuracy(ref_params, 10, "rmtp", 50_000, 11, threads=1).mean_length_correct
     assert mean == pytest.approx(10.0 / 0.6, rel=0.02)
 
 
-def test_simulate_length_requires_successes():
+def test_mean_length_is_none_without_successes():
     stuck = SimplifiedParams(mu=0.0, e_minus=0.5, e_plus=0.0, f=0.9)
-    with pytest.raises(ValueError):
-        simulate_length(stuck, 3, 200, 0, budget=50, threads=1)
+    result = simulate_accuracy(stuck, 3, "rmtp", 200, 0, budget=50, threads=1)
+    assert result.mean_length_correct is None
 
 
 # --- crossover scan ---

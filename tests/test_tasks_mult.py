@@ -6,8 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.mtp import Disposition, Outcome, Query, Step, TaskName, task_hooks
-from reflect_lab.mtp import run_nonreflective
+from reflect_lab.engines import mode_config, run_rtbs
+from reflect_lab.mtp import (
+    Disposition,
+    Outcome,
+    Query,
+    SelfVerifying,
+    Step,
+    TaskName,
+    task_hooks,
+)
+from reflect_lab.tasks import binary_verifier
 from reflect_lab.tasks.mult import (
     MultExpertPolicy,
     MultState,
@@ -26,8 +35,12 @@ operands = st.integers(min_value=1, max_value=10**8 - 1)
 
 def run_expert(x: int, y: int):
     query = Query(task=TaskName.MULT, payload=(x, y))
-    return run_nonreflective(
-        MultExpertPolicy(), MultTransition(), query, budget=200, rng=rng_mod.stream(0)
+    return run_rtbs(
+        SelfVerifying(MultExpertPolicy(), binary_verifier(TaskName.MULT)),
+        MultTransition(),
+        query,
+        mode_config("none", None, 0, 200),
+        rng_mod.stream(0),
     )
 
 

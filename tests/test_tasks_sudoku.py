@@ -16,8 +16,14 @@ from helpers import (
     sudoku_no_duplicates,
 )
 from reflect_lab import rng as rng_mod
-from reflect_lab.mtp import Outcome, Query, Step, TaskName, task_hooks
-from reflect_lab.tasks import expert_policy, make_noisy_policy, state_polarity
+from reflect_lab.engines import mode_config, run_rtbs
+from reflect_lab.mtp import Outcome, Query, SelfVerifying, Step, TaskName, task_hooks
+from reflect_lab.tasks import (
+    binary_verifier,
+    expert_policy,
+    make_noisy_policy,
+    state_polarity,
+)
 from reflect_lab.tasks import sudoku as sudoku_module
 from reflect_lab.tasks.sudoku import (
     DeadEndError,
@@ -383,14 +389,12 @@ def test_expert_guess_flag_on_ambiguous_board():
 
 def test_expert_solves_episode_end_to_end():
     query = Query(task=TaskName.SUDOKU, payload=PUZZLE)
-    from reflect_lab.mtp import run_nonreflective
-
-    record = run_nonreflective(
-        SudokuExpertPolicy(),
+    record = run_rtbs(
+        SelfVerifying(SudokuExpertPolicy(), binary_verifier(TaskName.SUDOKU)),
         SudokuTransition(),
         query,
-        budget=128,
-        rng=rng_mod.stream(11, 0),
+        mode_config("none", None, 0, 128),
+        rng_mod.stream(11, 0),
     )
     # The plain chain may die on a bad guess, but when it answers the
     # answer must be the real solution.
