@@ -11,9 +11,15 @@ one executor, `engines.run_rtbs`, episode by episode with the configuration
 `engines.mode_config` builds for the mode, and produces full event logs.  The
 vector engine simulates the same event chain for whole batches of episodes in
 numpy and exists purely for throughput; equivalence of the two is pinned by
-tests.  Unless asked otherwise the backtracking mode charges the root its m
-attempts like every other state, which is the convention the closed-form
-curves price in.
+tests.  Each batch of the vector engine has its own random stream; a worker
+runs a group of batches in one array and one loop, each batch drawing from
+its own stream and compacting its own rows, so grouping never moves a result.
+A backtracking row keeps one small attempt count per level and the depth of
+its chain's first derailed state (a level is on track exactly when it lies
+above that depth), and pops in one step to its deepest ancestor with
+attempts to spare.  Unless asked otherwise the backtracking mode charges the
+root its m attempts like every other state, which is the convention the
+closed-form curves price in.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rng_mod
 from .engines import mode_config, run_rtbs
@@ -190,11 +197,14 @@ def _threads(threads: Optional[int]) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(
                 f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
             ) from None
+        if count < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 
@@ -236,7 +246,7 @@ _NONE_BLOCK = 1 << 17
 def _none_chunk(
     mu: float, n: int, budget: int, episodes: int, rng: np.random.Generator
 ) -> tuple[int, int, int, int]:
-    """Mode none of _mc_chunk without its loop.
+    """Mode none of one batch without the loop.
 
     Every row proposes once per pass and accepts every step, so no row closes
     before pass min(n, budget): the loop would draw `episodes` uniforms per
@@ -244,7 +254,7 @@ def _none_chunk(
     (in blocks) gives the same numbers.  A row succeeds when all n of its
     draws advance.
     """
-    passes = min(n, max(budget, 1))
+    passes = min(n, budget)
     if passes < n:
         return (0, 0, episodes, episodes)
     on_track = np.ones(episodes, dtype=bool)
@@ -257,6 +267,61 @@ def _none_chunk(
     return (successes, successes * n, 0, episodes)
 
 
+def _stack_clip(m: Optional[int], posterior: Optional[PosteriorParams]) -> int:
+    """Largest attempt count the rtbs stack stores.
+
+    A stored level holds at most m attempts, except an unlimited root, whose
+    count is clipped here: past max(m, last rate-table index) neither the
+    width check nor the rate lookup can tell two counts apart.
+    """
+    return max(int(m or 1), len(posterior.mu) - 1 if posterior is not None else 0)
+
+
+def _batches_per_group(
+    n: int, mode: str, m: Optional[int], posterior: Optional[PosteriorParams]
+) -> int:
+    """Most batches one worker runs together in one array.
+
+    A batch of _CHUNK rows once kept an int32 attempt count and a bool
+    polarity per level of its rtbs stack: 5n bytes a row.  A group keeps the
+    smallest unsigned attempt count per level plus one int32 first-derailed
+    depth a row, and holds no more of those bytes than that batch did.  Modes
+    without a stack hold no more rows than an rtbs group of width <= 255.
+    """
+    level_bytes = 1
+    if mode == "rtbs":
+        level_bytes = np.min_scalar_type(_stack_clip(m, posterior)).itemsize
+    return max(1, 5 * n // (n * level_bytes + 4))
+
+
+# Levels a pop reads first, the ones just above the popping state: most pops
+# are short, and reading the whole stack would make each one cost O(n).
+_POP_WINDOW = 16
+
+
+def _pop_level(
+    att_stack: np.ndarray, windows: np.ndarray, rows: np.ndarray, top: np.ndarray, m: int
+) -> np.ndarray:
+    """Deepest level above each row's `top` with fewer than m attempts, else 0.
+
+    `windows` is the stack's sliding view over _POP_WINDOW levels (over all
+    of them when the stack is narrower).  Entries at depth `top` and deeper
+    are stale and never read.  The window just above each top is read first;
+    only rows with no spare level there read the rest of their stack.
+    """
+    window = windows.shape[2]
+    lo = np.maximum(top - window, 0)
+    levels = lo[:, None] + np.arange(window)
+    spare = (windows[rows, lo] < m) & (levels < top[:, None])
+    level = (spare * levels).max(axis=1)
+    far = np.flatnonzero((level == 0) & (lo > 0))
+    if far.size:
+        levels = np.arange(int(lo[far].max()))
+        spare = (att_stack[rows[far], : levels.size] < m) & (levels < lo[far, None])
+        level[far] = (spare * levels).max(axis=1)
+    return level
+
+
 def _mc_chunk(
     params: SimplifiedParams,
     n: int,
@@ -264,21 +329,33 @@ def _mc_chunk(
     m: Optional[int],
     budget: int,
     root_unlimited: bool,
-    episodes: int,
-    rng: np.random.Generator,
+    batches: list[tuple[int, np.random.Generator]],
     posterior: Optional[PosteriorParams],
 ) -> tuple[int, int, int, int]:
-    """Simulate one batch; returns (successes, correct_len_sum, exhausted, done).
+    """Simulate a group of batches, each given as (episodes, its own stream).
 
-    Event-for-event the same chain law as the interface engine: one uniform
-    draw decides each proposal's fate, attempts are tracked per state, and
-    backtracking pops stored (polarity, attempts) frames.
+    Returns (successes, correct_len_sum, exhausted, done) summed over the
+    group.  Event-for-event the same chain law as the interface engine: one
+    uniform draw decides each proposal's fate and attempts are tracked per
+    state.  The batches share one array and one loop, but each draws its
+    rows' uniforms from its own stream and compacts its own rows when at most
+    three quarters of them are live, so every batch sees exactly the numbers
+    it would see run alone.
+
+    Derailed states only have derailed children, so a level is on track
+    exactly when it lies above the chain's first derailed depth: one int per
+    row replaces a polarity stack.  A row that spends its attempts at a state
+    pops in one step to its deepest ancestor with attempts to spare, or to
+    the root when none has any.
     """
     if n == 0:
         # One restating answer step per episode, always on track.
-        return (episodes, episodes, 0, episodes)
+        total = sum(count for count, _ in batches)
+        return (total, total, 0, total)
     if mode == "none":
-        return _none_chunk(params.mu, n, budget, episodes, rng)
+        parts = [_none_chunk(params.mu, n, budget, count, rng) for count, rng in batches]
+        successes, len_sum, exhausted, done = map(sum, zip(*parts))
+        return (successes, len_sum, exhausted, done)
     beta_lut, bg_lut = _posterior_luts(posterior, params)
     lut_top = len(beta_lut) - 1
     one_minus_f = 1.0 - (posterior.f if posterior is not None else params.f)
@@ -286,25 +363,34 @@ def _mc_chunk(
     rtbs = mode == "rtbs"
     m_eff = int(m or 1)
 
-    depth = np.zeros(episodes, dtype=np.int32)
-    cur_pol = np.ones(episodes, dtype=bool)
-    att = np.zeros(episodes, dtype=np.int32)
-    proposals = np.zeros(episodes, dtype=np.int32)
+    rngs = [rng for _, rng in batches]
+    sizes = [count for count, _ in batches]  # each batch's rows in the arrays
+    live = list(sizes)  # each batch's rows not yet closed
+    rows = sum(sizes)
+    depth = np.zeros(rows, dtype=np.int32)
+    cur_pol = np.ones(rows, dtype=bool)
+    att = np.zeros(rows, dtype=np.int32)
+    proposals = np.zeros(rows, dtype=np.int32)
     if rtbs:
-        att_stack = np.zeros((episodes, n), dtype=np.int32)
-        pol_stack = np.zeros((episodes, n), dtype=bool)
-        pol_stack[:, 0] = True
-    alive = np.ones(episodes, dtype=bool)
-    alive_count = episodes
+        clip = _stack_clip(m, posterior)
+        att_stack = np.zeros((rows, n), dtype=np.min_scalar_type(clip))
+        windows = sliding_window_view(att_stack, min(_POP_WINDOW, n), axis=1)
+        # First derailed depth of the row's chain; n while it is on track.
+        derailed_at = np.full(rows, n, dtype=np.int32)
+    alive = np.ones(rows, dtype=bool)
 
     successes = 0
     correct_len_sum = 0
     exhausted = 0
     done = 0
 
-    while alive_count > 0:
+    while rngs:
         size = depth.shape[0]
-        u = rng.random(size)
+        u = np.empty(size)
+        start = 0
+        for rng, k in zip(rngs, sizes):
+            rng.random(k, out=u[start : start + k])
+            start += k
         if lut_top > 0:
             b = beta_lut[np.minimum(att, lut_top)]
             bg = bg_lut[np.minimum(att, lut_top)]
@@ -312,73 +398,86 @@ def _mc_chunk(
             b = beta_lut[0]
             bg = bg_lut[0]
         on_track = alive & cur_pol
-        off_track = alive & ~cur_pol
-        advance = on_track & (u < b)
-        derail = on_track & ~advance & (u < bg)
-        accept_neg = off_track & (u < one_minus_f)
-        accepted = advance | derail | accept_neg
-        np.add(proposals, 1, out=proposals, where=alive)
+        moved = on_track & (u < bg)  # advances or derails
+        advance = moved & (u < b)
+        derail = moved ^ advance
+        accepted = moved | (alive & ~cur_pol & (u < one_minus_f))
+        proposals += alive
 
         last_level = depth == (n - 1)
-        finishing = accepted & last_level
-        succ_now = finishing & advance
+        closing = accepted & last_level  # finishing, successes included
+        succ_now = closing & advance
         desc = accepted & ~last_level
-        di = np.flatnonzero(desc)
-        if di.size:
-            if rtbs:
-                att_stack[di, depth[di]] = att[di] + 1
-                pol_stack[di, depth[di] + 1] = advance[di]
-            depth[di] += 1
-            cur_pol[di] = advance[di]
-            if track_attempts:
-                att[di] = 0
-
-        dead_now = np.zeros(size, dtype=bool)
+        if rtbs:
+            di = np.flatnonzero(desc)
+            stored = att[di] + 1
+            if root_unlimited:
+                np.minimum(stored, clip, out=stored)
+            att_stack[di, depth[di]] = stored
+        depth += desc
+        cur_pol &= ~derail
         rejected = alive & ~accepted
         if track_attempts:
-            ri = np.flatnonzero(rejected)
-            if ri.size:
-                att[ri] += 1
+            att *= ~desc
+            att += rejected
         if rtbs:
-            over = rejected & (att >= m_eff)
+            # A derailing row was on track: its new depth is the first derailed one.
+            dr = np.flatnonzero(derail)
+            derailed_at[dr] = depth[dr]
+            over = np.flatnonzero(rejected & (att >= m_eff))
+            top = depth[over]
             if not root_unlimited:
-                dead_now |= over & (depth == 0)
-            ni = np.flatnonzero(over & (depth > 0))
-            while ni.size:
-                depth[ni] -= 1
-                d = depth[ni]
-                att[ni] = att_stack[ni, d]
-                cur_pol[ni] = pol_stack[ni, d]
-                again = att[ni] >= m_eff
-                at_root = d == 0
-                if not root_unlimited:
-                    dr = ni[again & at_root]
-                    dead_now[dr] = True
-                ni = ni[again & ~at_root]
+                closing[over[top == 0]] = True
+            popping = top > 0
+            ni = over[popping]
+            if ni.size:
+                level = _pop_level(att_stack, windows, ni, top[popping], m_eff)
+                restored = att_stack[ni, level]
+                depth[ni] = level
+                att[ni] = restored
+                back_on_track = level < derailed_at[ni]
+                cur_pol[ni] = back_on_track
+                derailed_at[ni[back_on_track]] = n  # no derailed level is left
+                if not root_unlimited:  # popped to a root with no attempts left
+                    closing[ni[restored >= m_eff]] = True
 
-        out_of_budget = alive & (proposals >= budget) & ~finishing & ~dead_now
+        out_of_budget = alive & ~closing & (proposals >= budget)
 
         n_succ = int(np.count_nonzero(succ_now))
         successes += n_succ
         if n_succ:
             correct_len_sum += int(proposals[succ_now].sum())
         exhausted += int(np.count_nonzero(out_of_budget))
-        closing = finishing | dead_now | out_of_budget
+        closing |= out_of_budget
         n_closing = int(np.count_nonzero(closing))
-        if n_closing:
-            done += n_closing
-            alive &= ~closing
-            alive_count -= n_closing
-            if alive_count and alive_count <= 0.75 * size:
-                keep = alive
-                depth = depth[keep]
-                cur_pol = cur_pol[keep]
-                att = att[keep]
-                proposals = proposals[keep]
-                if rtbs:
-                    att_stack = att_stack[keep]
-                    pol_stack = pol_stack[keep]
-                alive = np.ones(alive_count, dtype=bool)
+        if not n_closing:
+            continue
+        done += n_closing
+        alive &= ~closing
+        keep = None
+        start = 0
+        for j, k in enumerate(sizes):
+            live[j] -= int(np.count_nonzero(closing[start : start + k]))
+            if live[j] <= 0.75 * k:  # compact this batch; a finished one drops out
+                if keep is None:
+                    keep = np.ones(size, dtype=bool)
+                keep[start : start + k] = alive[start : start + k]
+                sizes[j] = live[j]
+            start += k
+        if keep is not None:
+            depth = depth[keep]
+            cur_pol = cur_pol[keep]
+            att = att[keep]
+            proposals = proposals[keep]
+            if rtbs:
+                att_stack = att_stack[keep]
+                windows = sliding_window_view(att_stack, min(_POP_WINDOW, n), axis=1)
+                derailed_at = derailed_at[keep]
+            alive = alive[keep]
+            if not all(live):
+                rngs = [r for r, c in zip(rngs, live) if c]
+                sizes = [k for k in sizes if k]
+                live = [c for c in live if c]
     return (successes, correct_len_sum, exhausted, done)
 
 
@@ -435,10 +534,12 @@ def simulate_accuracy(
     """Estimate the success probability of one executor mode at scale n.
 
     Episodes are split into fixed-size batches, each on its own derived
-    random stream, so results do not depend on the thread count.  The budget
-    defaults high enough that exhaustion stays a rounding error for sane
-    rates; exhausted episodes count as failures and are tallied in the
-    result.
+    random stream.  The batches are dealt round-robin into one group per
+    worker (more when a group would outgrow `_batches_per_group`), and each
+    group runs in one loop; a batch's numbers do not depend on its group, so
+    results do not depend on the thread count.  The budget defaults high
+    enough that exhaustion stays a rounding error for sane rates; exhausted
+    episodes count as failures and are tallied in the result.
     """
     _validate_mode(mode, m)
     if episodes < 1:
@@ -449,6 +550,8 @@ def simulate_accuracy(
         raise ValueError("engine must be 'vector' or 'episode'")
     if posterior is not None and engine != "vector":
         raise ValueError("per-attempt rates are supported by the vector engine only")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     budget = budget if budget is not None else auto_budget(params, n, mode, m)
 
     if engine == "episode":
@@ -456,13 +559,16 @@ def simulate_accuracy(
             params, n, mode, m, budget, root_unlimited, episodes, seed
         )
     else:
-        spans = [
-            (i, min(_CHUNK, episodes - start))
-            for i, start in enumerate(range(0, episodes, _CHUNK))
+        batches = [
+            (index, min(_CHUNK, episodes - start))
+            for index, start in enumerate(range(0, episodes, _CHUNK))
         ]
+        workers = min(_threads(threads), len(batches))
+        per_group = _batches_per_group(n, mode, m, posterior)
+        n_groups = max(workers, -(-len(batches) // per_group))
+        groups = [batches[i::n_groups] for i in range(n_groups)]
 
-        def run_span(span: tuple[int, int]) -> tuple[int, int, int, int]:
-            index, count = span
+        def run_group(group: list[tuple[int, int]]) -> tuple[int, int, int, int]:
             return _mc_chunk(
                 params,
                 n,
@@ -470,17 +576,15 @@ def simulate_accuracy(
                 m,
                 budget,
                 root_unlimited,
-                count,
-                rng_mod.stream(seed, index),
+                [(size, rng_mod.stream(seed, index)) for index, size in group],
                 posterior,
             )
 
-        workers = min(_threads(threads), len(spans))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(run_span, spans))
+                parts = list(pool.map(run_group, groups))
         else:
-            parts = [run_span(s) for s in spans]
+            parts = [run_group(g) for g in groups]
         successes = sum(p[0] for p in parts)
         len_sum = sum(p[1] for p in parts)
         exhausted = sum(p[2] for p in parts)

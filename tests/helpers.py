@@ -128,3 +128,70 @@ def solve_sudoku_reference(cells: Sequence[int]) -> Optional[tuple[int, ...]]:
         return False
 
     return tuple(grid) if recurse() else None
+
+
+def mc_batch_reference(
+    beta: Sequence[float],
+    beta_gamma: Sequence[float],
+    one_minus_f: float,
+    n: int,
+    width: Optional[int],
+    budget: int,
+    root_unlimited: bool,
+    episodes: int,
+    rng,
+) -> tuple[int, int, int, int]:
+    """The vector engine's chain law for one batch, one row at a time.
+
+    Returns (successes, correct_len_sum, exhausted, done).  Each pass draws
+    one uniform per row in row order, closed rows included, until at most
+    three quarters of the rows are live, when the closed rows are dropped.
+    `beta` and `beta_gamma` are per-attempt tables whose last entry is
+    reused; `width` is None for retry-in-place.  A backtracking row keeps an
+    explicit stack of (on_track, attempts) frames and pops them one at a time.
+    """
+    rows = [{"depth": 0, "on": True, "att": 0, "props": 0, "frames": []} for _ in range(episodes)]
+    live = [True] * episodes
+    successes = len_sum = exhausted = done = 0
+    while any(live):
+        draws = rng.random(len(rows))
+        for i, row in enumerate(rows):
+            if not live[i]:
+                continue
+            u = float(draws[i])
+            row["props"] += 1
+            k = min(row["att"], len(beta) - 1)
+            if row["on"]:
+                fate = "advance" if u < beta[k] else "derail" if u < beta_gamma[k] else "reject"
+            else:
+                fate = "derail" if u < one_minus_f else "reject"
+            closed = False
+            if fate != "reject" and row["depth"] == n - 1:
+                closed = True
+                if fate == "advance":
+                    successes += 1
+                    len_sum += row["props"]
+            elif fate != "reject":
+                row["frames"].append((row["on"], row["att"] + 1))
+                row["depth"] += 1
+                row["on"] = fate == "advance"
+                row["att"] = 0
+            else:
+                row["att"] += 1
+                while width is not None and row["att"] >= width:
+                    if row["depth"] == 0:
+                        closed = not root_unlimited
+                        break
+                    row["on"], row["att"] = row["frames"].pop()
+                    row["depth"] -= 1
+            if not closed and row["props"] >= budget:
+                closed = True
+                exhausted += 1
+            if closed:
+                live[i] = False
+                done += 1
+        count = sum(live)
+        if count and count <= 0.75 * len(rows):
+            rows = [row for row, keep in zip(rows, live) if keep]
+            live = [True] * count
+    return (successes, len_sum, exhausted, done)

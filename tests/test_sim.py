@@ -4,8 +4,11 @@ engines."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from helpers import mc_batch_reference
 from reflect_lab import rng as rng_mod
+from reflect_lab import sim
 from reflect_lab.metrics import binomial_zscore
 from reflect_lab.sim import (
     SimplifiedParams,
@@ -16,6 +19,7 @@ from reflect_lab.sim import (
 )
 from reflect_lab.theory import (
     PosteriorParams,
+    derived_rates,
     posterior_rho_rmtp,
     posterior_rtbs_table,
     rho_nonreflective,
@@ -101,6 +105,21 @@ def test_non_integer_thread_variable_names_itself(ref_params, monkeypatch):
     monkeypatch.setenv("REFLECT_LAB_THREADS", "two")
     with pytest.raises(ValueError, match="REFLECT_LAB_THREADS"):
         simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_thread_variable_below_one_names_itself(ref_params, monkeypatch, value):
+    monkeypatch.setenv("REFLECT_LAB_THREADS", value)
+    with pytest.raises(ValueError, match="REFLECT_LAB_THREADS must be >= 1"):
+        simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
+
+
+@pytest.mark.parametrize("engine", ["vector", "episode"])
+@pytest.mark.parametrize("mode, m", [("none", None), ("rmtp", None), ("rtbs", 2)])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_refused_by_both_engines(ref_params, engine, mode, m, budget):
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        simulate_accuracy(ref_params, 5, mode, 100, 0, m=m, budget=budget, engine=engine)
 
 
 # --- golden pin of the vector engine ---
@@ -200,6 +219,139 @@ def test_both_engines_end_mode_none_at_the_budget():
     for engine in ("vector", "episode"):
         r = simulate_accuracy(_REF, 5, "none", 3000, 5, budget=3, engine=engine, threads=1)
         assert (r.successes, r.budget_exhausted) == (0, 3000), engine
+
+
+# --- grouped batches of the vector engine ---
+
+
+def _rate_tables(params, posterior):
+    """(beta, beta + gamma) per attempt and 1 - f, as the reference takes them."""
+    if posterior is None:
+        rates = derived_rates(params)
+        return [rates.beta], [rates.beta + rates.gamma], 1.0 - params.f
+    bg = [b + g for b, g in zip(posterior.beta, posterior.gamma)]
+    return list(posterior.beta), bg, 1.0 - posterior.f
+
+
+def test_vector_engine_matches_row_by_row_reference():
+    # The reference keeps explicit (on_track, attempts) frames and pops them
+    # one at a time; the engine keeps a first derailed depth and pops in one
+    # step.  Both see the same uniforms, so every count must agree exactly.
+    seed = 0
+    for params, posterior in ((_REF, None), (_ALT, None), (_BASE, _POST)):
+        beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
+        for n in (1, 2, 5):
+            for mode, m in (("rmtp", None), ("rtbs", 1), ("rtbs", 2), ("rtbs", 3)):
+                for root_unlimited in (False, True) if mode == "rtbs" else (False,):
+                    for budget in (2 * n + 1, auto_budget(params, n, mode, m)):
+                        seed += 1
+                        got = sim._mc_chunk(
+                            params, n, mode, m, budget, root_unlimited,
+                            [(150, rng_mod.stream(seed, 0))], posterior,
+                        )
+                        want = mc_batch_reference(
+                            beta, beta_gamma, one_minus_f, n, m, budget,
+                            root_unlimited, 150, rng_mod.stream(seed, 0),
+                        )
+                        assert got == want, (params, n, mode, m, root_unlimited, budget)
+
+
+def test_unlimited_root_past_255_attempts_keeps_its_rate():
+    # The root derails and is popped back to about once every two proposals,
+    # so its attempt count passes 255, the most a one-byte stack level holds;
+    # a wrapped count would read the first, far better, rate again.
+    table = PosteriorParams(mu=(0.3, 0.001), e_minus=(0.0, 0.0), e_plus=(0.9, 0.9), f=0.99)
+    params = SimplifiedParams(0.3, 0.0, 0.9, 0.99)
+    beta, beta_gamma, one_minus_f = _rate_tables(params, table)
+    got = sim._mc_chunk(params, 3, "rtbs", 1, 1500, True, [(300, rng_mod.stream(5, 0))], table)
+    want = mc_batch_reference(
+        beta, beta_gamma, one_minus_f, 3, 1, 1500, True, 300, rng_mod.stream(5, 0)
+    )
+    assert got == want
+
+
+def test_pop_level_finds_the_deepest_spare_ancestor():
+    # Pops past the first window to a spare ancestor are too rare to reach by
+    # simulation, so the search is checked on stacks of mostly spent levels.
+    gen = np.random.default_rng(3)
+    m = 3
+    for n in (1, 5, sim._POP_WINDOW, sim._POP_WINDOW + 1, 40, 100):
+        stack = np.where(gen.random((200, n)) < 0.04, gen.integers(0, m, (200, n)), m)
+        stack = stack.astype(np.uint8)
+        rows = np.sort(gen.choice(200, 120, replace=False))
+        top = gen.integers(1, n + 1, rows.size)
+        windows = sliding_window_view(stack, min(sim._POP_WINDOW, n), axis=1)
+        got = sim._pop_level(stack, windows, rows, top, m)
+        want = [max([lv for lv in range(t) if stack[r, lv] < m], default=0) for r, t in zip(rows, top)]
+        assert got.tolist() == want, n
+
+
+# (params, mode, m, root_unlimited, posterior, tight budget)
+_GROUP_CASES = [
+    (_REF, "rmtp", None, False, None, False),
+    (_ALT, "rmtp", None, False, None, True),
+    (_REF, "rtbs", 1, False, None, False),
+    (_REF, "rtbs", 1, True, None, False),
+    (_REF, "rtbs", 2, False, None, False),
+    (_ALT, "rtbs", 2, True, None, True),
+    (_REF, "rtbs", 4, False, None, True),
+    (_ALT, "rtbs", 4, True, None, False),
+    (_BASE, "rmtp", None, False, _POST, False),
+    (_BASE, "rtbs", 1, True, _POST, True),
+    (_BASE, "rtbs", 2, False, _POST, False),
+    (_REF, "none", None, False, None, False),
+    (_REF, "none", None, False, None, True),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_a_group_of_batches_equals_its_batches_run_alone(n):
+    sizes = (300, 1, 1200, 37)
+    for params, mode, m, root_unlimited, posterior, tight in _GROUP_CASES:
+        if tight:
+            budget = max(1, n - 1) if mode == "none" else 2 * n + 1
+        else:
+            budget = auto_budget(params, n, mode, m)
+        args = (params, n, mode, m, budget, root_unlimited)
+        alone = [
+            sim._mc_chunk(*args, [(size, rng_mod.stream(n, i))], posterior)
+            for i, size in enumerate(sizes)
+        ]
+        batches = [(size, rng_mod.stream(n, i)) for i, size in enumerate(sizes)]
+        together = sim._mc_chunk(*args, batches, posterior)
+        case = (n, mode, m, root_unlimited, posterior is not None, budget)
+        assert together == tuple(map(sum, zip(*alone))), case
+        assert together[3] == sum(sizes), case
+        if tight and (mode != "none" or n > 1):
+            assert together[2] > 0, case  # the tight budget does exhaust
+
+
+def test_thread_count_does_not_change_grouped_results():
+    # Five batches; one, two and three workers group them differently.
+    assert sim._batches_per_group(7, "rtbs", 2, None) >= 2
+    episodes = 4 * sim._CHUNK + 1000
+    results = {
+        (r.successes, r.mean_length_correct, r.budget_exhausted)
+        for r in (
+            simulate_accuracy(_REF, 7, "rtbs", episodes, 41, m=2, threads=t) for t in (1, 2, 3)
+        )
+    }
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("n", [30, 1500, 10_000])
+def test_a_group_holds_no_more_stack_bytes_than_one_int32_and_bool_batch(n):
+    # Computed, never run: a batch once kept 5 bytes a level (int32 attempts
+    # and a bool polarity).  A group keeps the stack dtype a level plus an
+    # int32 first derailed depth a row.
+    budget = sim._CHUNK * n * 5
+    for m, level_bytes in ((2, 1), (255, 1), (256, 2), (70_000, 4)):
+        assert np.min_scalar_type(sim._stack_clip(m, None)).itemsize == level_bytes
+        per_group = sim._batches_per_group(n, "rtbs", m, None)
+        assert per_group >= 1
+        assert per_group * sim._CHUNK * (n * level_bytes + 4) <= budget, (m, per_group)
+    assert sim._batches_per_group(n, "rtbs", 2, None) == 4
+    assert sim._batches_per_group(n, "rmtp", None, None) == 4
 
 
 # --- agreement with closed forms ---
