@@ -45,6 +45,12 @@ def recover(e_minus, e_plus, episodes, noise, seed):
     )
 
 
+def _rate(value):
+    # None when no first attempt had that oracle verdict: a clean policy
+    # makes no oracle-negative first attempts, so e+ has nothing to count.
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--episodes", type=int, default=2000)
@@ -61,7 +67,7 @@ def main():
         )
         print(
             f"  ({e_minus:.2f}, {e_plus:.2f}) -> "
-            f"({est.e_minus_hat:.4f}, {est.e_plus_hat:.4f}) "
+            f"({_rate(est.e_minus_hat)}, {_rate(est.e_plus_hat)}) "
             f"{est.n_first_attempts:>12d}"
         )
 

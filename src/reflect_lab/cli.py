@@ -1,9 +1,10 @@
 """Command-line front end for reproducible desk-scale experiments.
 
-Every command resolves its flags into a config, writes its output file(s),
-and drops a `<out>.manifest.json` next to them holding the full resolved
-config, the seed, and the package version.  Re-running a command with the
-flags recorded in a manifest reproduces the output byte for byte.
+Every command writes its output file and drops a `<out>.manifest.json` next
+to it holding the command name, the package version and every parsed flag,
+with the defaults a command resolves itself (gen-data's count and noise)
+replaced by the values it used.  Re-running a command with the flags recorded
+in a manifest reproduces the output byte for byte.
 
 Exit codes: 0 on success, 3 when a result is statistically degenerate
 (budget exhaustion above one episode in a thousand), and click's usage
@@ -62,11 +63,13 @@ _TIER_CHOICES = [t.value for t in DifficultyTier]
 _TASK_CHOICES = [t.value for t in TaskName if task_hooks(t).gen_query is not None]
 _STYLE_CHOICES = [s.value for s in CotStyle]
 
+_PROB = click.FloatRange(0.0, 1.0)
+
 _params_options = [
-    click.option("--mu", type=float, required=True, help="On-track proposal rate."),
-    click.option("--e-minus", type=float, required=True, help="False rejection rate."),
-    click.option("--e-plus", type=float, required=True, help="False acceptance rate."),
-    click.option("--f", type=float, required=True, help="Rejection rate at derailed states."),
+    click.option("--mu", type=_PROB, required=True, help="On-track proposal rate."),
+    click.option("--e-minus", type=_PROB, required=True, help="False rejection rate."),
+    click.option("--e-plus", type=_PROB, required=True, help="False acceptance rate."),
+    click.option("--f", type=_PROB, required=True, help="Rejection rate at derailed states."),
 ]
 
 
@@ -79,9 +82,12 @@ def _with_options(options):
     return wrap
 
 
-def _write_manifest(out: str, command: str, config: dict) -> None:
-    manifest = {"command": command, "version": __version__, **config}
-    with open(f"{out}.manifest.json", "w", encoding="utf-8") as fh:
+def _write_manifest(**resolved) -> None:
+    """Write `<out>.manifest.json` for the running command: its name, the
+    package version and every parsed flag, overridden by `resolved`."""
+    ctx = click.get_current_context()
+    manifest = {"command": ctx.info_name, "version": __version__, **ctx.params, **resolved}
+    with open(f"{ctx.params['out']}.manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2))
         fh.write("\n")
 
@@ -119,20 +125,17 @@ def main() -> None:
 
 @main.command("theory-curve")
 @_with_options(_params_options)
-@click.option("--m", "m_list", type=click.IntRange(min=1), multiple=True,
+@click.option("--m", type=click.IntRange(min=1), multiple=True,
               default=(1, 2, 4, 16, 64), show_default=True,
               help="Backtracking widths, one column each.")
-@click.option("--n", "n_max", type=click.IntRange(min=0), default=30, show_default=True,
+@click.option("--n", type=click.IntRange(min=0), default=30, show_default=True,
               help="Largest scale tabulated.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_theory_curve(mu, e_minus, e_plus, f, m_list, n_max, out) -> None:
+def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
     """Tabulate the closed-form accuracy curves to CSV."""
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
-    _write_text(out, curve_table(params, tuple(m_list), n_max))
-    _write_manifest(out, "theory-curve", {
-        "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
-        "m": list(m_list), "n": n_max, "out": out,
-    })
+    _write_text(out, curve_table(params, m, n))
+    _write_manifest()
 
 
 @main.command("simulate")
@@ -162,12 +165,7 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
         engine=engine, root_unlimited=root_unlimited,
     )
     _write_text(out, report_to_csv([report_row(result)]))
-    _write_manifest(out, "simulate", {
-        "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
-        "mode": mode, "m": m, "n": n, "episodes": episodes, "seed": seed,
-        "budget": budget, "threads": threads, "engine": engine,
-        "root_unlimited": root_unlimited, "out": out,
-    })
+    _write_manifest()
     if result.budget_dominated:
         click.echo(
             f"warning: {result.budget_exhausted} of {episodes} episodes hit "
@@ -182,7 +180,7 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
               show_default=True)
 @click.option("--count", type=click.IntRange(min=0), default=None,
               help="Examples to generate; defaults to the task's training size.")
-@click.option("--noise", type=float, default=None,
+@click.option("--noise", type=_PROB, default=None,
               help="Chance a step is corrupted; default 0.2 (0 for style none).")
 @click.option("--tier-mix", default="id_easy=0.5,id_hard=0.5", show_default=True,
               help="Comma list of tier=weight pairs over the training tiers.")
@@ -203,11 +201,7 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
         seed=seed,
     )
     written = write_examples(generate_corpus(spec), out)
-    _write_manifest(out, "gen-data", {
-        "task": task, "style": style, "count": spec.example_count,
-        "noise": noise, "tier_mix": tier_mix, "seed": seed,
-        "out": out,
-    })
+    _write_manifest(count=spec.example_count, noise=noise)
     click.echo(f"wrote {written} examples to {out}")
 
 
@@ -219,11 +213,11 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
               help="Backtracking width (rtbs mode).")
 @click.option("--episodes", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--noise", type=float, default=0.0, show_default=True,
+@click.option("--noise", type=_PROB, default=0.0, show_default=True,
               help="Policy corruption probability.")
-@click.option("--e-minus", type=float, default=0.0, show_default=True,
+@click.option("--e-minus", type=_PROB, default=0.0, show_default=True,
               help="Injected false rejection rate on the verifier.")
-@click.option("--e-plus", type=float, default=0.0, show_default=True,
+@click.option("--e-plus", type=_PROB, default=0.0, show_default=True,
               help="Injected false acceptance rate on the verifier.")
 @click.option("--verifier", type=click.Choice(["binary", "detailed", "oracle"]),
               default="binary", show_default=True)
@@ -239,8 +233,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
     task_name = TaskName(task)
     tier_enum = DifficultyTier(tier)
     transition = transition_for(task_name)
-    base_policy = expert_policy(task_name)
-    policy = make_noisy_policy(base_policy, noise) if noise > 0 else base_policy
+    policy = make_noisy_policy(expert_policy(task_name), noise)
     config = mode_config(mode, m, reflective_budget, budget)
 
     def episode(index: int):
@@ -252,25 +245,17 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
             base_verifier = detailed_verifier(task_name)
         else:
             base_verifier = binary_verifier(task_name)
-        if e_minus > 0 or e_plus > 0:
-            base_verifier = make_noisy_verifier(base_verifier, e_minus, e_plus)
-        sv = SelfVerifying(policy, base_verifier)
+        sv = SelfVerifying(policy, make_noisy_verifier(base_verifier, e_minus, e_plus))
         return run_rtbs(sv, transition, query, config, erng)
 
     records = [episode(i) for i in range(episodes)]
     write_records(records, out)
-    _write_manifest(out, "run-task", {
-        "task": task, "tier": tier, "mode": mode, "m": m,
-        "episodes": episodes, "seed": seed, "noise": noise,
-        "e_minus": e_minus, "e_plus": e_plus, "verifier": verifier,
-        "reflective_budget": reflective_budget, "budget": budget,
-        "out": out,
-    })
+    _write_manifest()
     click.echo(accuracy_table(records), nl=False)
 
 
 @main.command("estimate-errors")
-@click.option("--records", "records_path", required=True,
+@click.option("--records", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Episode records written by run-task.")
 @click.option("--oracle", type=click.Choice(["rule", "truth"]), default="rule",
@@ -278,7 +263,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
               help="rule: the task's exact rule verifier; truth: solvability "
                    "of the state the step leads to.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_estimate_errors(records_path, oracle, out) -> None:
+def cmd_estimate_errors(records, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
     if oracle == "truth":
         oracle_fn = step_leads_positive
@@ -286,7 +271,7 @@ def cmd_estimate_errors(records_path, oracle, out) -> None:
         def oracle_fn(query, state, step):
             return not binary_verifier(query.task).rule(state, step).rejected
 
-    estimate = estimate_verification_errors(read_records(records_path), oracle_fn)
+    estimate = estimate_verification_errors(read_records(records), oracle_fn)
     lines = [
         "e_minus_hat,e_plus_hat,n_first_attempts,n_oracle_positive,n_oracle_negative",
         ",".join([
@@ -298,38 +283,28 @@ def cmd_estimate_errors(records_path, oracle, out) -> None:
         ]),
     ]
     _write_text(out, "\n".join(lines) + "\n")
-    _write_manifest(out, "estimate-errors", {
-        "records": records_path, "oracle": oracle, "out": out,
-    })
+    _write_manifest()
 
 
 @main.command("report")
 @_with_options(_params_options)
-@click.option("--mode", "modes", type=click.Choice(MODES), multiple=True, default=MODES,
+@click.option("--mode", type=click.Choice(MODES), multiple=True, default=MODES,
               show_default=True)
-@click.option("--m", "m_list", type=click.IntRange(min=1), multiple=True, default=(4,),
+@click.option("--m", type=click.IntRange(min=1), multiple=True, default=(4,),
               show_default=True, help="Backtracking widths (rtbs rows).")
-@click.option("--n", "n_values", type=click.IntRange(min=0), multiple=True, required=True,
+@click.option("--n", type=click.IntRange(min=0), multiple=True, required=True,
               help="Scales, one row set each.")
 @click.option("--episodes", type=click.IntRange(min=1), default=200_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_report(mu, e_minus, e_plus, f, modes, m_list, n_values, episodes, seed,
-               threads, out) -> None:
+def cmd_report(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, threads,
+               out) -> None:
     """Theory-vs-Monte-Carlo comparison table over (n, mode, width)."""
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
-    rows = theory_vs_sim_rows(
-        params, tuple(modes), tuple(n_values), tuple(m_list), episodes, seed,
-        threads=threads,
-    )
+    rows = theory_vs_sim_rows(params, mode, n, m, episodes, seed, threads=threads)
     _write_text(out, report_to_csv(rows))
-    _write_manifest(out, "report", {
-        "mu": mu, "e_minus": e_minus, "e_plus": e_plus, "f": f,
-        "mode": list(modes), "m": list(m_list), "n": list(n_values),
-        "episodes": episodes, "seed": seed, "threads": threads,
-        "out": out,
-    })
+    _write_manifest()
     degenerate = [r for r in rows if r.result.budget_dominated]
     if degenerate:
         click.echo(

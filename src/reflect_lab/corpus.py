@@ -191,12 +191,7 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[CotExample]:
     assignments: list[DifficultyTier] = []
     for tier, _ in spec.tier_mix:
         assignments.extend([tier] * counts[tier])
-    base = expert_policy(spec.task)
-    policy = (
-        base
-        if spec.style is CotStyle.NONE
-        else make_noisy_policy(base, spec.proposal_noise)
-    )
+    policy = make_noisy_policy(expert_policy(spec.task), spec.proposal_noise)
     # Budget 0: the verifier is never consulted; the rule labels steps afterwards.
     sv = SelfVerifying(policy, binary_verifier(spec.task))
     config = mode_config("none", None, 0, _EPISODE_BUDGET)

@@ -353,7 +353,9 @@ def _mc_chunk(
         total = sum(count for count, _ in batches)
         return (total, total, 0, total)
     if mode == "none":
-        parts = [_none_chunk(params.mu, n, budget, count, rng) for count, rng in batches]
+        # Every proposal of mode none is its state's first attempt.
+        mu = posterior.mu[0] if posterior is not None else params.mu
+        parts = [_none_chunk(mu, n, budget, count, rng) for count, rng in batches]
         successes, len_sum, exhausted, done = map(sum, zip(*parts))
         return (successes, len_sum, exhausted, done)
     beta_lut, bg_lut = _posterior_luts(posterior, params)

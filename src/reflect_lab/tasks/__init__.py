@@ -109,7 +109,8 @@ class NoisyVerifier:
     """Flips the base verifier's overall verdict: a passing step is failed
     with probability e_minus (one uniformly chosen label turns negative), a
     failing step is passed with probability e_plus (all labels turn
-    positive)."""
+    positive).  A zero rate draws nothing, so at rates 0 the wrapper is
+    behaviorally identical to the base verifier."""
 
     base: VerifierInterface
     e_minus: float

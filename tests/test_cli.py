@@ -318,6 +318,30 @@ def test_out_of_range_integer_is_usage_error(runner, tmp_path, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        # A repeated option takes its last value, so these override REF_FLAGS.
+        [*_THEORY, "--mu", "1.5"],
+        [*_SIMULATE, "--mu", "1.5"],
+        [*_SIMULATE, "--e-plus", "1.5"],
+        [*_SIMULATE, "--f", "-0.1"],
+        [*_REPORT, "--e-minus", "-0.2"],
+        [*_RUN_TASK, "--noise", "-0.5"],
+        [*_RUN_TASK, "--e-minus", "-0.2"],
+        [*_RUN_TASK, "--e-plus", "1.5"],
+        ["gen-data", "--task", "mult", "--count", "1", "--noise", "1.5"],
+    ],
+    ids=lambda command: " ".join([command[0], *command[-2:]]),
+)
+def test_out_of_range_rate_is_usage_error(runner, tmp_path, command):
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, [*command, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert command[-2] in result.output
+    assert not os.path.exists(out)
+
+
 # sha256 of small data outputs, recorded before the per-task code moved into
 # one record per task module.  They tie every build to the same bytes, where
 # the reproducibility checks compare two runs of one build.  The draws come
@@ -377,3 +401,84 @@ def _pinned_output(runner, tmp_path, name):
 def test_data_outputs_match_pinned_sha256(runner, tmp_path, name):
     out = _pinned_output(runner, tmp_path, name)
     assert hashlib.sha256(read_bytes(out)).hexdigest() == PINNED_OUTPUTS[name][1]
+
+
+# --- manifests ---
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_manifest_records_every_flag(runner, tmp_path, name):
+    records = str(tmp_path / "records.jsonl")
+    assert runner.invoke(main, [*_RUN_TASK, "--out", records]).exit_code == 0
+    command = {
+        "theory-curve": _THEORY,
+        "simulate": _SIMULATE,
+        "gen-data": ["gen-data", "--task", "mult", "--count", "1"],
+        "run-task": _RUN_TASK,
+        "estimate-errors": ["estimate-errors", "--records", records],
+        "report": _REPORT,
+    }[name]
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, [*command, "--out", out])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(read_bytes(out + ".manifest.json"))
+    flags = {param.name for param in main.commands[name].params}
+    assert set(manifest) == flags | {"command", "version"}
+    assert manifest["command"] == name and manifest["out"] == out
+
+
+@pytest.mark.parametrize("style, noise", [("none", 0.0), ("binary", 0.2)])
+def test_gen_data_manifest_records_the_resolved_noise(runner, tmp_path, style, noise):
+    out = str(tmp_path / "corpus.jsonl")
+    result = runner.invoke(
+        main, ["gen-data", "--task", "mult", "--style", style, "--count", "2", "--out", out]
+    )
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(read_bytes(out + ".manifest.json"))
+    assert manifest["noise"] == noise and manifest["count"] == 2
+
+
+# The manifests of PINNED_OUTPUTS without `out` (and with `records` reduced to
+# its file name), as written when each command still listed its flags by hand.
+_GEN_DATA_SHARED = {
+    "command": "gen-data", "noise": 0.2, "tier_mix": "id_easy=0.5,id_hard=0.5",
+}
+_RUN_TASK_SHARED = {
+    "command": "run-task", "budget": 96, "e_minus": 0.1, "e_plus": 0.1,
+    "reflective_budget": 64,
+}
+PINNED_MANIFESTS = {
+    "mult_detailed.jsonl": {
+        **_GEN_DATA_SHARED, "count": 24, "seed": 3, "style": "detailed", "task": "mult",
+    },
+    "sudoku_optional.jsonl": {
+        **_GEN_DATA_SHARED, "count": 3, "seed": 3, "style": "optional_detailed",
+        "task": "sudoku",
+    },
+    "sudoku_rtbs.jsonl": {
+        **_RUN_TASK_SHARED, "episodes": 3, "m": 2, "mode": "rtbs", "noise": 0.3,
+        "seed": 6, "task": "sudoku", "tier": "id_hard", "verifier": "binary",
+    },
+    "mult_detailed_rmtp.jsonl": {
+        **_RUN_TASK_SHARED, "episodes": 12, "m": 4, "mode": "rmtp", "noise": 0.2,
+        "seed": 4, "task": "mult", "tier": "id_hard", "verifier": "detailed",
+    },
+    "sim_small.csv": {
+        "command": "simulate", "mu": 0.8, "e_minus": 0.3, "e_plus": 0.2, "f": 0.8,
+        "budget": None, "engine": "vector", "episodes": 3000, "m": 2, "mode": "rtbs",
+        "n": 6, "root_unlimited": False, "seed": 11, "threads": 1,
+    },
+    "sudoku_rtbs_errors.csv": {
+        "command": "estimate-errors", "oracle": "truth", "records": "sudoku_rtbs.jsonl",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_pinned_output_manifests_are_unchanged(runner, tmp_path, name):
+    out = _pinned_output(runner, tmp_path, name)
+    manifest = json.loads(read_bytes(out + ".manifest.json"))
+    assert manifest.pop("out") == out
+    if "records" in manifest:
+        manifest["records"] = os.path.basename(manifest["records"])
+    assert manifest == {**PINNED_MANIFESTS[name], "version": __version__}

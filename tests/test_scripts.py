@@ -14,6 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "args",
     [
         ["error_recovery.py", "--episodes", "20"],
+        pytest.param(["error_recovery.py", "--episodes", "20", "--noise", "0"],
+                     id="error_recovery.py --noise 0"),
         ["accuracy_curves.py", "--episodes", "200", "--n-max", "6", "--m", "1", "4",
          "--out", "{tmp}/curves.csv"],
         ["crossover_scan.py", "--episodes", "200", "--n-max", "30"],
