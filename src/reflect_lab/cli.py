@@ -45,7 +45,7 @@ from .mtp import (
     TaskName,
     task_hooks,
 )
-from .sim import simulate_accuracy
+from .sim import simulate_accuracy, validate_mode
 from .tasks import (
     OracleVerifier,
     binary_verifier,
@@ -105,15 +105,8 @@ def _parse_tier_mix(text: str) -> tuple[tuple[DifficultyTier, float], ...]:
             continue
         name, sep, value = part.partition("=")
         if not sep:
-            raise click.BadParameter(
-                f"tier mix entries look like id_easy=0.5, got {part!r}"
-            )
-        try:
-            mix.append((DifficultyTier(name.strip()), float(value)))
-        except ValueError as exc:
-            raise click.BadParameter(str(exc)) from exc
-    if not mix:
-        raise click.BadParameter("tier mix must name at least one tier")
+            raise ValueError(f"tier mix entries look like id_easy=0.5, got {part!r}")
+        mix.append((DifficultyTier(name.strip()), float(value)))
     return tuple(mix)
 
 
@@ -159,6 +152,10 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
 def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
                  threads, engine, root_unlimited, out) -> None:
     """Monte-Carlo estimate of one (params, n, mode) point, with theory."""
+    try:
+        validate_mode(mode, m)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--m'") from exc
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     result = simulate_accuracy(
         params, n, mode, episodes, seed, m=m, budget=budget, threads=threads,
@@ -192,14 +189,20 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
     style_enum = CotStyle(style)
     if noise is None:
         noise = 0.0 if style_enum is CotStyle.NONE else 0.2
-    spec = CorpusSpec(
-        task=task_name,
-        example_count=count if count is not None else DEFAULT_EXAMPLE_COUNTS[task_name],
-        tier_mix=_parse_tier_mix(tier_mix),
-        style=style_enum,
-        proposal_noise=noise,
-        seed=seed,
-    )
+    try:
+        spec = CorpusSpec(
+            task=task_name,
+            example_count=count if count is not None else DEFAULT_EXAMPLE_COUNTS[task_name],
+            tier_mix=_parse_tier_mix(tier_mix),
+            style=style_enum,
+            proposal_noise=noise,
+            seed=seed,
+        )
+    except ValueError as exc:
+        # Click range-checks each flag alone; what is left to refuse is noise
+        # with style none and a malformed, empty, held-out or weightless mix.
+        flag = "--noise" if "proposal_noise" in str(exc) else "--tier-mix"
+        raise click.BadParameter(str(exc), param_hint=f"'{flag}'") from exc
     written = write_examples(generate_corpus(spec), out)
     _write_manifest(count=spec.example_count, noise=noise)
     click.echo(f"wrote {written} examples to {out}")

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as rng_mod
 from .engines import mode_config, run_rtbs
@@ -294,31 +293,35 @@ def _batches_per_group(
     return max(1, 5 * n // (n * level_bytes + 4))
 
 
-# Levels a pop reads first, the ones just above the popping state: most pops
-# are short, and reading the whole stack would make each one cost O(n).
+# Levels below the parent that a pop reads next, when the parent has no
+# attempt to spare: most pops are short, and reading the whole stack would
+# make each one cost O(n).
 _POP_WINDOW = 16
 
 
-def _pop_level(
-    att_stack: np.ndarray, windows: np.ndarray, rows: np.ndarray, top: np.ndarray, m: int
-) -> np.ndarray:
+def _pop_level(att_stack: np.ndarray, rows: np.ndarray, top: np.ndarray, m: int) -> np.ndarray:
     """Deepest level above each row's `top` with fewer than m attempts, else 0.
 
-    `windows` is the stack's sliding view over _POP_WINDOW levels (over all
-    of them when the stack is narrower).  Entries at depth `top` and deeper
-    are stale and never read.  The window just above each top is read first;
-    only rows with no spare level there read the rest of their stack.
+    Entries at depth `top` and deeper are stale and never read.  The parent
+    level, `top - 1`, is read first and taken wherever it has an attempt to
+    spare.  Only the other rows read the _POP_WINDOW levels below their
+    parent, and only rows with no spare level there read the rest of their
+    stack.
     """
-    window = windows.shape[2]
-    lo = np.maximum(top - window, 0)
-    levels = lo[:, None] + np.arange(window)
-    spare = (windows[rows, lo] < m) & (levels < top[:, None])
-    level = (spare * levels).max(axis=1)
-    far = np.flatnonzero((level == 0) & (lo > 0))
-    if far.size:
-        levels = np.arange(int(lo[far].max()))
-        spare = (att_stack[rows[far], : levels.size] < m) & (levels < lo[far, None])
-        level[far] = (spare * levels).max(axis=1)
+    level = top - 1
+    up = np.flatnonzero((att_stack[rows, level] >= m) & (level > 0))
+    if up.size:
+        r, parent = rows[up, None], level[up]
+        lo = np.maximum(parent - _POP_WINDOW, 0)
+        levels = lo[:, None] + np.arange(min(_POP_WINDOW, att_stack.shape[1] - 1))
+        spare = (att_stack[r, levels] < m) & (levels < parent[:, None])
+        found = (spare * levels).max(axis=1)
+        far = np.flatnonzero((found == 0) & (lo > 0))
+        if far.size:
+            levels = np.arange(int(lo[far].max()))
+            spare = (att_stack[r[far], levels] < m) & (levels < lo[far, None])
+            found[far] = (spare * levels).max(axis=1)
+        level[up] = found
     return level
 
 
@@ -346,7 +349,10 @@ def _mc_chunk(
     exactly when it lies above the chain's first derailed depth: one int per
     row replaces a polarity stack.  A row that spends its attempts at a state
     pops in one step to its deepest ancestor with attempts to spare, or to
-    the root when none has any.
+    the root when none has any.  The pop reads the parent level first, then
+    the _POP_WINDOW levels below it, then the rest of the stack
+    (`_pop_level`); at width 1 no stored level has an attempt to spare, so
+    every pop goes to the root without reading the stack.
     """
     if n == 0:
         # One restating answer step per episode, always on track.
@@ -376,7 +382,6 @@ def _mc_chunk(
     if rtbs:
         clip = _stack_clip(m, posterior)
         att_stack = np.zeros((rows, n), dtype=np.min_scalar_type(clip))
-        windows = sliding_window_view(att_stack, min(_POP_WINDOW, n), axis=1)
         # First derailed depth of the row's chain; n while it is on track.
         derailed_at = np.full(rows, n, dtype=np.int32)
     alive = np.ones(rows, dtype=bool)
@@ -433,7 +438,10 @@ def _mc_chunk(
             popping = top > 0
             ni = over[popping]
             if ni.size:
-                level = _pop_level(att_stack, windows, ni, top[popping], m_eff)
+                if m_eff > 1:
+                    level = _pop_level(att_stack, ni, top[popping], m_eff)
+                else:  # every stored level has spent its one attempt
+                    level = np.zeros(ni.size, dtype=np.int32)
                 restored = att_stack[ni, level]
                 depth[ni] = level
                 att[ni] = restored
@@ -467,15 +475,15 @@ def _mc_chunk(
                 sizes[j] = live[j]
             start += k
         if keep is not None:
-            depth = depth[keep]
-            cur_pol = cur_pol[keep]
-            att = att[keep]
-            proposals = proposals[keep]
+            idx = np.flatnonzero(keep)
+            depth = depth[idx]
+            cur_pol = cur_pol[idx]
+            att = att[idx]
+            proposals = proposals[idx]
             if rtbs:
-                att_stack = att_stack[keep]
-                windows = sliding_window_view(att_stack, min(_POP_WINDOW, n), axis=1)
-                derailed_at = derailed_at[keep]
-            alive = alive[keep]
+                att_stack = att_stack.take(idx, axis=0)
+                derailed_at = derailed_at[idx]
+            alive = alive[idx]
             if not all(live):
                 rngs = [r for r, c in zip(rngs, live) if c]
                 sizes = [k for k in sizes if k]
@@ -483,8 +491,9 @@ def _mc_chunk(
     return (successes, correct_len_sum, exhausted, done)
 
 
-def _validate_mode(mode: str, m: Optional[int]) -> None:
-    mode_config(mode, m, 0, 1)  # refuses a mode not in MODES and a bad rtbs width
+def validate_mode(mode: str, m: Optional[int]) -> None:
+    """Refuse a mode not in MODES and a width that does not fit the mode."""
+    mode_config(mode, m, 0, 1)
     if mode != "rtbs" and m is not None:
         raise ValueError(f"mode {mode!r} takes no width")
 
@@ -543,7 +552,7 @@ def simulate_accuracy(
     enough that exhaustion stays a rounding error for sane rates; exhausted
     episodes count as failures and are tallied in the result.
     """
-    _validate_mode(mode, m)
+    validate_mode(mode, m)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if n < 0:

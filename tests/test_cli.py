@@ -96,6 +96,19 @@ def test_simulate_budget_dominated_exits_3(runner, tmp_path):
     assert os.path.exists(out)  # the estimate is still written, just flagged
 
 
+def test_simulate_refuses_a_width_that_does_not_fit_the_mode(runner, tmp_path):
+    out = str(tmp_path / "sim.csv")
+    for width_flags in (["--mode", "rtbs"], ["--mode", "rmtp", "--m", "2"],
+                        ["--mode", "none", "--m", "1"]):
+        result = runner.invoke(
+            main,
+            ["simulate", *REF_FLAGS, *width_flags, "--n", "3", "--episodes", "10", "--out", out],
+        )
+        assert result.exit_code == 2, width_flags
+        assert "'--m'" in result.output
+        assert not os.path.exists(out)
+
+
 def test_episode_engine_ends_mode_none_at_the_budget(runner, tmp_path):
     # Five steps do not fit in three proposals, so every episode is exhausted.
     out = str(tmp_path / "none.csv")
@@ -151,7 +164,8 @@ def test_gen_data_rejects_bad_configs(runner, tmp_path):
             "--noise", "0.3", "--out", out,
         ],
     )
-    assert bad_style.exit_code != 0
+    assert bad_style.exit_code == 2
+    assert "'--noise'" in bad_style.output
     bad_mix = runner.invoke(
         main,
         [
@@ -160,6 +174,7 @@ def test_gen_data_rejects_bad_configs(runner, tmp_path):
         ],
     )
     assert bad_mix.exit_code == 2
+    assert "'--tier-mix'" in bad_mix.output
     held_out = runner.invoke(
         main,
         [
@@ -167,7 +182,9 @@ def test_gen_data_rejects_bad_configs(runner, tmp_path):
             "--tier-mix", "ood_hard=1.0", "--out", out,
         ],
     )
-    assert held_out.exit_code != 0
+    assert held_out.exit_code == 2
+    assert "'--tier-mix'" in held_out.output
+    assert not os.path.exists(out)
 
 
 def test_run_task_writes_records_and_prints_accuracy(runner, tmp_path):

@@ -4,7 +4,6 @@ engines."""
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import mc_batch_reference
 from reflect_lab import rng as rng_mod
@@ -238,10 +237,12 @@ def test_vector_engine_matches_row_by_row_reference():
     # The reference keeps explicit (on_track, attempts) frames and pops them
     # one at a time; the engine keeps a first derailed depth and pops in one
     # step.  Both see the same uniforms, so every count must agree exactly.
+    # At n = 20 some pops start deeper than the pop window, so the window
+    # they read no longer reaches the root.
     seed = 0
     for params, posterior in ((_REF, None), (_ALT, None), (_BASE, _POST)):
         beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
-        for n in (1, 2, 5):
+        for n in (1, 2, 5, 20):
             for mode, m in (("rmtp", None), ("rtbs", 1), ("rtbs", 2), ("rtbs", 3)):
                 for root_unlimited in (False, True) if mode == "rtbs" else (False,):
                     for budget in (2 * n + 1, auto_budget(params, n, mode, m)):
@@ -272,19 +273,28 @@ def test_unlimited_root_past_255_attempts_keeps_its_rate():
 
 
 def test_pop_level_finds_the_deepest_spare_ancestor():
-    # Pops past the first window to a spare ancestor are too rare to reach by
-    # simulation, so the search is checked on stacks of mostly spent levels.
+    # Pops past the window to a spare ancestor are too rare to reach by
+    # simulation, so the search is checked on random stacks.  With few spare
+    # levels most pops read the window or the rest of the stack; with half
+    # of them spare most stop at the parent.
     gen = np.random.default_rng(3)
     m = 3
-    for n in (1, 5, sim._POP_WINDOW, sim._POP_WINDOW + 1, 40, 100):
-        stack = np.where(gen.random((200, n)) < 0.04, gen.integers(0, m, (200, n)), m)
-        stack = stack.astype(np.uint8)
-        rows = np.sort(gen.choice(200, 120, replace=False))
-        top = gen.integers(1, n + 1, rows.size)
-        windows = sliding_window_view(stack, min(sim._POP_WINDOW, n), axis=1)
-        got = sim._pop_level(stack, windows, rows, top, m)
-        want = [max([lv for lv in range(t) if stack[r, lv] < m], default=0) for r, t in zip(rows, top)]
-        assert got.tolist() == want, n
+    window = sim._POP_WINDOW
+    reads = set()
+    for spare_share in (0.04, 0.5):
+        for n in (1, 5, window, window + 1, 40, 100):
+            stack = np.where(gen.random((200, n)) < spare_share, gen.integers(0, m, (200, n)), m)
+            stack = stack.astype(np.uint8)
+            rows = np.sort(gen.choice(200, 120, replace=False))
+            top = gen.integers(1, n + 1, rows.size)
+            got = sim._pop_level(stack, rows, top, m)
+            want = [max([lv for lv in range(t) if stack[r, lv] < m], default=0) for r, t in zip(rows, top)]
+            assert got.tolist() == want, (spare_share, n)
+            reads.update(
+                "parent" if lv == t - 1 else "window" if lv >= t - 1 - window else "far"
+                for lv, t in zip(want, top)
+            )
+    assert reads == {"parent", "window", "far"}
 
 
 # (params, mode, m, root_unlimited, posterior, tight budget)
