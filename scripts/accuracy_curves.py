@@ -45,13 +45,13 @@ def main():
     worst = max(rows, key=lambda r: abs(r.zscore))
     print(f"wrote {len(rows)} rows to {args.out}")
     print(
-        f"worst |z| = {abs(worst.zscore):.2f} at n={worst.n} "
-        f"mode={worst.mode} m={worst.m}"
+        f"worst |z| = {abs(worst.zscore):.2f} at n={worst.result.n} "
+        f"mode={worst.result.mode} m={worst.result.m}"
     )
     for mode, m in (("none", None), ("rmtp", None), ("rtbs", max(args.m))):
         tail = [
             r for r in rows
-            if r.mode == mode and r.m == m and r.n == args.n_max
+            if (r.result.mode, r.result.m, r.result.n) == (mode, m, args.n_max)
         ]
         if tail:
             r = tail[0]

@@ -180,9 +180,9 @@ def binomial_zscore(successes: int, trials: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class ReportRow:
-    n: int
-    mode: str
-    m: Optional[int]
+    """A Monte-Carlo point (its n, mode and width are on `result`) beside
+    its closed form."""
+
     result: SimResult
     theory: float
     zscore: float
@@ -199,7 +199,7 @@ def report_row(result: SimResult) -> ReportRow:
         assert m is not None
         theory = rho_rtbs(params, m, n)
     z = binomial_zscore(result.successes, result.episodes, theory)
-    return ReportRow(n, result.mode, m, result, theory, z)
+    return ReportRow(result, theory, z)
 
 
 def theory_vs_sim_rows(
@@ -235,9 +235,9 @@ def report_to_csv(rows: Iterable[ReportRow]) -> str:
     lines = ["n,mode,m,episodes,acc_hat,ci_lo,ci_hi,theory,zscore"]
     for row in rows:
         r = row.result
-        m_text = "" if row.m is None else str(row.m)
+        m_text = "" if r.m is None else str(r.m)
         lines.append(
-            f"{row.n},{row.mode},{m_text},{r.episodes},{r.accuracy_hat!r},"
+            f"{r.n},{r.mode},{m_text},{r.episodes},{r.accuracy_hat!r},"
             f"{r.wilson_ci[0]!r},{r.wilson_ci[1]!r},{row.theory!r},{row.zscore!r}"
         )
     return "\n".join(lines) + "\n"

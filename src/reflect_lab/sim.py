@@ -46,7 +46,7 @@ from .mtp import (
     Verification,
     register_task,
 )
-from .theory import PosteriorParams, SimplifiedParams, derived_rates
+from .theory import PosteriorParams, SimplifiedParams, derived_rates, rho_rmtp, rtbs_table
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -641,16 +641,10 @@ def crossover_scan(
     ordering is additionally confirmed by Monte-Carlo a little past the
     crossover (at n_star + 5, clamped to n_max).
     """
-    from .theory import rho_rmtp, rtbs_table
-
-    table = rtbs_table(params, m, n_max)
-    rtbs_acc = 1.0
-    n_star: Optional[int] = None
-    for n in range(1, n_max + 1):
-        rtbs_acc *= float(table.sigma[n])
-        if rtbs_acc > rho_rmtp(params, n):
-            n_star = n
-            break
+    rho = rtbs_table(params, m, n_max).rho
+    n_star = next(
+        (n for n in range(1, n_max + 1) if rho[n] > rho_rmtp(params, n)), None
+    )
     if n_star is None or episodes <= 0:
         return CrossoverResult(n_star, None, None, None, None)
     checked_n = min(n_star + 5, n_max)

@@ -11,10 +11,12 @@ cap m with failures propagating to the parent state.
 
 Everything here is exact arithmetic on those transition rates: success
 probabilities for the plain, retry-in-place, and backtracking executors,
-the recursions behind the backtracking curve, asymptotic comparison
-predicates, expected solution length, and per-attempt ("posterior")
-generalizations where the rates depend on how many attempts a state has
-already consumed.
+the recursion behind the backtracking curve (one `RtbsTable` type, which
+carries the curve itself), asymptotic comparison predicates, expected
+solution length, and per-attempt ("posterior") generalizations where the
+rates depend on how many attempts a state has already consumed.  Retry
+probabilities divide by beta + gamma rather than 1 - alpha, which cancels
+when alpha is close to one.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-_SERIES_TOL = 1e-15
-_SERIES_MAX_TERMS = 10**6
 _BISECT_TOL = 1e-12
 
 
@@ -90,7 +89,7 @@ def rho_nonreflective(params: SimplifiedParams, n: int) -> float:
 def rho_rmtp(params: SimplifiedParams, n: int) -> float:
     """Success probability of retry-in-place with unbounded attempts.
 
-    Each advance is on track with probability beta/(1 - alpha); a single
+    Each advance is on track with probability beta/(beta + gamma); a single
     accepted derail is unrecoverable.
     """
     if n < 0:
@@ -98,7 +97,7 @@ def rho_rmtp(params: SimplifiedParams, n: int) -> float:
     if n == 0:
         return 1.0
     rates = derived_rates(params)
-    denom = 1.0 - rates.alpha
+    denom = rates.beta + rates.gamma
     if denom <= 0.0:
         warnings.warn(
             "every proposal is rejected (alpha = 1); the chain never advances",
@@ -114,10 +113,9 @@ def log_rho_rmtp(params: SimplifiedParams, n: int) -> float:
     if n == 0:
         return 0.0
     rates = derived_rates(params)
-    denom = 1.0 - rates.alpha
-    if denom <= 0.0 or rates.beta == 0.0:
+    if rates.beta == 0.0:
         return -math.inf
-    return n * math.log(rates.beta / denom)
+    return n * math.log(rates.beta / (rates.beta + rates.gamma))
 
 
 def _geometric_sum(ratio: float, terms: int) -> float:
@@ -131,29 +129,29 @@ def _geometric_sum(ratio: float, terms: int) -> float:
 
 
 @dataclass(frozen=True)
-class RtbsRecursionTable:
+class RtbsTable:
     """Recursion values for width-m backtracking, indexed by scale 0..n_max.
 
     delta[t]: chance one attempt at an on-track scale-t state fails
-        (instant rejection, or acceptance whose subtree later fails).
+        (instant rejection, or acceptance whose subtree later fails).  With
+        attempt-indexed rates it has one column per attempt.
     epsilon[t]: same for a derailed scale-t state.
     sigma[t]: chance a scale-t state advances on track within its m
-        attempts; the backtracking success probability at scale n is the
-        product of sigma over scales 1..n.
+        attempts.
+    rho[n]: the backtracking success probability at scale n, the product
+        of sigma over scales 1..n multiplied in scale order (rho[0] = 1).
     """
 
-    params: SimplifiedParams
-    m: int
     delta: np.ndarray
     epsilon: np.ndarray
     sigma: np.ndarray
 
-    @property
-    def n_max(self) -> int:
-        return len(self.delta) - 1
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return np.cumprod(np.concatenate(([1.0], self.sigma[1:])))
 
 
-def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsRecursionTable:
+def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsTable:
     """Tabulate the backtracking recursion up to scale n_max."""
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -169,13 +167,7 @@ def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsRecursionTab
         delta[t] = rates.alpha + rates.beta * phi_prev + rates.gamma * psi_prev
         epsilon[t] = f + (1.0 - f) * psi_prev
     sigma = np.array([rates.beta * _geometric_sum(d, m) for d in delta])
-    return RtbsRecursionTable(
-        params=params,
-        m=m,
-        delta=delta,
-        epsilon=epsilon,
-        sigma=sigma,
-    )
+    return RtbsTable(delta=delta, epsilon=epsilon, sigma=sigma)
 
 
 def rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
@@ -185,8 +177,7 @@ def rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = rtbs_table(params, m, n)
-    return float(np.prod(table.sigma[1 : n + 1]))
+    return float(rtbs_table(params, m, n).rho[n])
 
 
 def log_rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
@@ -225,7 +216,7 @@ def expected_solution_length(params: SimplifiedParams, n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     rates = derived_rates(params)
-    denom = rates.beta + rates.gamma  # equals 1 - alpha
+    denom = rates.beta + rates.gamma  # 1 - alpha, without the cancellation
     if denom <= 0.0:
         raise ValueError(
             "every proposal is rejected; a correct answer is never reached"
@@ -330,16 +321,13 @@ class PosteriorParams:
     entry.  Verifier behavior at derailed states keeps a single rate f.
     The induced advance rates must be nonincreasing and the induced derail
     rates nondecreasing in the attempt index (later attempts are never more
-    promising).  `decay_floor` optionally pins the known lower bound on the
-    ratio of consecutive advance rates; when absent it is measured from the
-    sequences.
+    promising).
     """
 
     mu: tuple[float, ...]
     e_minus: tuple[float, ...]
     e_plus: tuple[float, ...]
     f: float
-    decay_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (len(self.mu) == len(self.e_minus) == len(self.e_plus)):
@@ -350,8 +338,6 @@ class PosteriorParams:
             for v in seq:
                 _check_prob(name, v)
         _check_prob("f", self.f)
-        if self.decay_floor is not None and not (0.0 < self.decay_floor <= 1.0):
-            raise ValueError("decay_floor must be in (0, 1]")
         beta = self.beta
         gamma = self.gamma
         if any(b1 > b0 + 1e-12 for b0, b1 in zip(beta, beta[1:])):
@@ -386,49 +372,30 @@ def posterior_rho_rmtp(pparams: PosteriorParams, n: int) -> float:
     """Retry-in-place success probability with attempt-indexed rates.
 
     The per-advance success rate is the series
-    beta_1 + sum_{i >= 2} beta_i * prod_{j < i} alpha_j, truncated once the
-    remaining mass is provably below 1e-15.
+    sum_{i >= 1} beta_i * prod_{j < i} alpha_j.  With L table entries, the
+    attempts from L on share the last entry's rates, so the series is the
+    finite sum over attempts 1..L-1 plus the geometric tail
+    prod_{j < L} alpha_j * beta_L / (beta_L + gamma_L), summed exactly.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     per_step = 0.0
     prefix = 1.0  # prod of alpha_j over attempts strictly before i
-    i = 1
-    while i <= _SERIES_MAX_TERMS:
-        alpha_i, beta_i, _ = pparams.at(i)
+    for alpha_i, beta_i in zip(pparams.alpha[:-1], pparams.beta[:-1]):
         per_step += beta_i * prefix
         prefix *= alpha_i
-        i += 1
-        if i >= len(pparams.mu):
-            alpha_tail, beta_tail, _ = pparams.at(i)
-            if beta_tail == 0.0:
-                break
-            if alpha_tail < 1.0 and prefix * beta_tail / (1.0 - alpha_tail) < _SERIES_TOL:
-                break
-        if prefix < _SERIES_TOL:
-            break
+    beta_tail, gamma_tail = pparams.beta[-1], pparams.gamma[-1]
+    if beta_tail > 0.0:
+        per_step += prefix * beta_tail / (beta_tail + gamma_tail)
     return per_step**n
 
 
-@dataclass(frozen=True)
-class PosteriorRtbsTable:
-    """Backtracking recursion with attempt-indexed rates.
+def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTable:
+    """Tabulate the attempt-indexed backtracking recursion up to n_max.
 
     delta has shape (n_max+1, m): column i-1 is the failure chance of the
-    i-th attempt at an on-track state of that scale.  epsilon and sigma are
-    as in the constant-rate table.
+    i-th attempt at an on-track state of that scale.
     """
-
-    m: int
-    delta: np.ndarray
-    epsilon: np.ndarray
-    sigma: np.ndarray
-
-
-def posterior_rtbs_table(
-    pparams: PosteriorParams, m: int, n_max: int
-) -> PosteriorRtbsTable:
-    """Tabulate the attempt-indexed backtracking recursion up to n_max."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_max < 0:
@@ -452,7 +419,7 @@ def posterior_rtbs_table(
             running *= delta[t, j - 1]
             acc += abg[j][1] * running
         sigma[t] = acc
-    return PosteriorRtbsTable(m=m, delta=delta, epsilon=epsilon, sigma=sigma)
+    return RtbsTable(delta=delta, epsilon=epsilon, sigma=sigma)
 
 
 def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:
@@ -463,13 +430,10 @@ def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:
     mu1 = pparams.mu[0]
     if mu1 >= 1.0:
         raise ValueError("mu_1 must be < 1 for the sufficient condition")
-    if pparams.decay_floor is not None:
-        k = pparams.decay_floor
-    else:
-        beta = pparams.beta
-        ratios = [b1 / b0 for b0, b1 in zip(beta, beta[1:]) if b0 > 0.0]
-        # Attempts beyond the sequence reuse the last entry (ratio one).
-        k = min(ratios + [1.0])
+    beta = pparams.beta
+    ratios = [b1 / b0 for b0, b1 in zip(beta, beta[1:]) if b0 > 0.0]
+    # Attempts beyond the sequence reuse the last entry (ratio one).
+    k = min(ratios + [1.0])
     if k <= 0.0:
         return False
     return pparams.e_minus[0] / (k * (1.0 - mu1)) + max(pparams.e_plus) < 1.0
@@ -483,12 +447,8 @@ def curve_table(
     tables = {m: rtbs_table(params, m, n_max) for m in m_list}
     header = ["n", "rho", "rho_rmtp"] + [f"rho_rtbs_m{m}" for m in m_list]
     lines = [",".join(header)]
-    rtbs_running = {m: 1.0 for m in m_list}
     for n in range(n_max + 1):
-        if n >= 1:
-            for m in m_list:
-                rtbs_running[m] *= float(tables[m].sigma[n])
         row = [str(n), repr(rho_nonreflective(params, n)), repr(rho_rmtp(params, n))]
-        row += [repr(rtbs_running[m]) for m in m_list]
+        row += [repr(float(tables[m].rho[n])) for m in m_list]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

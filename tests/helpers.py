@@ -22,6 +22,27 @@ def frac_rmtp(mu: Fraction, em: Fraction, ep: Fraction, n: int) -> Fraction:
     return (beta / (1 - alpha)) ** n
 
 
+def frac_posterior_rmtp(
+    mu: Sequence[Fraction], em: Sequence[Fraction], ep: Sequence[Fraction], n: int
+) -> Fraction:
+    """Exact retry-in-place success with attempt-indexed rates.
+
+    Attempt i advances with beta_i after i - 1 rejections; attempts from the
+    last entry on share its rates, so the series is the finite prefix over
+    the earlier entries plus the geometric tail prefix * beta_L / (1 - alpha_L).
+    """
+    rates = [frac_rates(*entry) for entry in zip(mu, em, ep)]
+    per_step = Fraction(0)
+    prefix = Fraction(1)
+    for alpha, beta, _ in rates[:-1]:
+        per_step += prefix * beta
+        prefix *= alpha
+    alpha, beta, _ = rates[-1]
+    if beta:
+        per_step += prefix * beta / (1 - alpha)
+    return per_step**n
+
+
 def exact_rtbs_success(
     mu: Fraction, em: Fraction, ep: Fraction, f: Fraction, m: int, n: int
 ) -> Fraction:

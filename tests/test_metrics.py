@@ -254,7 +254,7 @@ def test_report_rows_cover_the_grid(ref_params):
         threads=1,
     )
     assert len(rows) == 2 * (1 + 1 + 2)
-    shape = [(r.n, r.mode, r.m) for r in rows]
+    shape = [(r.result.n, r.result.mode, r.result.m) for r in rows]
     assert shape == [
         (1, "none", None),
         (1, "rmtp", None),
@@ -268,7 +268,7 @@ def test_report_rows_cover_the_grid(ref_params):
     for row in rows:
         assert abs(row.zscore) < 4.5
         assert row.result.episodes == 4000
-    rmtp_rows = [r for r in rows if r.mode == "rmtp"]
+    rmtp_rows = [r for r in rows if r.result.mode == "rmtp"]
     assert rmtp_rows[1].theory == pytest.approx(rho_rmtp(ref_params, 3))
 
 

@@ -1,11 +1,13 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_rtbs_success, frac_rates, frac_rmtp
+from helpers import exact_rtbs_success, frac_posterior_rmtp, frac_rates, frac_rmtp
 from reflect_lab.theory import (
     PosteriorParams,
     SimplifiedParams,
@@ -110,6 +112,15 @@ def test_rho_rmtp_warns_when_chain_cannot_advance():
         assert rho_rmtp(stuck, 3) == 0.0
 
 
+def test_rmtp_divides_by_the_acceptance_rate_not_one_minus_alpha():
+    # alpha = 1 - 1e-17 rounds to one, but every accepted step is on track.
+    rare = SimplifiedParams(mu=1e-17, e_minus=0.0, e_plus=0.0, f=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho_rmtp(rare, 5) == 1.0
+    assert log_rho_rmtp(rare, 5) == 0.0
+
+
 def test_log_rho_rmtp_consistent(ref_params):
     assert log_rho_rmtp(ref_params, 9) == pytest.approx(math.log(rho_rmtp(ref_params, 9)), rel=1e-12)
     assert log_rho_rmtp(ref_params, 0) == 0.0
@@ -127,6 +138,7 @@ def test_rtbs_table_frozen_values(ref_params):
         [0.784, 0.848512, 0.886529695744], rel=1e-14
     )
     assert rho_rtbs(ref_params, 2, 3) == pytest.approx(0.5897491707929842, rel=1e-13)
+    assert list(t2.rho) == [rho_rtbs(ref_params, 2, k) for k in range(4)]
 
     t4 = rtbs_table(ref_params, 4, 3)
     assert t4.delta[3] == pytest.approx(0.44347168564758915, rel=1e-14)
@@ -134,6 +146,7 @@ def test_rtbs_table_frozen_values(ref_params):
         [0.90944, 0.9498421920451788, 0.9673188716348063], rel=1e-14
     )
     assert rho_rtbs(ref_params, 4, 3) == pytest.approx(0.8355937243152822, rel=1e-13)
+    assert list(t4.rho) == [rho_rtbs(ref_params, 4, k) for k in range(4)]
 
 
 def test_rtbs_frozen_values_second_point(alt_params):
@@ -305,9 +318,23 @@ def constant_posterior(params: SimplifiedParams) -> PosteriorParams:
 
 @given(param_tuple(), st.integers(min_value=0, max_value=20))
 def test_constant_posterior_recovers_simplified_rmtp(params, n):
-    assert posterior_rho_rmtp(constant_posterior(params), n) == pytest.approx(
-        rho_rmtp(params, n), rel=1e-9, abs=1e-250
-    )
+    assert posterior_rho_rmtp(constant_posterior(params), n) == rho_rmtp(params, n)
+
+
+@pytest.mark.parametrize(
+    "mu, e_minus, e_plus",
+    [
+        ((0.9, 0.7, 0.5), (0.1, 0.1, 0.1), (0.05, 0.05, 0.05)),  # decaying
+        ((0.8,), (0.3,), (0.2,)),  # one entry
+        ((0.9, 1e-7), (0.1, 0.0), (0.0, 0.0)),  # tail alpha = 1 - 1e-7
+    ],
+)
+def test_posterior_rmtp_sums_the_retry_series_exactly(mu, e_minus, e_plus):
+    pparams = PosteriorParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=0.5)
+    exact = [[Fraction(v) for v in seq] for seq in (mu, e_minus, e_plus)]
+    for n in (1, 7):
+        oracle = frac_posterior_rmtp(*exact, n)
+        assert posterior_rho_rmtp(pparams, n) == pytest.approx(float(oracle), rel=1e-12)
 
 
 @given(param_tuple(), st.integers(min_value=1, max_value=6))
@@ -317,6 +344,8 @@ def test_constant_posterior_recovers_simplified_rtbs(params, m):
     for t in range(9):
         assert posterior.sigma[t] == pytest.approx(float(simplified.sigma[t]), rel=1e-11, abs=1e-14)
         assert posterior.epsilon[t] == pytest.approx(float(simplified.epsilon[t]), rel=1e-11, abs=1e-14)
+        assert simplified.rho[t] == rho_rtbs(params, m, t)
+        assert posterior.rho[t] == float(np.prod(posterior.sigma[1 : t + 1]))
 
 
 def test_posterior_tail_extension():
@@ -346,18 +375,6 @@ def test_posterior_sufficient_condition_cases():
     noisy = PosteriorParams(mu=(0.8,), e_minus=(0.3,), e_plus=(0.2,), f=0.8)
     # 0.3 / 0.2 + 0.2 = 1.7.
     assert not posterior_sufficient_condition(noisy)
-
-
-def test_posterior_decay_floor_override():
-    p = PosteriorParams(
-        mu=(0.8, 0.4),
-        e_minus=(0.05, 0.05),
-        e_plus=(0.02, 0.02),
-        f=0.7,
-        decay_floor=0.01,
-    )
-    # With a pessimistic floor the first-attempt term blows past one.
-    assert not posterior_sufficient_condition(p)
 
 
 # --- CSV rendering ---
