@@ -21,6 +21,7 @@ from reflect_lab.tasks import (
     gen_query,
     make_noisy_policy,
     make_noisy_verifier,
+    step_passes_rule,
     transition_for,
 )
 
@@ -29,7 +30,6 @@ GRID = ((0.05, 0.05), (0.2, 0.1), (0.1, 0.3), (0.4, 0.2))
 
 def recover(e_minus, e_plus, episodes, noise, seed):
     policy = make_noisy_policy(expert_policy(TaskName.MULT), noise)
-    rule = binary_verifier(TaskName.MULT).rule
     verifier = make_noisy_verifier(binary_verifier(TaskName.MULT), e_minus, e_plus)
     bundle = SelfVerifying(policy, verifier)
     transition = transition_for(TaskName.MULT)
@@ -40,9 +40,7 @@ def recover(e_minus, e_plus, episodes, noise, seed):
         tier = (DifficultyTier.ID_EASY, DifficultyTier.ID_HARD)[i % 2]
         q = gen_query(TaskName.MULT, tier, rng)
         records.append(run_rtbs(bundle, transition, q, config, rng))
-    return estimate_verification_errors(
-        records, lambda query, state, step: not rule(state, step).rejected
-    )
+    return estimate_verification_errors(records, step_passes_rule)
 
 
 def _rate(value):

@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .engines import MODES, mode_config, run_rtbs
 from .metrics import (
-    accuracy_table,
+    AccuracyTally,
     estimate_verification_errors,
     report_row,
     report_to_csv,
@@ -55,6 +55,7 @@ from .tasks import (
     make_noisy_policy,
     make_noisy_verifier,
     step_leads_positive,
+    step_passes_rule,
     transition_for,
 )
 from .theory import SimplifiedParams, curve_table
@@ -238,6 +239,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
     transition = transition_for(task_name)
     policy = make_noisy_policy(expert_policy(task_name), noise)
     config = mode_config(mode, m, reflective_budget, budget)
+    tally = AccuracyTally()
 
     def episode(index: int):
         erng = rng_mod.stream(seed, index)
@@ -249,12 +251,15 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
         else:
             base_verifier = binary_verifier(task_name)
         sv = SelfVerifying(policy, make_noisy_verifier(base_verifier, e_minus, e_plus))
-        return run_rtbs(sv, transition, query, config, erng)
+        record = run_rtbs(sv, transition, query, config, erng)
+        tally.add(record)
+        return record
 
-    records = [episode(i) for i in range(episodes)]
-    write_records(records, out)
+    # Each record is written as soon as it is run, so memory stays flat in
+    # --episodes.
+    write_records(map(episode, range(episodes)), out)
     _write_manifest()
-    click.echo(accuracy_table(records), nl=False)
+    click.echo(tally.to_csv(), nl=False)
 
 
 @main.command("estimate-errors")
@@ -268,12 +273,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_estimate_errors(records, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
-    if oracle == "truth":
-        oracle_fn = step_leads_positive
-    else:
-        def oracle_fn(query, state, step):
-            return not binary_verifier(query.task).rule(state, step).rejected
-
+    oracle_fn = step_leads_positive if oracle == "truth" else step_passes_rule
     estimate = estimate_verification_errors(read_records(records), oracle_fn)
     lines = [
         "e_minus_hat,e_plus_hat,n_first_attempts,n_oracle_positive,n_oracle_negative",

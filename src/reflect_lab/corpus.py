@@ -376,17 +376,11 @@ def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]
 
 
 def record_from_json(obj: dict) -> EpisodeRecord:
-    """Decode one episode record.  Tasks with a transition re-derive every
-    event's state (see _replayed_events); the others parse the stored text."""
+    """Decode one episode record, re-deriving every event's state (see
+    _replayed_events)."""
     try:
         hooks, query = _query_from_json(obj)
-        if hooks.transition is None:
-            events = [
-                _event_from_json(hooks, hooks.parse_state(item["state"]), item)
-                for item in obj["events"]
-            ]
-        else:
-            events = _replayed_events(hooks, query, obj["events"])
+        events = _replayed_events(hooks, query, obj["events"])
         answer = (
             None
             if obj["answer"] is None
@@ -395,7 +389,7 @@ def record_from_json(obj: dict) -> EpisodeRecord:
         outcome = Outcome(obj["outcome"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(str(exc)) from exc
-    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)
+    return EpisodeRecord(query, tuple(events), answer, outcome)
 
 
 # --- JSONL I/O -------------------------------------------------------------

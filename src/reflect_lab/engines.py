@@ -176,4 +176,4 @@ def run_rtbs(
         outcome = Outcome.BUDGET_EXHAUSTED
     else:
         outcome = Outcome.INCORRECT
-    return EpisodeRecord(query, tuple(events), answer, len(events), outcome)
+    return EpisodeRecord(query, tuple(events), answer, outcome)

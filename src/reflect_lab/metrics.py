@@ -150,20 +150,27 @@ def reflection_frequency(records: Iterable[EpisodeRecord]) -> FrequencyGrid:
     )
 
 
-def accuracy_table(records: Iterable[EpisodeRecord]) -> str:
-    """CSV of correctness by difficulty tier with 99% Wilson intervals."""
-    groups: dict[str, list[int]] = {}
-    for record in records:
+class AccuracyTally:
+    """Correct and total episodes per difficulty tier, counted one record at
+    a time, so a stream of records can be tallied without being held."""
+
+    def __init__(self) -> None:
+        self._groups: dict[str, list[int]] = {}
+
+    def add(self, record: EpisodeRecord) -> None:
         tier = record.query.tier.value if record.query.tier else "untiered"
-        cell = groups.setdefault(tier, [0, 0])
+        cell = self._groups.setdefault(tier, [0, 0])
         cell[1] += 1
         cell[0] += int(record.outcome is Outcome.CORRECT)
-    lines = ["tier,episodes,correct,accuracy,ci_lo,ci_hi"]
-    for tier in sorted(groups):
-        correct, total = groups[tier]
-        lo, hi = wilson_ci(correct, total)
-        lines.append(f"{tier},{total},{correct},{correct / total!r},{lo!r},{hi!r}")
-    return "\n".join(lines) + "\n"
+
+    def to_csv(self) -> str:
+        """CSV of correctness by difficulty tier with 99% Wilson intervals."""
+        lines = ["tier,episodes,correct,accuracy,ci_lo,ci_hi"]
+        for tier in sorted(self._groups):
+            correct, total = self._groups[tier]
+            lo, hi = wilson_ci(correct, total)
+            lines.append(f"{tier},{total},{correct},{correct / total!r},{lo!r},{hi!r}")
+        return "\n".join(lines) + "\n"
 
 
 def binomial_zscore(successes: int, trials: int, p: float) -> float:

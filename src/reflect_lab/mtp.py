@@ -97,12 +97,7 @@ class EpisodeRecord:
     query: Query
     events: tuple[Event, ...]
     answer: Optional[Step]
-    steps_used: int
     outcome: Outcome
-
-    def __post_init__(self) -> None:
-        if self.steps_used != len(self.events):
-            raise ValueError("steps_used must equal the number of events")
 
 
 @runtime_checkable
@@ -146,13 +141,16 @@ def _same(value: Any) -> Any:
 class TaskHooks:
     """Everything the package knows about one task, in one record.
 
-    Each task module registers its record at import time.  The fields after
-    grid_header exist for rule-checkable tasks only and are None elsewhere.
+    Each task module registers its record at import time.  Every task has a
+    transition, so every stored episode record is decoded by replaying its
+    events.  The fields after grid_header exist for rule-checkable tasks only
+    and are None elsewhere.
     """
 
-    # Episode: root state of a query, final-answer oracle, and a payload check
-    # that raises ValueError.
+    # Episode: root state of a query, the transition that applies a step,
+    # final-answer oracle, and a payload check that raises ValueError.
     initial_state: Callable[[Query], Any]
+    transition: TransitionInterface
     check_answer: Callable[[Query, Step], bool]
     validate: Callable[[Query], None]
     # State: its class (render_state finds the record by it), its stable text
@@ -160,7 +158,6 @@ class TaskHooks:
     # correct answer of the query?".
     state_type: type
     render_state: Callable[[Any], str]
-    parse_state: Callable[[str], Any]
     polarity: Callable[[Query, Any], bool]
     # JSON codec of moves (non-answer step contents), query payloads and
     # answers; payloads and answers default to being their own JSON.
@@ -173,12 +170,11 @@ class TaskHooks:
     # Reflection-frequency grid: a payload's cell key and the key's CSV header.
     grid_key: Callable[[Any], Any] = _same
     grid_header: str = "key"
-    # gen_query(tier, rng), the expert policy and transition, the exact
-    # binary and detailed rules, and corrupt(state, move, rng), which returns
-    # a wrong version of an honest move (or None) for noisy policies.
+    # gen_query(tier, rng), the expert policy, the exact binary and detailed
+    # rules, and corrupt(state, move, rng), which returns a wrong version of
+    # an honest move (or None) for noisy policies.
     gen_query: Optional[Callable[[DifficultyTier, np.random.Generator], Query]] = None
     expert_policy: Optional[PolicyInterface] = None
-    transition: Optional[TransitionInterface] = None
     binary_rule: Optional[Callable[[Any, Step], Verification]] = None
     detailed_rule: Optional[Callable[[Any, Step], Verification]] = None
     corrupt: Optional[Callable[[Any, Any, np.random.Generator], Any]] = None

@@ -197,7 +197,6 @@ def early_truncate(
             query=record.query,
             events=events,
             answer=answer,
-            steps_used=len(events),
             outcome=Outcome.INCORRECT,
         )
     return record

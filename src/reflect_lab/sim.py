@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -128,25 +127,19 @@ def _render_synthetic(state: SyntheticState) -> str:
     return f"scale {state.scale}{'+' if state.positive else '-'}"
 
 
-def _parse_synthetic(text: str) -> SyntheticState:
-    match = re.fullmatch(r"scale (\d+)([+-])", text)
-    if match is None:
-        raise ValueError(f"not a synthetic state: {text!r}")
-    return SyntheticState(int(match[1]), match[2] == "+")
-
-
-# The synthetic policy, verifier and transition are built from rate
-# parameters (synthetic_self_verifying), so the record carries no query
-# generator, expert, transition or rule verifiers.
+# The synthetic policy and verifier are built from rate parameters
+# (synthetic_self_verifying), so the record carries no query generator,
+# expert or rule verifiers.  Its transition is the one the engines run,
+# and decoding replays every stored record through it.
 register_task(
     TaskName.SYNTHETIC,
     TaskHooks(
         initial_state=_synthetic_initial,
+        transition=SyntheticTransition(),
         check_answer=_synthetic_check,
         validate=_synthetic_validate,
         state_type=SyntheticState,
         render_state=_render_synthetic,
-        parse_state=_parse_synthetic,
         polarity=lambda query, state: bool(state.positive),
         move_to_json=lambda on_track: {"on_track": on_track},
         move_from_json=lambda obj: bool(obj["on_track"]),
@@ -640,6 +633,11 @@ def crossover_scan(
     The scan itself runs on the closed-form curves; when episodes > 0 the
     ordering is additionally confirmed by Monte-Carlo a little past the
     crossover (at n_star + 5, clamped to n_max).
+
+    n_star is the first n with rho_rtbs > rho_rmtp as floats.  Where the
+    two curves agree to within rounding (at large widths such as m = 64
+    they can differ by about 1e-16), rounding decides the comparison, so
+    n_star is not determined there.
     """
     rho = rtbs_table(params, m, n_max).rho
     n_star = next(

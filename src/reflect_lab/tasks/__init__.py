@@ -52,7 +52,7 @@ def expert_policy(task: TaskName) -> PolicyInterface:
 
 
 def transition_for(task: TaskName) -> TransitionInterface:
-    return _required(task, "transition", "transition")
+    return task_hooks(task).transition
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,11 @@ def step_leads_positive(query: Query, state: Any, step: Step) -> bool:
         return task_hooks(query.task).check_answer(query, step)
     new_state = transition_for(query.task).apply(state, step)
     return state_polarity(query, new_state)
+
+
+def step_passes_rule(query: Query, state: Any, step: Step) -> bool:
+    """The task's exact binary rule as an oracle: does it accept the step?"""
+    return not _required(query.task, "binary_rule", "rule verifier")(state, step).rejected
 
 
 @dataclass(frozen=True)

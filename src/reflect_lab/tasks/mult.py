@@ -302,7 +302,6 @@ register_task(
         validate=_mult_validate,
         state_type=MultState,
         render_state=render_mult_state,
-        parse_state=parse_mult_state,
         polarity=_mult_polarity,
         move_to_json=_mult_move_to_json,
         move_from_json=_mult_move_from_json,

@@ -589,7 +589,6 @@ register_task(
         validate=_sudoku_validate,
         state_type=SudokuBoard,
         render_state=SudokuBoard.render,
-        parse_state=SudokuBoard.parse,
         polarity=_sudoku_polarity,
         move_to_json=_sudoku_move_to_json,
         move_from_json=_sudoku_move_from_json,

@@ -474,7 +474,6 @@ def _one_step_record(good: bool, index: int) -> EpisodeRecord:
             ),
         ),
         answer=step,
-        steps_used=1,
         outcome=Outcome.CORRECT if good else Outcome.INCORRECT,
     )
 
@@ -500,7 +499,6 @@ def _chain_record(dispositions, step_quality=None) -> EpisodeRecord:
         query=Query(TaskName.SYNTHETIC, 2),
         events=tuple(events),
         answer=answer,
-        steps_used=len(events),
         outcome=Outcome.CORRECT if answer and answer.content else Outcome.INCORRECT,
     )
 

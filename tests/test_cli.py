@@ -7,7 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from reflect_lab import __version__
+from reflect_lab import __version__, cli, corpus
 from reflect_lab.cli import main
 from reflect_lab.theory import SimplifiedParams, rho_rmtp
 
@@ -205,6 +205,27 @@ def test_run_task_writes_records_and_prints_accuracy(runner, tmp_path):
     assert record["outcome"] == "correct"  # expert policy, exact verifier
     manifest = json.loads(read_bytes(out + ".manifest.json"))
     assert manifest["command"] == "run-task" and manifest["episodes"] == 25
+
+
+def test_run_task_writes_each_record_before_the_next_episode(runner, tmp_path, monkeypatch):
+    # Records stream to the writer: memory does not grow with --episodes.
+    log = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_rtbs", logged("episode", cli.run_rtbs))
+    monkeypatch.setattr(corpus, "record_to_json", logged("write", corpus.record_to_json))
+    out = str(tmp_path / "episodes.jsonl")
+    result = runner.invoke(
+        main, ["run-task", "--task", "mult", "--tier", "id_easy", "--episodes", "3",
+               "--out", out],
+    )
+    assert result.exit_code == 0, result.output
+    assert log == ["episode", "write"] * 3
 
 
 def test_run_task_then_estimate_errors_recovers_injection(runner, tmp_path):

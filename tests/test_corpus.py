@@ -314,11 +314,26 @@ def test_record_round_trip(tmp_path):
     assert record_from_json(json.loads(dumps_json_line(obj))) == record
 
 
+def _synthetic_rmtp_record(seed):
+    return run_rtbs(
+        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticTransition(),
+        Query(TaskName.SYNTHETIC, 3),
+        mode_config("rmtp", None, 32, 48),
+        rng_mod.stream(seed, 0),
+    )
+
+
 def test_record_states_that_do_not_follow_are_refused():
     obj = record_to_json(_mult_rmtp_record(21))
     for item in obj["events"]:
         item["state"] = "0*0+999"
     with pytest.raises(CorpusFormatError, match="event 0"):
+        record_from_json(obj)
+    # Synthetic states are replayed too, not parsed from their text.
+    obj = record_to_json(_synthetic_rmtp_record(21))
+    obj["events"][1]["state"] = "scale 9+"
+    with pytest.raises(CorpusFormatError, match="event 1: state 'scale 9\\+'"):
         record_from_json(obj)
 
 
@@ -372,10 +387,11 @@ def test_traceback_of_a_step_not_taken_is_refused():
 
 
 def test_traceback_without_an_accepted_step_is_refused():
-    obj = record_to_json(_mult_rmtp_record(21))
-    obj["events"][0]["disposition"] = "traceback"
-    with pytest.raises(CorpusFormatError, match="event 0: traceback"):
-        record_from_json(obj)
+    for record in (_mult_rmtp_record(21), _synthetic_rmtp_record(21)):
+        obj = record_to_json(record)
+        obj["events"][0]["disposition"] = "traceback"
+        with pytest.raises(CorpusFormatError, match="event 0: traceback"):
+            record_from_json(obj)
 
 
 # --- codec round trips over both tasks ---

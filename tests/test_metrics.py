@@ -10,7 +10,7 @@ from reflect_lab.engines import mode_config, run_rtbs
 from reflect_lab.metrics import (
     ErrorEstimate,
     binomial_zscore,
-    accuracy_table,
+    AccuracyTally,
     estimate_verification_errors,
     reflection_frequency,
     report_to_csv,
@@ -57,7 +57,6 @@ def record_of(events, outcome=Outcome.CORRECT, answer=None):
         query=Query(TaskName.SYNTHETIC, 3),
         events=tuple(events),
         answer=answer,
-        steps_used=len(events),
         outcome=outcome,
     )
 
@@ -161,7 +160,6 @@ def mult_record(x, y, labeled_steps, bare_steps):
         query=Query(TaskName.MULT, (x, y)),
         events=tuple(events),
         answer=None,
-        steps_used=len(events),
         outcome=Outcome.BUDGET_EXHAUSTED,
     )
 
@@ -208,7 +206,6 @@ def test_accuracy_table_layout():
             query=Query(TaskName.SYNTHETIC, 2, tier),
             events=(ev(2, True, (True,), A, is_answer=True),),
             answer=Step(True, is_answer=True),
-            steps_used=1,
             outcome=outcome,
         )
 
@@ -218,7 +215,10 @@ def test_accuracy_table_layout():
         tiered(DifficultyTier.ID_HARD, Outcome.CORRECT),
         tiered(None, Outcome.CORRECT),
     ]
-    text = accuracy_table(records)
+    tally = AccuracyTally()
+    for record in records:
+        tally.add(record)
+    text = tally.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "tier,episodes,correct,accuracy,ci_lo,ci_hi"
     assert lines[1].startswith("id_easy,2,1,0.5,")

@@ -12,15 +12,12 @@ from reflect_lab.engines import MODES, ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
     Disposition,
-    EpisodeRecord,
-    Event,
     Outcome,
     Query,
     SelfVerifying,
     Step,
     TaskName,
     Verification,
-    VerifiedStep,
 )
 from reflect_lab.sim import (
     SimplifiedParams,
@@ -83,13 +80,6 @@ def test_verification_rejected_flag():
     assert Verification((False,)).rejected
 
 
-def test_episode_record_validates_event_count():
-    q = query(1)
-    ev = Event(SyntheticState(1, True), VerifiedStep(Step(True, True)), Disposition.ACCEPTED)
-    with pytest.raises(ValueError):
-        EpisodeRecord(q, (ev,), Step(True, True), 2, Outcome.CORRECT)
-
-
 def test_reflect_config_validation():
     with pytest.raises(ValueError):
         ReflectConfig(total_budget=0)
@@ -135,7 +125,7 @@ def test_nonreflective_accepts_everything():
         rng_mod.stream(0),
     )
     assert record.outcome is Outcome.CORRECT
-    assert record.steps_used == 2
+    assert len(record.events) == 2
     assert [e.disposition for e in record.events] == [Disposition.ACCEPTED] * 2
     assert all(e.verified.verification.labels == () for e in record.events)
 
@@ -162,7 +152,7 @@ def test_nonreflective_budget_exhaustion():
     )
     assert record.outcome is Outcome.BUDGET_EXHAUSTED
     assert record.answer is None
-    assert record.steps_used == 3
+    assert len(record.events) == 3
     with pytest.raises(ValueError):
         run_rtbs(
             scripted([], []), SyntheticTransition(), query(1),
@@ -187,7 +177,7 @@ def test_rmtp_rejection_retries_in_place():
     # The rejected attempt was retried at the same state.
     assert record.events[0].state == record.events[1].state == SyntheticState(2, True)
     assert record.events[2].state == SyntheticState(1, True)
-    assert record.steps_used == 3
+    assert len(record.events) == 3
 
 
 def test_rmtp_total_budget_exhaustion():
@@ -196,7 +186,7 @@ def test_rmtp_total_budget_exhaustion():
         sv, SyntheticTransition(), query(1), mode_config("rmtp", None, 64, 4), rng_mod.stream(0)
     )
     assert record.outcome is Outcome.BUDGET_EXHAUSTED
-    assert record.steps_used == 4
+    assert len(record.events) == 4
 
 
 def test_rmtp_stops_verifying_after_reflective_budget():
@@ -217,7 +207,7 @@ def test_rmtp_rejected_answer_step_does_not_terminate():
         sv, SyntheticTransition(), query(1), mode_config("rmtp", None, 64, 96), rng_mod.stream(0)
     )
     assert record.outcome is Outcome.CORRECT
-    assert record.steps_used == 2
+    assert len(record.events) == 2
     assert record.events[0].disposition is Disposition.REJECTED
     assert record.events[0].verified.step.is_answer
 
@@ -253,7 +243,7 @@ def test_rtbs_traceback_restores_parent_and_recounts():
     assert tb.verified.verification.labels == ()
     # The retry after the traceback happens back at the root state.
     assert record.events[4].state == SyntheticState(3, True)
-    assert record.steps_used == 7  # six proposals plus one traceback event
+    assert len(record.events) == 7  # six proposals plus one traceback event
 
 
 def test_rtbs_width_one_cascades_to_root():
@@ -286,7 +276,7 @@ def test_rtbs_capped_root_dies_without_exhausting_budget():
     record = run_rtbs(sv, SyntheticTransition(), query(1), cfg, rng_mod.stream(0))
     assert record.outcome is Outcome.INCORRECT  # dead search, not budget
     assert record.answer is None
-    assert record.steps_used == 2
+    assert len(record.events) == 2
 
 
 def test_rtbs_unlimited_root_keeps_retrying():
@@ -294,7 +284,7 @@ def test_rtbs_unlimited_root_keeps_retrying():
     cfg = mode_config("rtbs", 2, 64, 50, root_unlimited=True)
     record = run_rtbs(sv, SyntheticTransition(), query(1), cfg, rng_mod.stream(0))
     assert record.outcome is Outcome.CORRECT
-    assert record.steps_used == 5
+    assert len(record.events) == 5
 
 
 def test_rtbs_capped_root_counts_failed_subtrees():

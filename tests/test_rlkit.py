@@ -58,7 +58,6 @@ def synthetic_record(dispositions, outcome=Outcome.CORRECT, final_answer=True):
         query=QUERY,
         events=tuple(events),
         answer=answer_step,
-        steps_used=len(events),
         outcome=outcome,
     )
 
@@ -100,7 +99,6 @@ def test_group_validation():
         query=Query(TaskName.SYNTHETIC, 9),
         events=pair[0].events,
         answer=pair[0].answer,
-        steps_used=pair[0].steps_used,
         outcome=pair[0].outcome,
     )
     with pytest.raises(ValueError):
@@ -220,12 +218,12 @@ def test_truncation_cuts_after_first_accepted_bad_step():
         VerifiedStep(Step(False), bad.verified.verification),
         Disposition.ACCEPTED,
     )
-    record = EpisodeRecord(record.query, tuple(events), record.answer, 4, record.outcome)
+    record = EpisodeRecord(record.query, tuple(events), record.answer, record.outcome)
     cut = early_truncate(record, on_track_oracle)
     assert len(cut.events) == 2
     assert cut.outcome is Outcome.INCORRECT
     assert cut.answer is None
-    assert cut.steps_used == 2
+    assert len(cut.events) == 2
 
 
 def test_truncation_skips_rejected_bad_steps():
@@ -235,7 +233,7 @@ def test_truncation_skips_rejected_bad_steps():
     events[1] = Event(
         bad.state, VerifiedStep(Step(False), bad.verified.verification), Disposition.REJECTED
     )
-    record = EpisodeRecord(record.query, tuple(events), record.answer, 3, record.outcome)
+    record = EpisodeRecord(record.query, tuple(events), record.answer, record.outcome)
     assert early_truncate(record, on_track_oracle) is record
 
 
@@ -244,7 +242,7 @@ def test_truncation_at_answer_step_keeps_answer():
     events = list(record.events)
     wrong_answer = Step(False, is_answer=True)
     events[1] = Event(events[1].state, VerifiedStep(wrong_answer), Disposition.ACCEPTED)
-    record = EpisodeRecord(record.query, tuple(events), wrong_answer, 2, Outcome.INCORRECT)
+    record = EpisodeRecord(record.query, tuple(events), wrong_answer, Outcome.INCORRECT)
     cut = early_truncate(record, on_track_oracle)
     assert cut.answer == wrong_answer
     assert cut.outcome is Outcome.INCORRECT
@@ -272,9 +270,7 @@ def test_truncation_is_idempotent(quality, final_answer):
     answer = record.answer
     if answer is not None and quality[-1] == "bad":
         answer = Step(False, is_answer=True)
-    record = EpisodeRecord(
-        record.query, tuple(events), answer, len(events), record.outcome
-    )
+    record = EpisodeRecord(record.query, tuple(events), answer, record.outcome)
     once = early_truncate(record, on_track_oracle)
     twice = early_truncate(once, on_track_oracle)
     assert twice == once
@@ -312,7 +308,6 @@ def test_row_index_prefers_identity():
         group.trajectories[0].query,
         group.trajectories[0].events,
         group.trajectories[0].answer,
-        group.trajectories[0].steps_used,
         group.trajectories[0].outcome,
     )
     assert table.row_index(clone) == 0

@@ -20,11 +20,12 @@ from reflect_lab.tasks import (
     render_state,
     state_polarity,
     step_leads_positive,
+    step_passes_rule,
     transition_for,
 )
 from reflect_lab.tasks.mult import MultState, mult_expert_step
 from reflect_lab.tasks.sudoku import SudokuBoard, generate_full_board, solve
-from reflect_lab.sim import SyntheticState
+from reflect_lab.sim import SyntheticState, SyntheticTransition
 
 
 # --- tier-disciplined query generation ---
@@ -75,7 +76,8 @@ def test_factories_cover_both_tasks():
         assert transition_for(task) is not None
         assert binary_verifier(task) is not None
         assert detailed_verifier(task) is not None
-    for factory in (expert_policy, transition_for, binary_verifier, detailed_verifier):
+    assert isinstance(transition_for(TaskName.SYNTHETIC), SyntheticTransition)
+    for factory in (expert_policy, binary_verifier, detailed_verifier):
         with pytest.raises(ValueError):
             factory(TaskName.SYNTHETIC)
 
@@ -221,6 +223,18 @@ def test_step_leads_positive_and_oracle_verifier():
     assert oracle.verify(state, wrong_answer, rng_mod.stream(13, 1)).rejected
     right_answer = Step(321 * 4052, is_answer=True)
     assert not oracle.verify(state, right_answer, rng_mod.stream(13, 2)).rejected
+
+
+def test_step_passes_rule_is_the_binary_rule():
+    q = Query(TaskName.MULT, (321, 4052))
+    state = MultState(321, 4052, 0)
+    rule = binary_verifier(TaskName.MULT)
+    for step in (mult_expert_step(state), Step(5, is_answer=True)):
+        expected = not rule.verify(state, step, rng_mod.stream(0)).rejected
+        assert step_passes_rule(q, state, step) is expected
+    assert not step_passes_rule(q, state, Step(5, is_answer=True))
+    with pytest.raises(ValueError):
+        step_passes_rule(Query(TaskName.SYNTHETIC, 1), SyntheticState(1, True), Step(True))
 
 
 # --- rendering ---

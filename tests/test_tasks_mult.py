@@ -128,7 +128,7 @@ def test_expert_is_always_correct(x, y):
 def test_expert_episode_length():
     # One move per distinct nonzero digit of y, plus the answer step.
     record = run_expert(123456789, 977)
-    assert record.steps_used == len(nonzero_digits(977)) + 1
+    assert len(record.events) == len(nonzero_digits(977)) + 1
 
 
 # --- transition ---
