@@ -342,12 +342,15 @@ def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]
     the tracebacks: an accepted non-answer step moves to its successor and
     keeps its parent, a traceback restores the latest kept parent and undoes
     the step taken from it.  An event whose stored state or undone step
-    disagrees raises CorpusFormatError."""
+    disagrees, or that follows an accepted answer, raises CorpusFormatError."""
     state = hooks.initial_state(query)
     # (parent state, step taken from it) per accepted link, oldest first.
     parents = []
     events = []
+    answered = False
     for index, item in enumerate(items):
+        if answered:
+            raise CorpusFormatError(f"event {index}: follows the accepted answer")
         disposition = Disposition(item["disposition"])
         undone = None
         if disposition is Disposition.TRACEBACK:
@@ -369,24 +372,62 @@ def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]
                 f"event {index}: traceback undoes a step that was not taken"
             )
         events.append(event)
-        if disposition is Disposition.ACCEPTED and not step.is_answer:
-            parents.append((state, step))
-            state = hooks.transition.apply(state, step)
+        if disposition is Disposition.ACCEPTED:
+            answered = step.is_answer
+            if not answered:
+                parents.append((state, step))
+                state = hooks.transition.apply(state, step)
     return events
+
+
+def _checked_answer(
+    hooks: TaskHooks, query: Query, events: list[Event], obj: dict
+) -> tuple[Optional[Step], Outcome]:
+    """The record's answer and outcome, re-derived from its events.
+
+    An episode ends at its accepted answer step, so the answer is the step
+    of the last event when that event accepts an answer, and None
+    otherwise; an answered outcome is CORRECT exactly when the task's
+    check_answer holds.  An unanswered episode is INCORRECT or
+    BUDGET_EXHAUSTED, and the record cannot tell which: it does not carry
+    the budget.  A stored answer or outcome that disagrees raises
+    CorpusFormatError."""
+    last = events[-1] if events else None
+    answer = (
+        last.verified.step
+        if last is not None
+        and last.disposition is Disposition.ACCEPTED
+        and last.verified.step.is_answer
+        else None
+    )
+    stored = obj["answer"]
+    if stored is not None:
+        stored = _step_from_json(hooks, stored, is_answer=True)
+    if stored != answer:
+        raise CorpusFormatError(
+            f"answer {obj['answer']!r} is not the last event's accepted answer step"
+        )
+    outcome = Outcome(obj["outcome"])
+    if answer is not None:
+        correct = hooks.check_answer(query, answer)
+        expected = Outcome.CORRECT if correct else Outcome.INCORRECT
+        if outcome is not expected:
+            raise CorpusFormatError(
+                f"outcome {outcome.value!r} disagrees with the answer "
+                f"(expected {expected.value!r})"
+            )
+    elif outcome is Outcome.CORRECT:
+        raise CorpusFormatError("outcome 'correct' without an answer")
+    return answer, outcome
 
 
 def record_from_json(obj: dict) -> EpisodeRecord:
     """Decode one episode record, re-deriving every event's state (see
-    _replayed_events)."""
+    _replayed_events) and its answer and outcome (see _checked_answer)."""
     try:
         hooks, query = _query_from_json(obj)
         events = _replayed_events(hooks, query, obj["events"])
-        answer = (
-            None
-            if obj["answer"] is None
-            else _step_from_json(hooks, obj["answer"], is_answer=True)
-        )
-        outcome = Outcome(obj["outcome"])
+        answer, outcome = _checked_answer(hooks, query, events, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(str(exc)) from exc
     return EpisodeRecord(query, tuple(events), answer, outcome)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -160,6 +160,28 @@ def wilson_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, floa
 
 
 @dataclass(frozen=True)
+class EngineStats:
+    """What the vector engine did, summed over the batches of a run.
+
+    passes: loop passes of each batch.  compactions: times a batch dropped
+    its closed rows and kept going.  row_passes: uniforms drawn, one per row
+    and pass, closed rows that wait for their batch's compaction included.
+    pops: rtbs rows that backtracked.  budget_hits: batches still running
+    at the budget's last pass.  A batch's counts do not depend on its group,
+    so these do not depend on the thread count.
+    """
+
+    passes: int = 0
+    compactions: int = 0
+    row_passes: int = 0
+    pops: int = 0
+    budget_hits: int = 0
+
+    def __add__(self, other: EngineStats) -> EngineStats:
+        return EngineStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
+@dataclass(frozen=True)
 class SimResult:
     """Monte-Carlo estimate of one (params, n, mode) point."""
 
@@ -174,6 +196,8 @@ class SimResult:
     mean_length_correct: Optional[float]
     budget_exhausted: int
     seed: int
+    # Work counts of the vector engine; None for the episode engine.
+    stats: Optional[EngineStats] = field(default=None, compare=False)
 
     @property
     def budget_dominated(self) -> bool:
@@ -237,7 +261,7 @@ _NONE_BLOCK = 1 << 17
 
 def _none_chunk(
     mu: float, n: int, budget: int, episodes: int, rng: np.random.Generator
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int, int, EngineStats]:
     """Mode none of one batch without the loop.
 
     Every row proposes once per pass and accepts every step, so no row closes
@@ -248,7 +272,7 @@ def _none_chunk(
     """
     passes = min(n, budget)
     if passes < n:
-        return (0, 0, episodes, episodes)
+        return (0, 0, episodes, episodes, EngineStats(budget_hits=1))
     on_track = np.ones(episodes, dtype=bool)
     per_block = max(1, _NONE_BLOCK // episodes)
     for start in range(0, passes, per_block):
@@ -256,7 +280,8 @@ def _none_chunk(
         u = rng.random(k * episodes).reshape(k, episodes)
         on_track &= (u < mu).all(axis=0)
     successes = int(np.count_nonzero(on_track))
-    return (successes, successes * n, 0, episodes)
+    stats = EngineStats(passes=n, row_passes=n * episodes, budget_hits=int(budget == n))
+    return (successes, successes * n, 0, episodes, stats)
 
 
 def _stack_clip(m: Optional[int], posterior: Optional[PosteriorParams]) -> int:
@@ -276,9 +301,10 @@ def _batches_per_group(
 
     A batch of _CHUNK rows once kept an int32 attempt count and a bool
     polarity per level of its rtbs stack: 5n bytes a row.  A group keeps the
-    smallest unsigned attempt count per level plus one int32 first-derailed
-    depth a row, and holds no more of those bytes than that batch did.  Modes
-    without a stack hold no more rows than an rtbs group of width <= 255.
+    smallest unsigned attempt count per level plus a first-derailed depth a
+    row, counted here as int32 (it is narrower below n = 2**16), and holds
+    no more of those bytes than that batch did.  Modes without a stack hold
+    no more rows than an rtbs group of width <= 255.
     """
     level_bytes = 1
     if mode == "rtbs":
@@ -292,27 +318,31 @@ def _batches_per_group(
 _POP_WINDOW = 16
 
 
-def _pop_level(att_stack: np.ndarray, rows: np.ndarray, top: np.ndarray, m: int) -> np.ndarray:
+def _pop_level(
+    stack: np.ndarray, n: int, rows: np.ndarray, top: np.ndarray, m: int
+) -> np.ndarray:
     """Deepest level above each row's `top` with fewer than m attempts, else 0.
 
-    Entries at depth `top` and deeper are stale and never read.  The parent
-    level, `top - 1`, is read first and taken wherever it has an attempt to
-    spare.  Only the other rows read the _POP_WINDOW levels below their
-    parent, and only rows with no spare level there read the rest of their
-    stack.
+    `stack` is the flat attempt stack of `_mc_chunk`: level l of row r is
+    entry r * n + l.  Entries at depth `top` and deeper are stale and never
+    read.  The parent level, `top - 1`, is read first and taken wherever it
+    has an attempt to spare.  Only the other rows read the _POP_WINDOW
+    levels below their parent, and only rows with no spare level there read
+    the rest of their stack.
     """
-    level = top - 1
-    up = np.flatnonzero((att_stack[rows, level] >= m) & (level > 0))
+    base = rows * n
+    level = top.astype(np.intp) - 1
+    up = np.flatnonzero((stack[base + level] >= m) & (level > 0))
     if up.size:
-        r, parent = rows[up, None], level[up]
+        base, parent = base[up], level[up]
         lo = np.maximum(parent - _POP_WINDOW, 0)
-        levels = lo[:, None] + np.arange(min(_POP_WINDOW, att_stack.shape[1] - 1))
-        spare = (att_stack[r, levels] < m) & (levels < parent[:, None])
+        levels = lo[:, None] + np.arange(min(_POP_WINDOW, n - 1))
+        spare = (stack[base[:, None] + levels] < m) & (levels < parent[:, None])
         found = (spare * levels).max(axis=1)
         far = np.flatnonzero((found == 0) & (lo > 0))
         if far.size:
             levels = np.arange(int(lo[far].max()))
-            spare = (att_stack[r[far], levels] < m) & (levels < lo[far, None])
+            spare = (stack[base[far, None] + levels] < m) & (levels < lo[far, None])
             found[far] = (spare * levels).max(axis=1)
         level[up] = found
     return level
@@ -327,36 +357,44 @@ def _mc_chunk(
     root_unlimited: bool,
     batches: list[tuple[int, np.random.Generator]],
     posterior: Optional[PosteriorParams],
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int, int, EngineStats]:
     """Simulate a group of batches, each given as (episodes, its own stream).
 
-    Returns (successes, correct_len_sum, exhausted, done) summed over the
-    group.  Event-for-event the same chain law as the interface engine: one
-    uniform draw decides each proposal's fate and attempts are tracked per
-    state.  The batches share one array and one loop, but each draws its
+    Returns (successes, correct_len_sum, exhausted, done, stats) summed over
+    the group.  Event-for-event the same chain law as the interface engine:
+    one uniform draw decides each proposal's fate and attempts are tracked
+    per state.  The batches share one array and one loop, but each draws its
     rows' uniforms from its own stream and compacts its own rows when at most
     three quarters of them are live, so every batch sees exactly the numbers
     it would see run alone.
 
+    Every row starts at pass 0 and a live row proposes once per pass, so the
+    pass number is each live row's proposal count: the group keeps one
+    proposal clock, and the budget runs out for every live row at once.
+
     Derailed states only have derailed children, so a level is on track
     exactly when it lies above the chain's first derailed depth: one int per
-    row replaces a polarity stack.  A row that spends its attempts at a state
-    pops in one step to its deepest ancestor with attempts to spare, or to
-    the root when none has any.  The pop reads the parent level first, then
-    the _POP_WINDOW levels below it, then the rest of the stack
-    (`_pop_level`); at width 1 no stored level has an attempt to spare, so
-    every pop goes to the root without reading the stack.
+    row replaces a polarity stack.  The attempt stack is one flat array,
+    level l of row r at entry r * n + l.  Each pass every row writes its
+    attempts so far plus one at its own depth; that entry becomes a level of
+    the row's chain only when the row descends, and entries at the row's
+    depth and deeper are stale and never read.  A row that spends its
+    attempts at a state pops in one step to its deepest ancestor with
+    attempts to spare, or to the root when none has any.  The pop reads the
+    parent level first, then the _POP_WINDOW levels below it, then the rest
+    of the stack (`_pop_level`); at width 1 no stored level has an attempt
+    to spare, so every pop goes to the root without reading the stack.
     """
     if n == 0:
         # One restating answer step per episode, always on track.
         total = sum(count for count, _ in batches)
-        return (total, total, 0, total)
+        return (total, total, 0, total, EngineStats())
     if mode == "none":
         # Every proposal of mode none is its state's first attempt.
         mu = posterior.mu[0] if posterior is not None else params.mu
         parts = [_none_chunk(mu, n, budget, count, rng) for count, rng in batches]
-        successes, len_sum, exhausted, done = map(sum, zip(*parts))
-        return (successes, len_sum, exhausted, done)
+        *counts, stats = zip(*parts)
+        return (*map(sum, counts), sum(stats, EngineStats()))
     beta_lut, bg_lut = _posterior_luts(posterior, params)
     lut_top = len(beta_lut) - 1
     one_minus_f = 1.0 - (posterior.f if posterior is not None else params.f)
@@ -368,29 +406,42 @@ def _mc_chunk(
     sizes = [count for count, _ in batches]  # each batch's rows in the arrays
     live = list(sizes)  # each batch's rows not yet closed
     rows = sum(sizes)
-    depth = np.zeros(rows, dtype=np.int32)
+    # Depths run to n - 1, and n marks a chain with no derailed level.
+    row_dtype = np.min_scalar_type(n)
+    depth = np.zeros(rows, dtype=row_dtype)
     cur_pol = np.ones(rows, dtype=bool)
-    att = np.zeros(rows, dtype=np.int32)
-    proposals = np.zeros(rows, dtype=np.int32)
     if rtbs:
         clip = _stack_clip(m, posterior)
-        att_stack = np.zeros((rows, n), dtype=np.min_scalar_type(clip))
+        stack = np.zeros(rows * n, dtype=np.min_scalar_type(clip))
+        # A count stops at clip (an unlimited root's is clipped as it is
+        # stored), so one more always fits.
+        att = np.zeros(rows, dtype=np.min_scalar_type(clip + 1))
+        # Entry of each row's level 0; rows stay numbered from 0 when compacted.
+        offsets = np.arange(0, rows * n, n)
         # First derailed depth of the row's chain; n while it is on track.
-        derailed_at = np.full(rows, n, dtype=np.int32)
+        derailed_at = np.full(rows, n, dtype=row_dtype)
+    else:
+        att = np.zeros(rows, dtype=np.int32)
     alive = np.ones(rows, dtype=bool)
+    uniforms = np.empty(rows)
 
     successes = 0
     correct_len_sum = 0
     exhausted = 0
     done = 0
+    passes = 0  # the proposal clock
+    batch_passes = row_passes = compactions = pops = budget_hits = 0
 
     while rngs:
         size = depth.shape[0]
-        u = np.empty(size)
+        u = uniforms[:size]
         start = 0
         for rng, k in zip(rngs, sizes):
             rng.random(k, out=u[start : start + k])
             start += k
+        passes += 1
+        batch_passes += len(rngs)
+        row_passes += size
         if lut_top > 0:
             b = beta_lut[np.minimum(att, lut_top)]
             bg = bg_lut[np.minimum(att, lut_top)]
@@ -402,40 +453,39 @@ def _mc_chunk(
         advance = moved & (u < b)
         derail = moved ^ advance
         accepted = moved | (alive & ~cur_pol & (u < one_minus_f))
-        proposals += alive
 
         last_level = depth == (n - 1)
         closing = accepted & last_level  # finishing, successes included
         succ_now = closing & advance
         desc = accepted & ~last_level
-        if rtbs:
-            di = np.flatnonzero(desc)
-            stored = att[di] + 1
-            if root_unlimited:
-                np.minimum(stored, clip, out=stored)
-            att_stack[di, depth[di]] = stored
-        depth += desc
-        cur_pol &= ~derail
-        rejected = alive & ~accepted
         if track_attempts:
-            att *= ~desc
-            att += rejected
+            rejected = alive & ~accepted
+            tried = att + 1
+            if rtbs:
+                if root_unlimited:
+                    np.minimum(tried, clip, out=tried)
+                # Stale wherever the row does not descend.
+                stack[offsets[:size] + depth] = tried
+            att = tried * rejected
+        depth += desc
+        cur_pol ^= derail
         if rtbs:
             # A derailing row was on track: its new depth is the first derailed one.
             dr = np.flatnonzero(derail)
             derailed_at[dr] = depth[dr]
-            over = np.flatnonzero(rejected & (att >= m_eff))
+            over = np.flatnonzero(att >= m_eff)  # only rejecting rows kept a count
             top = depth[over]
             if not root_unlimited:
                 closing[over[top == 0]] = True
             popping = top > 0
             ni = over[popping]
             if ni.size:
+                pops += ni.size
                 if m_eff > 1:
-                    level = _pop_level(att_stack, ni, top[popping], m_eff)
+                    level = _pop_level(stack, n, ni, top[popping], m_eff)
                 else:  # every stored level has spent its one attempt
-                    level = np.zeros(ni.size, dtype=np.int32)
-                restored = att_stack[ni, level]
+                    level = np.zeros(ni.size, dtype=np.intp)
+                restored = stack[ni * n + level]
                 depth[ni] = level
                 att[ni] = restored
                 back_on_track = level < derailed_at[ni]
@@ -444,15 +494,16 @@ def _mc_chunk(
                 if not root_unlimited:  # popped to a root with no attempts left
                     closing[ni[restored >= m_eff]] = True
 
-        out_of_budget = alive & ~closing & (proposals >= budget)
-
         n_succ = int(np.count_nonzero(succ_now))
         successes += n_succ
-        if n_succ:
-            correct_len_sum += int(proposals[succ_now].sum())
-        exhausted += int(np.count_nonzero(out_of_budget))
-        closing |= out_of_budget
+        correct_len_sum += n_succ * passes
         n_closing = int(np.count_nonzero(closing))
+        if passes == budget:
+            # Every live row that is not closing has spent the budget.
+            budget_hits += len(rngs)
+            exhausted += sum(live) - n_closing
+            done += sum(live)
+            break
         if not n_closing:
             continue
         done += n_closing
@@ -466,22 +517,24 @@ def _mc_chunk(
                     keep = np.ones(size, dtype=bool)
                 keep[start : start + k] = alive[start : start + k]
                 sizes[j] = live[j]
+                compactions += int(live[j] > 0)
             start += k
         if keep is not None:
             idx = np.flatnonzero(keep)
             depth = depth[idx]
             cur_pol = cur_pol[idx]
             att = att[idx]
-            proposals = proposals[idx]
             if rtbs:
-                att_stack = att_stack.take(idx, axis=0)
+                # Whole rows move, so every row's levels stay together.
+                stack = stack.reshape(size, n).take(idx, axis=0).reshape(-1)
                 derailed_at = derailed_at[idx]
             alive = alive[idx]
             if not all(live):
                 rngs = [r for r, c in zip(rngs, live) if c]
                 sizes = [k for k in sizes if k]
                 live = [c for c in live if c]
-    return (successes, correct_len_sum, exhausted, done)
+    stats = EngineStats(batch_passes, compactions, row_passes, pops, budget_hits)
+    return (successes, correct_len_sum, exhausted, done, stats)
 
 
 def validate_mode(mode: str, m: Optional[int]) -> None:
@@ -558,6 +611,7 @@ def simulate_accuracy(
         raise ValueError("budget must be >= 1")
     budget = budget if budget is not None else auto_budget(params, n, mode, m)
 
+    stats = None
     if engine == "episode":
         successes, len_sum, exhausted = _episode_engine(
             params, n, mode, m, budget, root_unlimited, episodes, seed
@@ -572,7 +626,7 @@ def simulate_accuracy(
         n_groups = max(workers, -(-len(batches) // per_group))
         groups = [batches[i::n_groups] for i in range(n_groups)]
 
-        def run_group(group: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+        def run_group(group: list[tuple[int, int]]) -> tuple[int, int, int, int, EngineStats]:
             return _mc_chunk(
                 params,
                 n,
@@ -592,6 +646,7 @@ def simulate_accuracy(
         successes = sum(p[0] for p in parts)
         len_sum = sum(p[1] for p in parts)
         exhausted = sum(p[2] for p in parts)
+        stats = sum((p[4] for p in parts), EngineStats())
 
     return SimResult(
         params=params,
@@ -605,6 +660,7 @@ def simulate_accuracy(
         mean_length_correct=(len_sum / successes) if successes else None,
         budget_exhausted=exhausted,
         seed=seed,
+        stats=stats,
     )
 
 

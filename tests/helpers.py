@@ -9,6 +9,8 @@ so that agreement between the two is meaningful.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from reflect_lab.sim import EngineStats
+
 
 def frac_rates(mu: Fraction, em: Fraction, ep: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     alpha = mu * em + (1 - mu) * (1 - ep)
@@ -161,21 +163,25 @@ def mc_batch_reference(
     root_unlimited: bool,
     episodes: int,
     rng,
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int, int, EngineStats]:
     """The vector engine's chain law for one batch, one row at a time.
 
-    Returns (successes, correct_len_sum, exhausted, done).  Each pass draws
-    one uniform per row in row order, closed rows included, until at most
-    three quarters of the rows are live, when the closed rows are dropped.
-    `beta` and `beta_gamma` are per-attempt tables whose last entry is
-    reused; `width` is None for retry-in-place.  A backtracking row keeps an
-    explicit stack of (on_track, attempts) frames and pops them one at a time.
+    Returns (successes, correct_len_sum, exhausted, done, stats), stats as
+    the engine's `EngineStats`.  Each pass draws one uniform per row in row
+    order, closed rows included, until at most three quarters of the rows
+    are live, when the closed rows are dropped.  `beta` and `beta_gamma` are
+    per-attempt tables whose last entry is reused; `width` is None for
+    retry-in-place.  A backtracking row keeps an explicit stack of
+    (on_track, attempts) frames and pops them one at a time.
     """
     rows = [{"depth": 0, "on": True, "att": 0, "props": 0, "frames": []} for _ in range(episodes)]
     live = [True] * episodes
     successes = len_sum = exhausted = done = 0
+    passes = compactions = row_passes = pops = 0
     while any(live):
         draws = rng.random(len(rows))
+        passes += 1
+        row_passes += len(rows)
         for i, row in enumerate(rows):
             if not live[i]:
                 continue
@@ -199,6 +205,8 @@ def mc_batch_reference(
                 row["att"] = 0
             else:
                 row["att"] += 1
+                if width is not None and row["att"] >= width and row["depth"] > 0:
+                    pops += 1
                 while width is not None and row["att"] >= width:
                     if row["depth"] == 0:
                         closed = not root_unlimited
@@ -213,6 +221,8 @@ def mc_batch_reference(
                 done += 1
         count = sum(live)
         if count and count <= 0.75 * len(rows):
+            compactions += 1
             rows = [row for row, keep in zip(rows, live) if keep]
             live = [True] * count
-    return (successes, len_sum, exhausted, done)
+    stats = EngineStats(passes, compactions, row_passes, pops, int(passes == budget))
+    return (successes, len_sum, exhausted, done, stats)

@@ -30,6 +30,7 @@ from reflect_lab.engines import ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
     Disposition,
+    Outcome,
     Query,
     Step,
     SelfVerifying,
@@ -392,6 +393,50 @@ def test_traceback_without_an_accepted_step_is_refused():
         obj["events"][0]["disposition"] = "traceback"
         with pytest.raises(CorpusFormatError, match="event 0: traceback"):
             record_from_json(obj)
+
+
+def test_record_outcomes_are_rederived_from_the_answer():
+    for record in (_mult_rmtp_record(21), _synthetic_rmtp_record(21), _synthetic_rmtp_record(7)):
+        obj = record_to_json(record)
+        flipped = "incorrect" if record.outcome is Outcome.CORRECT else "correct"
+        obj["outcome"] = flipped
+        with pytest.raises(CorpusFormatError, match=f"outcome '{flipped}' disagrees"):
+            record_from_json(obj)
+        obj["outcome"] = "budget_exhausted"
+        with pytest.raises(CorpusFormatError, match="outcome 'budget_exhausted' disagrees"):
+            record_from_json(obj)
+
+
+def test_record_answer_is_the_last_accepted_answer_step():
+    record = _synthetic_rmtp_record(21)
+    assert record.outcome is Outcome.CORRECT
+    obj = record_to_json(record)
+    obj["answer"] = None
+    with pytest.raises(CorpusFormatError, match="answer None is not"):
+        record_from_json(obj)
+    obj = record_to_json(_synthetic_rmtp_record(7))
+    obj["answer"] = {"on_track": True}
+    with pytest.raises(CorpusFormatError, match="is not the last event's"):
+        record_from_json(obj)
+    # An episode ends at its accepted answer.
+    obj = record_to_json(record)
+    obj["events"].append(dict(obj["events"][-1]))
+    with pytest.raises(CorpusFormatError, match="event 3: follows the accepted answer"):
+        record_from_json(obj)
+
+
+def test_unanswered_records_are_never_correct():
+    # Without the answer event the episode has no answer.  Incorrect and
+    # budget-exhausted cannot be told apart: a record carries no budget.
+    obj = record_to_json(_synthetic_rmtp_record(21))
+    del obj["events"][-1]
+    obj["answer"] = None
+    for outcome in ("incorrect", "budget_exhausted"):
+        obj["outcome"] = outcome
+        assert record_from_json(obj).outcome is Outcome(outcome)
+    obj["outcome"] = "correct"
+    with pytest.raises(CorpusFormatError, match="'correct' without an answer"):
+        record_from_json(obj)
 
 
 # --- codec round trips over both tasks ---

@@ -2,10 +2,13 @@
 the closed forms, and agreement between the vectorized and interface-level
 engines."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from helpers import mc_batch_reference
+from helpers import exact_rtbs_success, frac_rates, frac_rmtp, mc_batch_reference
 from reflect_lab import rng as rng_mod
 from reflect_lab import sim
 from reflect_lab.metrics import binomial_zscore
@@ -272,6 +275,45 @@ def test_unlimited_root_past_255_attempts_keeps_its_rate():
     assert got == want
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_deep_chains_where_row_state_widens_match_the_reference(n):
+    # Depths and first derailed depths take the narrowest dtype that holds
+    # n: one byte at n = 255, two at 256.  Most rows of _BASE reach the last
+    # level, and many pop from deep in the stack on the way.
+    assert np.min_scalar_type(n).itemsize == (1 if n == 255 else 2)
+    beta, beta_gamma, one_minus_f = _rate_tables(_BASE, None)
+    for root_unlimited in (False, True):
+        got = sim._mc_chunk(
+            _BASE, n, "rtbs", 2, 4 * n, root_unlimited, [(40, rng_mod.stream(n, 0))], None
+        )
+        want = mc_batch_reference(
+            beta, beta_gamma, one_minus_f, n, 2, 4 * n, root_unlimited, 40,
+            rng_mod.stream(n, 0),
+        )
+        assert got == want, root_unlimited
+        assert got[0] > 0 and got[4].pops > 0, got
+
+
+def test_successes_close_on_the_pass_the_budget_runs_out():
+    # With budget n a success needs every proposal to advance, so it closes
+    # on the very pass every other live row exhausts the budget.
+    beta, beta_gamma, one_minus_f = _rate_tables(_REF, None)
+    n = 3
+    for mode, m, root_unlimited in (
+        ("rmtp", None, False), ("rtbs", 1, True), ("rtbs", 2, False), ("rtbs", 2, True)
+    ):
+        got = sim._mc_chunk(
+            _REF, n, mode, m, n, root_unlimited, [(200, rng_mod.stream(7, 0))], None
+        )
+        want = mc_batch_reference(
+            beta, beta_gamma, one_minus_f, n, m, n, root_unlimited, 200, rng_mod.stream(7, 0)
+        )
+        assert got == want, (mode, m, root_unlimited)
+        successes, len_sum, exhausted, _, stats = got
+        assert successes > 0 and exhausted > 0, (mode, m, root_unlimited)
+        assert len_sum == n * successes and stats.budget_hits == 1
+
+
 def test_pop_level_finds_the_deepest_spare_ancestor():
     # Pops past the window to a spare ancestor are too rare to reach by
     # simulation, so the search is checked on random stacks.  With few spare
@@ -286,8 +328,10 @@ def test_pop_level_finds_the_deepest_spare_ancestor():
             stack = np.where(gen.random((200, n)) < spare_share, gen.integers(0, m, (200, n)), m)
             stack = stack.astype(np.uint8)
             rows = np.sort(gen.choice(200, 120, replace=False))
-            top = gen.integers(1, n + 1, rows.size)
-            got = sim._pop_level(stack, rows, top, m)
+            top = gen.integers(1, n + 1, rows.size).tolist()
+            # The engine's flat stack and its narrow depth dtype.
+            flat_top = np.array(top, dtype=np.min_scalar_type(n))
+            got = sim._pop_level(stack.ravel(), n, rows, flat_top, m)
             want = [max([lv for lv in range(t) if stack[r, lv] < m], default=0) for r, t in zip(rows, top)]
             assert got.tolist() == want, (spare_share, n)
             reads.update(
@@ -331,7 +375,9 @@ def test_a_group_of_batches_equals_its_batches_run_alone(n):
         batches = [(size, rng_mod.stream(n, i)) for i, size in enumerate(sizes)]
         together = sim._mc_chunk(*args, batches, posterior)
         case = (n, mode, m, root_unlimited, posterior is not None, budget)
-        assert together == tuple(map(sum, zip(*alone))), case
+        assert together[:4] == tuple(sum(part[i] for part in alone) for i in range(4)), case
+        # Grouping moves no batch's work either.
+        assert together[4] == sum((part[4] for part in alone), sim.EngineStats()), case
         assert together[3] == sum(sizes), case
         if tight and (mode != "none" or n > 1):
             assert together[2] > 0, case  # the tight budget does exhaust
@@ -342,19 +388,62 @@ def test_thread_count_does_not_change_grouped_results():
     assert sim._batches_per_group(7, "rtbs", 2, None) >= 2
     episodes = 4 * sim._CHUNK + 1000
     results = {
-        (r.successes, r.mean_length_correct, r.budget_exhausted)
+        (r.successes, r.mean_length_correct, r.budget_exhausted, r.stats)
         for r in (
             simulate_accuracy(_REF, 7, "rtbs", episodes, 41, m=2, threads=t) for t in (1, 2, 3)
         )
     }
-    assert len(results) == 1
+    [(*_, stats)] = results
+    assert stats.passes >= 5 and stats.compactions >= 5 and stats.pops > 0
+
+
+class _CountingStream:
+    """A stream that hands out only `random`, noting each call's size and
+    whether it filled a given buffer."""
+
+    def __init__(self, generator, calls):
+        self._generator = generator
+        self._calls = calls
+
+    def random(self, size, out=None):
+        self._calls.append((size, out is not None))
+        return self._generator.random(size, out=out)
+
+
+@pytest.mark.parametrize(
+    "n, mode, m, options",
+    [
+        (6, "none", None, {}),
+        (6, "none", None, {"budget": 4}),
+        (6, "rmtp", None, {}),
+        (6, "rmtp", None, {"posterior": _POST}),
+        (6, "rtbs", 2, {}),
+        (6, "rtbs", 3, {"root_unlimited": True, "budget": 30}),
+        (0, "rtbs", 2, {}),
+    ],
+)
+def test_row_passes_count_every_uniform_drawn(monkeypatch, n, mode, m, options):
+    calls = []
+    original = sim.rng_mod
+
+    def stream(seed, *path):
+        return _CountingStream(original.stream(seed, *path), calls)
+
+    monkeypatch.setattr(sim, "rng_mod", SimpleNamespace(stream=stream))
+    episodes = sim._CHUNK + 500  # two batches
+    r = simulate_accuracy(_REF, n, mode, episodes, 3, m=m, threads=2, **options)
+    assert sum(size for size, _ in calls) == r.stats.row_passes
+    # The loop modes fill slices of one buffer; mode none draws its blocks.
+    assert all(filled == (mode != "none") for _, filled in calls)
+    monkeypatch.setattr(sim, "rng_mod", original)
+    assert simulate_accuracy(_REF, n, mode, episodes, 3, m=m, threads=1, **options) == r
 
 
 @pytest.mark.parametrize("n", [30, 1500, 10_000])
 def test_a_group_holds_no_more_stack_bytes_than_one_int32_and_bool_batch(n):
     # Computed, never run: a batch once kept 5 bytes a level (int32 attempts
-    # and a bool polarity).  A group keeps the stack dtype a level plus an
-    # int32 first derailed depth a row.
+    # and a bool polarity).  A group keeps the stack dtype a level plus a
+    # first derailed depth a row, counted as int32.
     budget = sim._CHUNK * n * 5
     for m, level_bytes in ((2, 1), (255, 1), (256, 2), (70_000, 4)):
         assert np.min_scalar_type(sim._stack_clip(m, None)).itemsize == level_bytes
@@ -416,6 +505,77 @@ def test_interface_engine_agrees_for_backtracking(ref_params):
     theory = rho_rtbs(ref_params, 2, 5)
     ep = simulate_accuracy(ref_params, 5, "rtbs", 20_000, 33, m=2, engine="episode")
     assert abs(binomial_zscore(ep.successes, ep.episodes, theory)) <= 3.0
+
+
+# --- exact enumeration of the vector engine ---
+
+
+class _ScriptEnd(Exception):
+    pass
+
+
+class _ScriptedStream:
+    """A stream whose uniforms are a script; it raises once the script runs out."""
+
+    def __init__(self, script):
+        self._values = iter(script)
+
+    def random(self, size, out):
+        for i in range(size):
+            value = next(self._values, None)
+            if value is None:
+                raise _ScriptEnd
+            out[i] = value
+        return out
+
+
+# The REF point as fractions: mu, e_minus, e_plus, f.
+_REF_FRACTIONS = (Fraction(4, 5), Fraction(3, 10), Fraction(1, 5), Fraction(4, 5))
+
+
+def _enumerate_one_row(n, mode, m, budget):
+    """Exact (success, exhaustion) mass of one capped-root row of the vector
+    engine at the REF point, summed over every decision sequence.
+
+    A one-row batch draws one uniform a pass, and the engine compares it
+    with beta, beta + gamma and 1 - f only, so each draw is branched on the
+    cells of [0, 1) cut there; every value of a cell makes the same
+    decision, and the cell's midpoint stands for it.  A leaf weighs the
+    product of its cells' lengths.
+    """
+    mu, em, ep, f = _REF_FRACTIONS
+    _, beta, gamma = frac_rates(mu, em, ep)
+    cuts = sorted({Fraction(0), beta, beta + gamma, 1 - f, Fraction(1)})
+    cells = [(float((lo + hi) / 2), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    params = SimplifiedParams(*map(float, _REF_FRACTIONS))
+    success = exhaustion = Fraction(0)
+    pending = [((), Fraction(1))]
+    while pending:
+        script, weight = pending.pop()
+        try:
+            got = sim._mc_chunk(
+                params, n, mode, m, budget, False, [(1, _ScriptedStream(script))], None
+            )
+        except _ScriptEnd:
+            pending.extend((script + (value,), weight * length) for value, length in cells)
+            continue
+        success += weight * got[0]
+        exhaustion += weight * got[2]
+    return success, exhaustion
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 1), (1, 3)])
+def test_vector_engine_backtracking_is_exact_at_the_ref_point(n, m):
+    # A capped root ends every episode within the budget of 8.
+    success, exhaustion = _enumerate_one_row(n, "rtbs", m, 8)
+    assert success == exact_rtbs_success(*_REF_FRACTIONS, m, n)
+    assert exhaustion == 0
+
+
+def test_vector_engine_retry_is_exact_up_to_its_budget():
+    success, exhaustion = _enumerate_one_row(2, "rmtp", None, 8)
+    assert exhaustion > 0
+    assert success <= frac_rmtp(*_REF_FRACTIONS[:3], 2) <= success + exhaustion
 
 
 # --- root attempt semantics ---
