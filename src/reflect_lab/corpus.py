@@ -247,6 +247,8 @@ def _query_from_json(obj: dict) -> tuple[TaskHooks, Query]:
     task = TaskName(obj["task"])
     hooks = task_hooks(task)
     tier = DifficultyTier(obj["tier"]) if obj.get("tier") else None
+    if tier is not None and hooks.gen_query is None:
+        raise CorpusFormatError(f"task {task.value!r} has no tiers, got {tier.value!r}")
     return hooks, Query(task, hooks.payload_from_json(obj["query"]), tier)
 
 
@@ -341,13 +343,18 @@ def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]
     """Re-derive each event's state from the query, the accepted steps and
     the tracebacks: an accepted non-answer step moves to its successor and
     keeps its parent, a traceback restores the latest kept parent and undoes
-    the step taken from it.  An event whose stored state or undone step
-    disagrees, or that follows an accepted answer, raises CorpusFormatError."""
+    the step taken from it.  Labels must match what the executor writes: a
+    proposal is rejected exactly when it has a '-' label, a traceback has
+    none, and once a proposal goes unverified (the reflective budget is
+    spent) no later one is verified.  An event whose stored state, undone
+    step or labels disagree, or that follows an accepted answer, raises
+    CorpusFormatError."""
     state = hooks.initial_state(query)
     # (parent state, step taken from it) per accepted link, oldest first.
     parents = []
     events = []
     answered = False
+    unverified = False  # an earlier proposal went unverified
     for index, item in enumerate(items):
         if answered:
             raise CorpusFormatError(f"event {index}: follows the accepted answer")
@@ -367,6 +374,20 @@ def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]
             )
         event = _event_from_json(hooks, state, item)
         step = event.verified.step
+        verification = event.verified.verification
+        if disposition is Disposition.TRACEBACK:
+            if verification.labels:
+                raise CorpusFormatError(f"event {index}: a traceback carries no labels")
+        elif verification.rejected != (disposition is Disposition.REJECTED):
+            raise CorpusFormatError(
+                f"event {index}: {disposition.value} step labelled {item['labels']!r}"
+            )
+        elif verification.labels and unverified:
+            raise CorpusFormatError(
+                f"event {index}: verified after an unverified proposal"
+            )
+        else:
+            unverified = not verification.labels
         if undone is not None and step != undone:
             raise CorpusFormatError(
                 f"event {index}: traceback undoes a step that was not taken"

@@ -14,12 +14,14 @@ numpy and exists purely for throughput; equivalence of the two is pinned by
 tests.  Each batch of the vector engine has its own random stream; a worker
 runs a group of batches in one array and one loop, each batch drawing from
 its own stream and compacting its own rows, so grouping never moves a result.
-A backtracking row keeps one small attempt count per level and the depth of
-its chain's first derailed state (a level is on track exactly when it lies
-above that depth), and pops in one step to its deepest ancestor with
-attempts to spare.  Unless asked otherwise the backtracking mode charges the
-root its m attempts like every other state, which is the convention the
-closed-form curves price in.
+Every mode runs that loop with its own rates; mode none accepts every
+proposal, and an on-track one stays on track with chance mu.  A backtracking
+row keeps one small attempt count per level and the depth of its chain's
+first derailed state (a level is on track exactly when it lies above that
+depth), and pops in one step to its deepest ancestor with attempts to spare.
+Unless asked otherwise the backtracking mode charges the root its m attempts
+like every other state, which is the convention the closed-form curves
+price in.
 """
 
 from __future__ import annotations
@@ -241,47 +243,23 @@ def auto_budget(params: SimplifiedParams, n: int, mode: str, m: Optional[int]) -
     return min(base, 1_000_000)
 
 
-def _posterior_luts(
-    posterior: Optional[PosteriorParams],
-    params: SimplifiedParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-attempt (beta, beta+gamma) lookup tables; length 1 when constant."""
+def _rate_tables(
+    mode: str, params: SimplifiedParams, posterior: Optional[PosteriorParams]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-attempt (beta, beta + gamma) tables, length 1 when constant, and 1 - f.
+
+    Mode none verifies nothing, so every proposal is a first attempt that is
+    accepted: beta = mu, beta + gamma = 1 and 1 - f = 1.
+    """
+    if mode == "none":
+        mu = posterior.mu[0] if posterior is not None else params.mu
+        return np.array([mu]), np.array([1.0]), 1.0
     if posterior is None:
         r = derived_rates(params)
-        return (np.array([r.beta]), np.array([r.beta + r.gamma]))
+        return np.array([r.beta]), np.array([r.beta + r.gamma]), 1.0 - params.f
     beta = np.asarray(posterior.beta, dtype=np.float64)
     gamma = np.asarray(posterior.gamma, dtype=np.float64)
-    return (beta, beta + gamma)
-
-
-# Doubles per draw of the loop-free none mode, so that a chunk at large n
-# draws in bounded blocks.
-_NONE_BLOCK = 1 << 17
-
-
-def _none_chunk(
-    mu: float, n: int, budget: int, episodes: int, rng: np.random.Generator
-) -> tuple[int, int, int, int, EngineStats]:
-    """Mode none of one batch without the loop.
-
-    Every row proposes once per pass and accepts every step, so no row closes
-    before pass min(n, budget): the loop would draw `episodes` uniforms per
-    pass and never compact.  Drawing those passes pass-major in one stream
-    (in blocks) gives the same numbers.  A row succeeds when all n of its
-    draws advance.
-    """
-    passes = min(n, budget)
-    if passes < n:
-        return (0, 0, episodes, episodes, EngineStats(budget_hits=1))
-    on_track = np.ones(episodes, dtype=bool)
-    per_block = max(1, _NONE_BLOCK // episodes)
-    for start in range(0, passes, per_block):
-        k = min(per_block, passes - start)
-        u = rng.random(k * episodes).reshape(k, episodes)
-        on_track &= (u < mu).all(axis=0)
-    successes = int(np.count_nonzero(on_track))
-    stats = EngineStats(passes=n, row_passes=n * episodes, budget_hits=int(budget == n))
-    return (successes, successes * n, 0, episodes, stats)
+    return beta, beta + gamma, 1.0 - posterior.f
 
 
 def _stack_clip(m: Optional[int], posterior: Optional[PosteriorParams]) -> int:
@@ -362,11 +340,12 @@ def _mc_chunk(
 
     Returns (successes, correct_len_sum, exhausted, done, stats) summed over
     the group.  Event-for-event the same chain law as the interface engine:
-    one uniform draw decides each proposal's fate and attempts are tracked
-    per state.  The batches share one array and one loop, but each draws its
-    rows' uniforms from its own stream and compacts its own rows when at most
-    three quarters of them are live, so every batch sees exactly the numbers
-    it would see run alone.
+    one uniform draw decides each proposal's fate against the mode's rates
+    (`_rate_tables`; mode none's are beta = mu, beta + gamma = 1 - f = 1)
+    and attempts are tracked per state.  The batches share one array and one
+    loop, but each draws its rows' uniforms from its own stream and compacts
+    its own rows when at most three quarters of them are live, so every
+    batch sees exactly the numbers it would see run alone.
 
     Every row starts at pass 0 and a live row proposes once per pass, so the
     pass number is each live row's proposal count: the group keeps one
@@ -389,15 +368,8 @@ def _mc_chunk(
         # One restating answer step per episode, always on track.
         total = sum(count for count, _ in batches)
         return (total, total, 0, total, EngineStats())
-    if mode == "none":
-        # Every proposal of mode none is its state's first attempt.
-        mu = posterior.mu[0] if posterior is not None else params.mu
-        parts = [_none_chunk(mu, n, budget, count, rng) for count, rng in batches]
-        *counts, stats = zip(*parts)
-        return (*map(sum, counts), sum(stats, EngineStats()))
-    beta_lut, bg_lut = _posterior_luts(posterior, params)
+    beta_lut, bg_lut, one_minus_f = _rate_tables(mode, params, posterior)
     lut_top = len(beta_lut) - 1
-    one_minus_f = 1.0 - (posterior.f if posterior is not None else params.f)
     track_attempts = mode == "rtbs" or lut_top > 0
     rtbs = mode == "rtbs"
     m_eff = int(m or 1)
@@ -591,7 +563,8 @@ def simulate_accuracy(
     """Estimate the success probability of one executor mode at scale n.
 
     Episodes are split into fixed-size batches, each on its own derived
-    random stream.  The batches are dealt round-robin into one group per
+    random stream.  The run takes one worker per two batches, up to the
+    thread count.  The batches are dealt round-robin into one group per
     worker (more when a group would outgrow `_batches_per_group`), and each
     group runs in one loop; a batch's numbers do not depend on its group, so
     results do not depend on the thread count.  The budget defaults high
@@ -621,7 +594,9 @@ def simulate_accuracy(
             (index, min(_CHUNK, episodes - start))
             for index, start in enumerate(range(0, episodes, _CHUNK))
         ]
-        workers = min(_threads(threads), len(batches))
+        # A worker with less than two batches to run costs more in contention
+        # than it saves.
+        workers = min(_threads(threads), max(1, len(batches) // 2))
         per_group = _batches_per_group(n, mode, m, posterior)
         n_groups = max(workers, -(-len(batches) // per_group))
         groups = [batches[i::n_groups] for i in range(n_groups)]

@@ -58,6 +58,16 @@ _UNITS: tuple[tuple[int, int, int], ...] = tuple(
     (idx // 9, idx % 9, (idx // 27) * 3 + idx % 9 // 3) for idx in range(81)
 )
 
+# The 20 other cells that share a row, column or box with each cell.
+_PEERS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(
+        j
+        for j, (r, c, b) in enumerate(_UNITS)
+        if j != i and (r == row or c == col or b == box)
+    )
+    for i, (row, col, box) in enumerate(_UNITS)
+)
+
 # Used-value bitmasks per row, column and box.
 Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -369,12 +379,8 @@ def verify_binary_sudoku(state: SudokuBoard, step: Step) -> Verification:
     move = step.content
     if not isinstance(move, SudokuMove) or not _fills_well_formed(move):
         return Verification((False,))
-    preserved = all(
-        new == old
-        for old, new in zip(state.cells, move.new_board.cells)
-        if old != 0
-    )
-    return Verification((preserved and consistent(move.new_board),))
+    ok = board_extends(state, move.new_board) and consistent(move.new_board)
+    return Verification((ok,))
 
 
 def sorted_fills(move: SudokuMove) -> tuple[tuple[int, int, int], ...]:
@@ -384,38 +390,23 @@ def sorted_fills(move: SudokuMove) -> tuple[tuple[int, int, int], ...]:
 
 def verify_detailed_sudoku(state: SudokuBoard, step: Step) -> Verification:
     """One label per filled position, row-major: the fill must target a
-    blank of the old board and not collide with any other value in its row,
-    column, or block of the new board."""
+    blank of the old board, hold its value in the new board, and not collide
+    with its value at any peer (a cell of its row, column or block) of the
+    new board."""
     if step.is_answer:
         return verify_binary_sudoku(state, step)
     move = step.content
     if not isinstance(move, SudokuMove) or not _fills_well_formed(move):
         return Verification((False,))
-    new = move.new_board
+    old, new = state.cells, move.new_board.cells
     labels = []
     for row, col, value in sorted_fills(move):
-        ok = state.get(row, col) == 0 and new.get(row, col) == value
-        if ok:
-            for rr in range(9):
-                if rr != row and new.get(rr, col) == value:
-                    ok = False
-                    break
-        if ok:
-            for cc in range(9):
-                if cc != col and new.get(row, cc) == value:
-                    ok = False
-                    break
-        if ok:
-            br, bc = 3 * (row // 3), 3 * (col // 3)
-            for rr in range(br, br + 3):
-                for cc in range(bc, bc + 3):
-                    if (rr, cc) != (row, col) and new.get(rr, cc) == value:
-                        ok = False
-                        break
-                else:
-                    continue
-                break
-        labels.append(ok)
+        idx = row * 9 + col
+        labels.append(
+            old[idx] == 0
+            and new[idx] == value
+            and all(new[peer] != value for peer in _PEERS[idx])
+        )
     return Verification(tuple(labels))
 
 

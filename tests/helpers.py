@@ -124,6 +124,27 @@ def sudoku_no_duplicates(cells: Sequence[int]) -> bool:
     return True
 
 
+def sudoku_detailed_labels_reference(
+    old: Sequence[int], new: Sequence[int], fills: Sequence[tuple[int, int, int]]
+) -> tuple[bool, ...]:
+    """One label per fill, row-major: the fill targets a blank of the old
+    board, the new board holds its value, and no other cell of any of the
+    27 units that contain it holds that value in the new board."""
+    units = [[9 * r + c for c in range(9)] for r in range(9)]
+    units += [[9 * r + c for r in range(9)] for c in range(9)]
+    units += [
+        [9 * (br + i) + bc + j for i in range(3) for j in range(3)]
+        for br in range(0, 9, 3)
+        for bc in range(0, 9, 3)
+    ]
+    labels = []
+    for row, col, value in sorted(fills):
+        idx = 9 * row + col
+        clash = any(new[j] == value for unit in units if idx in unit for j in unit if j != idx)
+        labels.append(old[idx] == 0 and new[idx] == value and not clash)
+    return tuple(labels)
+
+
 def solve_sudoku_reference(cells: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Naive first-blank backtracking solver, values tried in order 1..9."""
     grid = list(cells)

@@ -439,6 +439,55 @@ def test_unanswered_records_are_never_correct():
         record_from_json(obj)
 
 
+def _synthetic_rtbs_record(reflective_budget=32):
+    # Seed 2 at (n, m) = (2, 2): accepted '+', two rejected '-', a
+    # traceback, two rejected '-', then two accepted '+'.
+    return run_rtbs(
+        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticTransition(),
+        Query(TaskName.SYNTHETIC, 2),
+        mode_config("rtbs", 2, reflective_budget, 48),
+        rng_mod.stream(2, 0),
+    )
+
+
+def test_synthetic_rtbs_fixture_has_every_disposition():
+    obj = record_to_json(_synthetic_rtbs_record())
+    assert [(e["disposition"], e["labels"]) for e in obj["events"][:4]] == [
+        ("accepted", "+"), ("rejected", "-"), ("rejected", "-"), ("traceback", ""),
+    ]
+    assert record_from_json(obj) == _synthetic_rtbs_record()
+    # Past a spent reflective budget every proposal is accepted unverified.
+    record = _synthetic_rtbs_record(reflective_budget=1)
+    assert [e.verified.verification.labels for e in record.events][:2] == [(True,), ()]
+    assert record_from_json(record_to_json(record)) == record
+
+
+@pytest.mark.parametrize(
+    "index, labels, message",
+    [
+        (0, "-", "event 0: accepted step labelled '-'"),
+        (1, "+", "event 1: rejected step labelled '\\+'"),
+        (1, "", "event 1: rejected step labelled ''"),
+        (3, "+", "event 3: a traceback carries no labels"),
+        (0, "", "event 1: verified after an unverified proposal"),
+    ],
+    ids=["accepted-minus", "rejected-plus", "rejected-bare", "traceback-plus", "late-verified"],
+)
+def test_labels_the_executor_cannot_write_are_refused(index, labels, message):
+    obj = record_to_json(_synthetic_rtbs_record())
+    obj["events"][index]["labels"] = labels
+    with pytest.raises(CorpusFormatError, match=message):
+        record_from_json(obj)
+
+
+def test_a_tier_on_a_task_without_tiers_is_refused():
+    obj = record_to_json(_synthetic_rtbs_record())
+    obj["tier"] = "id_easy"
+    with pytest.raises(CorpusFormatError, match="task 'synthetic' has no tiers"):
+        record_from_json(obj)
+
+
 # --- codec round trips over both tasks ---
 
 

@@ -227,8 +227,12 @@ def test_both_engines_end_mode_none_at_the_budget():
 # --- grouped batches of the vector engine ---
 
 
-def _rate_tables(params, posterior):
-    """(beta, beta + gamma) per attempt and 1 - f, as the reference takes them."""
+def _rate_tables(params, posterior, mode="rmtp"):
+    """(beta, beta + gamma) per attempt and 1 - f, as the reference takes them.
+
+    Mode none accepts every proposal at its first attempt's mu."""
+    if mode == "none":
+        return [posterior.mu[0] if posterior else params.mu], [1.0], 1.0
     if posterior is None:
         rates = derived_rates(params)
         return [rates.beta], [rates.beta + rates.gamma], 1.0 - params.f
@@ -241,14 +245,20 @@ def test_vector_engine_matches_row_by_row_reference():
     # one at a time; the engine keeps a first derailed depth and pops in one
     # step.  Both see the same uniforms, so every count must agree exactly.
     # At n = 20 some pops start deeper than the pop window, so the window
-    # they read no longer reaches the root.
+    # they read no longer reaches the root.  Mode none runs the same loop
+    # and never retries; below n its budget ends every row.
     seed = 0
     for params, posterior in ((_REF, None), (_ALT, None), (_BASE, _POST)):
-        beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
         for n in (1, 2, 5, 20):
-            for mode, m in (("rmtp", None), ("rtbs", 1), ("rtbs", 2), ("rtbs", 3)):
+            for mode, m in (
+                ("none", None), ("rmtp", None), ("rtbs", 1), ("rtbs", 2), ("rtbs", 3)
+            ):
+                beta, beta_gamma, one_minus_f = _rate_tables(params, posterior, mode)
+                budgets = (2 * n + 1, auto_budget(params, n, mode, m))
+                if mode == "none":
+                    budgets += (max(1, n - 1),)
                 for root_unlimited in (False, True) if mode == "rtbs" else (False,):
-                    for budget in (2 * n + 1, auto_budget(params, n, mode, m)):
+                    for budget in budgets:
                         seed += 1
                         got = sim._mc_chunk(
                             params, n, mode, m, budget, root_unlimited,
@@ -383,18 +393,48 @@ def test_a_group_of_batches_equals_its_batches_run_alone(n):
             assert together[2] > 0, case  # the tight budget does exhaust
 
 
-def test_thread_count_does_not_change_grouped_results():
-    # Five batches; one, two and three workers group them differently.
-    assert sim._batches_per_group(7, "rtbs", 2, None) >= 2
-    episodes = 4 * sim._CHUNK + 1000
-    results = {
-        (r.successes, r.mean_length_correct, r.budget_exhausted, r.stats)
-        for r in (
-            simulate_accuracy(_REF, 7, "rtbs", episodes, 41, m=2, threads=t) for t in (1, 2, 3)
-        )
-    }
+def _spy_on_groups(monkeypatch):
+    """Batches per `_mc_chunk` call, in call order, from here on."""
+    groups = []
+    run_group = sim._mc_chunk
+
+    def spy(*args):
+        groups.append(len(args[6]))
+        return run_group(*args)
+
+    monkeypatch.setattr(sim, "_mc_chunk", spy)
+    return groups
+
+
+def test_thread_count_does_not_change_grouped_results(monkeypatch):
+    # Ten batches, at most four to a group, and one worker per two batches:
+    # one, four and five threads deal them into three, four and five groups.
+    assert sim._batches_per_group(17, "rtbs", 2, None) == 4
+    episodes = 9 * sim._CHUNK + 1000
+    groups = _spy_on_groups(monkeypatch)
+    results = set()
+    group_counts = []
+    for t in (1, 4, 5):
+        groups.clear()
+        r = simulate_accuracy(_REF, 17, "rtbs", episodes, 41, m=2, threads=t)
+        results.add((r.successes, r.mean_length_correct, r.budget_exhausted, r.stats))
+        group_counts.append(len(groups))
+    assert group_counts == [3, 4, 5]
     [(*_, stats)] = results
-    assert stats.passes >= 5 and stats.compactions >= 5 and stats.pops > 0
+    assert stats.passes >= 10 and stats.compactions >= 10 and stats.pops > 0
+
+
+def test_a_worker_runs_at_least_two_batches(monkeypatch):
+    # 40k episodes are two batches: one worker runs both in one group, at
+    # any thread count.  Five batches take two workers.
+    groups = _spy_on_groups(monkeypatch)
+    alone = simulate_accuracy(_REF, 30, "rmtp", 40_000, 3, threads=1)
+    assert groups == [2]
+    assert simulate_accuracy(_REF, 30, "rmtp", 40_000, 3, threads=2) == alone
+    assert groups == [2, 2]
+    groups.clear()
+    simulate_accuracy(_REF, 30, "rmtp", 4 * sim._CHUNK + 1, 3, threads=8)
+    assert sorted(groups) == [2, 3]
 
 
 class _CountingStream:
@@ -433,8 +473,8 @@ def test_row_passes_count_every_uniform_drawn(monkeypatch, n, mode, m, options):
     episodes = sim._CHUNK + 500  # two batches
     r = simulate_accuracy(_REF, n, mode, episodes, 3, m=m, threads=2, **options)
     assert sum(size for size, _ in calls) == r.stats.row_passes
-    # The loop modes fill slices of one buffer; mode none draws its blocks.
-    assert all(filled == (mode != "none") for _, filled in calls)
+    # Every mode fills slices of one buffer.
+    assert all(filled for _, filled in calls)
     monkeypatch.setattr(sim, "rng_mod", original)
     assert simulate_accuracy(_REF, n, mode, episodes, 3, m=m, threads=1, **options) == r
 
@@ -538,14 +578,16 @@ def _enumerate_one_row(n, mode, m, budget):
     engine at the REF point, summed over every decision sequence.
 
     A one-row batch draws one uniform a pass, and the engine compares it
-    with beta, beta + gamma and 1 - f only, so each draw is branched on the
-    cells of [0, 1) cut there; every value of a cell makes the same
-    decision, and the cell's midpoint stands for it.  A leaf weighs the
-    product of its cells' lengths.
+    with beta, beta + gamma and 1 - f only (with mu alone in mode none, as
+    its other two rates are 1), so each draw is branched on the cells of
+    [0, 1) cut there; every value of a cell makes the same decision, and
+    the cell's midpoint stands for it.  A leaf weighs the product of its
+    cells' lengths.
     """
     mu, em, ep, f = _REF_FRACTIONS
     _, beta, gamma = frac_rates(mu, em, ep)
-    cuts = sorted({Fraction(0), beta, beta + gamma, 1 - f, Fraction(1)})
+    thresholds = {mu} if mode == "none" else {beta, beta + gamma, 1 - f}
+    cuts = sorted({Fraction(0), *thresholds, Fraction(1)})
     cells = [(float((lo + hi) / 2), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
     params = SimplifiedParams(*map(float, _REF_FRACTIONS))
     success = exhaustion = Fraction(0)
@@ -570,6 +612,17 @@ def test_vector_engine_backtracking_is_exact_at_the_ref_point(n, m):
     success, exhaustion = _enumerate_one_row(n, "rtbs", m, 8)
     assert success == exact_rtbs_success(*_REF_FRACTIONS, m, n)
     assert exhaustion == 0
+
+
+@pytest.mark.parametrize("budget", [2, 3, 4, 8])
+def test_vector_engine_mode_none_is_exact_at_the_ref_point(budget):
+    # The plain chain: three unverified steps, each on track with chance mu.
+    # Two proposals cannot finish it.
+    success, exhaustion = _enumerate_one_row(3, "none", None, budget)
+    if budget < 3:
+        assert (success, exhaustion) == (0, 1)
+    else:
+        assert (success, exhaustion) == (_REF_FRACTIONS[0] ** 3, 0)
 
 
 def test_vector_engine_retry_is_exact_up_to_its_budget():

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     solve_sudoku_reference,
+    sudoku_detailed_labels_reference,
     sudoku_is_complete_valid,
     sudoku_no_duplicates,
 )
@@ -484,6 +485,45 @@ def test_misfill_localized_by_detailed_verifier():
         assert labels[label_index] is False
         caught += 1
     assert caught > 0
+
+
+def test_detailed_labels_match_the_unit_list_definition():
+    # Honest moves and misfills (with and without a forced clash) along
+    # noisy expert chains from random boards, plus a fill over a given.
+    checked = set()
+    for seed in range(12):
+        rng = rng_mod.stream(27, seed)
+        board = make_puzzle(generate_full_board(rng), int(rng.integers(20, 60)), rng)
+        for _ in range(6):
+            try:
+                step = sudoku_expert_step(board, rng)
+            except DeadEndError:
+                break
+            if step.is_answer:
+                break
+            moves = [step.content]
+            for require_conflict in (False, True):
+                result = misfill(board, step.content, rng, require_conflict=require_conflict)
+                if result is not None:
+                    moves.append(result[0])
+            given = next(i for i, v in enumerate(board.cells) if v)
+            row, col = divmod(given, 9)
+            fills = ((row, col, board.cells[given] % 9 + 1),)
+            moves.append(SudokuMove(fills, True, board.with_fills(fills)))
+            for move in moves:
+                labels = verify_detailed_sudoku(board, Step(move)).labels
+                assert labels == sudoku_detailed_labels_reference(
+                    board.cells, move.new_board.cells, move.fills
+                ), (seed, move.fills)
+                new = move.new_board.cells
+                kept = all(n == o for o, n in zip(board.cells, new) if o)
+                assert verify_binary_sudoku(board, Step(move)).labels == (
+                    kept and sudoku_no_duplicates(new),
+                )
+                checked.update(labels)
+            # Go on from the honest move or a misfill, not the overwrite.
+            board = moves[int(rng.integers(len(moves) - 1))].new_board
+    assert checked == {True, False}
 
 
 def test_misfill_without_conflict_still_breaks_solution():
