@@ -146,29 +146,15 @@ def run_rtbs(
             attempts = 0
             continue
         events.append(Event(state, vstep, Disposition.REJECTED))
-        if not stack:
-            # At the root.  With unlimited root attempts just retry; with a
-            # capped root the episode dies once the cap is reached.
-            if not config.root_unlimited and attempts >= config.rtbs_width:
-                root_exhausted = True
-                break
-            continue
-        if attempts < config.rtbs_width:
-            continue
-        while stack:
-            parent, parent_attempts, parent_step = stack.pop()
-            events.append(
-                Event(parent, VerifiedStep(parent_step), Disposition.TRACEBACK)
-            )
-            state, attempts = parent, parent_attempts
-            if attempts < config.rtbs_width:
-                break
-            if not stack:
-                # Popped back to the root with its attempts spent.
-                if not config.root_unlimited:
-                    root_exhausted = True
-                break
-        if root_exhausted:
+        # A non-root state with its attempts spent hands the rejection up
+        # until an ancestor has one to spare or the root is reached.
+        while attempts >= config.rtbs_width and stack:
+            state, attempts, parent_step = stack.pop()
+            events.append(Event(state, VerifiedStep(parent_step), Disposition.TRACEBACK))
+        # A capped root with its attempts spent, whether it was rejected
+        # itself or popped back to, ends the episode; an unlimited one retries.
+        if attempts >= config.rtbs_width and not config.root_unlimited:
+            root_exhausted = True
             break
     if answer is not None:
         outcome = Outcome.CORRECT if hooks.check_answer(query, answer) else Outcome.INCORRECT

@@ -251,12 +251,10 @@ def _rate_tables(
     Mode none verifies nothing, so every proposal is a first attempt that is
     accepted: beta = mu, beta + gamma = 1 and 1 - f = 1.
     """
-    if mode == "none":
-        mu = posterior.mu[0] if posterior is not None else params.mu
-        return np.array([mu]), np.array([1.0]), 1.0
     if posterior is None:
-        r = derived_rates(params)
-        return np.array([r.beta]), np.array([r.beta + r.gamma]), 1.0 - params.f
+        posterior = PosteriorParams.constant(params)
+    if mode == "none":
+        return np.array([posterior.mu[0]]), np.array([1.0]), 1.0
     beta = np.asarray(posterior.beta, dtype=np.float64)
     gamma = np.asarray(posterior.gamma, dtype=np.float64)
     return beta, beta + gamma, 1.0 - posterior.f

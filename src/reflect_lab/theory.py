@@ -12,11 +12,14 @@ cap m with failures propagating to the parent state.
 Everything here is exact arithmetic on those transition rates: success
 probabilities for the plain, retry-in-place, and backtracking executors,
 the recursion behind the backtracking curve (one `RtbsTable` type, which
-carries the curve itself), asymptotic comparison predicates, expected
-solution length, and per-attempt ("posterior") generalizations where the
-rates depend on how many attempts a state has already consumed.  Retry
-probabilities divide by beta + gamma rather than 1 - alpha, which cancels
-when alpha is close to one.
+carries the curve itself), asymptotic comparison predicates and expected
+solution length.  The rates may depend on how many attempts a state has
+already consumed (`PosteriorParams`, "posterior" rates); constant rates are
+its one-entry table (`PosteriorParams.constant`), so the rates, the retry
+law and the backtracking recursion are each written once, for per-attempt
+tables, and the constant-rate functions call them.  Retry probabilities
+divide by beta + gamma rather than 1 - alpha, which cancels when alpha is
+close to one.
 """
 
 from __future__ import annotations
@@ -72,11 +75,7 @@ class DerivedRates:
 
 
 def derived_rates(params: SimplifiedParams) -> DerivedRates:
-    mu, em, ep = params.mu, params.e_minus, params.e_plus
-    beta = mu * (1.0 - em)
-    gamma = (1.0 - mu) * ep
-    alpha = mu * em + (1.0 - mu) * (1.0 - ep)
-    return DerivedRates(alpha=alpha, beta=beta, gamma=gamma)
+    return DerivedRates(*PosteriorParams.constant(params).at(1))
 
 
 def rho_nonreflective(params: SimplifiedParams, n: int) -> float:
@@ -92,20 +91,14 @@ def rho_rmtp(params: SimplifiedParams, n: int) -> float:
     Each advance is on track with probability beta/(beta + gamma); a single
     accepted derail is unrecoverable.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
-    rates = derived_rates(params)
-    denom = rates.beta + rates.gamma
-    if denom <= 0.0:
+    pparams = PosteriorParams.constant(params)
+    if n > 0 and pparams.beta[0] + pparams.gamma[0] <= 0.0:
         warnings.warn(
             "every proposal is rejected (alpha = 1); the chain never advances",
             RuntimeWarning,
             stacklevel=2,
         )
-        return 0.0
-    return (rates.beta / denom) ** n
+    return posterior_rho_rmtp(pparams, n)
 
 
 def log_rho_rmtp(params: SimplifiedParams, n: int) -> float:
@@ -133,8 +126,9 @@ class RtbsTable:
     """Recursion values for width-m backtracking, indexed by scale 0..n_max.
 
     delta[t]: chance one attempt at an on-track scale-t state fails
-        (instant rejection, or acceptance whose subtree later fails).  With
-        attempt-indexed rates it has one column per attempt.
+        (instant rejection, or acceptance whose subtree later fails), one
+        column per distinct attempt rate: shape (n_max+1, L) with
+        L = min(m, table length), so a constant-rate table has one column.
     epsilon[t]: same for a derailed scale-t state.
     sigma[t]: chance a scale-t state advances on track within its m
         attempts.
@@ -152,22 +146,9 @@ class RtbsTable:
 
 
 def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsTable:
-    """Tabulate the backtracking recursion up to scale n_max."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rates = derived_rates(params)
-    f = params.f
-    delta = np.zeros(n_max + 1)
-    epsilon = np.zeros(n_max + 1)
-    for t in range(1, n_max + 1):
-        phi_prev = delta[t - 1] ** m
-        psi_prev = epsilon[t - 1] ** m
-        delta[t] = rates.alpha + rates.beta * phi_prev + rates.gamma * psi_prev
-        epsilon[t] = f + (1.0 - f) * psi_prev
-    sigma = np.array([rates.beta * _geometric_sum(d, m) for d in delta])
-    return RtbsTable(delta=delta, epsilon=epsilon, sigma=sigma)
+    """Tabulate the backtracking recursion up to scale n_max at constant
+    rates, the one-entry attempt table."""
+    return posterior_rtbs_table(PosteriorParams.constant(params), m, n_max)
 
 
 def rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
@@ -360,6 +341,13 @@ class PosteriorParams:
     def gamma(self) -> tuple[float, ...]:
         return tuple((1.0 - m) * ep for m, ep in zip(self.mu, self.e_plus))
 
+    @classmethod
+    def constant(cls, params: SimplifiedParams) -> PosteriorParams:
+        """The one-entry table: every attempt has the rates of params."""
+        return cls(
+            mu=(params.mu,), e_minus=(params.e_minus,), e_plus=(params.e_plus,), f=params.f
+        )
+
     def at(self, attempt: int) -> tuple[float, float, float]:
         """(alpha, beta, gamma) for 1-based attempt index, tail-extended."""
         i = min(attempt, len(self.mu)) - 1
@@ -393,33 +381,40 @@ def posterior_rho_rmtp(pparams: PosteriorParams, n: int) -> float:
 def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTable:
     """Tabulate the attempt-indexed backtracking recursion up to n_max.
 
-    delta has shape (n_max+1, m): column i-1 is the failure chance of the
-    i-th attempt at an on-track state of that scale.
+    delta has shape (n_max+1, L) with L = min(m, table length): column i-1
+    is the failure chance of the i-th attempt at an on-track state of that
+    scale.  Attempts L..m share the last column, so the m - L + 1 of them
+    enter the subtree failure as one power and sigma as one geometric sum.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    abg = [pparams.at(i) for i in range(1, m + 1)]
+    entries = min(m, len(pparams.mu))
+    tail = m - entries + 1
+    alpha, beta, gamma = (
+        rates[:entries] for rates in (pparams.alpha, pparams.beta, pparams.gamma)
+    )
     f = pparams.f
-    delta = np.zeros((n_max + 1, m))
-    epsilon = np.zeros(n_max + 1)
-    sigma = np.zeros(n_max + 1)
-    sigma[0] = abg[0][1]
-    for t in range(1, n_max + 1):
-        subtree_fail = float(np.prod(delta[t - 1]))
-        psi_prev = epsilon[t - 1] ** m
-        for i in range(m):
-            alpha_i, beta_i, gamma_i = abg[i]
-            delta[t, i] = alpha_i + beta_i * subtree_fail + gamma_i * psi_prev
-        epsilon[t] = f + (1.0 - f) * psi_prev
-        acc = abg[0][1]
-        running = 1.0
-        for j in range(1, m):
-            running *= delta[t, j - 1]
-            acc += abg[j][1] * running
-        sigma[t] = acc
-    return RtbsTable(delta=delta, epsilon=epsilon, sigma=sigma)
+    delta = [[0.0] * entries]
+    epsilon = [0.0]
+    for _ in range(n_max):
+        prev = delta[-1]
+        subtree_fail = math.prod(prev[:-1]) * prev[-1] ** tail
+        psi_prev = epsilon[-1] ** m
+        delta.append(
+            [a + b * subtree_fail + g * psi_prev for a, b, g in zip(alpha, beta, gamma)]
+        )
+        epsilon.append(f + (1.0 - f) * psi_prev)
+    sigma = []
+    for row in delta:
+        acc = 0.0
+        prefix = 1.0  # prod of delta_j over attempts strictly before the current one
+        for d, b in zip(row[:-1], beta):
+            acc += b * prefix
+            prefix *= d
+        sigma.append(acc + prefix * beta[-1] * _geometric_sum(row[-1], tail))
+    return RtbsTable(delta=np.array(delta), epsilon=np.array(epsilon), sigma=np.array(sigma))
 
 
 def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:

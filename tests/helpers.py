@@ -48,7 +48,21 @@ def frac_posterior_rmtp(
 def exact_rtbs_success(
     mu: Fraction, em: Fraction, ep: Fraction, f: Fraction, m: int, n: int
 ) -> Fraction:
-    """Exact success probability of width-m backtracking from scale n.
+    """Exact success probability of width-m backtracking from scale n at
+    constant rates: the one-entry case of `exact_posterior_rtbs_success`."""
+    return exact_posterior_rtbs_success((mu,), (em,), (ep,), f, m, n)
+
+
+def exact_posterior_rtbs_success(
+    mu: Sequence[Fraction],
+    em: Sequence[Fraction],
+    ep: Sequence[Fraction],
+    f: Fraction,
+    m: int,
+    n: int,
+) -> Fraction:
+    """Exact success probability of width-m backtracking from scale n, with
+    attempt-indexed rates at on-track nodes.
 
     Computed by direct recursion on the search semantics (every node,
     the root included, holds m attempts), not via the per-scale advance
@@ -56,9 +70,11 @@ def exact_rtbs_success(
     product form.  For each scale it tracks the chance a fresh node's
     subtree terminates correctly (S), terminates with a wrong accepted
     answer (T), and, for derailed nodes, terminates at all (W); anything
-    else pops back to the parent.
+    else pops back to the parent.  A node with k attempts left spends its
+    attempt m - k + 1, at the rates of entry min(m - k, L - 1) of the L
+    entries; derailed nodes reject at the one rate f.
     """
-    alpha, beta, gamma = frac_rates(mu, em, ep)
+    rates = [frac_rates(*entry) for entry in zip(mu, em, ep)]
     memo: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
 
     def node(t: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -69,7 +85,8 @@ def exact_rtbs_success(
         s_child, t_child, w_child = node(t - 1)
         dead_child = 1 - s_child - t_child
         s = t_ = w = Fraction(0)
-        for _ in range(m):
+        for left in range(1, m + 1):
+            alpha, beta, gamma = rates[min(m - left, len(rates) - 1)]
             s = alpha * s + beta * (s_child + dead_child * s) + gamma * (1 - w_child) * s
             t_ = (
                 alpha * t_

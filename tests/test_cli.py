@@ -413,6 +413,12 @@ PINNED_OUTPUTS = {
          "--episodes", "3000", "--seed", "11", "--threads", "1"],
         "4d1d583d6d4a85a9d2b238578de5308deab773ca1b6fb7c8f907847ed490ac60",
     ),
+    # The closed-form curves at default widths, every float written by repr,
+    # recorded before constant rates became the one-entry attempt table.
+    "theory_curve.csv": (
+        ["theory-curve", *REF_FLAGS],
+        "cfbd4e0bc27044391ebe58ca1c09ed718a868951d743f73b4b8f82eec28b6963",
+    ),
     # Reads the records above back, replaying every state, and asks the
     # solvability oracle about each first attempt.
     "sudoku_rtbs_errors.csv": (
@@ -505,6 +511,10 @@ PINNED_MANIFESTS = {
         "command": "simulate", "mu": 0.8, "e_minus": 0.3, "e_plus": 0.2, "f": 0.8,
         "budget": None, "engine": "vector", "episodes": 3000, "m": 2, "mode": "rtbs",
         "n": 6, "root_unlimited": False, "seed": 11, "threads": 1,
+    },
+    "theory_curve.csv": {
+        "command": "theory-curve", "mu": 0.8, "e_minus": 0.3, "e_plus": 0.2, "f": 0.8,
+        "m": [1, 2, 4, 16, 64], "n": 30,
     },
     "sudoku_rtbs_errors.csv": {
         "command": "estimate-errors", "oracle": "truth", "records": "sudoku_rtbs.jsonl",

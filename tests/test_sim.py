@@ -710,9 +710,7 @@ def test_crossover_scan_no_crossover(ref_params):
 
 def test_constant_posterior_reproduces_plain_run(ref_params):
     plain = simulate_accuracy(ref_params, 6, "rmtp", 30_000, 21, threads=1)
-    const = PosteriorParams(
-        mu=(ref_params.mu,), e_minus=(ref_params.e_minus,), e_plus=(ref_params.e_plus,), f=ref_params.f
-    )
+    const = PosteriorParams.constant(ref_params)
     post = simulate_accuracy(ref_params, 6, "rmtp", 30_000, 21, threads=1, posterior=const)
     assert post.successes == plain.successes  # identical draws, identical path
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_rtbs_success, frac_posterior_rmtp, frac_rates, frac_rmtp
+from helpers import (
+    exact_posterior_rtbs_success,
+    exact_rtbs_success,
+    frac_posterior_rmtp,
+    frac_rates,
+    frac_rmtp,
+)
 from reflect_lab.theory import (
     PosteriorParams,
     SimplifiedParams,
@@ -132,7 +138,7 @@ def test_log_rho_rmtp_consistent(ref_params):
 def test_rtbs_table_frozen_values(ref_params):
     # Exact rationals for the first three scales at the reference point.
     t2 = rtbs_table(ref_params, 2, 3)
-    assert list(t2.delta[1:4]) == pytest.approx([0.4, 0.5152, 0.5830887424], rel=1e-14)
+    assert list(t2.delta[1:4, 0]) == pytest.approx([0.4, 0.5152, 0.5830887424], rel=1e-14)
     assert list(t2.epsilon[1:4]) == pytest.approx([0.8, 0.928, 0.9722368], rel=1e-14)
     assert list(t2.sigma[1:4]) == pytest.approx(
         [0.784, 0.848512, 0.886529695744], rel=1e-14
@@ -141,7 +147,7 @@ def test_rtbs_table_frozen_values(ref_params):
     assert list(t2.rho) == [rho_rtbs(ref_params, 2, k) for k in range(4)]
 
     t4 = rtbs_table(ref_params, 4, 3)
-    assert t4.delta[3] == pytest.approx(0.44347168564758915, rel=1e-14)
+    assert t4.delta[3, 0] == pytest.approx(0.44347168564758915, rel=1e-14)
     assert list(t4.sigma[1:4]) == pytest.approx(
         [0.90944, 0.9498421920451788, 0.9673188716348063], rel=1e-14
     )
@@ -181,12 +187,14 @@ def test_width_one_collapses_to_single_try_chain(ref_params):
 @given(param_tuple(), st.integers(min_value=1, max_value=8))
 def test_recursion_values_are_probabilities_and_monotone(params, m):
     table = rtbs_table(params, m, 12)
-    for name in ("delta", "epsilon", "sigma"):
-        values = getattr(table, name)
+    # Constant rates are the one-entry table: delta has a single column.
+    assert table.delta.shape == (13, 1)
+    delta = table.delta[:, 0]
+    for values in (delta, table.epsilon, table.sigma):
         assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in values)
     # Deeper subtrees only get harder, so both failure rates grow with scale.
     for t in range(1, 12):
-        assert table.delta[t + 1] >= table.delta[t] - 1e-12
+        assert delta[t + 1] >= delta[t] - 1e-12
         assert table.epsilon[t + 1] >= table.epsilon[t] - 1e-12
 
 
@@ -216,6 +224,18 @@ def test_rtbs_beats_rmtp_predicate(ref_params):
     assert not rtbs_asymptotically_beats_rmtp(ref_params, 1)
     weak_reject = SimplifiedParams(0.8, 0.3, 0.2, 0.3)  # f < alpha
     assert not rtbs_asymptotically_beats_rmtp(weak_reject, 8)
+
+
+def test_rtbs_beats_rmtp_predicate_at_an_integer_retry_count():
+    # alpha = 1/2 exactly, so the mean retry count 1/(1 - alpha) is 2 and a
+    # width of exactly 2 does not beat retry-in-place; the curves agree.
+    params = SimplifiedParams(0.5, 0.5, 0.5, 0.9)
+    assert derived_rates(params).alpha == 0.5
+    assert not rtbs_asymptotically_beats_rmtp(params, 2)
+    assert rtbs_asymptotically_beats_rmtp(params, 3)
+    for n in (10, 100, 1000):
+        assert 0.0 < rho_rtbs(params, 2, n) <= rho_rmtp(params, n)
+        assert rho_rtbs(params, 3, n) > rho_rmtp(params, n)
 
 
 def test_predicate_agrees_with_deep_curves(ref_params):
@@ -307,18 +327,9 @@ def test_epsilon_recursion_converges_to_fixed_point(f, m):
 # --- attempt-indexed rates ---
 
 
-def constant_posterior(params: SimplifiedParams) -> PosteriorParams:
-    return PosteriorParams(
-        mu=(params.mu,),
-        e_minus=(params.e_minus,),
-        e_plus=(params.e_plus,),
-        f=params.f,
-    )
-
-
 @given(param_tuple(), st.integers(min_value=0, max_value=20))
 def test_constant_posterior_recovers_simplified_rmtp(params, n):
-    assert posterior_rho_rmtp(constant_posterior(params), n) == rho_rmtp(params, n)
+    assert posterior_rho_rmtp(PosteriorParams.constant(params), n) == rho_rmtp(params, n)
 
 
 @pytest.mark.parametrize(
@@ -340,12 +351,33 @@ def test_posterior_rmtp_sums_the_retry_series_exactly(mu, e_minus, e_plus):
 @given(param_tuple(), st.integers(min_value=1, max_value=6))
 def test_constant_posterior_recovers_simplified_rtbs(params, m):
     simplified = rtbs_table(params, m, 8)
-    posterior = posterior_rtbs_table(constant_posterior(params), m, 8)
+    posterior = posterior_rtbs_table(PosteriorParams.constant(params), m, 8)
     for t in range(9):
         assert posterior.sigma[t] == pytest.approx(float(simplified.sigma[t]), rel=1e-11, abs=1e-14)
         assert posterior.epsilon[t] == pytest.approx(float(simplified.epsilon[t]), rel=1e-11, abs=1e-14)
         assert simplified.rho[t] == rho_rtbs(params, m, t)
         assert posterior.rho[t] == float(np.prod(posterior.sigma[1 : t + 1]))
+
+
+@pytest.mark.parametrize(
+    "mu, e_minus, e_plus",
+    [
+        ((0.8,), (0.3,), (0.2,)),  # one entry
+        ((0.9, 0.6), (0.1, 0.2), (0.05, 0.1)),
+        ((0.9, 0.7, 0.5), (0.1, 0.2, 0.3), (0.05, 0.1, 0.2)),
+    ],
+    ids=["L1", "L2", "L3"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_posterior_rtbs_matches_exact_search_semantics(mu, e_minus, e_plus, m):
+    # m = 1 and 2 cut a longer table short; m = 5 runs past every table, so
+    # its last m - L + 1 attempts share the final entry.
+    pparams = PosteriorParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=0.6)
+    exact = [[Fraction(v) for v in seq] for seq in (mu, e_minus, e_plus)]
+    rho = posterior_rtbs_table(pparams, m, 5).rho
+    for n in range(6):
+        oracle = exact_posterior_rtbs_success(*exact, Fraction(0.6), m, n)
+        assert rho[n] == pytest.approx(float(oracle), rel=1e-12)
 
 
 def test_posterior_tail_extension():
