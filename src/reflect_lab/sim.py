@@ -16,9 +16,10 @@ runs a group of batches in one array and one loop, each batch drawing from
 its own stream and compacting its own rows, so grouping never moves a result.
 Every mode runs that loop with its own rates; mode none accepts every
 proposal, and an on-track one stays on track with chance mu.  A backtracking
-row keeps one small attempt count per level and the depth of its chain's
-first derailed state (a level is on track exactly when it lies above that
-depth), and pops in one step to its deepest ancestor with attempts to spare.
+row keeps one small code per level (an attempt count, or a link past a
+spent level), its deepest ancestor with attempts to spare, and the depth of
+its chain's first derailed state (a level is on track exactly when it lies
+above that depth), and pops in one step to that ancestor.
 Unless asked otherwise the backtracking mode charges the root its m attempts
 like every other state, which is the convention the closed-form curves
 price in.
@@ -270,58 +271,74 @@ def _stack_clip(m: Optional[int], posterior: Optional[PosteriorParams]) -> int:
     return max(int(m or 1), len(posterior.mu) - 1 if posterior is not None else 0)
 
 
+def _stack_dtype(n: int, m: Optional[int], posterior: Optional[PosteriorParams]) -> np.dtype:
+    """Narrowest unsigned dtype of a level of the rtbs stack at scale n.
+
+    A level holds an attempt count up to `_stack_clip`, or, once spent, m
+    plus a level below it: at most m + n - 2, since the deepest level the
+    engine writes is n - 1.
+    """
+    return np.min_scalar_type(max(_stack_clip(m, posterior), int(m or 1) + n - 2))
+
+
 def _batches_per_group(
     n: int, mode: str, m: Optional[int], posterior: Optional[PosteriorParams]
 ) -> int:
     """Most batches one worker runs together in one array.
 
     A batch of _CHUNK rows once kept an int32 attempt count and a bool
-    polarity per level of its rtbs stack: 5n bytes a row.  A group keeps the
-    smallest unsigned attempt count per level plus a first-derailed depth a
-    row, counted here as int32 (it is narrower below n = 2**16), and holds
-    no more of those bytes than that batch did.  Modes without a stack hold
-    no more rows than an rtbs group of width <= 255.
+    polarity per level of its rtbs stack: 5n bytes a row.  A group keeps a
+    `_stack_dtype` level plus a first-derailed depth a row, counted here as
+    int32 (it is narrower below n = 2**16), and holds no more of those bytes
+    than that batch did.  Modes without a stack hold no more rows than an
+    rtbs group of one-byte levels.
     """
     level_bytes = 1
     if mode == "rtbs":
-        level_bytes = np.min_scalar_type(_stack_clip(m, posterior)).itemsize
+        level_bytes = _stack_dtype(n, m, posterior).itemsize
     return max(1, 5 * n // (n * level_bytes + 4))
 
 
-# Levels below the parent that a pop reads next, when the parent has no
-# attempt to spare: most pops are short, and reading the whole stack would
-# make each one cost O(n).
-_POP_WINDOW = 16
+def _stack_write(
+    stack: np.ndarray,
+    offsets: np.ndarray,
+    depth: np.ndarray,
+    tried: np.ndarray,
+    spare: np.ndarray,
+    desc: np.ndarray,
+    m: int,
+) -> None:
+    """Write each row's level code at its depth; update `spare` in place.
 
-
-def _pop_level(
-    stack: np.ndarray, n: int, rows: np.ndarray, top: np.ndarray, m: int
-) -> np.ndarray:
-    """Deepest level above each row's `top` with fewer than m attempts, else 0.
-
-    `stack` is the flat attempt stack of `_mc_chunk`: level l of row r is
-    entry r * n + l.  Entries at depth `top` and deeper are stale and never
-    read.  The parent level, `top - 1`, is read first and taken wherever it
-    has an attempt to spare.  Only the other rows read the _POP_WINDOW
-    levels below their parent, and only rows with no spare level there read
-    the rest of their stack.
+    `spare` is each row's deepest ancestor level with an attempt to spare,
+    or 0 when it has none.  A level that has tried fewer than m attempts
+    stores its count; a spent one stores m plus its row's `spare`, a link
+    past the spent levels below it.  The root's `spare` is 0, so it stores
+    its count, which under an unlimited root may exceed m.  A row that
+    descends (`desc`) from a level with attempts left makes that level its
+    `spare`.  `offsets` holds each row's level-0 entry.
     """
-    base = rows * n
-    level = top.astype(np.intp) - 1
-    up = np.flatnonzero((stack[base + level] >= m) & (level > 0))
-    if up.size:
-        base, parent = base[up], level[up]
-        lo = np.maximum(parent - _POP_WINDOW, 0)
-        levels = lo[:, None] + np.arange(min(_POP_WINDOW, n - 1))
-        spare = (stack[base[:, None] + levels] < m) & (levels < parent[:, None])
-        found = (spare * levels).max(axis=1)
-        far = np.flatnonzero((found == 0) & (lo > 0))
-        if far.size:
-            levels = np.arange(int(lo[far].max()))
-            spare = (stack[base[far, None] + levels] < m) & (levels < lo[far, None])
-            found[far] = (spare * levels).max(axis=1)
-        level[up] = found
-    return level
+    spent = tried >= m
+    stack[offsets + depth] = np.add(tried, spare * spent, dtype=stack.dtype)
+    np.maximum(spare, depth * (desc > spent), out=spare)
+
+
+def _stack_pop(
+    stack: np.ndarray, n: int, rows: np.ndarray, spare: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(level, restored count, next spare) of rows that spent their attempts.
+
+    Each row pops to its `spare` level, the root when it has none, and
+    restores that level's count.  Its next `spare` is the level below,
+    when that level has attempts left, or else the link stored there; 0
+    from levels 0 and 1.  Level l of row r is stack entry r * n + l.
+    """
+    level = spare[rows]
+    at = rows * n + level
+    # At level 0 this reads another row's entry (or the last one): unused.
+    link = stack[at - 1]
+    below = np.where(link < m, level - 1, link - m) * (level > 1)
+    return level, stack[at], below
 
 
 def _mc_chunk(
@@ -352,15 +369,18 @@ def _mc_chunk(
     Derailed states only have derailed children, so a level is on track
     exactly when it lies above the chain's first derailed depth: one int per
     row replaces a polarity stack.  The attempt stack is one flat array,
-    level l of row r at entry r * n + l.  Each pass every row writes its
-    attempts so far plus one at its own depth; that entry becomes a level of
-    the row's chain only when the row descends, and entries at the row's
-    depth and deeper are stale and never read.  A row that spends its
-    attempts at a state pops in one step to its deepest ancestor with
-    attempts to spare, or to the root when none has any.  The pop reads the
-    parent level first, then the _POP_WINDOW levels below it, then the rest
-    of the stack (`_pop_level`); at width 1 no stored level has an attempt
-    to spare, so every pop goes to the root without reading the stack.
+    level l of row r at entry r * n + l, of `_stack_dtype`.  Each pass every
+    row writes the code of its attempts so far plus one at its own depth
+    (`_stack_write`); that entry becomes a level of the row's chain only
+    when the row descends, and entries at the row's depth and deeper are
+    stale and never read.  A spare level's code is its count, and a spent
+    level's is m plus the deepest spare level below it; each row also keeps
+    its deepest spare ancestor.  Links point only downward, and a level
+    below a row's depth is not rewritten while the row stays above it, so
+    every link the row reads is still true.  A row that spends its attempts
+    pops in one step to its deepest spare ancestor, or to the root when it
+    has none, and follows one link to the next (`_stack_pop`); a capped
+    root with no attempt left closes the row.
     """
     if n == 0:
         # One restating answer step per episode, always on track.
@@ -382,7 +402,7 @@ def _mc_chunk(
     cur_pol = np.ones(rows, dtype=bool)
     if rtbs:
         clip = _stack_clip(m, posterior)
-        stack = np.zeros(rows * n, dtype=np.min_scalar_type(clip))
+        stack = np.zeros(rows * n, dtype=_stack_dtype(n, m, posterior))
         # A count stops at clip (an unlimited root's is clipped as it is
         # stored), so one more always fits.
         att = np.zeros(rows, dtype=np.min_scalar_type(clip + 1))
@@ -390,6 +410,8 @@ def _mc_chunk(
         offsets = np.arange(0, rows * n, n)
         # First derailed depth of the row's chain; n while it is on track.
         derailed_at = np.full(rows, n, dtype=row_dtype)
+        # Deepest ancestor level with an attempt to spare; 0 when none has one.
+        spare = np.zeros(rows, dtype=row_dtype)
     else:
         att = np.zeros(rows, dtype=np.int32)
     alive = np.ones(rows, dtype=bool)
@@ -422,47 +444,39 @@ def _mc_chunk(
         moved = on_track & (u < bg)  # advances or derails
         advance = moved & (u < b)
         derail = moved ^ advance
-        accepted = moved | (alive & ~cur_pol & (u < one_minus_f))
+        # alive ^ on_track: the live rows off track.
+        accepted = moved | ((alive ^ on_track) & (u < one_minus_f))
 
         last_level = depth == (n - 1)
         closing = accepted & last_level  # finishing, successes included
         succ_now = closing & advance
-        desc = accepted & ~last_level
+        desc = accepted > last_level
         if track_attempts:
-            rejected = alive & ~accepted
+            rejected = alive > accepted
             tried = att + 1
             if rtbs:
                 if root_unlimited:
                     np.minimum(tried, clip, out=tried)
                 # Stale wherever the row does not descend.
-                stack[offsets[:size] + depth] = tried
+                _stack_write(stack, offsets[:size], depth, tried, spare, desc, m_eff)
             att = tried * rejected
         depth += desc
         cur_pol ^= derail
         if rtbs:
             # A derailing row was on track: its new depth is the first derailed one.
-            dr = np.flatnonzero(derail)
+            dr = derail.nonzero()[0]
             derailed_at[dr] = depth[dr]
-            over = np.flatnonzero(att >= m_eff)  # only rejecting rows kept a count
-            top = depth[over]
-            if not root_unlimited:
-                closing[over[top == 0]] = True
-            popping = top > 0
-            ni = over[popping]
-            if ni.size:
-                pops += ni.size
-                if m_eff > 1:
-                    level = _pop_level(stack, n, ni, top[popping], m_eff)
-                else:  # every stored level has spent its one attempt
-                    level = np.zeros(ni.size, dtype=np.intp)
-                restored = stack[ni * n + level]
-                depth[ni] = level
-                att[ni] = restored
-                back_on_track = level < derailed_at[ni]
-                cur_pol[ni] = back_on_track
-                derailed_at[ni[back_on_track]] = n  # no derailed level is left
-                if not root_unlimited:  # popped to a root with no attempts left
-                    closing[ni[restored >= m_eff]] = True
+            over = (att >= m_eff).nonzero()[0]  # only rejecting rows kept a count
+            if over.size:
+                pops += int(np.count_nonzero(depth[over]))  # rows above the root
+                level, restored, spare[over] = _stack_pop(stack, n, over, spare, m_eff)
+                depth[over] = level
+                att[over] = restored
+                back_on_track = level < derailed_at[over]
+                cur_pol[over] = back_on_track
+                derailed_at[over[back_on_track]] = n  # no derailed level is left
+                if not root_unlimited:  # back at a root with no attempts left
+                    closing[over[restored >= m_eff]] = True
 
         n_succ = int(np.count_nonzero(succ_now))
         successes += n_succ
@@ -477,7 +491,7 @@ def _mc_chunk(
         if not n_closing:
             continue
         done += n_closing
-        alive &= ~closing
+        alive ^= closing
         keep = None
         start = 0
         for j, k in enumerate(sizes):
@@ -490,7 +504,7 @@ def _mc_chunk(
                 compactions += int(live[j] > 0)
             start += k
         if keep is not None:
-            idx = np.flatnonzero(keep)
+            idx = keep.nonzero()[0]
             depth = depth[idx]
             cur_pol = cur_pol[idx]
             att = att[idx]
@@ -498,6 +512,7 @@ def _mc_chunk(
                 # Whole rows move, so every row's levels stay together.
                 stack = stack.reshape(size, n).take(idx, axis=0).reshape(-1)
                 derailed_at = derailed_at[idx]
+                spare = spare[idx]
             alive = alive[idx]
             if not all(live):
                 rngs = [r for r, c in zip(rngs, live) if c]

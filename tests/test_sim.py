@@ -67,6 +67,22 @@ def test_auto_budget_shapes(ref_params):
     assert auto_budget(ref_params, 10, "rtbs", 10_000) <= 1_000_000
 
 
+def test_auto_budget_pins(ref_params):
+    # Worked from int(48 + 8 n (retry_pos + retry_neg)), times min(m, 64) for
+    # rtbs, at most 1e6.  At REF alpha = 0.8 * 0.3 + 0.2 * 0.8 = 0.4, so
+    # retry_pos = 1 / 0.6 and retry_neg = 1 / 0.2: 48 + 80 * 20 / 3 = 581.33.
+    assert auto_budget(ref_params, 10, "rmtp", None) == 581
+    assert auto_budget(ref_params, 10, "rtbs", 4) == 4 * 581
+    # alpha = 1: retry_pos = 1 / 0.01 = 100 on the floor; retry_neg = 2.
+    # 48 + 8 * 102 = 864.
+    assert auto_budget(SimplifiedParams(1.0, 1.0, 0.0, 0.5), 1, "rmtp", None) == 864
+    # f = 1: retry_neg = 100 on the floor; alpha = 0.5, retry_pos = 2.
+    # 48 + 16 * 102 = 1680.
+    assert auto_budget(SimplifiedParams(0.5, 0.5, 0.5, 1.0), 2, "rmtp", None) == 1680
+    # 4 * int(48 + 80_000 * 20 / 3) = 2_133_524, capped.
+    assert auto_budget(ref_params, 10_000, "rtbs", 4) == 1_000_000
+
+
 def test_simulate_accuracy_argument_validation(ref_params):
     with pytest.raises(ValueError):
         simulate_accuracy(ref_params, 3, "bogus", 10, 0)
@@ -243,10 +259,9 @@ def _rate_tables(params, posterior, mode="rmtp"):
 def test_vector_engine_matches_row_by_row_reference():
     # The reference keeps explicit (on_track, attempts) frames and pops them
     # one at a time; the engine keeps a first derailed depth and pops in one
-    # step.  Both see the same uniforms, so every count must agree exactly.
-    # At n = 20 some pops start deeper than the pop window, so the window
-    # they read no longer reaches the root.  Mode none runs the same loop
-    # and never retries; below n its budget ends every row.
+    # step along its stack's links.  Both see the same uniforms, so every
+    # count must agree exactly.  Mode none runs the same loop and never
+    # retries; below n its budget ends every row.
     seed = 0
     for params, posterior in ((_REF, None), (_ALT, None), (_BASE, _POST)):
         for n in (1, 2, 5, 20):
@@ -283,6 +298,28 @@ def test_unlimited_root_past_255_attempts_keeps_its_rate():
         beta, beta_gamma, one_minus_f, 3, 1, 1500, True, 300, rng_mod.stream(5, 0)
     )
     assert got == want
+
+
+def test_a_two_byte_stack_under_one_byte_rows_matches_the_reference():
+    # At n = 255 and m = 4 depths and attempt counts fit one byte while the
+    # stack takes two: a spent level stores m plus a level below it, up to
+    # m + n - 2 = 257.  Every pass mixes the two widths.
+    n, m = 255, 4
+    assert np.min_scalar_type(n).itemsize == 1
+    assert sim._stack_dtype(n, m, None).itemsize == 2
+    for params, posterior in ((_BASE, None), (_BASE, _POST)):
+        beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
+        for root_unlimited in (False, True):
+            got = sim._mc_chunk(
+                params, n, "rtbs", m, 4 * n, root_unlimited, [(40, rng_mod.stream(n, 1))],
+                posterior,
+            )
+            want = mc_batch_reference(
+                beta, beta_gamma, one_minus_f, n, m, 4 * n, root_unlimited, 40,
+                rng_mod.stream(n, 1),
+            )
+            assert got == want, (posterior is not None, root_unlimited)
+            assert got[4].pops > 0
 
 
 @pytest.mark.parametrize("n", [255, 256])
@@ -324,31 +361,53 @@ def test_successes_close_on_the_pass_the_budget_runs_out():
         assert len_sum == n * successes and stats.budget_hits == 1
 
 
-def test_pop_level_finds_the_deepest_spare_ancestor():
-    # Pops past the window to a spare ancestor are too rare to reach by
-    # simulation, so the search is checked on random stacks.  With few spare
-    # levels most pops read the window or the rest of the stack; with half
-    # of them spare most stop at the parent.
+def test_linked_pop_finds_the_deepest_spare_ancestor():
+    # Pops far below the parent are too rare to reach by simulation, so the
+    # linked stack is checked on random chains: each row's level counts are
+    # pushed one level a pass, as the engine writes them, and every top is
+    # popped against a scan of the counts.  A level is spare with fewer than
+    # m attempts; the root is the fallback, and an unlimited root may have
+    # tried more than m.  At n = 255 links reach 256 - m, past one byte.
     gen = np.random.default_rng(3)
-    m = 3
-    window = sim._POP_WINDOW
-    reads = set()
-    for spare_share in (0.04, 0.5):
-        for n in (1, 5, window, window + 1, 40, 100):
-            stack = np.where(gen.random((200, n)) < spare_share, gen.integers(0, m, (200, n)), m)
-            stack = stack.astype(np.uint8)
-            rows = np.sort(gen.choice(200, 120, replace=False))
-            top = gen.integers(1, n + 1, rows.size).tolist()
-            # The engine's flat stack and its narrow depth dtype.
-            flat_top = np.array(top, dtype=np.min_scalar_type(n))
-            got = sim._pop_level(stack.ravel(), n, rows, flat_top, m)
-            want = [max([lv for lv in range(t) if stack[r, lv] < m], default=0) for r, t in zip(rows, top)]
-            assert got.tolist() == want, (spare_share, n)
-            reads.update(
-                "parent" if lv == t - 1 else "window" if lv >= t - 1 - window else "far"
-                for lv, t in zip(want, top)
-            )
-    assert reads == {"parent", "window", "far"}
+    rows = 60
+    far = False
+    for n, m, spare_share, root_unlimited in (
+        (1, 3, 0.5, False), (2, 1, 0.0, True), (5, 3, 0.5, True), (40, 2, 0.04, False),
+        (100, 3, 0.04, True), (100, 4, 0.5, False), (255, 4, 0.5, False),
+        (255, 16, 0.5, True),
+    ):
+        # A longer rate table clips an unlimited root's count past m.
+        posterior = PosteriorParams((0.5,) * (m + 3), (0.1,) * (m + 3), (0.1,) * (m + 3), 0.5)
+        clip = sim._stack_clip(m, posterior)
+        spare_counts = gen.integers(1, max(m, 2), (rows, n))  # all m at m = 1
+        counts = np.where(gen.random((rows, n)) < spare_share, spare_counts, m)
+        counts[:, 0] = gen.integers(1, (clip if root_unlimited else m) + 1, rows)
+        stack = np.zeros(rows * n, dtype=sim._stack_dtype(n, m, posterior))
+        row_dtype = np.min_scalar_type(n)
+        spare = np.zeros(rows, dtype=row_dtype)
+        offsets = np.arange(0, rows * n, n)
+        ids = np.arange(rows)
+        registers = []  # each row's spare register at top = depth + 1
+        for depth in range(n):
+            tried = counts[:, depth].astype(np.min_scalar_type(clip + 1))
+            level = np.full(rows, depth, dtype=row_dtype)
+            sim._stack_write(stack, offsets, level, tried, spare, np.ones(rows, bool), m)
+            registers.append(spare.copy())
+        if n == 255:
+            assert stack.dtype.itemsize == 2 and stack.max() >= 256, m
+        # Scanned: every spare level above the root, else 0.
+        levels = np.arange(n)
+        spare_levels = np.where(counts < m, levels, 0)
+        spare_levels[:, 0] = 0
+        for top in range(1, n + 1):
+            level, restored, below = sim._stack_pop(stack, n, ids, registers[top - 1], m)
+            want = np.where(levels < top, spare_levels, 0).max(axis=1)
+            assert level.tolist() == want.tolist(), (n, m, top)
+            assert restored.tolist() == counts[ids, want].tolist(), (n, m, top)
+            want_below = np.where(levels < want[:, None], spare_levels, 0).max(axis=1)
+            assert below.tolist() == want_below.tolist(), (n, m, top)
+            far |= bool(np.any((want > 0) & (want < top - 17)))
+    assert far
 
 
 # (params, mode, m, root_unlimited, posterior, tight budget)
@@ -483,14 +542,15 @@ def test_row_passes_count_every_uniform_drawn(monkeypatch, n, mode, m, options):
 def test_a_group_holds_no_more_stack_bytes_than_one_int32_and_bool_batch(n):
     # Computed, never run: a batch once kept 5 bytes a level (int32 attempts
     # and a bool polarity).  A group keeps the stack dtype a level plus a
-    # first derailed depth a row, counted as int32.
+    # first derailed depth a row, counted as int32.  A level holds up to
+    # m + n - 2, so past n = 255 even m = 2 takes two bytes.
     budget = sim._CHUNK * n * 5
-    for m, level_bytes in ((2, 1), (255, 1), (256, 2), (70_000, 4)):
-        assert np.min_scalar_type(sim._stack_clip(m, None)).itemsize == level_bytes
+    for m in (2, 255, 256, 70_000):
+        level_bytes = sim._stack_dtype(n, m, None).itemsize
         per_group = sim._batches_per_group(n, "rtbs", m, None)
         assert per_group >= 1
         assert per_group * sim._CHUNK * (n * level_bytes + 4) <= budget, (m, per_group)
-    assert sim._batches_per_group(n, "rtbs", 2, None) == 4
+    assert sim._batches_per_group(n, "rtbs", 2, None) == (4 if n < 255 else 2)
     assert sim._batches_per_group(n, "rmtp", None, None) == 4
 
 
