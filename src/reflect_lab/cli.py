@@ -23,6 +23,7 @@ from . import __version__
 from . import rng as rng_mod
 from .corpus import (
     DEFAULT_EXAMPLE_COUNTS,
+    CorpusFormatError,
     CorpusSpec,
     CotStyle,
     generate_corpus,
@@ -274,7 +275,10 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
 def cmd_estimate_errors(records, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
     oracle_fn = step_leads_positive if oracle == "truth" else step_passes_rule
-    estimate = estimate_verification_errors(read_records(records), oracle_fn)
+    try:
+        estimate = estimate_verification_errors(read_records(records), oracle_fn)
+    except CorpusFormatError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--records'") from exc
     lines = [
         "e_minus_hat,e_plus_hat,n_first_attempts,n_oracle_positive,n_oracle_negative",
         ",".join([

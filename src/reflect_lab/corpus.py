@@ -18,7 +18,9 @@ The JSONL schema is frozen; one object per line:
 Queries and states use the task text renderings (Mult `x*y+z` strings as a
 [x, y] pair for the query; Sudoku boards as 9 lines of 9 digits).  Labels
 are "+"/"-" strings, empty for unverified steps.  Episode records reuse the
-same state/step encodings with a disposition and outcome attached.
+same state/step encodings with a disposition and outcome attached; a record
+loads exactly when engines.run_rtbs, replaying its proposals and labels,
+writes it back unchanged.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from __future__ import annotations
 import enum
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator
 
 from . import rng as rng_mod
-from .engines import mode_config, run_rtbs
+from .engines import ReflectConfig, mode_config, run_rtbs
 from .mtp import (
     DifficultyTier,
     Disposition,
@@ -243,6 +246,13 @@ def _step_from_json(hooks: TaskHooks, obj: Any, is_answer: bool) -> Step:
     return Step(hooks.move_from_json(obj))
 
 
+def _format_error(exc: Exception) -> CorpusFormatError:
+    """A decoder's error as CorpusFormatError; a KeyError is a missing field."""
+    if isinstance(exc, KeyError):
+        return CorpusFormatError(f"missing field {exc.args[0]!r}")
+    return CorpusFormatError(str(exc))
+
+
 def _query_from_json(obj: dict) -> tuple[TaskHooks, Query]:
     task = TaskName(obj["task"])
     hooks = task_hooks(task)
@@ -300,9 +310,9 @@ def example_from_json(obj: dict) -> CotExample:
             steps.append(VerifiedStep(step, _labels_from_text(item["labels"])))
             state = transition.apply(state, step)
         answer = _step_from_json(hooks, obj["answer"], is_answer=True)
+        return CotExample(query, tuple(steps), answer, style)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(str(exc)) from exc
-    return CotExample(query, tuple(steps), answer, style)
+        raise _format_error(exc) from exc
 
 
 def record_to_json(record: EpisodeRecord) -> dict:
@@ -328,139 +338,125 @@ def record_to_json(record: EpisodeRecord) -> dict:
     }
 
 
-def _event_from_json(hooks: TaskHooks, state: Any, item: dict) -> Event:
-    return Event(
-        state=state,
-        verified=VerifiedStep(
-            _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
-            _labels_from_text(item["labels"]),
-        ),
-        disposition=Disposition(item["disposition"]),
+def _replay_config(
+    obj: dict, events: list[Event], proposals: list[VerifiedStep]
+) -> ReflectConfig:
+    """The run_rtbs configuration a stored record is replayed under.
+
+    The choice is complete: if any configuration writes the record, this
+    one does.  The width is forced at the first traceback: it is the run of
+    rejections that spent the first popped state.  The reflective budget is
+    forced by the first unlabelled proposal, as a verifier labels every
+    step it checks.  Only a capped root that ran out ends unanswered and
+    incorrect; with no traceback it spent every proposal, so the width is
+    their count.  Other roots are unlimited.  A budget or width beyond what
+    the record used changes nothing it wrote, so the budget is the number
+    of proposals and, with no traceback, the width one more.
+    """
+    count = len(proposals)
+    unlabelled = [i for i, vstep in enumerate(proposals) if not vstep.verification.labels]
+    reflective = unlabelled[0] if unlabelled else count
+    capped = obj["answer"] is None and obj["outcome"] == Outcome.INCORRECT.value
+    width = count if capped else count + 1
+    run = 0
+    for event in events:
+        if event.disposition is Disposition.TRACEBACK:
+            width = run
+            break
+        run = run + 1 if event.disposition is Disposition.REJECTED else 0
+    return ReflectConfig(
+        reflective_budget=reflective,
+        total_budget=max(count, 1),
+        rtbs_width=max(width, 1),
+        root_unlimited=not capped,
     )
 
 
-def _replayed_events(hooks: TaskHooks, query: Query, items: list) -> list[Event]:
-    """Re-derive each event's state from the query, the accepted steps and
-    the tracebacks: an accepted non-answer step moves to its successor and
-    keeps its parent, a traceback restores the latest kept parent and undoes
-    the step taken from it.  Labels must match what the executor writes: a
-    proposal is rejected exactly when it has a '-' label, a traceback has
-    none, and once a proposal goes unverified (the reflective budget is
-    spent) no later one is verified.  An event whose stored state, undone
-    step or labels disagree, or that follows an accepted answer, raises
-    CorpusFormatError."""
-    state = hooks.initial_state(query)
-    # (parent state, step taken from it) per accepted link, oldest first.
-    parents = []
-    events = []
-    answered = False
-    unverified = False  # an earlier proposal went unverified
-    for index, item in enumerate(items):
-        if answered:
-            raise CorpusFormatError(f"event {index}: follows the accepted answer")
-        disposition = Disposition(item["disposition"])
-        undone = None
-        if disposition is Disposition.TRACEBACK:
-            if not parents:
-                raise CorpusFormatError(
-                    f"event {index}: traceback with no accepted step to undo"
-                )
-            state, undone = parents.pop()
-        expected = hooks.render_state(state)
-        if item["state"] != expected:
-            raise CorpusFormatError(
-                f"event {index}: state {item['state']!r} does not follow from the "
-                f"query and earlier events (expected {expected!r})"
-            )
-        event = _event_from_json(hooks, state, item)
-        step = event.verified.step
-        verification = event.verified.verification
-        if disposition is Disposition.TRACEBACK:
-            if verification.labels:
-                raise CorpusFormatError(f"event {index}: a traceback carries no labels")
-        elif verification.rejected != (disposition is Disposition.REJECTED):
-            raise CorpusFormatError(
-                f"event {index}: {disposition.value} step labelled {item['labels']!r}"
-            )
-        elif verification.labels and unverified:
-            raise CorpusFormatError(
-                f"event {index}: verified after an unverified proposal"
-            )
-        else:
-            unverified = not verification.labels
-        if undone is not None and step != undone:
-            raise CorpusFormatError(
-                f"event {index}: traceback undoes a step that was not taken"
-            )
-        events.append(event)
-        if disposition is Disposition.ACCEPTED:
-            answered = step.is_answer
-            if not answered:
-                parents.append((state, step))
-                state = hooks.transition.apply(state, step)
-    return events
+class _Replay:
+    """A record's own proposals as a self-verifying policy: sample returns
+    the next stored proposal's step and verify returns its stored labels."""
+
+    def __init__(self, proposals: list[VerifiedStep]) -> None:
+        self._proposals = iter(proposals)
+        self._labels = Verification()
+
+    def sample(self, state: Any, rng: Any) -> Step:
+        proposal = next(self._proposals, None)
+        if proposal is None:
+            raise CorpusFormatError("the record ends, but the executor proposes again")
+        self._labels = proposal.verification
+        return proposal.step
+
+    def verify(self, state: Any, step: Step, rng: Any) -> Verification:
+        return self._labels
 
 
-def _checked_answer(
-    hooks: TaskHooks, query: Query, events: list[Event], obj: dict
-) -> tuple[Optional[Step], Outcome]:
-    """The record's answer and outcome, re-derived from its events.
+def _refusal(what: str, stored: Any, written: Any) -> CorpusFormatError:
+    return CorpusFormatError(f"{what} {stored!r}, but the executor writes {written!r}")
 
-    An episode ends at its accepted answer step, so the answer is the step
-    of the last event when that event accepts an answer, and None
-    otherwise; an answered outcome is CORRECT exactly when the task's
-    check_answer holds.  An unanswered episode is INCORRECT or
-    BUDGET_EXHAUSTED, and the record cannot tell which: it does not carry
-    the budget.  A stored answer or outcome that disagrees raises
-    CorpusFormatError."""
-    last = events[-1] if events else None
-    answer = (
-        last.verified.step
-        if last is not None
-        and last.disposition is Disposition.ACCEPTED
-        and last.verified.step.is_answer
-        else None
-    )
-    stored = obj["answer"]
-    if stored is not None:
-        stored = _step_from_json(hooks, stored, is_answer=True)
-    if stored != answer:
+
+def _check_replay(
+    hooks: TaskHooks, obj: dict, events: list[Event], record: EpisodeRecord
+) -> None:
+    """Raise CorpusFormatError at the first place where the executor's
+    record differs from the stored one: an event's state text, disposition,
+    labels or step, then the events' count, the answer and the outcome.
+    Events compare as decoded objects, whose steps and labels are mostly
+    the stored ones themselves; only a difference is encoded."""
+    for index, (mine, event) in enumerate(zip(events, record.events)):
+        if (
+            mine.state != hooks.render_state(event.state)
+            or mine.disposition is not event.disposition
+            or mine.verified != event.verified
+        ):
+            item, written = obj["events"][index], record_to_json(record)["events"][index]
+            fields = ("state", "disposition", "labels", "step", "is_answer")
+            field = next(key for key in fields if item[key] != written[key])
+            raise _refusal(f"event {index}: {field}", item[field], written[field])
+    index = min(len(events), len(record.events))
+    if index < len(record.events):
         raise CorpusFormatError(
-            f"answer {obj['answer']!r} is not the last event's accepted answer step"
+            f"event {index}: the record ends, but the executor writes a "
+            f"{record.events[index].disposition.value} event"
         )
-    outcome = Outcome(obj["outcome"])
-    if answer is not None:
-        correct = hooks.check_answer(query, answer)
-        expected = Outcome.CORRECT if correct else Outcome.INCORRECT
-        if outcome is not expected:
-            raise CorpusFormatError(
-                f"outcome {outcome.value!r} disagrees with the answer "
-                f"(expected {expected.value!r})"
-            )
-    elif outcome is Outcome.CORRECT:
-        raise CorpusFormatError("outcome 'correct' without an answer")
-    return answer, outcome
+    if index < len(events):
+        raise CorpusFormatError(f"event {index}: the executor stops before it")
+    answer = None if record.answer is None else _step_to_json(hooks, record.answer)
+    if obj["answer"] != answer:
+        raise _refusal("answer", obj["answer"], answer)
+    if obj["outcome"] != record.outcome.value:
+        raise _refusal("outcome", obj["outcome"], record.outcome.value)
 
 
 def record_from_json(obj: dict) -> EpisodeRecord:
-    """Decode one episode record, re-deriving every event's state (see
-    _replayed_events) and its answer and outcome (see _checked_answer)."""
+    """Decode one episode record by replaying its proposals and labels
+    through run_rtbs (see _replay_config and _check_replay): it loads
+    exactly when the executor writes it, and the executor's record is
+    returned."""
     try:
         hooks, query = _query_from_json(obj)
-        events = _replayed_events(hooks, query, obj["events"])
-        answer, outcome = _checked_answer(hooks, query, events, obj)
+        events = [
+            Event(
+                item["state"],
+                VerifiedStep(
+                    _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
+                    _labels_from_text(item["labels"]),
+                ),
+                Disposition(item["disposition"]),
+            )
+            for item in obj["events"]
+        ]
+        proposals = [e.verified for e in events if e.disposition is not Disposition.TRACEBACK]
+        replay = _Replay(proposals)
+        config = _replay_config(obj, events, proposals)
+        record = run_rtbs(SelfVerifying(replay, replay), hooks.transition, query, config, None)
+        _check_replay(hooks, obj, events, record)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(str(exc)) from exc
-    return EpisodeRecord(query, tuple(events), answer, outcome)
+        raise _format_error(exc) from exc
+    return record
 
 
 # --- JSONL I/O -------------------------------------------------------------
-
-
-def _open_text(path: str, mode: str) -> IO[str]:
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
 
 
 def dumps_json_line(obj: dict) -> str:
@@ -473,7 +469,8 @@ def write_jsonl(objects: Iterable[dict], path: str) -> int:
     Returns the number of lines written.
     """
     count = 0
-    with _open_text(path, "w") as sink:
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "wt", encoding="utf-8") as sink:
         for obj in objects:
             sink.write(dumps_json_line(obj))
             sink.write("\n")
@@ -481,17 +478,21 @@ def write_jsonl(objects: Iterable[dict], path: str) -> int:
     return count
 
 
-def read_jsonl(path: str) -> Iterator[dict]:
-    """Yield JSON objects; parse failures name the offending line."""
-    with _open_text(path, "r") as source:
-        for lineno, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+def _read_jsonl(path: str, decode: Callable[[dict], Any]) -> Iterator[Any]:
+    """Yield decode(obj) per non-blank line, gunzipping .gz paths; any
+    failure raises CorpusFormatError naming the path and physical line."""
+    opener = gzip.open if path.endswith(".gz") else open
+    lineno = 1
+    try:
+        # Bytes decoded line by line: a text stream decodes a chunk ahead,
+        # so its errors would not fall on their own line.
+        with opener(path, "rb") as source:
+            for line in source:
+                if line.strip():
+                    yield decode(json.loads(line.decode("utf-8")))
+                lineno += 1
+    except (EOFError, gzip.BadGzipFile, zlib.error, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def write_examples(examples: Iterable[CotExample], path: str) -> int:
@@ -499,11 +500,7 @@ def write_examples(examples: Iterable[CotExample], path: str) -> int:
 
 
 def read_examples(path: str) -> Iterator[CotExample]:
-    for lineno, obj in enumerate(read_jsonl(path), start=1):
-        try:
-            yield example_from_json(obj)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return _read_jsonl(path, example_from_json)
 
 
 def write_records(records: Iterable[EpisodeRecord], path: str) -> int:
@@ -511,8 +508,4 @@ def write_records(records: Iterable[EpisodeRecord], path: str) -> int:
 
 
 def read_records(path: str) -> Iterator[EpisodeRecord]:
-    for lineno, obj in enumerate(read_jsonl(path), start=1):
-        try:
-            yield record_from_json(obj)
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return _read_jsonl(path, record_from_json)

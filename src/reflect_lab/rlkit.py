@@ -177,7 +177,9 @@ def early_truncate(
     A chain that accepted a bad step has already failed; everything after it
     is noise for training.  The answer survives only when the truncation
     point is the answer step itself.  Records with no accepted bad step are
-    returned unchanged; the operation is idempotent.
+    returned unchanged; the operation is idempotent.  A cut record is a
+    training view, not one the executor writes, so corpus.record_from_json
+    refuses it.
     """
     for i, event in enumerate(record.events):
         if event.disposition is not Disposition.ACCEPTED:

@@ -281,6 +281,17 @@ def test_estimate_errors_truth_oracle_runs(runner, tmp_path):
     assert values[0] == "0.0"  # exact verifier never falsely rejects
 
 
+def test_estimate_errors_reports_a_malformed_records_file_as_usage_error(runner, tmp_path):
+    records = tmp_path / "bad.jsonl"
+    records.write_text('{"task": "mult"}\n', encoding="utf-8")
+    out = str(tmp_path / "errors.csv")
+    result = runner.invoke(main, ["estimate-errors", "--records", str(records), "--out", out])
+    assert result.exit_code == 2, result.output
+    assert "'--records'" in result.output
+    assert "bad.jsonl: line 1: missing field 'query'" in result.output
+    assert not os.path.exists(out)
+
+
 def test_report_covers_requested_grid(runner, tmp_path):
     out = str(tmp_path / "report.csv")
     args = [

@@ -1,7 +1,9 @@
 """Corpus generation and JSONL round-trips."""
 
 import gzip
+import itertools
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -262,11 +264,65 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
         list(read_examples(path))
 
 
+def test_a_bad_line_is_named_by_its_line_in_the_file(tmp_path):
+    # Blank lines count: the number is the file's line, not the object's.
+    obj = record_to_json(_synthetic_rtbs_record())
+    bad = {key: value for key, value in obj.items() if key != "query"}
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{dumps_json_line(obj)}\n\n\n{dumps_json_line(bad)}\n", encoding="utf-8")
+    with pytest.raises(
+        CorpusFormatError, match="records.jsonl: line 4: missing field 'query'"
+    ):
+        list(read_records(str(path)))
+
+
+def test_a_truncated_gzip_file_names_the_line_it_breaks_on(tmp_path):
+    path = str(tmp_path / "records.jsonl.gz")
+    write_records([_synthetic_rtbs_record()] * 40, path)
+    with open(path, "rb") as fh:
+        cut = fh.read()[:-40]
+    with open(path, "wb") as fh:
+        fh.write(cut)
+    whole_lines = zlib.decompressobj(wbits=31).decompress(cut).count(b"\n")
+    assert 0 < whole_lines < 40
+    with pytest.raises(
+        CorpusFormatError, match=f"records.jsonl.gz: line {whole_lines + 1}: Compressed file ended"
+    ):
+        list(read_records(path))
+
+
+def test_a_file_that_is_not_gzip_is_refused_at_line_1(tmp_path):
+    path = tmp_path / "records.jsonl.gz"
+    path.write_text(dumps_json_line(record_to_json(_synthetic_rtbs_record())) + "\n")
+    with pytest.raises(CorpusFormatError, match="records.jsonl.gz: line 1: Not a gzipped file"):
+        list(read_records(str(path)))
+
+
+def test_invalid_utf8_names_its_line(tmp_path):
+    line = dumps_json_line(example_to_json(next(iter(generate_corpus(small_spec(example_count=1))))))
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(f"{line}\n{line}\n".encode() + b'{"task": "\xff"}\n')
+    with pytest.raises(CorpusFormatError, match="corpus.jsonl: line 3: 'utf-8' codec"):
+        list(read_examples(str(path)))
+
+
+def test_example_labels_that_break_its_style_name_the_line(tmp_path):
+    spec = small_spec(style=CotStyle.NONE, proposal_noise=0.0, example_count=1)
+    obj = example_to_json(next(iter(generate_corpus(spec))))
+    obj["steps"][0]["labels"] = "+"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(dumps_json_line(obj) + "\n", encoding="utf-8")
+    with pytest.raises(
+        CorpusFormatError, match="corpus.jsonl: line 1: style none requires empty"
+    ):
+        list(read_examples(str(path)))
+
+
 def test_schema_violation_raises_format_error():
     example = next(iter(generate_corpus(small_spec(example_count=1))))
     obj = example_to_json(example)
     del obj["answer"]
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(CorpusFormatError, match="missing field 'answer'"):
         example_from_json(obj)
     obj2 = example_to_json(example)
     obj2["steps"][0]["labels"] = "+x"
@@ -383,7 +439,7 @@ def test_traceback_of_a_step_not_taken_is_refused():
     obj = record_to_json(record)
     step = obj["events"][index]["step"]
     step["fills"] = [[0, 0, 0], *step["fills"]]
-    with pytest.raises(CorpusFormatError, match=f"event {index}: traceback undoes"):
+    with pytest.raises(CorpusFormatError, match=f"event {index}: step "):
         record_from_json(obj)
 
 
@@ -391,7 +447,7 @@ def test_traceback_without_an_accepted_step_is_refused():
     for record in (_mult_rmtp_record(21), _synthetic_rmtp_record(21)):
         obj = record_to_json(record)
         obj["events"][0]["disposition"] = "traceback"
-        with pytest.raises(CorpusFormatError, match="event 0: traceback"):
+        with pytest.raises(CorpusFormatError, match="event 0: disposition 'traceback'"):
             record_from_json(obj)
 
 
@@ -400,10 +456,12 @@ def test_record_outcomes_are_rederived_from_the_answer():
         obj = record_to_json(record)
         flipped = "incorrect" if record.outcome is Outcome.CORRECT else "correct"
         obj["outcome"] = flipped
-        with pytest.raises(CorpusFormatError, match=f"outcome '{flipped}' disagrees"):
+        with pytest.raises(CorpusFormatError, match=f"outcome '{flipped}', but the executor"):
             record_from_json(obj)
         obj["outcome"] = "budget_exhausted"
-        with pytest.raises(CorpusFormatError, match="outcome 'budget_exhausted' disagrees"):
+        with pytest.raises(
+            CorpusFormatError, match="outcome 'budget_exhausted', but the executor"
+        ):
             record_from_json(obj)
 
 
@@ -412,41 +470,57 @@ def test_record_answer_is_the_last_accepted_answer_step():
     assert record.outcome is Outcome.CORRECT
     obj = record_to_json(record)
     obj["answer"] = None
-    with pytest.raises(CorpusFormatError, match="answer None is not"):
+    with pytest.raises(CorpusFormatError, match="answer None, but the executor writes True"):
         record_from_json(obj)
     obj = record_to_json(_synthetic_rmtp_record(7))
     obj["answer"] = {"on_track": True}
-    with pytest.raises(CorpusFormatError, match="is not the last event's"):
+    with pytest.raises(CorpusFormatError, match="answer {'on_track': True}, but the executor"):
         record_from_json(obj)
     # An episode ends at its accepted answer.
     obj = record_to_json(record)
     obj["events"].append(dict(obj["events"][-1]))
-    with pytest.raises(CorpusFormatError, match="event 3: follows the accepted answer"):
+    with pytest.raises(CorpusFormatError, match="event 3: the executor stops before it"):
         record_from_json(obj)
 
 
 def test_unanswered_records_are_never_correct():
-    # Without the answer event the episode has no answer.  Incorrect and
-    # budget-exhausted cannot be told apart: a record carries no budget.
+    # Without the answer event the episode has no answer.  Only a capped
+    # root that ran out ends unanswered and incorrect, and this record's
+    # root accepted a step, so only a spent budget ends it.
     obj = record_to_json(_synthetic_rmtp_record(21))
     del obj["events"][-1]
     obj["answer"] = None
-    for outcome in ("incorrect", "budget_exhausted"):
+    obj["outcome"] = "budget_exhausted"
+    assert record_from_json(obj).outcome is Outcome.BUDGET_EXHAUSTED
+    for outcome in ("incorrect", "correct"):
         obj["outcome"] = outcome
-        assert record_from_json(obj).outcome is Outcome(outcome)
+        with pytest.raises(
+            CorpusFormatError,
+            match=f"outcome '{outcome}', but the executor writes 'budget_exhausted'",
+        ):
+            record_from_json(obj)
+    # A capped root that ran out on its last proposal writes the same events
+    # as a budget that ran out on that proposal, so both outcomes load.
+    record = _synthetic_rtbs_record(root_unlimited=False)
+    assert record.answer is None and record.outcome is Outcome.INCORRECT
+    obj = record_to_json(record)
+    assert record_from_json(obj) == record
+    obj["outcome"] = "budget_exhausted"
+    assert record_from_json(obj).outcome is Outcome.BUDGET_EXHAUSTED
     obj["outcome"] = "correct"
-    with pytest.raises(CorpusFormatError, match="'correct' without an answer"):
+    with pytest.raises(CorpusFormatError, match="outcome 'correct', but the executor"):
         record_from_json(obj)
 
 
-def _synthetic_rtbs_record(reflective_budget=32):
+def _synthetic_rtbs_record(reflective_budget=32, root_unlimited=True):
     # Seed 2 at (n, m) = (2, 2): accepted '+', two rejected '-', a
-    # traceback, two rejected '-', then two accepted '+'.
+    # traceback, two rejected '-', then two accepted '+'.  A capped root
+    # ends unanswered at the first rejection after the traceback.
     return run_rtbs(
         synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
         SyntheticTransition(),
         Query(TaskName.SYNTHETIC, 2),
-        mode_config("rtbs", 2, reflective_budget, 48),
+        mode_config("rtbs", 2, reflective_budget, 48, root_unlimited),
         rng_mod.stream(2, 0),
     )
 
@@ -466,11 +540,11 @@ def test_synthetic_rtbs_fixture_has_every_disposition():
 @pytest.mark.parametrize(
     "index, labels, message",
     [
-        (0, "-", "event 0: accepted step labelled '-'"),
-        (1, "+", "event 1: rejected step labelled '\\+'"),
-        (1, "", "event 1: rejected step labelled ''"),
-        (3, "+", "event 3: a traceback carries no labels"),
-        (0, "", "event 1: verified after an unverified proposal"),
+        (0, "-", "event 0: disposition 'accepted', but the executor writes 'rejected'"),
+        (1, "+", "event 1: disposition 'rejected', but the executor writes 'accepted'"),
+        (1, "", "event 1: disposition 'rejected', but the executor writes 'accepted'"),
+        (3, "+", "event 3: labels '\\+', but the executor writes ''"),
+        (0, "", "event 1: disposition 'rejected', but the executor writes 'accepted'"),
     ],
     ids=["accepted-minus", "rejected-plus", "rejected-bare", "traceback-plus", "late-verified"],
 )
@@ -486,6 +560,153 @@ def test_a_tier_on_a_task_without_tiers_is_refused():
     obj["tier"] = "id_easy"
     with pytest.raises(CorpusFormatError, match="task 'synthetic' has no tiers"):
         record_from_json(obj)
+
+
+def test_a_query_the_task_refuses_is_refused():
+    # The states follow from scale -1, but no episode runs on that query.
+    obj = {
+        "task": "synthetic", "tier": None, "query": -1, "answer": True, "outcome": "correct",
+        "events": [{"state": "scale -1+", "step": True, "is_answer": True, "labels": "+",
+                    "disposition": "accepted"}],
+    }
+    with pytest.raises(CorpusFormatError, match="synthetic scale must be >= 0"):
+        record_from_json(obj)
+
+
+# --- small-scope check of the record codec ---
+
+
+class _Unwritable(Exception):
+    pass
+
+
+class _Script:
+    """Proposes a record's stored steps and returns their stored labels,
+    as a verifier that never returns empty labels."""
+
+    def __init__(self, proposals):
+        self.proposals = iter(proposals)
+
+    def sample(self, state, rng):
+        self.step, self.labels = next(self.proposals, (None, None))
+        if self.step is None:
+            raise _Unwritable
+        return self.step
+
+    def verify(self, state, step, rng):
+        if not self.labels:
+            raise _Unwritable
+        return Verification(tuple(ch == "+" for ch in self.labels))
+
+
+def _writable(obj):
+    """Whether run_rtbs writes obj under some (width <= P + 1, reflective
+    budget <= P, root policy) at total budget P, P its proposal count."""
+    hooks = task_hooks(TaskName.SYNTHETIC)
+    try:
+        proposals = [
+            (
+                Step(hooks.answer_from_json(item["step"]), is_answer=True)
+                if item["is_answer"]
+                else Step(hooks.move_from_json(item["step"])),
+                item["labels"],
+            )
+            for item in obj["events"]
+            if item["disposition"] != "traceback"
+        ]
+    except TypeError:  # an answer's content read as a move
+        return False
+    count = len(proposals)
+    if count == 0:  # run_rtbs proposes at least once
+        return False
+    query = Query(TaskName.SYNTHETIC, obj["query"])
+    for width in range(1, count + 2):
+        for reflective in range(count + 1):
+            for root_unlimited in (True, False):
+                script = _Script(proposals)
+                config = ReflectConfig(reflective, count, width, root_unlimited)
+                try:
+                    record = run_rtbs(
+                        SelfVerifying(script, script), SyntheticTransition(), query, config, None
+                    )
+                except _Unwritable:
+                    continue
+                if record_to_json(record) == obj:
+                    return True
+    return False
+
+
+def _single_field_edits(obj):
+    events = obj["events"]
+
+    def edited(**fields):
+        return {**obj, **fields}
+
+    def event_edited(index, **fields):
+        return edited(events=[*events[:index], {**events[index], **fields}, *events[index + 1:]])
+
+    for index, item in enumerate(events):
+        for disposition in ("accepted", "rejected", "traceback"):
+            yield event_edited(index, disposition=disposition)
+        for labels in ("", "+", "-", "+-", "-+"):
+            yield event_edited(index, labels=labels)
+        yield event_edited(index, is_answer=not item["is_answer"])
+        step = item["step"]
+        flipped = {"on_track": not step["on_track"]} if isinstance(step, dict) else not step
+        yield event_edited(index, step=flipped)
+        yield edited(events=[*events[:index], *events[index + 1:]])
+        yield edited(events=[*events[: index + 1], item, *events[index + 1:]])
+        if index + 1 < len(events):
+            swapped = [*events[:index], events[index + 1], item, *events[index + 2:]]
+            yield edited(events=swapped)
+    for answer in (None, True, False):
+        yield edited(answer=answer)
+    for outcome in Outcome:
+        yield edited(outcome=outcome.value)
+
+
+def test_a_record_loads_exactly_when_some_configuration_writes_it():
+    # Every synthetic record at n <= 2 over modes none, rmtp and rtbs m <= 2,
+    # reflective budgets 0, 2 and 6, budgets 3 and 6, both root policies and
+    # two seeds, and every distinct single-field edit of them.
+    params = SimplifiedParams(0.8, 0.3, 0.2, 0.8)
+    originals = {}
+    for n, (mode, m), reflective, budget, root_unlimited, seed in itertools.product(
+        range(3),
+        (("none", None), ("rmtp", None), ("rtbs", 1), ("rtbs", 2)),
+        (0, 2, 6),
+        (3, 6),
+        (True, False),
+        (0, 1),
+    ):
+        record = run_rtbs(
+            synthetic_self_verifying(params),
+            SyntheticTransition(),
+            Query(TaskName.SYNTHETIC, n),
+            mode_config(mode, m, reflective, budget, root_unlimited),
+            rng_mod.stream(seed, 0),
+        )
+        obj = record_to_json(record)
+        assert record_from_json(obj) == record
+        originals[dumps_json_line(obj)] = obj
+    edits = {}
+    for obj in originals.values():
+        for edit in _single_field_edits(obj):
+            line = dumps_json_line(edit)
+            if line not in originals:
+                edits[line] = edit
+    assert len(edits) > 500
+    loaded = 0
+    for edit in edits.values():
+        try:
+            record = record_from_json(edit)
+        except CorpusFormatError:
+            assert not _writable(edit), edit
+        else:
+            assert _writable(edit), edit
+            assert record_to_json(record) == edit
+            loaded += 1
+    assert 0 < loaded < len(edits)
 
 
 # --- codec round trips over both tasks ---
