@@ -18,9 +18,13 @@ The JSONL schema is frozen; one object per line:
 Queries and states use the task text renderings (Mult `x*y+z` strings as a
 [x, y] pair for the query; Sudoku boards as 9 lines of 9 digits).  Labels
 are "+"/"-" strings, empty for unverified steps.  Episode records reuse the
-same state/step encodings with a disposition and outcome attached; a record
-loads exactly when engines.run_rtbs, replaying its proposals and labels,
-writes it back unchanged.
+same state/step encodings with a disposition and outcome attached.
+
+One rule reads both files: a line loads exactly when what it decodes to
+encodes back to it.  An example is re-encoded by example_to_json; a record
+is replayed through engines.run_rtbs and re-encoded by record_to_json.  A
+refusal names the first field that differs, with the stored value and the
+written one.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .mtp import (
     DifficultyTier,
     Disposition,
     EpisodeRecord,
-    Event,
     Outcome,
     Query,
     SelfVerifying,
@@ -229,8 +232,6 @@ def _labels_to_text(verification: Verification) -> str:
 
 
 def _labels_from_text(text: str) -> Verification:
-    if any(ch not in "+-" for ch in text):
-        raise CorpusFormatError(f"labels must be '+'/'-' strings, got {text!r}")
     return Verification(tuple(ch == "+" for ch in text))
 
 
@@ -251,6 +252,44 @@ def _format_error(exc: Exception) -> CorpusFormatError:
     if isinstance(exc, KeyError):
         return CorpusFormatError(f"missing field {exc.args[0]!r}")
     return CorpusFormatError(str(exc))
+
+
+# A stored value of the wrong type or form, or int() of an infinite number.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+# The list fields of a line, by what messages call one of their items.
+_ITEMS = {"events": "event", "steps": "step"}
+
+
+def _check_round_trip(stored: dict, written: dict, writer: str) -> None:
+    """Refuse a stored line unless it equals what the package writes for
+    what it decodes to.  Equality is Python's value equality of the parsed
+    JSON: 1, 1.0 and true alias, and a stored NaN loads only where a decoder
+    hands the stored object itself back, as NaN equals no other value."""
+    if stored != written:
+        raise CorpusFormatError(_first_difference(stored, written, writer))
+
+
+def _first_difference(stored: dict, written: dict, writer: str, place: str = "") -> str:
+    """The first differing field, in the writer's order and then the stored
+    extras, with both values; a list field's first differing item is named
+    by its index and walked in turn."""
+    keys = [*written, *(key for key in stored if key not in written)]
+    key = next(k for k in keys if k not in stored or k not in written or stored[k] != written[k])
+    if key not in stored:
+        return f"{place}missing field {key!r}"
+    if key not in written:
+        return f"{place}unknown field {key!r}"
+    old, new = stored[key], written[key]
+    if key not in _ITEMS or not isinstance(old, list):
+        return f"{place}{key} {old!r}, but {writer} writes {new!r}"
+    item, common = _ITEMS[key], min(len(old), len(new))
+    index = next((i for i in range(common) if old[i] != new[i]), common)
+    if index < common:
+        return _first_difference(old[index], new[index], writer, f"{item} {index}: ")
+    if index < len(old):
+        return f"{item} {index}: {writer} stops before it"
+    return f"{item} {index}: the line ends, but {writer} writes {new[index]!r}"
 
 
 def _query_from_json(obj: dict) -> tuple[TaskHooks, Query]:
@@ -290,41 +329,37 @@ def example_to_json(example: CotExample) -> dict:
 
 
 def example_from_json(obj: dict) -> CotExample:
-    """Decode one example, re-deriving its state chain from the query: a
-    step whose stored state disagrees with the chain raises
-    CorpusFormatError."""
+    """Decode one example; it loads exactly when example_to_json, which
+    re-derives each step's state from the query, writes it back unchanged."""
     try:
         hooks, query = _query_from_json(obj)
-        style = CotStyle(obj["style"])
-        state = hooks.initial_state(query)
-        transition = transition_for(query.task)
-        steps = []
-        for index, item in enumerate(obj["steps"]):
-            expected = hooks.render_state(state)
-            if item["state"] != expected:
-                raise CorpusFormatError(
-                    f"step {index}: state {item['state']!r} does not follow "
-                    f"from the query and earlier steps (expected {expected!r})"
-                )
-            step = _step_from_json(hooks, item["step"], is_answer=False)
-            steps.append(VerifiedStep(step, _labels_from_text(item["labels"])))
-            state = transition.apply(state, step)
+        steps = tuple(
+            VerifiedStep(
+                _step_from_json(hooks, item["step"], is_answer=False),
+                _labels_from_text(item["labels"]),
+            )
+            for item in obj["steps"]
+        )
         answer = _step_from_json(hooks, obj["answer"], is_answer=True)
-        return CotExample(query, tuple(steps), answer, style)
-    except (KeyError, TypeError, ValueError) as exc:
+        example = CotExample(query, steps, answer, CotStyle(obj["style"]))
+        _check_round_trip(obj, example_to_json(example), "the encoder")
+    except _DECODE_ERRORS as exc:
         raise _format_error(exc) from exc
+    return example
 
 
 def record_to_json(record: EpisodeRecord) -> dict:
-    """Episode records reuse the example encodings, adding dispositions."""
+    """Episode records reuse the example encodings, adding dispositions.
+    An event's fields come in the order a refused line names its first
+    difference: where the executor was, what it did, why, and the step."""
     hooks = task_hooks(record.query.task)
     events_json = [
         {
             "state": hooks.render_state(event.state),
+            "disposition": event.disposition.value,
+            "labels": _labels_to_text(event.verified.verification),
             "step": _step_to_json(hooks, event.verified.step),
             "is_answer": event.verified.step.is_answer,
-            "labels": _labels_to_text(event.verified.verification),
-            "disposition": event.disposition.value,
         }
         for event in record.events
     ]
@@ -338,9 +373,7 @@ def record_to_json(record: EpisodeRecord) -> dict:
     }
 
 
-def _replay_config(
-    obj: dict, events: list[Event], proposals: list[VerifiedStep]
-) -> ReflectConfig:
+def _replay_config(obj: dict, proposals: list[VerifiedStep]) -> ReflectConfig:
     """The run_rtbs configuration a stored record is replayed under.
 
     The choice is complete: if any configuration writes the record, this
@@ -359,11 +392,11 @@ def _replay_config(
     capped = obj["answer"] is None and obj["outcome"] == Outcome.INCORRECT.value
     width = count if capped else count + 1
     run = 0
-    for event in events:
-        if event.disposition is Disposition.TRACEBACK:
+    for item in obj["events"]:
+        if item["disposition"] == Disposition.TRACEBACK:
             width = run
             break
-        run = run + 1 if event.disposition is Disposition.REJECTED else 0
+        run = run + 1 if item["disposition"] == Disposition.REJECTED else 0
     return ReflectConfig(
         reflective_budget=reflective,
         total_budget=max(count, 1),
@@ -391,67 +424,26 @@ class _Replay:
         return self._labels
 
 
-def _refusal(what: str, stored: Any, written: Any) -> CorpusFormatError:
-    return CorpusFormatError(f"{what} {stored!r}, but the executor writes {written!r}")
-
-
-def _check_replay(
-    hooks: TaskHooks, obj: dict, events: list[Event], record: EpisodeRecord
-) -> None:
-    """Raise CorpusFormatError at the first place where the executor's
-    record differs from the stored one: an event's state text, disposition,
-    labels or step, then the events' count, the answer and the outcome.
-    Events compare as decoded objects, whose steps and labels are mostly
-    the stored ones themselves; only a difference is encoded."""
-    for index, (mine, event) in enumerate(zip(events, record.events)):
-        if (
-            mine.state != hooks.render_state(event.state)
-            or mine.disposition is not event.disposition
-            or mine.verified != event.verified
-        ):
-            item, written = obj["events"][index], record_to_json(record)["events"][index]
-            fields = ("state", "disposition", "labels", "step", "is_answer")
-            field = next(key for key in fields if item[key] != written[key])
-            raise _refusal(f"event {index}: {field}", item[field], written[field])
-    index = min(len(events), len(record.events))
-    if index < len(record.events):
-        raise CorpusFormatError(
-            f"event {index}: the record ends, but the executor writes a "
-            f"{record.events[index].disposition.value} event"
-        )
-    if index < len(events):
-        raise CorpusFormatError(f"event {index}: the executor stops before it")
-    answer = None if record.answer is None else _step_to_json(hooks, record.answer)
-    if obj["answer"] != answer:
-        raise _refusal("answer", obj["answer"], answer)
-    if obj["outcome"] != record.outcome.value:
-        raise _refusal("outcome", obj["outcome"], record.outcome.value)
-
-
 def record_from_json(obj: dict) -> EpisodeRecord:
     """Decode one episode record by replaying its proposals and labels
-    through run_rtbs (see _replay_config and _check_replay): it loads
-    exactly when the executor writes it, and the executor's record is
-    returned."""
+    through run_rtbs (see _replay_config); it loads exactly when
+    record_to_json writes the executor's record, which is returned, back
+    unchanged.  Traceback steps, states and dispositions are not decoded."""
     try:
         hooks, query = _query_from_json(obj)
-        events = [
-            Event(
-                item["state"],
-                VerifiedStep(
-                    _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
-                    _labels_from_text(item["labels"]),
-                ),
-                Disposition(item["disposition"]),
+        proposals = [
+            VerifiedStep(
+                _step_from_json(hooks, item["step"], is_answer=bool(item["is_answer"])),
+                _labels_from_text(item["labels"]),
             )
             for item in obj["events"]
+            if item["disposition"] != Disposition.TRACEBACK
         ]
-        proposals = [e.verified for e in events if e.disposition is not Disposition.TRACEBACK]
         replay = _Replay(proposals)
-        config = _replay_config(obj, events, proposals)
+        config = _replay_config(obj, proposals)
         record = run_rtbs(SelfVerifying(replay, replay), hooks.transition, query, config, None)
-        _check_replay(hooks, obj, events, record)
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_round_trip(obj, record_to_json(record), "the executor")
+    except _DECODE_ERRORS as exc:
         raise _format_error(exc) from exc
     return record
 

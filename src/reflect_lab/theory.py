@@ -105,10 +105,8 @@ def log_rho_rmtp(params: SimplifiedParams, n: int) -> float:
     """log of rho_rmtp, safe for n large enough to underflow the product."""
     if n == 0:
         return 0.0
-    rates = derived_rates(params)
-    if rates.beta == 0.0:
-        return -math.inf
-    return n * math.log(rates.beta / (rates.beta + rates.gamma))
+    rate = _rmtp_advance_rate(PosteriorParams.constant(params))
+    return n * math.log(rate) if rate > 0.0 else -math.inf
 
 
 def _geometric_sum(ratio: float, terms: int) -> float:
@@ -357,16 +355,19 @@ class PosteriorParams:
 
 
 def posterior_rho_rmtp(pparams: PosteriorParams, n: int) -> float:
-    """Retry-in-place success probability with attempt-indexed rates.
+    """Retry-in-place success probability with attempt-indexed rates: the
+    per-advance success rate (_rmtp_advance_rate) to the n-th power."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _rmtp_advance_rate(pparams) ** n
 
-    The per-advance success rate is the series
+
+def _rmtp_advance_rate(pparams: PosteriorParams) -> float:
+    """Retry-in-place's chance to advance one level on track: the series
     sum_{i >= 1} beta_i * prod_{j < i} alpha_j.  With L table entries, the
     attempts from L on share the last entry's rates, so the series is the
     finite sum over attempts 1..L-1 plus the geometric tail
-    prod_{j < L} alpha_j * beta_L / (beta_L + gamma_L), summed exactly.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    prod_{j < L} alpha_j * beta_L / (beta_L + gamma_L), summed exactly."""
     per_step = 0.0
     prefix = 1.0  # prod of alpha_j over attempts strictly before i
     for alpha_i, beta_i in zip(pparams.alpha[:-1], pparams.beta[:-1]):
@@ -375,7 +376,7 @@ def posterior_rho_rmtp(pparams: PosteriorParams, n: int) -> float:
     beta_tail, gamma_tail = pparams.beta[-1], pparams.gamma[-1]
     if beta_tail > 0.0:
         per_step += prefix * beta_tail / (beta_tail + gamma_tail)
-    return per_step**n
+    return per_step
 
 
 def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTable:

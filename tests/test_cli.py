@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -289,6 +290,25 @@ def test_estimate_errors_reports_a_malformed_records_file_as_usage_error(runner,
     assert result.exit_code == 2, result.output
     assert "'--records'" in result.output
     assert "bad.jsonl: line 1: missing field 'query'" in result.output
+    assert not os.path.exists(out)
+
+
+def test_estimate_errors_reports_an_infinite_number_as_usage_error(runner, tmp_path):
+    records = tmp_path / "records.jsonl"
+    run = runner.invoke(
+        main,
+        ["run-task", "--task", "mult", "--tier", "id_easy", "--episodes", "3",
+         "--seed", "1", "--out", str(records)],
+    )
+    assert run.exit_code == 0, run.output
+    lines = records.read_text(encoding="utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines) if '"delta":' in line)
+    lines[index] = re.sub(r'"delta":\d+', '"delta":1e400', lines[index], count=1)
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = str(tmp_path / "errors.csv")
+    result = runner.invoke(main, ["estimate-errors", "--records", str(records), "--out", out])
+    assert result.exit_code == 2, result.output
+    assert f"records.jsonl: line {index + 1}: cannot convert float infinity" in result.output
     assert not os.path.exists(out)
 
 

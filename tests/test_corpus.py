@@ -1,5 +1,6 @@
 """Corpus generation and JSONL round-trips."""
 
+import copy
 import gzip
 import itertools
 import json
@@ -573,6 +574,136 @@ def test_a_query_the_task_refuses_is_refused():
         record_from_json(obj)
 
 
+def _mult_example_line(seed=4):
+    return example_to_json(next(iter(generate_corpus(small_spec(example_count=1, seed=seed)))))
+
+
+def _task_record(task, seed, mode="rtbs", root_unlimited=True):
+    rng = rng_mod.stream(seed, 0)
+    query = gen_query(task, DifficultyTier.ID_EASY, rng)
+    return run_rtbs(
+        SelfVerifying(
+            make_noisy_policy(expert_policy(task), 0.3),
+            make_noisy_verifier(binary_verifier(task), 0.1, 0.1),
+        ),
+        transition_for(task),
+        query,
+        mode_config(mode, 2, 24, 32, root_unlimited),
+        rng,
+    )
+
+
+def _items(obj):
+    """A record line's events or an example line's steps."""
+    return obj["events"] if "events" in obj else obj["steps"]
+
+
+def _first_move(obj):
+    """The stored content of a line's first non-answer step."""
+    return next((item["step"] for item in _items(obj) if not item.get("is_answer")), None)
+
+
+def _set(field, value):
+    def edit(obj):
+        obj[field] = value(obj[field])
+    return edit
+
+
+def _set_move(field, value):
+    def edit(obj):
+        move = _first_move(obj)
+        move[field] = value(move[field])
+    return edit
+
+
+def _synthetic_rtbs_line():
+    return record_to_json(_synthetic_rtbs_record())
+
+
+def _sudoku_record_line():
+    return record_to_json(_task_record(TaskName.SUDOKU, 3))
+
+
+@pytest.mark.parametrize(
+    "line, decode, edit, message",
+    [
+        pytest.param(
+            _synthetic_rtbs_line, record_from_json,
+            lambda obj: obj["events"][-1].update(is_answer="false"),
+            "event 7: is_answer 'false', but the executor writes True",
+            id="synthetic-is-answer-text",
+        ),
+        pytest.param(
+            _synthetic_rtbs_line, record_from_json, _set_move("on_track", lambda _: "no"),
+            "event 0: step {'on_track': 'no'}, but the executor writes {'on_track': True}",
+            id="synthetic-on-track-text",
+        ),
+        pytest.param(
+            _mult_example_line, example_from_json, _set("query", lambda q: [q[0] + 0.4, q[1]]),
+            r"query \[\d+\.4, \d+\], but the encoder writes \[\d+, \d+\]",
+            id="mult-query-float",
+        ),
+        pytest.param(
+            _mult_example_line, example_from_json, _set_move("digit", str),
+            r"step 0: step \{'side': 'y', 'digit': '\d'", id="mult-digit-text",
+        ),
+        pytest.param(
+            _mult_example_line, example_from_json, _set("answer", str),
+            r"answer '\d+', but the encoder writes \d+", id="mult-answer-text",
+        ),
+        pytest.param(
+            _mult_example_line, example_from_json, _set("tier", lambda _: ""),
+            "tier '', but the encoder writes None", id="mult-tier-empty",
+        ),
+        pytest.param(
+            _sudoku_record_line, record_from_json, _set_move("guess", lambda _: "no"),
+            "event 0: step .*'guess': 'no'", id="sudoku-guess-text",
+        ),
+        pytest.param(
+            _sudoku_record_line, record_from_json,
+            _set("query", lambda board: board.replace("\n", "\r\n")),
+            r"query '[0-9]{9}\\r\\n", id="sudoku-query-crlf",
+        ),
+    ],
+)
+def test_values_a_decoder_converts_are_refused(line, decode, edit, message):
+    # Each stored value decodes to what the package would write for another
+    # value, so the line does not equal its own re-encoding.
+    obj = line()
+    assert decode(copy.deepcopy(obj)) is not None
+    edit(obj)
+    with pytest.raises(CorpusFormatError, match=message):
+        decode(obj)
+
+
+def test_an_infinite_query_is_a_format_error(tmp_path):
+    obj = _mult_example_line()
+    obj["query"][0] = float("inf")
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(dumps_json_line(obj) + "\n", encoding="utf-8")
+    assert '"query":[Infinity,' in path.read_text(encoding="utf-8")
+    with pytest.raises(
+        CorpusFormatError, match="corpus.jsonl: line 1: cannot convert float infinity"
+    ):
+        list(read_examples(str(path)))
+
+
+def test_an_infinite_move_field_is_a_format_error(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(_infinite_delta_record_line() + "\n", encoding="utf-8")
+    with pytest.raises(
+        CorpusFormatError, match="records.jsonl: line 1: cannot convert float infinity"
+    ):
+        list(read_records(str(path)))
+
+
+def _infinite_delta_record_line():
+    """A Mult record line whose first move stores its delta as 1e400."""
+    obj = record_to_json(_mult_rmtp_record(21))
+    _first_move(obj)["delta"] = "DELTA"
+    return dumps_json_line(obj).replace('"DELTA"', "1e400")
+
+
 # --- small-scope check of the record codec ---
 
 
@@ -707,6 +838,106 @@ def test_a_record_loads_exactly_when_some_configuration_writes_it():
             assert record_to_json(record) == edit
             loaded += 1
     assert 0 < loaded < len(edits)
+
+
+# --- small-scope sweep over the task codecs ---
+
+
+def _honest_lines():
+    """(decode, decoded, line): Mult and Sudoku records over both modes,
+    both root policies and two seeds, and Mult and Sudoku examples in every
+    style at both training tiers."""
+    lines = []
+    for task in (TaskName.MULT, TaskName.SUDOKU):
+        for style in CotStyle:
+            spec = CorpusSpec(
+                task=task,
+                example_count=2,
+                tier_mix=((DifficultyTier.ID_EASY, 1.0), (DifficultyTier.ID_HARD, 1.0)),
+                style=style,
+                proposal_noise=0.0 if style is CotStyle.NONE else 0.3,
+                seed=5,
+            )
+            lines += [(example_from_json, e, example_to_json(e)) for e in generate_corpus(spec)]
+        for seed, mode, root_unlimited in itertools.product(
+            (1, 2), ("rmtp", "rtbs"), (True, False)
+        ):
+            record = _task_record(task, seed, mode, root_unlimited)
+            lines.append((record_from_json, record, record_to_json(record)))
+    return lines
+
+
+def _misstored(value):
+    """Stored forms that no line the package writes has, for one value
+    of the mult or sudoku codec: each decodes as written for another value
+    or not at all."""
+    if isinstance(value, bool):
+        return ["no", str(value).lower()]
+    if isinstance(value, int):
+        return [str(value), value + 0.4]
+    if isinstance(value, str):
+        return [" " + value, value.replace("\n", "\r\n")] if "\n" in value else [" " + value]
+    if isinstance(value, list):
+        return [[misstored, *value[1:]] for misstored in _misstored(value[0])]
+    return [0, ""]
+
+
+def _codec_edits(obj):
+    """(what, edited line) for every single edit the sweep makes."""
+    def edited(**fields):
+        return {**copy.deepcopy(obj), **fields}
+
+    for task in ("synthetic", "mult", "sudoku", "Mult"):
+        if task != obj["task"]:
+            yield "task", edited(task=task)
+    for tier in ("", 0, False, "ID_EASY", "ood"):
+        yield "tier", edited(tier=tier)
+    for query in _misstored(obj["query"]):
+        yield "query", edited(query=query)
+    yield "query", edited(query=[obj["query"]])
+    for answer in _misstored(obj["answer"]):
+        yield "answer", edited(answer=answer)
+    move = _first_move(obj)
+    for field in sorted(move or ()):
+        if field == "side":  # mult's side is stored as given
+            continue
+        for value in _misstored(move[field]):
+            line = edited()
+            _first_move(line)[field] = value
+            yield f"move {field}", line
+    if move is not None:
+        line = edited()
+        _first_move(line)["note"] = ""
+        yield "move note", line
+    for field in obj:
+        yield f"drop {field}", {key: value for key, value in obj.items() if key != field}
+    for field in _items(obj)[0]:
+        line = edited()
+        del _items(line)[0][field]
+        yield f"drop first item's {field}", line
+    yield "note", edited(note="")
+    line = edited()
+    _items(line)[0]["note"] = ""
+    yield "first item's note", line
+
+
+def test_every_honest_line_loads_and_every_misstored_value_is_refused():
+    lines = _honest_lines()
+    assert {(decode, line["task"]) for decode, _, line in lines} == {
+        (decode, task) for decode in (example_from_json, record_from_json)
+        for task in ("mult", "sudoku")
+    }
+    edits = 0
+    for decode, decoded, line in lines:
+        stored = json.loads(dumps_json_line(line))
+        assert decode(stored) == decoded
+        assert stored == line
+        for what, edit in _codec_edits(line):
+            with pytest.raises(CorpusFormatError):
+                decode(edit)
+                pytest.fail(f"{line['task']} {what}: {edit}")
+            edits += 1
+    assert edits > 1000
 
 
 # --- codec round trips over both tasks ---

@@ -45,3 +45,19 @@ def test_smoke_round_reproduces_its_digest(checkout, workload):
     assert json.loads(result_line)["correct"] is True, result_line
     digests = json.loads(report_line)["report"]["digests"]
     assert digests["round_0"] == ROUND_0_DIGESTS[workload]
+
+
+def test_a_traced_smoke_round_measures_every_layer(checkout):
+    # The traced loop wraps package functions by name, so a rename in the
+    # package shows up here as a failure or a missing layer.
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sudoku_rollouts", "--seed", "7",
+         "--seconds", "0", "--trace", "1", "--size", "smoke"],
+        cwd=checkout, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, result
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        wanted = [metric["name"] for metric in json.load(handle)["per_layer"]]
+    assert [name for name in wanted if result["metrics"][name]["value"] is None] == []
