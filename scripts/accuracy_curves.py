@@ -46,12 +46,12 @@ def main():
     print(f"wrote {len(rows)} rows to {args.out}")
     print(
         f"worst |z| = {abs(worst.zscore):.2f} at n={worst.result.n} "
-        f"mode={worst.result.mode} m={worst.result.m}"
+        f"mode={worst.result.law.mode} m={worst.result.law.m}"
     )
     for mode, m in (("none", None), ("rmtp", None), ("rtbs", max(args.m))):
         tail = [
             r for r in rows
-            if (r.result.mode, r.result.m, r.result.n) == (mode, m, args.n_max)
+            if (r.result.law.mode, r.result.law.m, r.result.n) == (mode, m, args.n_max)
         ]
         if tail:
             r = tail[0]

@@ -46,7 +46,7 @@ from .mtp import (
     TaskName,
     task_hooks,
 )
-from .sim import simulate_accuracy, validate_mode
+from .sim import Law, simulate_accuracy
 from .tasks import (
     OracleVerifier,
     binary_verifier,
@@ -154,11 +154,11 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
 def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
                  threads, engine, root_unlimited, out) -> None:
     """Monte-Carlo estimate of one (params, n, mode) point, with theory."""
+    params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     try:
-        validate_mode(mode, m)
+        Law(params, mode, m)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--m'") from exc
-    params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
     result = simulate_accuracy(
         params, n, mode, episodes, seed, m=m, budget=budget, threads=threads,
         engine=engine, root_unlimited=root_unlimited,

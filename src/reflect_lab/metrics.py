@@ -187,24 +187,26 @@ def binomial_zscore(successes: int, trials: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """A Monte-Carlo point (its n, mode and width are on `result`) beside
-    its closed form."""
+    """A Monte-Carlo point (its n and law are on `result`) beside its closed
+    form.  An unlimited rtbs root and a per-attempt table have none yet, so
+    their theory and zscore are None."""
 
     result: SimResult
-    theory: float
-    zscore: float
+    theory: Optional[float]
+    zscore: Optional[float]
 
 
 def report_row(result: SimResult) -> ReportRow:
-    """A Monte-Carlo point next to its mode's closed form and z-score."""
-    params, n, m = result.params, result.n, result.m
-    if result.mode == "none":
-        theory = rho_nonreflective(params, n)
-    elif result.mode == "rmtp":
-        theory = rho_rmtp(params, n)
+    """A Monte-Carlo point next to its law's closed form and z-score."""
+    law, n = result.law, result.n
+    if law.root_unlimited or law.posterior is not None:
+        return ReportRow(result, None, None)
+    if law.mode == "none":
+        theory = rho_nonreflective(law.params, n)
+    elif law.mode == "rmtp":
+        theory = rho_rmtp(law.params, n)
     else:
-        assert m is not None
-        theory = rho_rtbs(params, m, n)
+        theory = rho_rtbs(law.params, law.m, n)
     z = binomial_zscore(result.successes, result.episodes, theory)
     return ReportRow(result, theory, z)
 
@@ -242,10 +244,11 @@ def report_to_csv(rows: Iterable[ReportRow]) -> str:
     lines = ["n,mode,m,episodes,acc_hat,ci_lo,ci_hi,theory,zscore"]
     for row in rows:
         r = row.result
-        m_text = "" if r.m is None else str(r.m)
+        m_text = "" if r.law.m is None else str(r.law.m)
+        priced = "," if row.theory is None else f"{row.theory!r},{row.zscore!r}"
         lines.append(
-            f"{r.n},{r.mode},{m_text},{r.episodes},{r.accuracy_hat!r},"
-            f"{r.wilson_ci[0]!r},{r.wilson_ci[1]!r},{row.theory!r},{row.zscore!r}"
+            f"{r.n},{r.law.mode},{m_text},{r.episodes},{r.accuracy_hat!r},"
+            f"{r.wilson_ci[0]!r},{r.wilson_ci[1]!r},{priced}"
         )
     return "\n".join(lines) + "\n"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Optional, Protocol
 
 import numpy as np
 
@@ -100,19 +100,16 @@ class EpisodeRecord:
     outcome: Outcome
 
 
-@runtime_checkable
 class PolicyInterface(Protocol):
     def sample(self, state: Any, rng: np.random.Generator) -> Step: ...
 
 
-@runtime_checkable
 class VerifierInterface(Protocol):
     def verify(
         self, state: Any, step: Step, rng: np.random.Generator
     ) -> Verification: ...
 
 
-@runtime_checkable
 class TransitionInterface(Protocol):
     def apply(self, state: Any, step: Step) -> Any: ...
 

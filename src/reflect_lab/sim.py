@@ -6,6 +6,10 @@ realizes the rate model of `theory`: on-track proposals stay on track with
 probability mu, the verifier false-alarms with e_minus, misses with e_plus,
 and rejects everything at derailed states with probability f.
 
+A `Law` names what a Monte-Carlo point runs: rates, mode, width and root.
+Both engines and the budget read it, and the result carries it, so a report
+prices the law that ran.
+
 Two engines estimate success probabilities.  The interface engine drives the
 one executor, `engines.run_rtbs`, episode by episode with the configuration
 `engines.mode_config` builds for the mode, and produces full event logs.  The
@@ -14,15 +18,15 @@ numpy and exists purely for throughput; equivalence of the two is pinned by
 tests.  Each batch of the vector engine has its own random stream; a worker
 runs a group of batches in one array and one loop, each batch drawing from
 its own stream and compacting its own rows, so grouping never moves a result.
-Every mode runs that loop with its own rates; mode none accepts every
-proposal, and an on-track one stays on track with chance mu.  A backtracking
-row keeps one small code per level (an attempt count, or a link past a
+Every mode runs that loop on its law's per-attempt rates; mode none's
+accept every proposal, and an on-track one stays on track with chance mu.
+A backtracking row keeps one small code per level (an attempt count, or a link past a
 spent level), its deepest ancestor with attempts to spare, and the depth of
 its chain's first derailed state (a level is on track exactly when it lies
 above that depth), and pops in one step to that ancestor.
 Unless asked otherwise the backtracking mode charges the root its m attempts
 like every other state, which is the convention the closed-form curves
-price in.
+price in; no closed form prices an unlimited root or a per-attempt table yet.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -126,6 +131,12 @@ def _synthetic_validate(query: Query) -> None:
         raise ValueError("synthetic scale must be >= 0")
 
 
+def _synthetic_answer_from_json(obj: object) -> bool:
+    if not isinstance(obj, bool):
+        raise ValueError(f"synthetic answer must be true or false, got {obj!r}")
+    return obj
+
+
 def _render_synthetic(state: SyntheticState) -> str:
     return f"scale {state.scale}{'+' if state.positive else '-'}"
 
@@ -146,6 +157,7 @@ register_task(
         polarity=lambda query, state: bool(state.positive),
         move_to_json=lambda on_track: {"on_track": on_track},
         move_from_json=lambda obj: bool(obj["on_track"]),
+        answer_from_json=_synthetic_answer_from_json,
     ),
 )
 
@@ -163,15 +175,101 @@ def wilson_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, floa
 
 
 @dataclass(frozen=True)
+class Law:
+    """The chain one Monte-Carlo point runs: its rates, executor and root.
+
+    mode is one of `engines.MODES`; m is the width, which only rtbs takes.
+    A per-attempt table (posterior) replaces the constant rates of params.
+    root_unlimited exempts the rtbs root from the width; no other mode's
+    root runs out of attempts, so it is False for them.  Building a law
+    refuses a mode or width that do not fit.
+    """
+
+    params: SimplifiedParams
+    mode: str
+    m: Optional[int] = None
+    posterior: Optional[PosteriorParams] = None
+    root_unlimited: bool = False
+
+    def __post_init__(self) -> None:
+        mode_config(self.mode, self.m, 0, 1)
+        if self.mode != "rtbs" and self.m is not None:
+            raise ValueError(f"mode {self.mode!r} takes no width")
+        object.__setattr__(self, "root_unlimited", self.root_unlimited and self.mode == "rtbs")
+
+    @cached_property
+    def rates(self) -> PosteriorParams:
+        """The per-attempt table the chain runs on.
+
+        Mode none verifies nothing, so every proposal is a first attempt
+        that is accepted: the table (mu_1, e_minus = 0, e_plus = 1, f = 0),
+        whose beta + gamma = fl(mu + fl(1 - mu)) is 1 for every double mu.
+        """
+        table = self.posterior or PosteriorParams.constant(self.params)
+        if self.mode == "none":
+            return PosteriorParams(mu=table.mu[:1], e_minus=(0.0,), e_plus=(1.0,), f=0.0)
+        return table
+
+    @property
+    def clip(self) -> int:
+        """Largest attempt count the rtbs stack stores.
+
+        A stored level holds at most m attempts, except an unlimited root,
+        whose count is clipped here: past max(m, last rate-table index)
+        neither the width check nor the rate lookup can tell two counts apart.
+        """
+        return max(self.m, len(self.rates.mu) - 1)
+
+    def stack_dtype(self, n: int) -> np.dtype:
+        """Narrowest unsigned dtype of a level of the rtbs stack at scale n.
+
+        A level holds an attempt count up to `clip`, or, once spent, m plus
+        a level below it: at most m + n - 2, since the deepest level the
+        engine writes is n - 1.
+        """
+        return np.min_scalar_type(max(self.clip, self.m + n - 2))
+
+    def batches_per_group(self, n: int) -> int:
+        """Most batches one worker runs together in one array.
+
+        A batch of _CHUNK rows once kept an int32 attempt count and a bool
+        polarity per level of its rtbs stack: 5n bytes a row.  A group keeps
+        a `stack_dtype` level plus a first-derailed depth a row, counted here
+        as int32 (it is narrower below n = 2**16), and holds no more of those
+        bytes than that batch did.  Modes without a stack hold no more rows
+        than an rtbs group of one-byte levels.
+        """
+        level_bytes = self.stack_dtype(n).itemsize if self.mode == "rtbs" else 1
+        return max(1, 5 * n // (n * level_bytes + 4))
+
+    def budget(self, n: int) -> int:
+        """Proposal budget that makes exhaustion negligible for sane rates.
+
+        Scales with the mean retry counts at both polarities; capped so that
+        pathological rates degrade into flagged exhaustion instead of hangs.
+        Mode none makes exactly one proposal a step.
+        """
+        if self.mode == "none":
+            return max(n, 1)
+        rates = derived_rates(self.params)
+        retry_pos = 1.0 / max(1.0 - rates.alpha, 0.01)
+        retry_neg = 1.0 / max(1.0 - self.params.f, 0.01)
+        base = int(48 + 8 * max(n, 1) * (retry_pos + retry_neg))
+        if self.mode == "rtbs":
+            base *= min(self.m, 64)
+        return min(base, 1_000_000)
+
+
+@dataclass(frozen=True)
 class EngineStats:
     """What the vector engine did, summed over the batches of a run.
 
     passes: loop passes of each batch.  compactions: times a batch dropped
     its closed rows and kept going.  row_passes: uniforms drawn, one per row
     and pass, closed rows that wait for their batch's compaction included.
-    pops: rtbs rows that backtracked.  budget_hits: batches still running
-    at the budget's last pass.  A batch's counts do not depend on its group,
-    so these do not depend on the thread count.
+    pops: rtbs rows that backtracked.  budget_hits: batches with a row still
+    open after the budget's last pass.  A batch's counts do not depend on its
+    group, so these do not depend on the thread count.
     """
 
     passes: int = 0
@@ -186,12 +284,10 @@ class EngineStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Monte-Carlo estimate of one (params, n, mode) point."""
+    """Monte-Carlo estimate of one point: the success rate of `law` at scale n."""
 
-    params: SimplifiedParams
+    law: Law
     n: int
-    mode: str
-    m: Optional[int]
     episodes: int
     successes: int
     accuracy_hat: float
@@ -225,78 +321,6 @@ def _threads(threads: Optional[int]) -> int:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
         return count
     return os.cpu_count() or 1
-
-
-def auto_budget(params: SimplifiedParams, n: int, mode: str, m: Optional[int]) -> int:
-    """Proposal budget that makes exhaustion negligible for sane rates.
-
-    Scales with the mean retry counts at both polarities; capped so that
-    pathological rates degrade into flagged exhaustion instead of hangs.
-    """
-    if mode == "none":
-        return max(n, 1)
-    rates = derived_rates(params)
-    retry_pos = 1.0 / max(1.0 - rates.alpha, 0.01)
-    retry_neg = 1.0 / max(1.0 - params.f, 0.01)
-    base = int(48 + 8 * max(n, 1) * (retry_pos + retry_neg))
-    if mode == "rtbs":
-        base *= max(1, min(int(m or 1), 64))
-    return min(base, 1_000_000)
-
-
-def _rate_tables(
-    mode: str, params: SimplifiedParams, posterior: Optional[PosteriorParams]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-attempt (beta, beta + gamma) tables, length 1 when constant, and 1 - f.
-
-    Mode none verifies nothing, so every proposal is a first attempt that is
-    accepted: beta = mu, beta + gamma = 1 and 1 - f = 1.
-    """
-    if posterior is None:
-        posterior = PosteriorParams.constant(params)
-    if mode == "none":
-        return np.array([posterior.mu[0]]), np.array([1.0]), 1.0
-    beta = np.asarray(posterior.beta, dtype=np.float64)
-    gamma = np.asarray(posterior.gamma, dtype=np.float64)
-    return beta, beta + gamma, 1.0 - posterior.f
-
-
-def _stack_clip(m: Optional[int], posterior: Optional[PosteriorParams]) -> int:
-    """Largest attempt count the rtbs stack stores.
-
-    A stored level holds at most m attempts, except an unlimited root, whose
-    count is clipped here: past max(m, last rate-table index) neither the
-    width check nor the rate lookup can tell two counts apart.
-    """
-    return max(int(m or 1), len(posterior.mu) - 1 if posterior is not None else 0)
-
-
-def _stack_dtype(n: int, m: Optional[int], posterior: Optional[PosteriorParams]) -> np.dtype:
-    """Narrowest unsigned dtype of a level of the rtbs stack at scale n.
-
-    A level holds an attempt count up to `_stack_clip`, or, once spent, m
-    plus a level below it: at most m + n - 2, since the deepest level the
-    engine writes is n - 1.
-    """
-    return np.min_scalar_type(max(_stack_clip(m, posterior), int(m or 1) + n - 2))
-
-
-def _batches_per_group(
-    n: int, mode: str, m: Optional[int], posterior: Optional[PosteriorParams]
-) -> int:
-    """Most batches one worker runs together in one array.
-
-    A batch of _CHUNK rows once kept an int32 attempt count and a bool
-    polarity per level of its rtbs stack: 5n bytes a row.  A group keeps a
-    `_stack_dtype` level plus a first-derailed depth a row, counted here as
-    int32 (it is narrower below n = 2**16), and holds no more of those bytes
-    than that batch did.  Modes without a stack hold no more rows than an
-    rtbs group of one-byte levels.
-    """
-    level_bytes = 1
-    if mode == "rtbs":
-        level_bytes = _stack_dtype(n, m, posterior).itemsize
-    return max(1, 5 * n // (n * level_bytes + 4))
 
 
 def _stack_write(
@@ -342,22 +366,14 @@ def _stack_pop(
 
 
 def _mc_chunk(
-    params: SimplifiedParams,
-    n: int,
-    mode: str,
-    m: Optional[int],
-    budget: int,
-    root_unlimited: bool,
-    batches: list[tuple[int, np.random.Generator]],
-    posterior: Optional[PosteriorParams],
+    law: Law, n: int, budget: int, batches: list[tuple[int, np.random.Generator]]
 ) -> tuple[int, int, int, int, EngineStats]:
     """Simulate a group of batches, each given as (episodes, its own stream).
 
     Returns (successes, correct_len_sum, exhausted, done, stats) summed over
     the group.  Event-for-event the same chain law as the interface engine:
-    one uniform draw decides each proposal's fate against the mode's rates
-    (`_rate_tables`; mode none's are beta = mu, beta + gamma = 1 - f = 1)
-    and attempts are tracked per state.  The batches share one array and one
+    one uniform draw decides each proposal's fate against `law.rates` and
+    attempts are tracked per state.  The batches share one array and one
     loop, but each draws its rows' uniforms from its own stream and compacts
     its own rows when at most three quarters of them are live, so every
     batch sees exactly the numbers it would see run alone.
@@ -369,8 +385,8 @@ def _mc_chunk(
     Derailed states only have derailed children, so a level is on track
     exactly when it lies above the chain's first derailed depth: one int per
     row replaces a polarity stack.  The attempt stack is one flat array,
-    level l of row r at entry r * n + l, of `_stack_dtype`.  Each pass every
-    row writes the code of its attempts so far plus one at its own depth
+    level l of row r at entry r * n + l, of `law.stack_dtype`.  Each pass
+    every row writes the code of its attempts so far plus one at its own depth
     (`_stack_write`); that entry becomes a level of the row's chain only
     when the row descends, and entries at the row's depth and deeper are
     stale and never read.  A spare level's code is its count, and a spent
@@ -386,11 +402,13 @@ def _mc_chunk(
         # One restating answer step per episode, always on track.
         total = sum(count for count, _ in batches)
         return (total, total, 0, total, EngineStats())
-    beta_lut, bg_lut, one_minus_f = _rate_tables(mode, params, posterior)
+    beta_lut = np.asarray(law.rates.beta)
+    bg_lut = beta_lut + law.rates.gamma
+    one_minus_f = 1.0 - law.rates.f
     lut_top = len(beta_lut) - 1
-    track_attempts = mode == "rtbs" or lut_top > 0
-    rtbs = mode == "rtbs"
-    m_eff = int(m or 1)
+    rtbs = law.mode == "rtbs"
+    track_attempts = rtbs or lut_top > 0
+    m = law.m
 
     rngs = [rng for _, rng in batches]
     sizes = [count for count, _ in batches]  # each batch's rows in the arrays
@@ -401,8 +419,8 @@ def _mc_chunk(
     depth = np.zeros(rows, dtype=row_dtype)
     cur_pol = np.ones(rows, dtype=bool)
     if rtbs:
-        clip = _stack_clip(m, posterior)
-        stack = np.zeros(rows * n, dtype=_stack_dtype(n, m, posterior))
+        clip = law.clip
+        stack = np.zeros(rows * n, dtype=law.stack_dtype(n))
         # A count stops at clip (an unlimited root's is clipped as it is
         # stored), so one more always fits.
         att = np.zeros(rows, dtype=np.min_scalar_type(clip + 1))
@@ -455,10 +473,10 @@ def _mc_chunk(
             rejected = alive > accepted
             tried = att + 1
             if rtbs:
-                if root_unlimited:
+                if law.root_unlimited:
                     np.minimum(tried, clip, out=tried)
                 # Stale wherever the row does not descend.
-                _stack_write(stack, offsets[:size], depth, tried, spare, desc, m_eff)
+                _stack_write(stack, offsets[:size], depth, tried, spare, desc, m)
             att = tried * rejected
         depth += desc
         cur_pol ^= derail
@@ -466,17 +484,17 @@ def _mc_chunk(
             # A derailing row was on track: its new depth is the first derailed one.
             dr = derail.nonzero()[0]
             derailed_at[dr] = depth[dr]
-            over = (att >= m_eff).nonzero()[0]  # only rejecting rows kept a count
+            over = (att >= m).nonzero()[0]  # only rejecting rows kept a count
             if over.size:
                 pops += int(np.count_nonzero(depth[over]))  # rows above the root
-                level, restored, spare[over] = _stack_pop(stack, n, over, spare, m_eff)
+                level, restored, spare[over] = _stack_pop(stack, n, over, spare, m)
                 depth[over] = level
                 att[over] = restored
                 back_on_track = level < derailed_at[over]
                 cur_pol[over] = back_on_track
                 derailed_at[over[back_on_track]] = n  # no derailed level is left
-                if not root_unlimited:  # back at a root with no attempts left
-                    closing[over[restored >= m_eff]] = True
+                if not law.root_unlimited:  # back at a root with no attempts left
+                    closing[over[restored >= m]] = True
 
         n_succ = int(np.count_nonzero(succ_now))
         successes += n_succ
@@ -484,8 +502,12 @@ def _mc_chunk(
         n_closing = int(np.count_nonzero(closing))
         if passes == budget:
             # Every live row that is not closing has spent the budget.
-            budget_hits += len(rngs)
-            exhausted += sum(live) - n_closing
+            start = 0
+            for k, count in zip(sizes, live):
+                still_open = count - int(np.count_nonzero(closing[start : start + k]))
+                budget_hits += int(still_open > 0)
+                exhausted += still_open
+                start += k
             done += sum(live)
             break
         if not n_closing:
@@ -522,28 +544,14 @@ def _mc_chunk(
     return (successes, correct_len_sum, exhausted, done, stats)
 
 
-def validate_mode(mode: str, m: Optional[int]) -> None:
-    """Refuse a mode not in MODES and a width that does not fit the mode."""
-    mode_config(mode, m, 0, 1)
-    if mode != "rtbs" and m is not None:
-        raise ValueError(f"mode {mode!r} takes no width")
-
-
 def _episode_engine(
-    params: SimplifiedParams,
-    n: int,
-    mode: str,
-    m: Optional[int],
-    budget: int,
-    root_unlimited: bool,
-    episodes: int,
-    seed: int,
+    law: Law, n: int, budget: int, episodes: int, seed: int
 ) -> tuple[int, int, int]:
     """Interface-level reference engine; returns (successes, len_sum, exhausted)."""
     query = Query(TaskName.SYNTHETIC, n)
-    sv = synthetic_self_verifying(params)
+    sv = synthetic_self_verifying(law.params)
     transition = SyntheticTransition()
-    config = mode_config(mode, m, budget, budget, root_unlimited)
+    config = mode_config(law.mode, law.m, budget, budget, law.root_unlimited)
     successes = 0
     len_sum = 0
     exhausted = 0
@@ -578,13 +586,13 @@ def simulate_accuracy(
     Episodes are split into fixed-size batches, each on its own derived
     random stream.  The run takes one worker per two batches, up to the
     thread count.  The batches are dealt round-robin into one group per
-    worker (more when a group would outgrow `_batches_per_group`), and each
+    worker (more when a group would outgrow `Law.batches_per_group`), and each
     group runs in one loop; a batch's numbers do not depend on its group, so
     results do not depend on the thread count.  The budget defaults high
     enough that exhaustion stays a rounding error for sane rates; exhausted
     episodes count as failures and are tallied in the result.
     """
-    validate_mode(mode, m)
+    law = Law(params, mode, m, posterior, root_unlimited)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if n < 0:
@@ -595,13 +603,11 @@ def simulate_accuracy(
         raise ValueError("per-attempt rates are supported by the vector engine only")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    budget = budget if budget is not None else auto_budget(params, n, mode, m)
+    budget = budget if budget is not None else law.budget(n)
 
     stats = None
     if engine == "episode":
-        successes, len_sum, exhausted = _episode_engine(
-            params, n, mode, m, budget, root_unlimited, episodes, seed
-        )
+        successes, len_sum, exhausted = _episode_engine(law, n, budget, episodes, seed)
     else:
         batches = [
             (index, min(_CHUNK, episodes - start))
@@ -610,20 +616,13 @@ def simulate_accuracy(
         # A worker with less than two batches to run costs more in contention
         # than it saves.
         workers = min(_threads(threads), max(1, len(batches) // 2))
-        per_group = _batches_per_group(n, mode, m, posterior)
+        per_group = law.batches_per_group(n)
         n_groups = max(workers, -(-len(batches) // per_group))
         groups = [batches[i::n_groups] for i in range(n_groups)]
 
         def run_group(group: list[tuple[int, int]]) -> tuple[int, int, int, int, EngineStats]:
             return _mc_chunk(
-                params,
-                n,
-                mode,
-                m,
-                budget,
-                root_unlimited,
-                [(size, rng_mod.stream(seed, index)) for index, size in group],
-                posterior,
+                law, n, budget, [(size, rng_mod.stream(seed, index)) for index, size in group]
             )
 
         if workers > 1:
@@ -637,10 +636,8 @@ def simulate_accuracy(
         stats = sum((p[4] for p in parts), EngineStats())
 
     return SimResult(
-        params=params,
+        law=law,
         n=n,
-        mode=mode,
-        m=m,
         episodes=episodes,
         successes=successes,
         accuracy_hat=successes / episodes,

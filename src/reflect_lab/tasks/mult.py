@@ -273,6 +273,8 @@ def _mult_move_to_json(move: MultMove) -> dict:
 
 
 def _mult_move_from_json(obj: dict) -> MultMove:
+    if obj["side"] not in ("x", "y"):
+        raise ValueError(f"side must be 'x' or 'y', got {obj['side']!r}")
     return MultMove(
         side=obj["side"],
         digit=int(obj["digit"]),

@@ -111,7 +111,7 @@ def test_criterion_01_reference_curves_match_monte_carlo():
     assert len(rows) == 30 * 7
     worst = max(rows, key=lambda r: abs(r.zscore))
     assert abs(worst.zscore) <= 3.0, (
-        f"worst grid point n={worst.result.n} mode={worst.result.mode} m={worst.result.m}: "
+        f"worst grid point n={worst.result.n} mode={worst.result.law.mode} m={worst.result.law.m}: "
         f"|z| = {abs(worst.zscore):.3f} > 3"
     )
     assert elapsed <= 120.0, f"grid took {elapsed:.1f}s > 120s"

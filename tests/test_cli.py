@@ -84,6 +84,25 @@ def test_simulate_reports_theory_column(runner, tmp_path):
     assert abs(float(fields[8])) < 4.5
 
 
+def test_simulate_leaves_an_unlimited_root_unpriced(runner, tmp_path):
+    # No closed form prices an unlimited root yet.  The capped-root curve
+    # read 0.4713 here, for a measured accuracy near 0.9: a z-score of 47.
+    out = str(tmp_path / "sim.csv")
+    result = runner.invoke(
+        main,
+        [
+            "simulate", *REF_FLAGS, "--mode", "rtbs", "--m", "2", "--n", "6",
+            "--episodes", "3000", "--seed", "11", "--threads", "1", "--root-unlimited",
+            "--out", out,
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    fields = read_bytes(out).decode().strip().split("\n")[1].split(",")
+    assert fields[:4] == ["6", "rtbs", "2", "3000"]
+    assert float(fields[4]) > 0.85
+    assert fields[7:] == ["", ""]
+
+
 def test_simulate_budget_dominated_exits_3(runner, tmp_path):
     out = str(tmp_path / "starved.csv")
     result = runner.invoke(

@@ -676,6 +676,47 @@ def test_values_a_decoder_converts_are_refused(line, decode, edit, message):
         decode(obj)
 
 
+def _set_answer(value):
+    """Store `value` as a record's answer, in its answer event and field."""
+    def edit(obj):
+        obj["events"][-1]["step"] = obj["answer"] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "line, decode, edit, message",
+    [
+        pytest.param(
+            _mult_example_line, example_from_json, _set_move("side", lambda _: 7),
+            "side must be 'x' or 'y', got 7", id="mult-side-int",
+        ),
+        pytest.param(
+            _mult_example_line, example_from_json, _set_move("side", lambda _: ["z"]),
+            r"side must be 'x' or 'y', got \['z'\]", id="mult-side-list",
+        ),
+        pytest.param(
+            _synthetic_rtbs_line, record_from_json, _set_answer("no"),
+            "synthetic answer must be true or false, got 'no'", id="synthetic-answer-text",
+        ),
+        pytest.param(
+            _synthetic_rtbs_line, record_from_json, _set_answer(float("nan")),
+            "synthetic answer must be true or false, got nan", id="synthetic-answer-nan",
+        ),
+        pytest.param(
+            _synthetic_rtbs_line, record_from_json, _set_answer(1),
+            "synthetic answer must be true or false, got 1", id="synthetic-answer-int",
+        ),
+    ],
+)
+def test_values_a_decoder_would_copy_must_have_their_type(line, decode, edit, message):
+    # These decoders hand the stored value back, so it would encode back to
+    # itself and pass the round trip; each checks the value's type instead.
+    obj = line()
+    edit(obj)
+    with pytest.raises(CorpusFormatError, match=message):
+        decode(obj)
+
+
 def test_an_infinite_query_is_a_format_error(tmp_path):
     obj = _mult_example_line()
     obj["query"][0] = float("inf")
@@ -745,7 +786,7 @@ def _writable(obj):
             for item in obj["events"]
             if item["disposition"] != "traceback"
         ]
-    except TypeError:  # an answer's content read as a move
+    except (TypeError, ValueError):  # a step's content read as the other kind
         return False
     count = len(proposals)
     if count == 0:  # run_rtbs proposes at least once
@@ -899,8 +940,6 @@ def _codec_edits(obj):
         yield "answer", edited(answer=answer)
     move = _first_move(obj)
     for field in sorted(move or ()):
-        if field == "side":  # mult's side is stored as given
-            continue
         for value in _misstored(move[field]):
             line = edited()
             _first_move(line)[field] = value

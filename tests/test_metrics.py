@@ -13,6 +13,7 @@ from reflect_lab.metrics import (
     AccuracyTally,
     estimate_verification_errors,
     reflection_frequency,
+    report_row,
     report_to_csv,
     theory_vs_sim_rows,
 )
@@ -29,7 +30,7 @@ from reflect_lab.mtp import (
     Verification,
     VerifiedStep,
 )
-from reflect_lab.sim import SyntheticState
+from reflect_lab.sim import SyntheticState, simulate_accuracy
 from reflect_lab.tasks import (
     binary_verifier,
     expert_policy,
@@ -38,7 +39,13 @@ from reflect_lab.tasks import (
     make_noisy_verifier,
     transition_for,
 )
-from reflect_lab.theory import SimplifiedParams, rho_rmtp
+from reflect_lab.theory import (
+    PosteriorParams,
+    SimplifiedParams,
+    rho_nonreflective,
+    rho_rmtp,
+    rho_rtbs,
+)
 
 A, R, T = Disposition.ACCEPTED, Disposition.REJECTED, Disposition.TRACEBACK
 
@@ -254,7 +261,7 @@ def test_report_rows_cover_the_grid(ref_params):
         threads=1,
     )
     assert len(rows) == 2 * (1 + 1 + 2)
-    shape = [(r.result.n, r.result.mode, r.result.m) for r in rows]
+    shape = [(r.result.n, r.result.law.mode, r.result.law.m) for r in rows]
     assert shape == [
         (1, "none", None),
         (1, "rmtp", None),
@@ -268,7 +275,7 @@ def test_report_rows_cover_the_grid(ref_params):
     for row in rows:
         assert abs(row.zscore) < 4.5
         assert row.result.episodes == 4000
-    rmtp_rows = [r for r in rows if r.result.mode == "rmtp"]
+    rmtp_rows = [r for r in rows if r.result.law.mode == "rmtp"]
     assert rmtp_rows[1].theory == pytest.approx(rho_rmtp(ref_params, 3))
 
 
@@ -284,3 +291,36 @@ def test_report_csv_layout_and_determinism(ref_params):
     fields = lines[1].split(",")
     assert fields[0] == "2" and fields[1] == "rmtp" and fields[2] == ""
     assert float(fields[7]) == pytest.approx(rho_rmtp(ref_params, 2))
+
+
+def _report(params, mode, m=None, **options):
+    return report_row(simulate_accuracy(params, 4, mode, 2000, 5, m=m, threads=1, **options))
+
+
+def test_report_rows_at_a_capped_root_are_the_closed_forms(ref_params):
+    for mode, m, theory in (
+        ("none", None, rho_nonreflective(ref_params, 4)),
+        ("rmtp", None, rho_rmtp(ref_params, 4)),
+        ("rtbs", 2, rho_rtbs(ref_params, 2, 4)),
+    ):
+        row = _report(ref_params, mode, m)
+        assert row.theory == theory, mode  # bit for bit
+        assert row.zscore == binomial_zscore(row.result.successes, 2000, theory), mode
+        if mode != "rtbs":
+            # Only an rtbs root runs out of attempts, so only there does an
+            # unlimited root change the law.
+            assert _report(ref_params, mode, root_unlimited=True) == row, mode
+
+
+def test_laws_without_a_closed_form_are_left_unpriced(ref_params):
+    # The capped-root curve misprices an unlimited root, and the curves of
+    # params misprice a per-attempt table, so neither row is priced.
+    table = PosteriorParams(mu=(0.8, 0.5), e_minus=(0.3, 0.3), e_plus=(0.2, 0.2), f=0.8)
+    rows = [_report(ref_params, "rtbs", 2, root_unlimited=True)] + [
+        _report(ref_params, mode, m, posterior=table)
+        for mode, m in (("none", None), ("rmtp", None), ("rtbs", 2))
+    ]
+    for row in rows:
+        assert (row.theory, row.zscore) == (None, None), row.result.law
+    for line in report_to_csv(rows).strip().split("\n")[1:]:
+        assert line.endswith(",,") and line.count(",") == 8, line

@@ -8,13 +8,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import exact_rtbs_success, frac_rates, frac_rmtp, mc_batch_reference
+from helpers import (
+    OneDrawSelfVerifier,
+    exact_rtbs_success,
+    frac_rates,
+    frac_rmtp,
+    mc_batch_reference,
+)
 from reflect_lab import rng as rng_mod
 from reflect_lab import sim
+from reflect_lab.engines import MODES, mode_config, run_rtbs
 from reflect_lab.metrics import binomial_zscore
+from reflect_lab.mtp import Disposition, Outcome, Query, TaskName
 from reflect_lab.sim import (
+    Law,
     SimplifiedParams,
-    auto_budget,
     crossover_scan,
     simulate_accuracy,
     wilson_ci,
@@ -58,29 +66,29 @@ def test_wilson_ci_width_shrinks_like_root_n():
 
 
 def test_auto_budget_shapes(ref_params):
-    assert auto_budget(ref_params, 12, "none", None) == 12
-    assert auto_budget(ref_params, 0, "none", None) == 1
-    rmtp_b = auto_budget(ref_params, 10, "rmtp", None)
+    assert Law(ref_params, "none").budget(12) == 12
+    assert Law(ref_params, "none").budget(0) == 1
+    rmtp_b = Law(ref_params, "rmtp").budget(10)
     assert rmtp_b > 10
-    assert auto_budget(ref_params, 20, "rmtp", None) > rmtp_b
-    assert auto_budget(ref_params, 10, "rtbs", 4) == min(rmtp_b * 4, 1_000_000)
-    assert auto_budget(ref_params, 10, "rtbs", 10_000) <= 1_000_000
+    assert Law(ref_params, "rmtp").budget(20) > rmtp_b
+    assert Law(ref_params, "rtbs", 4).budget(10) == min(rmtp_b * 4, 1_000_000)
+    assert Law(ref_params, "rtbs", 10_000).budget(10) <= 1_000_000
 
 
 def test_auto_budget_pins(ref_params):
     # Worked from int(48 + 8 n (retry_pos + retry_neg)), times min(m, 64) for
     # rtbs, at most 1e6.  At REF alpha = 0.8 * 0.3 + 0.2 * 0.8 = 0.4, so
     # retry_pos = 1 / 0.6 and retry_neg = 1 / 0.2: 48 + 80 * 20 / 3 = 581.33.
-    assert auto_budget(ref_params, 10, "rmtp", None) == 581
-    assert auto_budget(ref_params, 10, "rtbs", 4) == 4 * 581
+    assert Law(ref_params, "rmtp").budget(10) == 581
+    assert Law(ref_params, "rtbs", 4).budget(10) == 4 * 581
     # alpha = 1: retry_pos = 1 / 0.01 = 100 on the floor; retry_neg = 2.
     # 48 + 8 * 102 = 864.
-    assert auto_budget(SimplifiedParams(1.0, 1.0, 0.0, 0.5), 1, "rmtp", None) == 864
+    assert Law(SimplifiedParams(1.0, 1.0, 0.0, 0.5), "rmtp").budget(1) == 864
     # f = 1: retry_neg = 100 on the floor; alpha = 0.5, retry_pos = 2.
     # 48 + 16 * 102 = 1680.
-    assert auto_budget(SimplifiedParams(0.5, 0.5, 0.5, 1.0), 2, "rmtp", None) == 1680
+    assert Law(SimplifiedParams(0.5, 0.5, 0.5, 1.0), "rmtp").budget(2) == 1680
     # 4 * int(48 + 80_000 * 20 / 3) = 2_133_524, capped.
-    assert auto_budget(ref_params, 10_000, "rtbs", 4) == 1_000_000
+    assert Law(ref_params, "rtbs", 4).budget(10_000) == 1_000_000
 
 
 def test_simulate_accuracy_argument_validation(ref_params):
@@ -269,16 +277,14 @@ def test_vector_engine_matches_row_by_row_reference():
                 ("none", None), ("rmtp", None), ("rtbs", 1), ("rtbs", 2), ("rtbs", 3)
             ):
                 beta, beta_gamma, one_minus_f = _rate_tables(params, posterior, mode)
-                budgets = (2 * n + 1, auto_budget(params, n, mode, m))
+                budgets = (2 * n + 1, Law(params, mode, m).budget(n))
                 if mode == "none":
                     budgets += (max(1, n - 1),)
                 for root_unlimited in (False, True) if mode == "rtbs" else (False,):
                     for budget in budgets:
                         seed += 1
-                        got = sim._mc_chunk(
-                            params, n, mode, m, budget, root_unlimited,
-                            [(150, rng_mod.stream(seed, 0))], posterior,
-                        )
+                        law = Law(params, mode, m, posterior, root_unlimited)
+                        got = sim._mc_chunk(law, n, budget, [(150, rng_mod.stream(seed, 0))])
                         want = mc_batch_reference(
                             beta, beta_gamma, one_minus_f, n, m, budget,
                             root_unlimited, 150, rng_mod.stream(seed, 0),
@@ -293,7 +299,8 @@ def test_unlimited_root_past_255_attempts_keeps_its_rate():
     table = PosteriorParams(mu=(0.3, 0.001), e_minus=(0.0, 0.0), e_plus=(0.9, 0.9), f=0.99)
     params = SimplifiedParams(0.3, 0.0, 0.9, 0.99)
     beta, beta_gamma, one_minus_f = _rate_tables(params, table)
-    got = sim._mc_chunk(params, 3, "rtbs", 1, 1500, True, [(300, rng_mod.stream(5, 0))], table)
+    law = Law(params, "rtbs", 1, table, root_unlimited=True)
+    got = sim._mc_chunk(law, 3, 1500, [(300, rng_mod.stream(5, 0))])
     want = mc_batch_reference(
         beta, beta_gamma, one_minus_f, 3, 1, 1500, True, 300, rng_mod.stream(5, 0)
     )
@@ -306,14 +313,12 @@ def test_a_two_byte_stack_under_one_byte_rows_matches_the_reference():
     # m + n - 2 = 257.  Every pass mixes the two widths.
     n, m = 255, 4
     assert np.min_scalar_type(n).itemsize == 1
-    assert sim._stack_dtype(n, m, None).itemsize == 2
+    assert Law(_BASE, "rtbs", m).stack_dtype(n).itemsize == 2
     for params, posterior in ((_BASE, None), (_BASE, _POST)):
         beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
         for root_unlimited in (False, True):
-            got = sim._mc_chunk(
-                params, n, "rtbs", m, 4 * n, root_unlimited, [(40, rng_mod.stream(n, 1))],
-                posterior,
-            )
+            law = Law(params, "rtbs", m, posterior, root_unlimited)
+            got = sim._mc_chunk(law, n, 4 * n, [(40, rng_mod.stream(n, 1))])
             want = mc_batch_reference(
                 beta, beta_gamma, one_minus_f, n, m, 4 * n, root_unlimited, 40,
                 rng_mod.stream(n, 1),
@@ -330,9 +335,8 @@ def test_deep_chains_where_row_state_widens_match_the_reference(n):
     assert np.min_scalar_type(n).itemsize == (1 if n == 255 else 2)
     beta, beta_gamma, one_minus_f = _rate_tables(_BASE, None)
     for root_unlimited in (False, True):
-        got = sim._mc_chunk(
-            _BASE, n, "rtbs", 2, 4 * n, root_unlimited, [(40, rng_mod.stream(n, 0))], None
-        )
+        law = Law(_BASE, "rtbs", 2, root_unlimited=root_unlimited)
+        got = sim._mc_chunk(law, n, 4 * n, [(40, rng_mod.stream(n, 0))])
         want = mc_batch_reference(
             beta, beta_gamma, one_minus_f, n, 2, 4 * n, root_unlimited, 40,
             rng_mod.stream(n, 0),
@@ -349,9 +353,8 @@ def test_successes_close_on_the_pass_the_budget_runs_out():
     for mode, m, root_unlimited in (
         ("rmtp", None, False), ("rtbs", 1, True), ("rtbs", 2, False), ("rtbs", 2, True)
     ):
-        got = sim._mc_chunk(
-            _REF, n, mode, m, n, root_unlimited, [(200, rng_mod.stream(7, 0))], None
-        )
+        law = Law(_REF, mode, m, root_unlimited=root_unlimited)
+        got = sim._mc_chunk(law, n, n, [(200, rng_mod.stream(7, 0))])
         want = mc_batch_reference(
             beta, beta_gamma, one_minus_f, n, m, n, root_unlimited, 200, rng_mod.stream(7, 0)
         )
@@ -359,6 +362,58 @@ def test_successes_close_on_the_pass_the_budget_runs_out():
         successes, len_sum, exhausted, _, stats = got
         assert successes > 0 and exhausted > 0, (mode, m, root_unlimited)
         assert len_sum == n * successes and stats.budget_hits == 1
+
+
+def test_budget_hits_count_batches_with_a_row_still_open():
+    # Mode none's own budget is n, so every row closes on the budget's last
+    # pass and no batch is a hit.  One proposal less leaves every row of
+    # the three batches open.
+    roomy = simulate_accuracy(_REF, 10, "none", 70_000, 3, threads=1)
+    assert (roomy.budget_exhausted, roomy.stats.budget_hits) == (0, 0)
+    tight = simulate_accuracy(_REF, 10, "none", 70_000, 3, budget=9, threads=1)
+    assert (tight.budget_exhausted, tight.stats.budget_hits) == (70_000, 3)
+    assert type(tight.stats.budget_hits) is int
+
+
+def test_one_row_batches_equal_the_executor_episode_for_episode():
+    # A one-row batch draws one uniform a pass from its own stream, the
+    # sequence scalar draws take from that stream, and the one-draw
+    # self-verifier cuts each draw where the engine does.  So `run_rtbs`
+    # must end every episode as the batch on the same stream does.  Scale 0
+    # is left out: the executor verifies the restating answer, the engine
+    # does not.
+    gen = np.random.default_rng(21)
+    rates = (0.0, 0.1, 0.3, 0.5, 0.8, 0.9, 1.0)
+    episodes = 0
+    seen = set()  # outcomes, and whether an episode backtracked
+    for config_seed in range(100):
+        params = SimplifiedParams(*(float(r) for r in gen.choice(rates, 4)))
+        n = int(gen.integers(1, 7))
+        mode = str(gen.choice(MODES))
+        m = int(gen.integers(1, 4)) if mode == "rtbs" else None
+        budget = int(gen.integers(1, 30))
+        law = Law(params, mode, m, root_unlimited=bool(gen.integers(2)))
+        executor = OneDrawSelfVerifier(params, verified=mode != "none")
+        config = mode_config(mode, m, budget, budget, law.root_unlimited)
+        for i in range(40):
+            stream = rng_mod.stream(config_seed, i)
+            record = run_rtbs(
+                executor, sim.SyntheticTransition(), Query(TaskName.SYNTHETIC, n), config, stream
+            )
+            correct = record.outcome is Outcome.CORRECT
+            length = sum(e.disposition is not Disposition.TRACEBACK for e in record.events)
+            want = (
+                int(correct),
+                length * correct,
+                int(record.outcome is Outcome.BUDGET_EXHAUSTED),
+            )
+            got = sim._mc_chunk(law, n, budget, [(1, rng_mod.stream(config_seed, i))])
+            assert got[:3] == want, (law, n, budget, i)
+            episodes += 1
+            seen.add(record.outcome)
+            seen.add(length < len(record.events))
+    assert episodes == 4000
+    assert seen == {*Outcome, False, True}
 
 
 def test_linked_pop_finds_the_deepest_spare_ancestor():
@@ -378,11 +433,12 @@ def test_linked_pop_finds_the_deepest_spare_ancestor():
     ):
         # A longer rate table clips an unlimited root's count past m.
         posterior = PosteriorParams((0.5,) * (m + 3), (0.1,) * (m + 3), (0.1,) * (m + 3), 0.5)
-        clip = sim._stack_clip(m, posterior)
+        law = Law(_BASE, "rtbs", m, posterior)
+        clip = law.clip
         spare_counts = gen.integers(1, max(m, 2), (rows, n))  # all m at m = 1
         counts = np.where(gen.random((rows, n)) < spare_share, spare_counts, m)
         counts[:, 0] = gen.integers(1, (clip if root_unlimited else m) + 1, rows)
-        stack = np.zeros(rows * n, dtype=sim._stack_dtype(n, m, posterior))
+        stack = np.zeros(rows * n, dtype=law.stack_dtype(n))
         row_dtype = np.min_scalar_type(n)
         spare = np.zeros(rows, dtype=row_dtype)
         offsets = np.arange(0, rows * n, n)
@@ -432,17 +488,17 @@ _GROUP_CASES = [
 def test_a_group_of_batches_equals_its_batches_run_alone(n):
     sizes = (300, 1, 1200, 37)
     for params, mode, m, root_unlimited, posterior, tight in _GROUP_CASES:
+        law = Law(params, mode, m, posterior, root_unlimited)
         if tight:
             budget = max(1, n - 1) if mode == "none" else 2 * n + 1
         else:
-            budget = auto_budget(params, n, mode, m)
-        args = (params, n, mode, m, budget, root_unlimited)
+            budget = law.budget(n)
         alone = [
-            sim._mc_chunk(*args, [(size, rng_mod.stream(n, i))], posterior)
+            sim._mc_chunk(law, n, budget, [(size, rng_mod.stream(n, i))])
             for i, size in enumerate(sizes)
         ]
         batches = [(size, rng_mod.stream(n, i)) for i, size in enumerate(sizes)]
-        together = sim._mc_chunk(*args, batches, posterior)
+        together = sim._mc_chunk(law, n, budget, batches)
         case = (n, mode, m, root_unlimited, posterior is not None, budget)
         assert together[:4] == tuple(sum(part[i] for part in alone) for i in range(4)), case
         # Grouping moves no batch's work either.
@@ -458,7 +514,7 @@ def _spy_on_groups(monkeypatch):
     run_group = sim._mc_chunk
 
     def spy(*args):
-        groups.append(len(args[6]))
+        groups.append(len(args[3]))
         return run_group(*args)
 
     monkeypatch.setattr(sim, "_mc_chunk", spy)
@@ -468,7 +524,7 @@ def _spy_on_groups(monkeypatch):
 def test_thread_count_does_not_change_grouped_results(monkeypatch):
     # Ten batches, at most four to a group, and one worker per two batches:
     # one, four and five threads deal them into three, four and five groups.
-    assert sim._batches_per_group(17, "rtbs", 2, None) == 4
+    assert Law(_REF, "rtbs", 2).batches_per_group(17) == 4
     episodes = 9 * sim._CHUNK + 1000
     groups = _spy_on_groups(monkeypatch)
     results = set()
@@ -546,12 +602,13 @@ def test_a_group_holds_no_more_stack_bytes_than_one_int32_and_bool_batch(n):
     # m + n - 2, so past n = 255 even m = 2 takes two bytes.
     budget = sim._CHUNK * n * 5
     for m in (2, 255, 256, 70_000):
-        level_bytes = sim._stack_dtype(n, m, None).itemsize
-        per_group = sim._batches_per_group(n, "rtbs", m, None)
+        law = Law(_REF, "rtbs", m)
+        level_bytes = law.stack_dtype(n).itemsize
+        per_group = law.batches_per_group(n)
         assert per_group >= 1
         assert per_group * sim._CHUNK * (n * level_bytes + 4) <= budget, (m, per_group)
-    assert sim._batches_per_group(n, "rtbs", 2, None) == (4 if n < 255 else 2)
-    assert sim._batches_per_group(n, "rmtp", None, None) == 4
+    assert Law(_REF, "rtbs", 2).batches_per_group(n) == (4 if n < 255 else 2)
+    assert Law(_REF, "rmtp").batches_per_group(n) == 4
 
 
 # --- agreement with closed forms ---
@@ -655,9 +712,7 @@ def _enumerate_one_row(n, mode, m, budget):
     while pending:
         script, weight = pending.pop()
         try:
-            got = sim._mc_chunk(
-                params, n, mode, m, budget, False, [(1, _ScriptedStream(script))], None
-            )
+            got = sim._mc_chunk(Law(params, mode, m), n, budget, [(1, _ScriptedStream(script))])
         except _ScriptEnd:
             pending.extend((script + (value,), weight * length) for value, length in cells)
             continue
