@@ -14,8 +14,10 @@ Two engines estimate success probabilities.  The interface engine drives the
 one executor, `engines.run_rtbs`, episode by episode with the configuration
 `engines.mode_config` builds for the mode, and produces full event logs.  The
 vector engine simulates the same event chain for whole batches of episodes in
-numpy and exists purely for throughput; equivalence of the two is pinned by
-tests.  Each batch of the vector engine has its own random stream; a worker
+numpy and exists purely for throughput.  Both decide a proposal and its
+verdict with one uniform, cut at the same rates, so a one-row batch ends every
+episode as `run_rtbs` does on the same stream; tests check this episode for
+episode.  Each batch of the vector engine has its own random stream; a worker
 runs a group of batches in one array and one loop, each batch drawing from
 its own stream and compacting its own rows, so grouping never moves a result.
 Every mode runs that loop on its law's per-attempt rates; mode none's
@@ -46,7 +48,6 @@ from .mtp import (
     Disposition,
     Outcome,
     Query,
-    SelfVerifying,
     Step,
     TaskHooks,
     TaskName,
@@ -70,50 +71,9 @@ class SyntheticState:
     positive: bool
 
 
-@dataclass(frozen=True)
-class SyntheticPolicy:
-    """Proposes the next step; the step records which polarity it leads to."""
-
-    params: SimplifiedParams
-
-    def sample(self, state: SyntheticState, rng: np.random.Generator) -> Step:
-        if state.scale == 0:
-            # Degenerate scale-0 query: restate the already-reached answer.
-            return Step(content=state.positive, is_answer=True)
-        leads_positive = state.positive and bool(rng.random() < self.params.mu)
-        return Step(content=leads_positive, is_answer=state.scale == 1)
-
-
-@dataclass(frozen=True)
-class SyntheticVerifier:
-    """Noisy single-label verifier with the model's conditional error rates.
-
-    Conditioning on the proposal's true polarity reproduces the joint law of
-    (step quality, verdict) at on-track states branch for branch.
-    """
-
-    params: SimplifiedParams
-
-    def verify(
-        self, state: SyntheticState, step: Step, rng: np.random.Generator
-    ) -> Verification:
-        p = self.params
-        if not state.positive:
-            reject = bool(rng.random() < p.f)
-        elif step.content:
-            reject = bool(rng.random() < p.e_minus)
-        else:
-            reject = not bool(rng.random() < p.e_plus)
-        return Verification((not reject,))
-
-
 class SyntheticTransition:
     def apply(self, state: SyntheticState, step: Step) -> SyntheticState:
         return SyntheticState(state.scale - 1, bool(step.content))
-
-
-def synthetic_self_verifying(params: SimplifiedParams) -> SelfVerifying:
-    return SelfVerifying(SyntheticPolicy(params), SyntheticVerifier(params))
 
 
 def _synthetic_initial(query: Query) -> SyntheticState:
@@ -141,10 +101,10 @@ def _render_synthetic(state: SyntheticState) -> str:
     return f"scale {state.scale}{'+' if state.positive else '-'}"
 
 
-# The synthetic policy and verifier are built from rate parameters
-# (synthetic_self_verifying), so the record carries no query generator,
-# expert or rule verifiers.  Its transition is the one the engines run,
-# and decoding replays every stored record through it.
+# The synthetic self-verifier is built from a law (SyntheticSelfVerifier),
+# so the record carries no query generator, expert or rule verifiers.  Its
+# transition is the one the engines run, and decoding replays every stored
+# record through it.
 register_task(
     TaskName.SYNTHETIC,
     TaskHooks(
@@ -258,6 +218,53 @@ class Law:
         if self.mode == "rtbs":
             base *= min(self.m, 64)
         return min(base, 1_000_000)
+
+
+class SyntheticSelfVerifier:
+    """The synthetic self-verifying policy of a law: one uniform a proposal.
+
+    `sample` draws u and decides both the step and its verdict, cut where
+    the vector engine cuts it on `law.rates`; `verify` returns that verdict.
+    So `run_rtbs` on a stream makes the decisions a one-row batch of
+    `_mc_chunk` makes on the same stream.  On track, u < beta advances and
+    u < beta + gamma derails, both accepted; a higher u is rejected, and
+    its content is on track when u < beta + gamma + mu e_minus, which keeps
+    the joint law of content and verdict.  Off track the step is derailed
+    and accepted when u < 1 - f.  A scale-0 root restates its answer,
+    rejected when u < e_minus.  Mode none's accept-all table cuts at mu
+    alone.  The executor does not say which attempt a proposal is, so a
+    multi-entry attempt table is refused.
+    """
+
+    def __init__(self, law: Law) -> None:
+        rates = law.rates
+        if len(rates.mu) > 1:
+            raise ValueError("the synthetic self-verifier takes one-entry rate tables only")
+        self._beta = rates.beta[0]
+        self._beta_gamma = rates.beta[0] + rates.gamma[0]
+        self._rejected_on_track = self._beta_gamma + rates.mu[0] * rates.e_minus[0]
+        self._e_minus = rates.e_minus[0]
+        self._one_minus_f = 1.0 - rates.f
+        self._accept = True
+
+    def sample(self, state: SyntheticState, rng: np.random.Generator) -> Step:
+        u = rng.random()
+        if state.scale == 0:
+            # Degenerate scale-0 query: restate the already-reached answer.
+            self._accept = u >= self._e_minus
+            return Step(content=state.positive, is_answer=True)
+        if state.positive:
+            self._accept = u < self._beta_gamma
+            on_track = u < (self._beta if self._accept else self._rejected_on_track)
+        else:
+            self._accept = u < self._one_minus_f
+            on_track = False
+        return Step(content=on_track, is_answer=state.scale == 1)
+
+    def verify(
+        self, state: SyntheticState, step: Step, rng: np.random.Generator
+    ) -> Verification:
+        return Verification((self._accept,))
 
 
 @dataclass(frozen=True)
@@ -549,7 +556,7 @@ def _episode_engine(
 ) -> tuple[int, int, int]:
     """Interface-level reference engine; returns (successes, len_sum, exhausted)."""
     query = Query(TaskName.SYNTHETIC, n)
-    sv = synthetic_self_verifying(law.params)
+    sv = SyntheticSelfVerifier(law)
     transition = SyntheticTransition()
     config = mode_config(law.mode, law.m, budget, budget, law.root_unlimited)
     successes = 0

@@ -141,7 +141,7 @@ class SudokuBoard:
             raw = text.encode()
             digits = raw.translate(_CELL_OF_TEXT, b"\n")
             if len(digits) == 81 and raw[9::10] == _ROW_ENDS and 0xFF not in digits:
-                board = SudokuBoard(tuple(digits))
+                board = _unchecked_board(tuple(digits))
                 board.__dict__["_text"] = text
                 return board
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
@@ -177,12 +177,22 @@ def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
     return tuple(rows), tuple(cols), tuple(boxes)
 
 
+def _unchecked_board(cells: tuple[int, ...]) -> SudokuBoard:
+    """A board built without the per-cell check, for 81 cells known to be
+    ints in 0..9: those of a checked board with candidate values filled in,
+    or those decoded from canonical text."""
+    board = object.__new__(SudokuBoard)
+    object.__setattr__(board, "cells", cells)
+    return board
+
+
 def _board_with_masks(
     cells: list[int], rows: list[int], cols: list[int], boxes: list[int]
 ) -> SudokuBoard:
     """A board whose unit masks the caller already holds; they become its
-    cached `masks` (a cached_property reads the instance dict first)."""
-    board = SudokuBoard(tuple(cells))
+    cached `masks` (a cached_property reads the instance dict first).  Its
+    cells are a checked board's with candidate values filled in."""
+    board = _unchecked_board(tuple(cells))
     board.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
     return board
 
@@ -246,7 +256,7 @@ def solve(
 
     if not search():
         return None
-    return SudokuBoard(tuple(cells))
+    return _unchecked_board(tuple(cells))
 
 
 def generate_full_board(rng: np.random.Generator) -> SudokuBoard:
@@ -285,6 +295,10 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
     fills: list[tuple[int, int, int]] = []
+    # Until a sweep fills a cell, it also keeps the blanks with the fewest
+    # candidates, in row-major order: the guess's choices if none is forced.
+    fewest = 10
+    ties: list[tuple[int, tuple[int, ...]]] = []
     while True:
         filled_one = False
         for idx, r, c, b in blanks:
@@ -301,22 +315,18 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
                 boxes[b] |= 1 << v
                 fills.append((r, c, v))
                 filled_one = True
+            elif not fills and len(values) <= fewest:
+                if len(values) < fewest:
+                    fewest, ties = len(values), []
+                ties.append((idx, values))
         if not filled_one:
             break
     if fills:
         new_board = _board_with_masks(cells, rows, cols, boxes)
         return Step(content=SudokuMove(tuple(fills), False, new_board))
     # No forced cell anywhere: guess at one of the most constrained blanks.
-    # Nothing was filled, so every blank is still blank.
-    candidates = {
-        idx: _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
-        for idx, r, c, b in blanks
-    }
-    fewest = min(map(len, candidates.values()))
-    ties = [idx for idx, values in candidates.items() if len(values) == fewest]
-    pick = ties[int(rng.integers(len(ties)))]
+    pick, values = ties[int(rng.integers(len(ties)))]
     r, c, b = _UNITS[pick]
-    values = candidates[pick]
     v = values[int(rng.integers(len(values)))]
     # v is a candidate, so the guessed board stays consistent.
     cells[pick] = v

@@ -9,8 +9,7 @@ so that agreement between the two is meaningful.
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from reflect_lab.mtp import Step, Verification
-from reflect_lab.sim import EngineStats, SimplifiedParams, SyntheticState
+from reflect_lab.sim import EngineStats
 
 
 def frac_rates(mu: Fraction, em: Fraction, ep: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -268,41 +267,3 @@ def mc_batch_reference(
     )
     return (successes, len_sum, exhausted, done, stats)
 
-
-class OneDrawSelfVerifier:
-    """The synthetic self-verifier with one uniform per proposal, cut where
-    the vector engine cuts it, so `run_rtbs` on a stream makes the decisions
-    a one-row batch of `_mc_chunk` makes on the same stream.
-
-    On track, u < beta advances and u < beta + gamma derails, both accepted;
-    anything higher is rejected, and its content is on track when
-    u < beta + gamma + mu e_minus, which keeps the joint law of content and
-    verdict.  Off track, the proposal is accepted when u < 1 - f.  Unverified
-    (mode none), the step is on track when u < mu and `verify` is never
-    called; otherwise it returns the verdict of the last `sample`, which the
-    executor verifies next.
-    """
-
-    def __init__(self, params: SimplifiedParams, verified: bool) -> None:
-        self.params = params
-        self.verified = verified
-        self.beta = params.mu * (1.0 - params.e_minus)
-        self.gamma = (1.0 - params.mu) * params.e_plus
-        self._accept = True
-
-    def sample(self, state: SyntheticState, rng) -> Step:
-        u = rng.random()
-        p = self.params
-        if not self.verified:
-            on_track = state.positive and u < p.mu
-        elif not state.positive:
-            on_track, self._accept = False, u < 1.0 - p.f
-        else:
-            moved = u < self.beta + self.gamma
-            self._accept = moved
-            on_track = u < self.beta if moved else u < self.beta + self.gamma + p.mu * p.e_minus
-        return Step(content=on_track, is_answer=state.scale == 1)
-
-    def verify(self, state: SyntheticState, step: Step, rng) -> Verification:
-        assert self.verified
-        return Verification((self._accept,))

@@ -42,7 +42,7 @@ from reflect_lab.mtp import (
     VerifiedStep,
     task_hooks,
 )
-from reflect_lab.sim import SimplifiedParams, SyntheticTransition, synthetic_self_verifying
+from reflect_lab.sim import Law, SimplifiedParams, SyntheticSelfVerifier, SyntheticTransition
 from reflect_lab.tasks import (
     binary_verifier,
     expert_policy,
@@ -374,7 +374,7 @@ def test_record_round_trip(tmp_path):
 
 def _synthetic_rmtp_record(seed):
     return run_rtbs(
-        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticSelfVerifier(Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rmtp")),
         SyntheticTransition(),
         Query(TaskName.SYNTHETIC, 3),
         mode_config("rmtp", None, 32, 48),
@@ -514,15 +514,15 @@ def test_unanswered_records_are_never_correct():
 
 
 def _synthetic_rtbs_record(reflective_budget=32, root_unlimited=True):
-    # Seed 2 at (n, m) = (2, 2): accepted '+', two rejected '-', a
+    # Seed 74 at (n, m) = (2, 2): accepted '+', two rejected '-', a
     # traceback, two rejected '-', then two accepted '+'.  A capped root
     # ends unanswered at the first rejection after the traceback.
     return run_rtbs(
-        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticSelfVerifier(Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rtbs", 2)),
         SyntheticTransition(),
         Query(TaskName.SYNTHETIC, 2),
         mode_config("rtbs", 2, reflective_budget, 48, root_unlimited),
-        rng_mod.stream(2, 0),
+        rng_mod.stream(74, 0),
     )
 
 
@@ -840,7 +840,7 @@ def _single_field_edits(obj):
 def test_a_record_loads_exactly_when_some_configuration_writes_it():
     # Every synthetic record at n <= 2 over modes none, rmtp and rtbs m <= 2,
     # reflective budgets 0, 2 and 6, budgets 3 and 6, both root policies and
-    # two seeds, and every distinct single-field edit of them.
+    # five seeds, and every distinct single-field edit of them.
     params = SimplifiedParams(0.8, 0.3, 0.2, 0.8)
     originals = {}
     for n, (mode, m), reflective, budget, root_unlimited, seed in itertools.product(
@@ -849,10 +849,10 @@ def test_a_record_loads_exactly_when_some_configuration_writes_it():
         (0, 2, 6),
         (3, 6),
         (True, False),
-        (0, 1),
+        range(5),
     ):
         record = run_rtbs(
-            synthetic_self_verifying(params),
+            SyntheticSelfVerifier(Law(params, mode, m)),
             SyntheticTransition(),
             Query(TaskName.SYNTHETIC, n),
             mode_config(mode, m, reflective, budget, root_unlimited),
@@ -1037,11 +1037,12 @@ def test_records_round_trip_through_json(task, backtrack, noisy, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_synthetic_records_round_trip_through_json(backtrack, scale, seed):
+    mode, m = ("rtbs", 2) if backtrack else ("rmtp", None)
     record = run_rtbs(
-        synthetic_self_verifying(SimplifiedParams(0.8, 0.3, 0.2, 0.8)),
+        SyntheticSelfVerifier(Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), mode, m)),
         SyntheticTransition(),
         Query(TaskName.SYNTHETIC, scale),
-        mode_config("rtbs" if backtrack else "rmtp", 2, 24, 32),
+        mode_config(mode, m, 24, 32),
         rng_mod.stream(seed, 0),
     )
     line = dumps_json_line(record_to_json(record))

@@ -20,10 +20,11 @@ from reflect_lab.mtp import (
     Verification,
 )
 from reflect_lab.sim import (
+    Law,
     SimplifiedParams,
+    SyntheticSelfVerifier,
     SyntheticState,
     SyntheticTransition,
-    synthetic_self_verifying,
 )
 from reflect_lab.tasks import (
     binary_verifier,
@@ -321,22 +322,25 @@ def test_rtbs_budget_counts_proposals_not_tracebacks():
     assert len(record.events) == 5
 
 
-# sha256 per seed over the JSON lines of the records that the separate
-# retry-in-place and plain-chain executors wrote for _executor_records, taken
-# before run_rtbs replaced them.
+# sha256 per seed over the JSON lines of the records of _executor_records.
+# The Mult, Sudoku and mode-none synthetic records are those the separate
+# retry-in-place and plain-chain executors wrote before run_rtbs replaced
+# them; the synthetic rmtp records are those of the one-draw synthetic
+# self-verifier, which replaced a policy and a verifier that drew apart.
 PINNED_RMTP_AND_NONE_DIGESTS = {
-    0: "a46e8578d4ed51add3347a248088d78186d4dd5e192ea5d6bc03ba285e2fab80",
-    1: "8d1ffe3877bb3e17745f0ad84dfaec5239d256fdc567eb6dd7028580a343422f",
-    2: "6e685dba2f57cc5037a2f9400d41dd71d4ed878bfb7ac56b24a9c4282b35927e",
-    3: "47a58a38751a21b9c68b24e4d189720b3407dd6fe98b9d7608cada51a6b7d512",
-    17: "490b48bab9460b2431335a5576e850bc42035b4e7d4a4812d3677be9e9cdc559",
+    0: "93f112e4400ecc1af886f3849f59d3bfa2c935d0a9ae49a639eb74604978aeb4",
+    1: "06bedd8507ffe7e256bfa4c89c7d27990da5246300795ada1efb09d35522d58c",
+    2: "83470daae4268de1026169415a940cb8754184d3a64adde129200e451f9b3303",
+    3: "8609283cfa1fac59d69ff1e29ecd63047b29b70f2650ebd4946e8f663e5d6b7c",
+    17: "34c9d054dd346b89e3b81882da16f2b3805689588994a991bb9e73f0c60f3113",
 }
 
 
-def _bundle(task, noisy, ref_params):
+def _bundle(task, noisy, ref_params, mode):
     if task is TaskName.SYNTHETIC:
         clean = SimplifiedParams(1.0, 0.0, 0.0, 1.0)
-        return synthetic_self_verifying(ref_params if noisy else clean), SyntheticTransition()
+        law = Law(ref_params if noisy else clean, mode)
+        return SyntheticSelfVerifier(law), SyntheticTransition()
     if noisy:
         policy = make_noisy_policy(expert_policy(task), 0.3)
         verifier = make_noisy_verifier(detailed_verifier(task), 0.2, 0.2)
@@ -352,9 +356,9 @@ def _executor_records(seed, root_unlimited, ref_params):
     index = 0
     for task in (TaskName.SYNTHETIC, TaskName.MULT, TaskName.SUDOKU):
         for noisy in (False, True):
-            sv, transition = _bundle(task, noisy, ref_params)
             for reflective, total in ((64, 96), (0, 40), (5, 12), (3, 3)):
                 for mode in ("rmtp", "none"):
+                    sv, transition = _bundle(task, noisy, ref_params, mode)
                     config = mode_config(mode, None, reflective, total, root_unlimited)
                     for _ in range(4):
                         erng = rng_mod.stream(seed, index)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    OneDrawSelfVerifier,
     exact_rtbs_success,
     frac_rates,
     frac_rmtp,
@@ -209,7 +208,10 @@ def test_vector_engine_matches_golden_results():
 # own executor.  The two none points with budget < n are the exception: that
 # executor capped the chain at n proposals instead of the budget, so they
 # read (0, None, episodes), as the vector engine does, instead of the
-# recorded (298, 5.0, 0) and (80, 5.0, 0).
+# recorded (298, 5.0, 0) and (80, 5.0, 0).  The rmtp and rtbs points above
+# scale 0 were recorded again when one uniform came to decide a proposal and
+# its verdict together: each priced one lies within |z| <= 1.32 of its
+# closed form.
 GOLDEN_EPISODE_RESULTS = [
     (_REF, 0, "none", None, 300, 1, {}, (300, 1.0, 0)),
     (_REF, 1, "none", None, 1000, 2, {}, (802, 1.0, 0)),
@@ -219,18 +221,18 @@ GOLDEN_EPISODE_RESULTS = [
     (_ALT, 5, "none", None, 1000, 27, {"budget": 1}, (0, None, 1000)),
     (_ALT, 4, "none", None, 1000, 28, {"budget": 40}, (126, 4.0, 0)),
     (_REF, 0, "rmtp", None, 300, 7, {}, (300, 1.4066666666666667, 0)),
-    (_REF, 1, "rmtp", None, 1000, 8, {}, (939, 1.65814696485623, 0)),
-    (_ALT, 5, "rmtp", None, 1000, 9, {}, (682, 10.217008797653959, 0)),
-    (_REF, 8, "rmtp", None, 1000, 11, {"budget": 9}, (44, 8.704545454545455, 953)),
-    (_REF, 5, "rmtp", None, 1000, 12, {"root_unlimited": True}, (731, 8.367989056087552, 0)),
+    (_REF, 1, "rmtp", None, 1000, 8, {}, (935, 1.641711229946524, 0)),
+    (_ALT, 5, "rmtp", None, 1000, 9, {}, (673, 10.206537890044576, 0)),
+    (_REF, 8, "rmtp", None, 1000, 11, {"budget": 9}, (28, 8.714285714285714, 965)),
+    (_REF, 5, "rmtp", None, 1000, 12, {"root_unlimited": True}, (692, 8.242774566473988, 0)),
     (_REF, 0, "rtbs", 2, 300, 13, {}, (276, 1.2210144927536233, 0)),
-    (_REF, 1, "rtbs", 4, 1000, 14, {}, (901, 1.5216426193118757, 0)),
-    (_REF, 5, "rtbs", 1, 1000, 15, {}, (52, 5.0, 0)),
-    (_REF, 5, "rtbs", 2, 1000, 16, {}, (503, 8.475149105367793, 0)),
-    (_ALT, 5, "rtbs", 2, 1000, 18, {"root_unlimited": True}, (629, 18.0906200317965, 0)),
-    (_REF, 6, "rtbs", 4, 1000, 21, {"budget": 15}, (650, 9.815384615384616, 192)),
+    (_REF, 1, "rtbs", 4, 1000, 14, {}, (907, 1.5667034178610806, 0)),
+    (_REF, 5, "rtbs", 1, 1000, 15, {}, (57, 5.0, 0)),
+    (_REF, 5, "rtbs", 2, 1000, 16, {}, (484, 8.739669421487603, 0)),
+    (_ALT, 5, "rtbs", 2, 1000, 18, {"root_unlimited": True}, (661, 16.257186081694403, 0)),
+    (_REF, 6, "rtbs", 4, 1000, 21, {"budget": 15}, (671, 9.868852459016393, 184)),
     (_ALT, 5, "rtbs", 4, 1000, 29, {"root_unlimited": True, "budget": 20},
-     (607, 10.504118616144975, 53)),
+     (590, 10.301694915254238, 45)),
 ]
 
 
@@ -375,9 +377,54 @@ def test_budget_hits_count_batches_with_a_row_still_open():
     assert type(tight.stats.budget_hits) is int
 
 
+def _proposals(record):
+    return sum(e.disposition is not Disposition.TRACEBACK for e in record.events)
+
+
+def _episode_counts(record):
+    """(successes, correct length sum, exhausted) of one episode, as the
+    vector engine counts them."""
+    correct = record.outcome is Outcome.CORRECT
+    return (
+        int(correct),
+        _proposals(record) * correct,
+        int(record.outcome is Outcome.BUDGET_EXHAUSTED),
+    )
+
+
+def test_the_synthetic_self_verifier_draws_once_a_proposal():
+    # Verified or not, at scale 0 too, a proposal and its verdict take one
+    # uniform between them.
+    proposals = 0
+    for params in (_REF, _ALT):
+        for n in range(5):
+            for mode, m in (("none", None), ("rmtp", None), ("rtbs", 1), ("rtbs", 2)):
+                for root_unlimited, reflective in ((False, 12), (True, 3)):
+                    law = Law(params, mode, m, root_unlimited=root_unlimited)
+                    config = mode_config(mode, m, reflective, 12, law.root_unlimited)
+                    for i in range(10):
+                        calls = []
+                        record = run_rtbs(
+                            sim.SyntheticSelfVerifier(law), sim.SyntheticTransition(),
+                            Query(TaskName.SYNTHETIC, n), config,
+                            _CountingStream(rng_mod.stream(n, i), calls),
+                        )
+                        assert calls == [(None, False)] * _proposals(record), (law, n, i)
+                        proposals += len(calls)
+    assert proposals > 1000
+
+
+def test_the_synthetic_self_verifier_refuses_an_attempt_table():
+    # The executor does not say which attempt a proposal is.
+    with pytest.raises(ValueError, match="one-entry rate tables"):
+        sim.SyntheticSelfVerifier(Law(_BASE, "rtbs", 2, _POST))
+    # Mode none proposes first attempts only, so it runs the first entry.
+    sim.SyntheticSelfVerifier(Law(_BASE, "none", posterior=_POST))
+
+
 def test_one_row_batches_equal_the_executor_episode_for_episode():
     # A one-row batch draws one uniform a pass from its own stream, the
-    # sequence scalar draws take from that stream, and the one-draw
+    # sequence scalar draws take from that stream, and the synthetic
     # self-verifier cuts each draw where the engine does.  So `run_rtbs`
     # must end every episode as the batch on the same stream does.  Scale 0
     # is left out: the executor verifies the restating answer, the engine
@@ -393,25 +440,18 @@ def test_one_row_batches_equal_the_executor_episode_for_episode():
         m = int(gen.integers(1, 4)) if mode == "rtbs" else None
         budget = int(gen.integers(1, 30))
         law = Law(params, mode, m, root_unlimited=bool(gen.integers(2)))
-        executor = OneDrawSelfVerifier(params, verified=mode != "none")
+        executor = sim.SyntheticSelfVerifier(law)
         config = mode_config(mode, m, budget, budget, law.root_unlimited)
         for i in range(40):
             stream = rng_mod.stream(config_seed, i)
             record = run_rtbs(
                 executor, sim.SyntheticTransition(), Query(TaskName.SYNTHETIC, n), config, stream
             )
-            correct = record.outcome is Outcome.CORRECT
-            length = sum(e.disposition is not Disposition.TRACEBACK for e in record.events)
-            want = (
-                int(correct),
-                length * correct,
-                int(record.outcome is Outcome.BUDGET_EXHAUSTED),
-            )
             got = sim._mc_chunk(law, n, budget, [(1, rng_mod.stream(config_seed, i))])
-            assert got[:3] == want, (law, n, budget, i)
+            assert got[:3] == _episode_counts(record), (law, n, budget, i)
             episodes += 1
             seen.add(record.outcome)
-            seen.add(length < len(record.events))
+            seen.add(_proposals(record) < len(record.events))
     assert episodes == 4000
     assert seen == {*Outcome, False, True}
 
@@ -553,14 +593,14 @@ def test_a_worker_runs_at_least_two_batches(monkeypatch):
 
 
 class _CountingStream:
-    """A stream that hands out only `random`, noting each call's size and
-    whether it filled a given buffer."""
+    """A stream that hands out only `random`, noting each call's size (None
+    for a scalar) and whether it filled a given buffer."""
 
     def __init__(self, generator, calls):
         self._generator = generator
         self._calls = calls
 
-    def random(self, size, out=None):
+    def random(self, size=None, out=None):
         self._calls.append((size, out is not None))
         return self._generator.random(size, out=out)
 
@@ -677,12 +717,14 @@ class _ScriptedStream:
     def __init__(self, script):
         self._values = iter(script)
 
-    def random(self, size, out):
-        for i in range(size):
+    def random(self, size=None, out=None):
+        if size is None:
             value = next(self._values, None)
             if value is None:
                 raise _ScriptEnd
-            out[i] = value
+            return value
+        for i in range(size):
+            out[i] = self.random()
         return out
 
 
@@ -699,23 +741,32 @@ def _enumerate_one_row(n, mode, m, budget):
     its other two rates are 1), so each draw is branched on the cells of
     [0, 1) cut there; every value of a cell makes the same decision, and
     the cell's midpoint stands for it.  A leaf weighs the product of its
-    cells' lengths.
+    cells' lengths.  The synthetic self-verifier makes its decisions at the
+    same cuts (its cut for a rejected step's content moves no outcome), so
+    `run_rtbs` on each leaf's script must end the episode as the batch does.
     """
     mu, em, ep, f = _REF_FRACTIONS
     _, beta, gamma = frac_rates(mu, em, ep)
     thresholds = {mu} if mode == "none" else {beta, beta + gamma, 1 - f}
     cuts = sorted({Fraction(0), *thresholds, Fraction(1)})
     cells = [(float((lo + hi) / 2), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-    params = SimplifiedParams(*map(float, _REF_FRACTIONS))
+    law = Law(SimplifiedParams(*map(float, _REF_FRACTIONS)), mode, m)
+    executor = sim.SyntheticSelfVerifier(law)
+    config = mode_config(mode, m, budget, budget, law.root_unlimited)
     success = exhaustion = Fraction(0)
     pending = [((), Fraction(1))]
     while pending:
         script, weight = pending.pop()
         try:
-            got = sim._mc_chunk(Law(params, mode, m), n, budget, [(1, _ScriptedStream(script))])
+            got = sim._mc_chunk(law, n, budget, [(1, _ScriptedStream(script))])
         except _ScriptEnd:
             pending.extend((script + (value,), weight * length) for value, length in cells)
             continue
+        record = run_rtbs(
+            executor, sim.SyntheticTransition(), Query(TaskName.SYNTHETIC, n), config,
+            _ScriptedStream(script),
+        )
+        assert got[:3] == _episode_counts(record), script
         success += weight * got[0]
         exhaustion += weight * got[2]
     return success, exhaustion
