@@ -4,7 +4,10 @@ States are 9x9 boards with 0 for blanks.  The expert step fills every blank
 whose candidate set is a singleton, recomputing candidates after each fill;
 when no singleton exists it guesses once, uniformly, at a blank with the
 fewest candidates.  A blank with an empty candidate set means the branch is
-unsolvable and raises DeadEndError.
+unsolvable and raises DeadEndError.  A board runs those sweeps at most once:
+it keeps their rng-free outcome beside its text and masks, so a later call on
+the same board only draws the guess.  A board derived by setting one cell
+(a guess, a dead-end fill, a misfill) gets its masks from its parent's.
 
 The rule-based verifiers check only Sudoku legality (no given modified, no
 duplicate in a row, column, or block).  Solvability questions go through an
@@ -70,6 +73,10 @@ _PEERS: tuple[tuple[int, ...], ...] = tuple(
 
 # Used-value bitmasks per row, column and box.
 Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# The expert step's rng-free outcome on a board with a blank: the forced-fill
+# step, the dead blank's (row, col), or the guess's choices (cell index and
+# candidates of each most constrained blank, row-major).
+Decision = Step | tuple[int, int] | list[tuple[int, tuple[int, ...]]]
 
 
 class DeadEndError(Exception):
@@ -85,7 +92,10 @@ class DeadEndError(Exception):
 class SudokuBoard:
     """Row-major cells, 81 ints in 0..9 (0 = blank).
 
-    The text and the unit masks are computed at most once per board.
+    The text, the unit masks and the expert step's decision are computed at
+    most once per board.  A forced step's board is full or has no singleton
+    left, so its own decision is a guess, which holds no board: a board keeps
+    at most one other board alive.
     """
 
     cells: tuple[int, ...]
@@ -129,6 +139,11 @@ class SudokuBoard:
         """Used-value bitmasks per row, column and box, or None when a unit
         holds a duplicate."""
         return _masks(self.cells)
+
+    @cached_property
+    def _expert(self) -> Decision:
+        """The expert step's decision, for a board with a blank."""
+        return _expert_decision(self)
 
     def render(self) -> str:
         return self._text
@@ -179,7 +194,7 @@ def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
 
 def _unchecked_board(cells: tuple[int, ...]) -> SudokuBoard:
     """A board built without the per-cell check, for 81 cells known to be
-    ints in 0..9: those of a checked board with candidate values filled in,
+    ints in 0..9: those of a checked board with cells set to values in 1..9,
     or those decoded from canonical text."""
     board = object.__new__(SudokuBoard)
     object.__setattr__(board, "cells", cells)
@@ -195,6 +210,33 @@ def _board_with_masks(
     board = _unchecked_board(tuple(cells))
     board.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
     return board
+
+
+def _with_cell(board: SudokuBoard, idx: int, value: int) -> SudokuBoard:
+    """The board with cell idx set to value (1..9), its masks derived from
+    the board's in O(1): each unit of a consistent board holds the old value
+    once at most, so the new board clashes exactly when a unit of the cell
+    holds the new value elsewhere, and its masks are then None.  The child
+    of an inconsistent board computes its masks when asked."""
+    cells = board.cells
+    keep = ~(1 << cells[idx])  # a blank clears bit 0, which no mask sets
+    child = _unchecked_board(cells[:idx] + (value,) + cells[idx + 1 :])
+    units = board.masks
+    if units is not None:
+        r, c, b = _UNITS[idx]
+        rows, cols, boxes = (list(u) for u in units)
+        bit = 1 << value
+        rows[r] &= keep
+        cols[c] &= keep
+        boxes[b] &= keep
+        if (rows[r] | cols[c] | boxes[b]) & bit:
+            child.__dict__["masks"] = None
+        else:
+            rows[r] |= bit
+            cols[c] |= bit
+            boxes[b] |= bit
+            child.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
+    return child
 
 
 def consistent(board: SudokuBoard) -> bool:
@@ -278,19 +320,15 @@ def make_puzzle(full: SudokuBoard, blanks: int, rng: np.random.Generator) -> Sud
     return SudokuBoard(tuple(cells))
 
 
-def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
-    """Fill all forced blanks, else guess once at a most-constrained blank.
-
-    Raises DeadEndError when some blank has no candidate left.
-    """
-    if board.full:
-        return Step(content=board, is_answer=True)
+def _expert_decision(board: SudokuBoard) -> Decision:
+    """Fill every forced blank, recomputing candidates after each fill; with
+    none forced, list the most constrained blanks.  A blank without a
+    candidate is dead."""
     units = board.masks
     if units is None:
         # The board itself is illegal; candidates are meaningless.  Treat the
         # first blank as dead so callers handle it like any stuck branch.
-        idx = board.cells.index(0)
-        raise DeadEndError(*divmod(idx, 9))
+        return divmod(board.cells.index(0), 9)
     rows, cols, boxes = (list(u) for u in units)
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
@@ -306,7 +344,7 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
                 continue
             values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
             if not values:
-                raise DeadEndError(r, c)
+                return (r, c)
             if len(values) == 1:
                 v = values[0]
                 cells[idx] = v
@@ -324,17 +362,28 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     if fills:
         new_board = _board_with_masks(cells, rows, cols, boxes)
         return Step(content=SudokuMove(tuple(fills), False, new_board))
+    return ties
+
+
+def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
+    """Fill all forced blanks, else guess once at a most-constrained blank.
+
+    Raises DeadEndError when some blank has no candidate left.  The sweeps
+    run once per board; a call draws from rng only to guess.
+    """
+    if board.full:
+        return Step(content=board, is_answer=True)
+    decision = board._expert
+    if isinstance(decision, Step):
+        return decision
+    if isinstance(decision, tuple):
+        raise DeadEndError(*decision)
     # No forced cell anywhere: guess at one of the most constrained blanks.
-    pick, values = ties[int(rng.integers(len(ties)))]
-    r, c, b = _UNITS[pick]
+    pick, values = decision[int(rng.integers(len(decision)))]
     v = values[int(rng.integers(len(values)))]
     # v is a candidate, so the guessed board stays consistent.
-    cells[pick] = v
-    rows[r] |= 1 << v
-    cols[c] |= 1 << v
-    boxes[b] |= 1 << v
-    new_board = _board_with_masks(cells, rows, cols, boxes)
-    return Step(content=SudokuMove(((r, c, v),), True, new_board))
+    fill = (*divmod(pick, 9), v)
+    return Step(content=SudokuMove((fill,), True, _with_cell(board, pick, v)))
 
 
 class SudokuExpertPolicy:
@@ -346,10 +395,8 @@ class SudokuExpertPolicy:
             return sudoku_expert_step(state, rng)
         except DeadEndError as dead:
             value = 1 + int(rng.integers(9))
-            fill = (dead.row, dead.col, value)
-            return Step(
-                content=SudokuMove((fill,), True, state.with_fills((fill,)))
-            )
+            board = _with_cell(state, dead.row * 9 + dead.col, value)
+            return Step(content=SudokuMove(((dead.row, dead.col, value),), True, board))
 
 
 class SudokuTransition:
@@ -430,31 +477,24 @@ def misfill(
 
     With require_conflict the replacement must break rule-consistency of the
     new board (None is returned when no replacement at that position does).
+    The corrupted board is the move's board with that one value changed; for
+    an honest move made at `state` that is `state` with the corrupted fills.
     Returns the corrupted move and the row-major label index of the
     corrupted fill.
     """
     fi = int(rng.integers(len(move.fills)))
     row, col, honest = move.fills[fi]
     wrong = [v for v in range(1, 10) if v != honest]
-    order = rng.permutation(len(wrong))
-    base_cells = list(move.new_board.cells)
-    chosen: Optional[int] = None
-    for oi in order:
-        candidate = wrong[int(oi)]
-        if not require_conflict:
-            chosen = candidate
+    for oi in rng.permutation(len(wrong)):
+        chosen = wrong[int(oi)]
+        new_board = _with_cell(move.new_board, row * 9 + col, chosen)
+        if not require_conflict or new_board.masks is None:
             break
-        base_cells[row * 9 + col] = candidate
-        if _masks(base_cells) is None:
-            chosen = candidate
-            break
-    base_cells[row * 9 + col] = move.new_board.get(row, col)
-    if chosen is None:
+    else:
         return None
     fills = tuple(
         (row, col, chosen) if i == fi else f for i, f in enumerate(move.fills)
     )
-    new_board = state.with_fills(fills)
     corrupted = SudokuMove(fills, move.guess, new_board)
     label_index = sorted_fills(corrupted).index((row, col, chosen))
     return (corrupted, label_index)

@@ -170,7 +170,8 @@ def log_rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
 
 def rmtp_improves(params: SimplifiedParams) -> bool:
     """Retry-in-place beats (or ties) the plain chain iff the two verifier
-    error rates sum to at most one."""
+    error rates sum to at most one.  At mu in {0, 1} the two tie whenever a
+    proposal can be accepted."""
     return params.e_minus + params.e_plus <= 1.0
 
 
@@ -422,7 +423,9 @@ def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:
     """Sufficient test for retry-in-place to beat the plain chain when rates
     decay with the attempt index:
     e_minus_1 / (k * (1 - mu_1)) + sup_i e_plus_i < 1, with k the smallest
-    ratio of consecutive advance rates."""
+    ratio of consecutive advance rates.  The condition is sufficient only:
+    the exact test is the advance rate against mu_1, and many tables where
+    retry-in-place wins fail it."""
     mu1 = pparams.mu[0]
     if mu1 >= 1.0:
         raise ValueError("mu_1 must be < 1 for the sufficient condition")

@@ -9,7 +9,17 @@ so that agreement between the two is meaningful.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from reflect_lab.mtp import Step
 from reflect_lab.sim import EngineStats
+from reflect_lab.tasks.sudoku import (
+    _ALL_MASK,
+    _CANDIDATES,
+    _UNITS,
+    DeadEndError,
+    SudokuBoard,
+    SudokuMove,
+    _masks,
+)
 
 
 def frac_rates(mu: Fraction, em: Fraction, ep: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -189,6 +199,52 @@ def solve_sudoku_reference(cells: Sequence[int]) -> Optional[tuple[int, ...]]:
         return False
 
     return tuple(grid) if recurse() else None
+
+
+def sudoku_expert_step_reference(board: SudokuBoard, rng) -> Step:
+    """The expert step as it was before boards kept its decision: every call
+    runs the sweeps on the board's cells and builds plain boards."""
+    if board.full:
+        return Step(content=board, is_answer=True)
+    units = _masks(board.cells)
+    if units is None:
+        idx = board.cells.index(0)
+        raise DeadEndError(*divmod(idx, 9))
+    rows, cols, boxes = (list(u) for u in units)
+    cells = list(board.cells)
+    blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
+    fills: list[tuple[int, int, int]] = []
+    fewest = 10
+    ties: list[tuple[int, tuple[int, ...]]] = []
+    while True:
+        filled_one = False
+        for idx, r, c, b in blanks:
+            if cells[idx]:
+                continue
+            values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
+            if not values:
+                raise DeadEndError(r, c)
+            if len(values) == 1:
+                v = values[0]
+                cells[idx] = v
+                rows[r] |= 1 << v
+                cols[c] |= 1 << v
+                boxes[b] |= 1 << v
+                fills.append((r, c, v))
+                filled_one = True
+            elif not fills and len(values) <= fewest:
+                if len(values) < fewest:
+                    fewest, ties = len(values), []
+                ties.append((idx, values))
+        if not filled_one:
+            break
+    if fills:
+        return Step(content=SudokuMove(tuple(fills), False, SudokuBoard(tuple(cells))))
+    pick, values = ties[int(rng.integers(len(ties)))]
+    r, c, _ = _UNITS[pick]
+    v = values[int(rng.integers(len(values)))]
+    cells[pick] = v
+    return Step(content=SudokuMove(((r, c, v),), True, SudokuBoard(tuple(cells))))
 
 
 def mc_batch_reference(

@@ -6,6 +6,7 @@ bitmask machinery.
 """
 
 import enum
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from helpers import (
     solve_sudoku_reference,
     sudoku_detailed_labels_reference,
+    sudoku_expert_step_reference,
     sudoku_is_complete_valid,
     sudoku_no_duplicates,
 )
@@ -20,9 +22,11 @@ from reflect_lab import rng as rng_mod
 from reflect_lab.engines import mode_config, run_rtbs
 from reflect_lab.mtp import Outcome, Query, SelfVerifying, Step, TaskName, task_hooks
 from reflect_lab.tasks import (
+    OracleVerifier,
     binary_verifier,
     expert_policy,
     make_noisy_policy,
+    make_noisy_verifier,
     state_polarity,
 )
 from reflect_lab.tasks import sudoku as sudoku_module
@@ -155,13 +159,144 @@ def test_boards_carry_the_masks_and_text_of_their_cells():
             board = step.content.new_board
             boards.append(board)
     assert saw_guess and len(boards) > 4
+    # Boards derived by setting one cell: misfills of each expert move, with
+    # and without a forced clash, and dead-end fills, from consistent boards
+    # and from illegal ones.
+    derived = []
+    rng = rng_mod.stream(21, 3)
+    for board, state in _noisy_expert_inputs()[::3]:
+        step = SudokuExpertPolicy().sample(board, rng)
+        if step.is_answer:
+            continue
+        move = step.content
+        if _kind(_outcome(sudoku_expert_step, board, state)[0]) == "dead":
+            derived.append(move.new_board)
+            assert move.new_board == board.with_fills(move.fills)
+        for require_conflict in (False, True):
+            result = misfill(board, move, rng, require_conflict=require_conflict)
+            if result is not None:
+                corrupted = result[0]
+                assert corrupted.new_board == board.with_fills(corrupted.fills)
+                derived.append(corrupted.new_board)
+    kinds = {(consistent(board), _masks(board.cells) is None) for board in derived}
+    assert kinds == {(True, False), (False, True)}
+    assert len(derived) > 100
     clash = PUZZLE.with_fills(((0, 2, 5),))
-    for board in boards + [PUZZLE, clash]:
+    for board in boards + derived + [PUZZLE, clash]:
         check(board)
         parsed = SudokuBoard.parse(board.render())
         assert parsed == board
         check(parsed)
         check(SudokuBoard.parse("\r\n".join(board.render().splitlines())))
+
+
+@lru_cache(maxsize=None)
+def _noisy_expert_inputs() -> list[tuple[SudokuBoard, dict]]:
+    """(board, rng state) at every expert call of noisy rtbs rollouts, as in
+    RL rollout groups: 4 rollouts from each of 6 id_hard puzzles, with a
+    noisy policy (0.3) and a noisy oracle verifier (0.1, 0.1), so illegal
+    and dead-ended boards occur as well as forced and guessed steps."""
+    calls: list[tuple[SudokuBoard, dict]] = []
+
+    class Recording:
+        def sample(self, state, rng):
+            calls.append((state, rng.bit_generator.state))
+            return SudokuExpertPolicy().sample(state, rng)
+
+    policy = make_noisy_policy(Recording(), 0.3)
+    config = mode_config("rtbs", 4, 64, 96)
+    for q, blanks in enumerate((36, 40, 44, 47, 50, 53)):
+        qrng = rng_mod.stream(24, q)
+        query = Query(TaskName.SUDOKU, make_puzzle(generate_full_board(qrng), blanks, qrng))
+        verifier = make_noisy_verifier(OracleVerifier(query), 0.1, 0.1)
+        for k in range(4):
+            run_rtbs(SelfVerifying(policy, verifier), SudokuTransition(), query, config,
+                     rng_mod.stream(24, q, k))
+    return calls
+
+
+def _outcome(step_fn, board: SudokuBoard, state) -> tuple:
+    """What step_fn does on the board from an rng in the given state: its
+    step or its dead cell, and the rng's state afterwards."""
+    rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = state
+    try:
+        result = ("step", step_fn(board, rng))
+    except DeadEndError as dead:
+        result = ("dead", (dead.row, dead.col))
+    after = rng.bit_generator.state
+    return result, repr({key: after[key] for key in sorted(after)})
+
+
+def _kind(result: tuple) -> str:
+    kind, value = result
+    if kind == "dead":
+        return kind
+    return "answer" if value.is_answer else "guess" if value.content.guess else "forced"
+
+
+def test_expert_step_equals_the_sweep_on_every_call_of_a_board():
+    """A board's first expert call and every later one give the step, dead
+    cell and rng state that sweeping its cells from scratch gives."""
+    kinds = []
+    for board, state in _noisy_expert_inputs():
+        expected = _outcome(sudoku_expert_step_reference, board, state)
+        cold = SudokuBoard(board.cells)
+        assert "_expert" not in vars(cold)
+        for target in (cold, cold, board):
+            assert _outcome(sudoku_expert_step, target, state) == expected
+        kinds.append((_kind(expected[0]), _masks(board.cells) is None))
+    # Illegal boards dead-end at once; legal ones reach every outcome.
+    assert set(kinds) == {("dead", True)} | {
+        (kind, False) for kind in ("answer", "forced", "guess", "dead")
+    }
+    assert len(kinds) > 300
+
+
+def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
+    """The boards a board's cells and cached values refer to."""
+    held: list[SudokuBoard] = []
+
+    def walk(obj) -> None:
+        if isinstance(obj, SudokuBoard):
+            held.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, (Step, SudokuMove)):
+            for item in vars(obj).values():
+                walk(item)
+        else:
+            assert obj is None or type(obj) in (int, bool, str), type(obj)
+
+    for value in vars(board).values():
+        walk(value)
+    return held
+
+
+def test_a_board_keeps_at_most_one_other_board_alive():
+    """A forced step's board holds exactly its successor, whose decision is
+    a guess that holds no board."""
+    forced = 0
+    for board, state in _noisy_expert_inputs():
+        board = SudokuBoard(board.cells)
+        board.render()
+        result, _ = _outcome(sudoku_expert_step, board, state)
+        kind = _kind(result)
+        if kind != "forced":
+            assert _boards_held(board) == [], kind
+            continue
+        successor = result[1].content.new_board
+        held = _boards_held(board)
+        assert len(held) == 1 and held[0] is successor
+        if successor.full:
+            continue
+        sudoku_expert_step(successor, rng_mod.stream(25, 0))
+        successor.render()
+        assert isinstance(successor._expert, list)
+        assert _boards_held(successor) == []
+        forced += 1
+    assert forced > 50
 
 
 def _polarity_reference(puzzle: SudokuBoard, state: SudokuBoard) -> bool:

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ def test_rmtp_improves_threshold():
     assert not rmtp_improves(SimplifiedParams(0.7, 0.7, 0.4, 0.5))
 
 
+def test_rmtp_improves_exactly_when_the_exact_curve_is_no_lower():
+    """On every rate triple of tenths and n = 1..5, retry-in-place's exact
+    success is at least the plain chain's mu**n where the predicate says so,
+    and equal to it exactly on e- + e+ = 1 or mu in {0, 1}.  Points with
+    alpha = 1 accept no proposal, so retry-in-place has no success rate."""
+    tenths = [Fraction(i, 10) for i in range(11)]
+    checked = 0
+    for mu, em, ep in product(tenths, repeat=3):
+        if frac_rates(mu, em, ep)[0] == 1:
+            continue
+        improves = rmtp_improves(SimplifiedParams(float(mu), float(em), float(ep), 0.5))
+        for n in range(1, 6):
+            exact, plain = frac_rmtp(mu, em, ep, n), mu**n
+            assert (exact == plain) == (em + ep == 1 or mu in (0, 1)), (mu, em, ep, n)
+            if 0 < mu < 1:
+                assert improves == (exact >= plain), (mu, em, ep, n)
+            checked += 1
+    assert checked == 5 * (11**3 - 31)  # 31 triples have alpha = 1
+
+
 def test_rtbs_beats_rmtp_predicate(ref_params):
     # alpha = 0.4: needs f > 0.4 and m > 1/0.6.
     assert rtbs_asymptotically_beats_rmtp(ref_params, 2)
@@ -407,6 +428,31 @@ def test_posterior_sufficient_condition_cases():
     noisy = PosteriorParams(mu=(0.8,), e_minus=(0.3,), e_plus=(0.2,), f=0.8)
     # 0.3 / 0.2 + 0.2 = 1.7.
     assert not posterior_sufficient_condition(noisy)
+
+
+def test_posterior_sufficient_condition_is_sufficient_on_every_small_table():
+    """Every admissible table with mu_1 < 1, one or two entries on quarters
+    or three on halves, that passes the condition has an exact advance rate
+    (retry-in-place success at n = 1) of at least mu_1."""
+    quarters = [Fraction(i, 4) for i in range(5)]
+    halves = [Fraction(i, 2) for i in range(3)]
+    tables = passed = 0
+    for length, grid in ((1, quarters), (2, quarters), (3, halves)):
+        for entries in product(product(grid, repeat=3), repeat=length):
+            mu, em, ep = zip(*entries)
+            if mu[0] == 1:
+                continue
+            try:
+                pparams = PosteriorParams(
+                    tuple(map(float, mu)), tuple(map(float, em)), tuple(map(float, ep)), 0.5
+                )
+            except ValueError:  # advance rates rise or derail rates fall
+                continue
+            tables += 1
+            if posterior_sufficient_condition(pparams):
+                passed += 1
+                assert frac_posterior_rmtp(mu, em, ep, 1) >= mu[0], entries
+    assert (tables, passed) == (5665, 655)
 
 
 # --- CSV rendering ---
