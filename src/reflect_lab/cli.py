@@ -144,7 +144,7 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
 @click.option("--budget", type=click.IntRange(min=1), default=None,
               help="Proposal budget per episode; default scales with the rates.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker threads; REFLECT_LAB_THREADS, then all cores.")
+              help="Worker threads; all cores by default.")
 @click.option("--engine", type=click.Choice(["vector", "episode"]), default="vector",
               show_default=True)
 @click.option("--root-unlimited", is_flag=True, default=False,

@@ -216,12 +216,10 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[CotExample]:
                 continue
             verification = Verification() if rule is None else rule(event.state, step)
             steps.append(VerifiedStep(step, verification))
+        yield CotExample(query, tuple(steps), record.answer, spec.style)
         if spec.style is CotStyle.OPTIONAL_DETAILED:
-            yield CotExample(query, tuple(steps), record.answer, spec.style)
             bare = tuple(VerifiedStep(s.step, Verification()) for s in steps)
             yield CotExample(query, bare, record.answer, spec.style)
-        else:
-            yield CotExample(query, tuple(steps), record.answer, spec.style)
 
 
 # --- JSON encoding ---------------------------------------------------------

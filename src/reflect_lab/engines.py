@@ -158,7 +158,7 @@ def run_rtbs(
             break
     if answer is not None:
         outcome = Outcome.CORRECT if hooks.check_answer(query, answer) else Outcome.INCORRECT
-    elif not root_exhausted and proposals >= config.total_budget:
+    elif not root_exhausted:  # the loop ran out of budget
         outcome = Outcome.BUDGET_EXHAUSTED
     else:
         outcome = Outcome.INCORRECT

@@ -12,9 +12,9 @@ prices the law that ran.
 
 Two engines estimate success probabilities.  The interface engine drives the
 one executor, `engines.run_rtbs`, episode by episode with the configuration
-`engines.mode_config` builds for the mode, and produces full event logs.  The
-vector engine simulates the same event chain for whole batches of episodes in
-numpy and exists purely for throughput.  Both decide a proposal and its
+`Law.config` builds, and produces full event logs.  The vector engine
+simulates the same event chain for whole batches of episodes in numpy and
+exists purely for throughput.  Both decide a proposal and its
 verdict with one uniform, cut at the same rates, so a one-row batch ends every
 episode as `run_rtbs` does on the same stream; tests check this episode for
 episode.  Each batch of the vector engine has its own random stream; a worker
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rng_mod
-from .engines import mode_config, run_rtbs
+from .engines import ReflectConfig, mode_config, run_rtbs
 from .mtp import (
     Disposition,
     Outcome,
@@ -59,8 +59,6 @@ from .theory import PosteriorParams, SimplifiedParams, derived_rates, rho_rmtp, 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 _CHUNK = 32768
-
-THREADS_ENV_VAR = "REFLECT_LAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -152,10 +150,15 @@ class Law:
     root_unlimited: bool = False
 
     def __post_init__(self) -> None:
-        mode_config(self.mode, self.m, 0, 1)
+        self.config(1)
         if self.mode != "rtbs" and self.m is not None:
             raise ValueError(f"mode {self.mode!r} takes no width")
         object.__setattr__(self, "root_unlimited", self.root_unlimited and self.mode == "rtbs")
+
+    def config(self, budget: int) -> ReflectConfig:
+        """The law's `run_rtbs` configuration: one budget caps proposals and
+        verifications alike (mode none verifies none)."""
+        return mode_config(self.mode, self.m, budget, budget, self.root_unlimited)
 
     @cached_property
     def rates(self) -> PosteriorParams:
@@ -301,7 +304,6 @@ class SimResult:
     wilson_ci: tuple[float, float]
     mean_length_correct: Optional[float]
     budget_exhausted: int
-    seed: int
     # Work counts of the vector engine; None for the episode engine.
     stats: Optional[EngineStats] = field(default=None, compare=False)
 
@@ -316,17 +318,6 @@ def _threads(threads: Optional[int]) -> int:
         if threads < 1:
             raise ValueError("threads must be >= 1")
         return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if count < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
-        return count
     return os.cpu_count() or 1
 
 
@@ -558,7 +549,7 @@ def _episode_engine(
     query = Query(TaskName.SYNTHETIC, n)
     sv = SyntheticSelfVerifier(law)
     transition = SyntheticTransition()
-    config = mode_config(law.mode, law.m, budget, budget, law.root_unlimited)
+    config = law.config(budget)
     successes = 0
     len_sum = 0
     exhausted = 0
@@ -592,12 +583,14 @@ def simulate_accuracy(
 
     Episodes are split into fixed-size batches, each on its own derived
     random stream.  The run takes one worker per two batches, up to the
-    thread count.  The batches are dealt round-robin into one group per
-    worker (more when a group would outgrow `Law.batches_per_group`), and each
-    group runs in one loop; a batch's numbers do not depend on its group, so
-    results do not depend on the thread count.  The budget defaults high
-    enough that exhaustion stays a rounding error for sane rates; exhausted
-    episodes count as failures and are tallied in the result.
+    thread count (by default the number of cores).  The batches are dealt
+    round-robin into one group per worker (more when a group would outgrow
+    `Law.batches_per_group`), and each group runs in one loop; a batch's
+    numbers do not depend on its group, so results do not depend on the
+    thread count.  The budget defaults high enough that exhaustion stays a
+    rounding error for sane rates; exhausted episodes count as failures and
+    are tallied in the result.  A rate table of more than one entry runs on
+    the vector engine only (see `SyntheticSelfVerifier`).
     """
     law = Law(params, mode, m, posterior, root_unlimited)
     if episodes < 1:
@@ -606,8 +599,6 @@ def simulate_accuracy(
         raise ValueError("n must be >= 0")
     if engine not in ("vector", "episode"):
         raise ValueError("engine must be 'vector' or 'episode'")
-    if posterior is not None and engine != "vector":
-        raise ValueError("per-attempt rates are supported by the vector engine only")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     budget = budget if budget is not None else law.budget(n)
@@ -651,7 +642,6 @@ def simulate_accuracy(
         wilson_ci=wilson_ci(successes, episodes),
         mean_length_correct=(len_sum / successes) if successes else None,
         budget_exhausted=exhausted,
-        seed=seed,
         stats=stats,
     )
 

@@ -156,9 +156,7 @@ class SudokuBoard:
             raw = text.encode()
             digits = raw.translate(_CELL_OF_TEXT, b"\n")
             if len(digits) == 81 and raw[9::10] == _ROW_ENDS and 0xFF not in digits:
-                board = _unchecked_board(tuple(digits))
-                board.__dict__["_text"] = text
-                return board
+                return _unchecked_board(tuple(digits), _text=text)
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
@@ -192,23 +190,15 @@ def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
     return tuple(rows), tuple(cols), tuple(boxes)
 
 
-def _unchecked_board(cells: tuple[int, ...]) -> SudokuBoard:
+def _unchecked_board(cells: tuple[int, ...], **cached: object) -> SudokuBoard:
     """A board built without the per-cell check, for 81 cells known to be
     ints in 0..9: those of a checked board with cells set to values in 1..9,
-    or those decoded from canonical text."""
+    or those decoded from canonical text.  `cached` holds the cached
+    properties the caller already knows (`masks`, `_text`); a cached_property
+    reads the instance dict first."""
+    cached["cells"] = cells
     board = object.__new__(SudokuBoard)
-    object.__setattr__(board, "cells", cells)
-    return board
-
-
-def _board_with_masks(
-    cells: list[int], rows: list[int], cols: list[int], boxes: list[int]
-) -> SudokuBoard:
-    """A board whose unit masks the caller already holds; they become its
-    cached `masks` (a cached_property reads the instance dict first).  Its
-    cells are a checked board's with candidate values filled in."""
-    board = _unchecked_board(tuple(cells))
-    board.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
+    board.__dict__.update(cached)
     return board
 
 
@@ -219,24 +209,23 @@ def _with_cell(board: SudokuBoard, idx: int, value: int) -> SudokuBoard:
     holds the new value elsewhere, and its masks are then None.  The child
     of an inconsistent board computes its masks when asked."""
     cells = board.cells
-    keep = ~(1 << cells[idx])  # a blank clears bit 0, which no mask sets
-    child = _unchecked_board(cells[:idx] + (value,) + cells[idx + 1 :])
+    child_cells = cells[:idx] + (value,) + cells[idx + 1 :]
     units = board.masks
-    if units is not None:
-        r, c, b = _UNITS[idx]
-        rows, cols, boxes = (list(u) for u in units)
-        bit = 1 << value
-        rows[r] &= keep
-        cols[c] &= keep
-        boxes[b] &= keep
-        if (rows[r] | cols[c] | boxes[b]) & bit:
-            child.__dict__["masks"] = None
-        else:
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
-            child.__dict__["masks"] = (tuple(rows), tuple(cols), tuple(boxes))
-    return child
+    if units is None:
+        return _unchecked_board(child_cells)
+    keep = ~(1 << cells[idx])  # a blank clears bit 0, which no mask sets
+    r, c, b = _UNITS[idx]
+    rows, cols, boxes = (list(u) for u in units)
+    bit = 1 << value
+    rows[r] &= keep
+    cols[c] &= keep
+    boxes[b] &= keep
+    if (rows[r] | cols[c] | boxes[b]) & bit:
+        return _unchecked_board(child_cells, masks=None)
+    rows[r] |= bit
+    cols[c] |= bit
+    boxes[b] |= bit
+    return _unchecked_board(child_cells, masks=(tuple(rows), tuple(cols), tuple(boxes)))
 
 
 def consistent(board: SudokuBoard) -> bool:
@@ -360,7 +349,9 @@ def _expert_decision(board: SudokuBoard) -> Decision:
         if not filled_one:
             break
     if fills:
-        new_board = _board_with_masks(cells, rows, cols, boxes)
+        new_board = _unchecked_board(
+            tuple(cells), masks=(tuple(rows), tuple(cols), tuple(boxes))
+        )
         return Step(content=SudokuMove(tuple(fills), False, new_board))
     return ties
 

@@ -2,6 +2,7 @@
 the closed forms, and agreement between the vectorized and interface-level
 engines."""
 
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -117,27 +118,11 @@ def test_same_seed_same_result(ref_params):
     assert c.successes != a.successes  # different stream, almost surely
 
 
-def test_thread_count_does_not_change_results(ref_params, monkeypatch):
+def test_thread_count_does_not_change_results(ref_params):
     # 70k episodes span three fixed-size chunks; scheduling must not matter.
     a = simulate_accuracy(ref_params, 5, "rtbs", 70_000, 9, m=4, threads=1)
     b = simulate_accuracy(ref_params, 5, "rtbs", 70_000, 9, m=4, threads=4)
     assert a.successes == b.successes
-    monkeypatch.setenv("REFLECT_LAB_THREADS", "3")
-    c = simulate_accuracy(ref_params, 5, "rtbs", 70_000, 9, m=4)
-    assert c.successes == a.successes
-
-
-def test_non_integer_thread_variable_names_itself(ref_params, monkeypatch):
-    monkeypatch.setenv("REFLECT_LAB_THREADS", "two")
-    with pytest.raises(ValueError, match="REFLECT_LAB_THREADS"):
-        simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
-
-
-@pytest.mark.parametrize("value", ["0", "-4"])
-def test_thread_variable_below_one_names_itself(ref_params, monkeypatch, value):
-    monkeypatch.setenv("REFLECT_LAB_THREADS", value)
-    with pytest.raises(ValueError, match="REFLECT_LAB_THREADS must be >= 1"):
-        simulate_accuracy(ref_params, 5, "rmtp", 100, 9)
 
 
 @pytest.mark.parametrize("engine", ["vector", "episode"])
@@ -441,7 +426,7 @@ def test_one_row_batches_equal_the_executor_episode_for_episode():
         budget = int(gen.integers(1, 30))
         law = Law(params, mode, m, root_unlimited=bool(gen.integers(2)))
         executor = sim.SyntheticSelfVerifier(law)
-        config = mode_config(mode, m, budget, budget, law.root_unlimited)
+        config = law.config(budget)
         for i in range(40):
             stream = rng_mod.stream(config_seed, i)
             record = run_rtbs(
@@ -752,7 +737,7 @@ def _enumerate_one_row(n, mode, m, budget):
     cells = [(float((lo + hi) / 2), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
     law = Law(SimplifiedParams(*map(float, _REF_FRACTIONS)), mode, m)
     executor = sim.SyntheticSelfVerifier(law)
-    config = mode_config(mode, m, budget, budget, law.root_unlimited)
+    config = law.config(budget)
     success = exhaustion = Fraction(0)
     pending = [((), Fraction(1))]
     while pending:
@@ -925,8 +910,30 @@ def test_decaying_rates_hurt_accuracy(ref_params):
 
 
 def test_posterior_requires_vector_engine(ref_params):
-    const = PosteriorParams(
-        mu=(ref_params.mu,), e_minus=(ref_params.e_minus,), e_plus=(ref_params.e_plus,), f=ref_params.f
+    # The executor does not say which attempt a proposal is.
+    with pytest.raises(ValueError, match="one-entry rate tables"):
+        simulate_accuracy(ref_params, 3, "rmtp", 100, 0, posterior=_POST, engine="episode")
+
+
+@pytest.mark.parametrize("mode, m", [("none", None), ("rmtp", None), ("rtbs", 2)])
+def test_a_one_entry_table_runs_on_the_episode_engine_as_its_constant_law(ref_params, mode, m):
+    # The table replaces the rates of params; an explicit budget, which
+    # reads params, keeps both runs on one, and is tight enough to exhaust.
+    table = PosteriorParams.constant(ref_params)
+    post = simulate_accuracy(
+        _ALT, 4, mode, 400, 5, m=m, budget=12, engine="episode", posterior=table
     )
-    with pytest.raises(ValueError):
-        simulate_accuracy(ref_params, 3, "rmtp", 100, 0, posterior=const, engine="episode")
+    plain = simulate_accuracy(ref_params, 4, mode, 400, 5, m=m, budget=12, engine="episode")
+    counts = (plain.successes, plain.budget_exhausted, plain.mean_length_correct)
+    assert (post.successes, post.budget_exhausted, post.mean_length_correct) == counts
+    assert plain.successes > 0
+    for root_unlimited in (False, True):
+        law = Law(ref_params, mode, m, root_unlimited=root_unlimited)
+        assert law.config(12) == mode_config(mode, m, 12, 12, law.root_unlimited)
+
+
+def test_the_episode_engine_runs_mode_none_at_the_first_attempt_rate():
+    # Mode none proposes first attempts only, so a longer table runs too.
+    post = simulate_accuracy(_ALT, 5, "none", 2000, 1, engine="episode", posterior=_POST)
+    plain = simulate_accuracy(replace(_ALT, mu=_POST.mu[0]), 5, "none", 2000, 1, engine="episode")
+    assert (post.successes, post.mean_length_correct) == (plain.successes, plain.mean_length_correct)
