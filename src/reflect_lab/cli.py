@@ -188,25 +188,22 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
 def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
     """Generate a labeled chain-of-thought corpus as JSONL (gzip by .gz)."""
     task_name = TaskName(task)
-    style_enum = CotStyle(style)
-    if noise is None:
-        noise = 0.0 if style_enum is CotStyle.NONE else 0.2
     try:
         spec = CorpusSpec(
             task=task_name,
             example_count=count if count is not None else DEFAULT_EXAMPLE_COUNTS[task_name],
             tier_mix=_parse_tier_mix(tier_mix),
-            style=style_enum,
+            style=CotStyle(style),
             proposal_noise=noise,
             seed=seed,
         )
     except ValueError as exc:
-        # Click range-checks each flag alone; what is left to refuse is noise
-        # with style none and a malformed, empty, held-out or weightless mix.
+        # Click range-checks each flag alone; the spec refuses the rest: noise
+        # with style none, and a mix that is malformed or cannot be apportioned.
         flag = "--noise" if "proposal_noise" in str(exc) else "--tier-mix"
         raise click.BadParameter(str(exc), param_hint=f"'{flag}'") from exc
     written = write_examples(generate_corpus(spec), out)
-    _write_manifest(count=spec.example_count, noise=noise)
+    _write_manifest(count=spec.example_count, noise=spec.proposal_noise)
     click.echo(f"wrote {written} examples to {out}")
 
 

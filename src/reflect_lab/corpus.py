@@ -32,9 +32,10 @@ from __future__ import annotations
 import enum
 import gzip
 import json
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import rng as rng_mod
 from .engines import ReflectConfig, mode_config, run_rtbs
@@ -107,32 +108,38 @@ class CotExample:
 class CorpusSpec:
     """What to generate: task, size, difficulty mix, style, noise, seed.
 
-    tier_mix maps training tiers to nonnegative weights (the held-out
-    hardest tier is not allowed); counts are apportioned by largest
-    remainder so they always sum exactly to example_count.
+    tier_mix maps training tiers, each named once, to finite nonnegative
+    weights (the held-out hardest tier is not allowed); counts are
+    apportioned by largest remainder so they always sum exactly to
+    example_count.  proposal_noise None is 0 for style none, else 0.2.
     """
 
     task: TaskName
     example_count: int
     tier_mix: tuple[tuple[DifficultyTier, float], ...]
     style: CotStyle
-    proposal_noise: float
+    proposal_noise: Optional[float]
     seed: int
 
     def __post_init__(self) -> None:
+        if self.proposal_noise is None:
+            object.__setattr__(self, "proposal_noise", 0.0 if self.style is CotStyle.NONE else 0.2)
         if task_hooks(self.task).gen_query is None:
             raise ValueError("corpus generation needs a task with a query generator")
         if self.example_count < 0:
             raise ValueError("example_count must be >= 0")
         if not self.tier_mix:
             raise ValueError("tier_mix must name at least one tier")
+        if len({tier for tier, _ in self.tier_mix}) < len(self.tier_mix):
+            raise ValueError("tier_mix names a tier more than once")
         for tier, weight in self.tier_mix:
             if tier not in TRAINING_TIERS:
                 raise ValueError(f"tier {tier.value} is held out of training data")
             if weight < 0.0:
                 raise ValueError("tier weights must be nonnegative")
-        if sum(w for _, w in self.tier_mix) <= 0.0:
-            raise ValueError("tier weights must not all be zero")
+        total_weight = sum(w for _, w in self.tier_mix)
+        if not (total_weight > 0.0 and math.isfinite(self.example_count * total_weight)):
+            raise ValueError("tier weights must be finite, not all zero, and not overflow")
         if not 0.0 <= self.proposal_noise <= 1.0:
             raise ValueError("proposal_noise must be in [0, 1]")
         if self.style is CotStyle.NONE and self.proposal_noise > 0.0:
@@ -158,7 +165,7 @@ def default_corpus_spec(
     task: TaskName,
     *,
     style: CotStyle = CotStyle.BINARY,
-    proposal_noise: float = 0.2,
+    proposal_noise: Optional[float] = None,
     seed: int = 0,
 ) -> CorpusSpec:
     return CorpusSpec(
@@ -437,9 +444,8 @@ def record_from_json(obj: dict) -> EpisodeRecord:
             for item in obj["events"]
             if item["disposition"] != Disposition.TRACEBACK
         ]
-        replay = _Replay(proposals)
         config = _replay_config(obj, proposals)
-        record = run_rtbs(SelfVerifying(replay, replay), hooks.transition, query, config, None)
+        record = run_rtbs(_Replay(proposals), hooks.transition, query, config, None)
         _check_round_trip(obj, record_to_json(record), "the executor")
     except _DECODE_ERRORS as exc:
         raise _format_error(exc) from exc

@@ -188,8 +188,8 @@ def binomial_zscore(successes: int, trials: int, p: float) -> float:
 @dataclass(frozen=True)
 class ReportRow:
     """A Monte-Carlo point (its n and law are on `result`) beside its closed
-    form.  An unlimited rtbs root and a per-attempt table have none yet, so
-    their theory and zscore are None."""
+    form, priced on the law's rate table.  An unlimited rtbs root has none
+    yet, so its theory and zscore are None."""
 
     result: SimResult
     theory: Optional[float]
@@ -199,14 +199,14 @@ class ReportRow:
 def report_row(result: SimResult) -> ReportRow:
     """A Monte-Carlo point next to its law's closed form and z-score."""
     law, n = result.law, result.n
-    if law.root_unlimited or law.posterior is not None:
+    if law.root_unlimited:
         return ReportRow(result, None, None)
     if law.mode == "none":
-        theory = rho_nonreflective(law.params, n)
+        theory = rho_nonreflective(law.table, n)
     elif law.mode == "rmtp":
-        theory = rho_rmtp(law.params, n)
+        theory = rho_rmtp(law.table, n)
     else:
-        theory = rho_rtbs(law.params, law.m, n)
+        theory = rho_rtbs(law.table, law.m, n)
     z = binomial_zscore(result.successes, result.episodes, theory)
     return ReportRow(result, theory, z)
 

@@ -6,9 +6,9 @@ realizes the rate model of `theory`: on-track proposals stay on track with
 probability mu, the verifier false-alarms with e_minus, misses with e_plus,
 and rejects everything at derailed states with probability f.
 
-A `Law` names what a Monte-Carlo point runs: rates, mode, width and root.
-Both engines and the budget read it, and the result carries it, so a report
-prices the law that ran.
+A `Law` names what a Monte-Carlo point runs: rate table, mode, width and
+root.  Both engines, the budget and the closed form read it, and the result
+carries it, so a report prices the law that ran.
 
 Two engines estimate success probabilities.  The interface engine drives the
 one executor, `engines.run_rtbs`, episode by episode with the configuration
@@ -28,7 +28,7 @@ its chain's first derailed state (a level is on track exactly when it lies
 above that depth), and pops in one step to that ancestor.
 Unless asked otherwise the backtracking mode charges the root its m attempts
 like every other state, which is the convention the closed-form curves
-price in; no closed form prices an unlimited root or a per-attempt table yet.
+price in; no closed form prices an unlimited root yet.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .mtp import (
     Verification,
     register_task,
 )
-from .theory import PosteriorParams, SimplifiedParams, derived_rates, rho_rmtp, rtbs_table
+from .theory import PosteriorParams, SimplifiedParams, rate_table, rho_rmtp, rtbs_table
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -136,20 +136,20 @@ def wilson_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, floa
 class Law:
     """The chain one Monte-Carlo point runs: its rates, executor and root.
 
-    mode is one of `engines.MODES`; m is the width, which only rtbs takes.
-    A per-attempt table (posterior) replaces the constant rates of params.
-    root_unlimited exempts the rtbs root from the width; no other mode's
-    root runs out of attempts, so it is False for them.  Building a law
-    refuses a mode or width that do not fit.
+    table has the rates of each attempt at a state (constant rates become
+    its one-entry case).  mode is one of `engines.MODES`; m is the width,
+    which only rtbs takes.  root_unlimited exempts the rtbs root from the
+    width; no other mode's root runs out of attempts, so it is False for
+    them.  Building a law refuses a mode or width that do not fit.
     """
 
-    params: SimplifiedParams
+    table: PosteriorParams
     mode: str
     m: Optional[int] = None
-    posterior: Optional[PosteriorParams] = None
     root_unlimited: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table", rate_table(self.table))
         self.config(1)
         if self.mode != "rtbs" and self.m is not None:
             raise ValueError(f"mode {self.mode!r} takes no width")
@@ -168,10 +168,9 @@ class Law:
         that is accepted: the table (mu_1, e_minus = 0, e_plus = 1, f = 0),
         whose beta + gamma = fl(mu + fl(1 - mu)) is 1 for every double mu.
         """
-        table = self.posterior or PosteriorParams.constant(self.params)
         if self.mode == "none":
-            return PosteriorParams(mu=table.mu[:1], e_minus=(0.0,), e_plus=(1.0,), f=0.0)
-        return table
+            return PosteriorParams(mu=self.table.mu[:1], e_minus=(0.0,), e_plus=(1.0,), f=0.0)
+        return self.table
 
     @property
     def clip(self) -> int:
@@ -208,15 +207,14 @@ class Law:
     def budget(self, n: int) -> int:
         """Proposal budget that makes exhaustion negligible for sane rates.
 
-        Scales with the mean retry counts at both polarities; capped so that
-        pathological rates degrade into flagged exhaustion instead of hangs.
-        Mode none makes exactly one proposal a step.
+        Scales with the mean retry counts at both polarities (first attempts
+        on track); capped so that pathological rates degrade into flagged
+        exhaustion instead of hangs.  Mode none makes one proposal a step.
         """
         if self.mode == "none":
             return max(n, 1)
-        rates = derived_rates(self.params)
-        retry_pos = 1.0 / max(1.0 - rates.alpha, 0.01)
-        retry_neg = 1.0 / max(1.0 - self.params.f, 0.01)
+        retry_pos = 1.0 / max(1.0 - self.table.alpha[0], 0.01)
+        retry_neg = 1.0 / max(1.0 - self.table.f, 0.01)
         base = int(48 + 8 * max(n, 1) * (retry_pos + retry_neg))
         if self.mode == "rtbs":
             base *= min(self.m, 64)
@@ -589,10 +587,10 @@ def simulate_accuracy(
     numbers do not depend on its group, so results do not depend on the
     thread count.  The budget defaults high enough that exhaustion stays a
     rounding error for sane rates; exhausted episodes count as failures and
-    are tallied in the result.  A rate table of more than one entry runs on
-    the vector engine only (see `SyntheticSelfVerifier`).
+    are tallied in the result.  A rate table (posterior) replaces params; one
+    of more than one entry runs on the vector engine only.
     """
-    law = Law(params, mode, m, posterior, root_unlimited)
+    law = Law(posterior or params, mode, m, root_unlimited)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if n < 0:

@@ -15,11 +15,11 @@ the recursion behind the backtracking curve (one `RtbsTable` type, which
 carries the curve itself), asymptotic comparison predicates and expected
 solution length.  The rates may depend on how many attempts a state has
 already consumed (`PosteriorParams`, "posterior" rates); constant rates are
-its one-entry table (`PosteriorParams.constant`), so the rates, the retry
-law and the backtracking recursion are each written once, for per-attempt
-tables, and the constant-rate functions call them.  Retry probabilities
-divide by beta + gamma rather than 1 - alpha, which cancels when alpha is
-close to one.
+its one-entry table (`PosteriorParams.constant`).  The success curves take
+either kind and read it as a table (`rate_table`), so the rates, the retry
+law and the backtracking recursion are each written once.  Retry
+probabilities divide by beta + gamma rather than 1 - alpha, which cancels
+when alpha is close to one.
 """
 
 from __future__ import annotations
@@ -78,34 +78,40 @@ def derived_rates(params: SimplifiedParams) -> DerivedRates:
     return DerivedRates(*PosteriorParams.constant(params).at(1))
 
 
-def rho_nonreflective(params: SimplifiedParams, n: int) -> float:
-    """Success probability of the unverified chain: all n steps on track."""
+def rate_table(rates: SimplifiedParams | PosteriorParams) -> PosteriorParams:
+    """The per-attempt table of rates: constant rates are its one-entry case."""
+    return rates if isinstance(rates, PosteriorParams) else PosteriorParams.constant(rates)
+
+
+def rho_nonreflective(rates: SimplifiedParams | PosteriorParams, n: int) -> float:
+    """Success probability of the unverified chain: n first attempts on track."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return params.mu**n
+    return rate_table(rates).mu[0] ** n
 
 
-def rho_rmtp(params: SimplifiedParams, n: int) -> float:
-    """Success probability of retry-in-place with unbounded attempts.
-
-    Each advance is on track with probability beta/(beta + gamma); a single
-    accepted derail is unrecoverable.
-    """
-    pparams = PosteriorParams.constant(params)
-    if n > 0 and pparams.beta[0] + pparams.gamma[0] <= 0.0:
+def rho_rmtp(rates: SimplifiedParams | PosteriorParams, n: int) -> float:
+    """Success probability of retry-in-place with unbounded attempts: the
+    per-advance success rate (_rmtp_advance_rate) to the n-th power, as a
+    single accepted derail is unrecoverable.  Warns when no attempt can
+    accept a proposal."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = rate_table(rates)
+    if n > 0 and all(b + g <= 0.0 for b, g in zip(table.beta, table.gamma)):
         warnings.warn(
             "every proposal is rejected (alpha = 1); the chain never advances",
             RuntimeWarning,
             stacklevel=2,
         )
-    return posterior_rho_rmtp(pparams, n)
+    return _rmtp_advance_rate(table) ** n
 
 
-def log_rho_rmtp(params: SimplifiedParams, n: int) -> float:
+def log_rho_rmtp(rates: SimplifiedParams | PosteriorParams, n: int) -> float:
     """log of rho_rmtp, safe for n large enough to underflow the product."""
     if n == 0:
         return 0.0
-    rate = _rmtp_advance_rate(PosteriorParams.constant(params))
+    rate = _rmtp_advance_rate(rate_table(rates))
     return n * math.log(rate) if rate > 0.0 else -math.inf
 
 
@@ -143,25 +149,19 @@ class RtbsTable:
         return np.cumprod(np.concatenate(([1.0], self.sigma[1:])))
 
 
-def rtbs_table(params: SimplifiedParams, m: int, n_max: int) -> RtbsTable:
-    """Tabulate the backtracking recursion up to scale n_max at constant
-    rates, the one-entry attempt table."""
-    return posterior_rtbs_table(PosteriorParams.constant(params), m, n_max)
-
-
-def rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
+def rho_rtbs(rates: SimplifiedParams | PosteriorParams, m: int, n: int) -> float:
     """Success probability of width-m backtracking at scale n.
 
     Every state, the root included, is charged at most m attempts.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return float(rtbs_table(params, m, n).rho[n])
+    return float(rtbs_table(rates, m, n).rho[n])
 
 
-def log_rho_rtbs(params: SimplifiedParams, m: int, n: int) -> float:
+def log_rho_rtbs(rates: SimplifiedParams | PosteriorParams, m: int, n: int) -> float:
     """log of rho_rtbs, safe for large n."""
-    table = rtbs_table(params, m, n)
+    table = rtbs_table(rates, m, n)
     sig = table.sigma[1 : n + 1]
     if np.any(sig <= 0.0):
         return -math.inf
@@ -355,14 +355,6 @@ class PosteriorParams:
         return (self.alpha[i], self.beta[i], self.gamma[i])
 
 
-def posterior_rho_rmtp(pparams: PosteriorParams, n: int) -> float:
-    """Retry-in-place success probability with attempt-indexed rates: the
-    per-advance success rate (_rmtp_advance_rate) to the n-th power."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _rmtp_advance_rate(pparams) ** n
-
-
 def _rmtp_advance_rate(pparams: PosteriorParams) -> float:
     """Retry-in-place's chance to advance one level on track: the series
     sum_{i >= 1} beta_i * prod_{j < i} alpha_j.  With L table entries, the
@@ -380,7 +372,7 @@ def _rmtp_advance_rate(pparams: PosteriorParams) -> float:
     return per_step
 
 
-def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTable:
+def rtbs_table(rates: SimplifiedParams | PosteriorParams, m: int, n_max: int) -> RtbsTable:
     """Tabulate the attempt-indexed backtracking recursion up to n_max.
 
     delta has shape (n_max+1, L) with L = min(m, table length): column i-1
@@ -392,12 +384,13 @@ def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTa
         raise ValueError("m must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    entries = min(m, len(pparams.mu))
+    table = rate_table(rates)
+    entries = min(m, len(table.mu))
     tail = m - entries + 1
     alpha, beta, gamma = (
-        rates[:entries] for rates in (pparams.alpha, pparams.beta, pparams.gamma)
+        column[:entries] for column in (table.alpha, table.beta, table.gamma)
     )
-    f = pparams.f
+    f = table.f
     delta = [[0.0] * entries]
     epsilon = [0.0]
     for _ in range(n_max):
@@ -417,6 +410,11 @@ def posterior_rtbs_table(pparams: PosteriorParams, m: int, n_max: int) -> RtbsTa
             prefix *= d
         sigma.append(acc + prefix * beta[-1] * _geometric_sum(row[-1], tail))
     return RtbsTable(delta=np.array(delta), epsilon=np.array(epsilon), sigma=np.array(sigma))
+
+
+# Earlier names of the two curves, from when only they took a per-attempt table.
+posterior_rho_rmtp = rho_rmtp
+posterior_rtbs_table = rtbs_table
 
 
 def posterior_sufficient_condition(pparams: PosteriorParams) -> bool:

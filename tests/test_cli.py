@@ -207,6 +207,22 @@ def test_gen_data_rejects_bad_configs(runner, tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "mix", ["id_easy=0.5,id_easy=0.5", "id_easy=nan", "id_easy=1,id_hard=inf", "id_easy=1e308"]
+)
+def test_gen_data_refuses_a_mix_it_cannot_apportion(runner, tmp_path, mix):
+    # A repeated tier once wrote more examples than --count; a non-finite
+    # weight, or one whose share of the count overflows, once failed with a
+    # traceback.
+    out = str(tmp_path / "x.jsonl")
+    result = runner.invoke(
+        main, ["gen-data", "--task", "mult", "--count", "10", "--tier-mix", mix, "--out", out]
+    )
+    assert result.exit_code == 2, result.output
+    assert "'--tier-mix'" in result.output
+    assert not os.path.exists(out)
+
+
 def test_run_task_writes_records_and_prints_accuracy(runner, tmp_path):
     out = str(tmp_path / "episodes.jsonl")
     result = runner.invoke(

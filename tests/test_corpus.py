@@ -90,6 +90,25 @@ def test_spec_rejects_bad_fields():
         small_spec(style=CotStyle.NONE, proposal_noise=0.2)
 
 
+@pytest.mark.parametrize(
+    "mix, message",
+    [
+        (((DifficultyTier.ID_EASY, 0.5), (DifficultyTier.ID_EASY, 0.5)), "more than once"),
+        (((DifficultyTier.ID_EASY, float("nan")),), "finite"),
+        (((DifficultyTier.ID_EASY, 1.0), (DifficultyTier.ID_HARD, float("inf"))), "finite"),
+        (((DifficultyTier.ID_EASY, 1e308), (DifficultyTier.ID_HARD, 1e308)), "finite"),
+        (((DifficultyTier.ID_EASY, 1e308),), "finite"),
+    ],
+)
+def test_spec_refuses_a_mix_it_cannot_apportion(mix, message):
+    # A repeated tier would be expanded once per pair, and a non-finite
+    # weight, or a weight sum whose shares of ten overflow, has no integer
+    # share.
+    with pytest.raises(ValueError, match=message) as caught:
+        small_spec(example_count=10, tier_mix=mix)
+    assert "proposal_noise" not in str(caught.value)
+
+
 def test_tier_counts_largest_remainder():
     spec = small_spec(
         example_count=10,
@@ -123,6 +142,17 @@ def test_default_spec_counts():
     spec = default_corpus_spec(TaskName.MULT)
     assert spec.example_count == DEFAULT_EXAMPLE_COUNTS[TaskName.MULT]
     assert sum(spec.tier_counts().values()) == spec.example_count
+
+
+def test_default_noise_follows_the_style():
+    # Style none emits expert chains, so its noise defaults to 0; the
+    # labelled styles default to 0.2.  A given noise is kept.
+    assert default_corpus_spec(TaskName.MULT, style=CotStyle.NONE).proposal_noise == 0.0
+    assert default_corpus_spec(TaskName.SUDOKU, seed=1).proposal_noise == 0.2
+    assert small_spec(style=CotStyle.DETAILED, proposal_noise=None).proposal_noise == 0.2
+    assert small_spec(proposal_noise=0.4).proposal_noise == 0.4
+    with pytest.raises(ValueError, match="proposal_noise must be 0"):
+        default_corpus_spec(TaskName.MULT, style=CotStyle.NONE, proposal_noise=0.2)
 
 
 # --- example validation ---

@@ -45,6 +45,7 @@ from reflect_lab.theory import (
     rho_nonreflective,
     rho_rmtp,
     rho_rtbs,
+    rtbs_table,
 )
 
 A, R, T = Disposition.ACCEPTED, Disposition.REJECTED, Disposition.TRACEBACK
@@ -313,14 +314,23 @@ def test_report_rows_at_a_capped_root_are_the_closed_forms(ref_params):
 
 
 def test_laws_without_a_closed_form_are_left_unpriced(ref_params):
-    # The capped-root curve misprices an unlimited root, and the curves of
-    # params misprice a per-attempt table, so neither row is priced.
+    # The capped-root curve misprices an unlimited root.
+    row = _report(ref_params, "rtbs", 2, root_unlimited=True)
+    assert (row.theory, row.zscore) == (None, None), row.result.law
+    line = report_to_csv([row]).strip().split("\n")[1]
+    assert line.endswith(",,") and line.count(",") == 8, line
+
+
+def test_report_rows_of_a_per_attempt_table_are_its_closed_forms():
+    # The table, not the params beside it, is the law that ran and is priced.
     table = PosteriorParams(mu=(0.8, 0.5), e_minus=(0.3, 0.3), e_plus=(0.2, 0.2), f=0.8)
-    rows = [_report(ref_params, "rtbs", 2, root_unlimited=True)] + [
-        _report(ref_params, mode, m, posterior=table)
-        for mode, m in (("none", None), ("rmtp", None), ("rtbs", 2))
-    ]
-    for row in rows:
-        assert (row.theory, row.zscore) == (None, None), row.result.law
-    for line in report_to_csv(rows).strip().split("\n")[1:]:
-        assert line.endswith(",,") and line.count(",") == 8, line
+    for mode, m, theory in (
+        ("none", None, 0.8**4),
+        ("rmtp", None, rho_rmtp(table, 4)),
+        ("rtbs", 2, float(rtbs_table(table, 2, 4).rho[4])),
+    ):
+        row = _report(SimplifiedParams(0.6, 0.1, 0.1, 0.5), mode, m, posterior=table)
+        assert row.result.law.table is table
+        assert row.theory == theory, mode
+        assert row.zscore == binomial_zscore(row.result.successes, 2000, theory), mode
+        assert abs(row.zscore) < 4.0, mode

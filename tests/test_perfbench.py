@@ -61,3 +61,30 @@ def test_a_traced_smoke_round_measures_every_layer(checkout):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         wanted = [metric["name"] for metric in json.load(handle)["per_layer"]]
     assert [name for name in wanted if result["metrics"][name]["value"] is None] == []
+
+
+# Installs and removes every workload's traced wrappers without running one.
+_HOOK_SCRIPT = """
+import sys
+sys.path[:0] = ["perfbench", "src"]
+import workloads
+from tracing import Tracer
+for name in sys.argv[1:]:
+    tracer = Tracer()
+    workloads.make(name, "smoke").hooks(tracer)
+    tracer.restore()
+    print(name)
+"""
+
+
+def test_every_workload_finds_the_package_names_it_traces(checkout):
+    # Each workload wraps package functions by name (metrics.rho_*,
+    # theory.posterior_*, corpus.make_noisy_policy, ...), so a rename in
+    # the package fails here, not only in a traced run of that workload.
+    names = sorted(ROUND_0_DIGESTS)
+    done = subprocess.run(
+        [sys.executable, "-c", _HOOK_SCRIPT, *names],
+        cwd=checkout, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == names

@@ -30,11 +30,10 @@ from reflect_lab.sim import (
 from reflect_lab.theory import (
     PosteriorParams,
     derived_rates,
-    posterior_rho_rmtp,
-    posterior_rtbs_table,
     rho_nonreflective,
     rho_rmtp,
     rho_rtbs,
+    rtbs_table,
 )
 
 # Fixed seed under which the 450-point random-grid agreement check below
@@ -270,7 +269,7 @@ def test_vector_engine_matches_row_by_row_reference():
                 for root_unlimited in (False, True) if mode == "rtbs" else (False,):
                     for budget in budgets:
                         seed += 1
-                        law = Law(params, mode, m, posterior, root_unlimited)
+                        law = Law(posterior or params, mode, m, root_unlimited)
                         got = sim._mc_chunk(law, n, budget, [(150, rng_mod.stream(seed, 0))])
                         want = mc_batch_reference(
                             beta, beta_gamma, one_minus_f, n, m, budget,
@@ -286,7 +285,7 @@ def test_unlimited_root_past_255_attempts_keeps_its_rate():
     table = PosteriorParams(mu=(0.3, 0.001), e_minus=(0.0, 0.0), e_plus=(0.9, 0.9), f=0.99)
     params = SimplifiedParams(0.3, 0.0, 0.9, 0.99)
     beta, beta_gamma, one_minus_f = _rate_tables(params, table)
-    law = Law(params, "rtbs", 1, table, root_unlimited=True)
+    law = Law(table, "rtbs", 1, root_unlimited=True)
     got = sim._mc_chunk(law, 3, 1500, [(300, rng_mod.stream(5, 0))])
     want = mc_batch_reference(
         beta, beta_gamma, one_minus_f, 3, 1, 1500, True, 300, rng_mod.stream(5, 0)
@@ -304,7 +303,7 @@ def test_a_two_byte_stack_under_one_byte_rows_matches_the_reference():
     for params, posterior in ((_BASE, None), (_BASE, _POST)):
         beta, beta_gamma, one_minus_f = _rate_tables(params, posterior)
         for root_unlimited in (False, True):
-            law = Law(params, "rtbs", m, posterior, root_unlimited)
+            law = Law(posterior or params, "rtbs", m, root_unlimited)
             got = sim._mc_chunk(law, n, 4 * n, [(40, rng_mod.stream(n, 1))])
             want = mc_batch_reference(
                 beta, beta_gamma, one_minus_f, n, m, 4 * n, root_unlimited, 40,
@@ -402,9 +401,9 @@ def test_the_synthetic_self_verifier_draws_once_a_proposal():
 def test_the_synthetic_self_verifier_refuses_an_attempt_table():
     # The executor does not say which attempt a proposal is.
     with pytest.raises(ValueError, match="one-entry rate tables"):
-        sim.SyntheticSelfVerifier(Law(_BASE, "rtbs", 2, _POST))
+        sim.SyntheticSelfVerifier(Law(_POST, "rtbs", 2))
     # Mode none proposes first attempts only, so it runs the first entry.
-    sim.SyntheticSelfVerifier(Law(_BASE, "none", posterior=_POST))
+    sim.SyntheticSelfVerifier(Law(_POST, "none"))
 
 
 def test_one_row_batches_equal_the_executor_episode_for_episode():
@@ -458,7 +457,7 @@ def test_linked_pop_finds_the_deepest_spare_ancestor():
     ):
         # A longer rate table clips an unlimited root's count past m.
         posterior = PosteriorParams((0.5,) * (m + 3), (0.1,) * (m + 3), (0.1,) * (m + 3), 0.5)
-        law = Law(_BASE, "rtbs", m, posterior)
+        law = Law(posterior, "rtbs", m)
         clip = law.clip
         spare_counts = gen.integers(1, max(m, 2), (rows, n))  # all m at m = 1
         counts = np.where(gen.random((rows, n)) < spare_share, spare_counts, m)
@@ -513,7 +512,7 @@ _GROUP_CASES = [
 def test_a_group_of_batches_equals_its_batches_run_alone(n):
     sizes = (300, 1, 1200, 37)
     for params, mode, m, root_unlimited, posterior, tight in _GROUP_CASES:
-        law = Law(params, mode, m, posterior, root_unlimited)
+        law = Law(posterior or params, mode, m, root_unlimited)
         if tight:
             budget = max(1, n - 1) if mode == "none" else 2 * n + 1
         else:
@@ -888,10 +887,10 @@ def test_posterior_mc_matches_posterior_theory():
     base = SimplifiedParams(0.9, 0.1, 0.05, 0.8)
     n, episodes = 5, 30_000
     rmtp = simulate_accuracy(base, n, "rmtp", episodes, 22, threads=1, posterior=pparams)
-    z = binomial_zscore(rmtp.successes, episodes, posterior_rho_rmtp(pparams, n))
+    z = binomial_zscore(rmtp.successes, episodes, rho_rmtp(pparams, n))
     assert abs(z) <= 3.0
 
-    table = posterior_rtbs_table(pparams, 3, n)
+    table = rtbs_table(pparams, 3, n)
     theory_rtbs = float(np.prod(table.sigma[1 : n + 1]))
     rtbs = simulate_accuracy(
         base, n, "rtbs", episodes, 23, m=3, threads=1, posterior=pparams
@@ -917,8 +916,8 @@ def test_posterior_requires_vector_engine(ref_params):
 
 @pytest.mark.parametrize("mode, m", [("none", None), ("rmtp", None), ("rtbs", 2)])
 def test_a_one_entry_table_runs_on_the_episode_engine_as_its_constant_law(ref_params, mode, m):
-    # The table replaces the rates of params; an explicit budget, which
-    # reads params, keeps both runs on one, and is tight enough to exhaust.
+    # The table replaces the rates of params; an explicit budget keeps both
+    # runs on one, and is tight enough to exhaust.
     table = PosteriorParams.constant(ref_params)
     post = simulate_accuracy(
         _ALT, 4, mode, 400, 5, m=m, budget=12, engine="episode", posterior=table
@@ -930,6 +929,8 @@ def test_a_one_entry_table_runs_on_the_episode_engine_as_its_constant_law(ref_pa
     for root_unlimited in (False, True):
         law = Law(ref_params, mode, m, root_unlimited=root_unlimited)
         assert law.config(12) == mode_config(mode, m, 12, 12, law.root_unlimited)
+        # A constant point is stored as its one-entry table.
+        assert law == Law(table, mode, m, root_unlimited=root_unlimited)
 
 
 def test_the_episode_engine_runs_mode_none_at_the_first_attempt_rate():

@@ -15,6 +15,7 @@ from helpers import (
     frac_rates,
     frac_rmtp,
 )
+from reflect_lab import theory
 from reflect_lab.theory import (
     PosteriorParams,
     SimplifiedParams,
@@ -24,9 +25,8 @@ from reflect_lab.theory import (
     expected_solution_length,
     log_rho_rmtp,
     log_rho_rtbs,
-    posterior_rho_rmtp,
-    posterior_rtbs_table,
     posterior_sufficient_condition,
+    rate_table,
     rho_nonreflective,
     rho_rmtp,
     rho_rtbs,
@@ -116,6 +116,18 @@ def test_error_budget_boundary_recovers_plain_chain(mu, e_minus, f, n):
 def test_rho_rmtp_warns_when_chain_cannot_advance():
     stuck = SimplifiedParams(mu=1.0, e_minus=1.0, e_plus=0.0, f=0.5)
     with pytest.warns(RuntimeWarning):
+        assert rho_rmtp(stuck, 3) == 0.0
+
+
+def test_rho_rmtp_warns_for_a_table_only_when_no_attempt_can_advance():
+    # A first attempt that rejects everything is retried at rates that
+    # derail: the chain advances, off track, and the curve is zero.
+    later = PosteriorParams(mu=(1.0, 0.5), e_minus=(1.0, 1.0), e_plus=(0.0, 0.5), f=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho_rmtp(later, 3) == 0.0
+    stuck = PosteriorParams(mu=(1.0, 1.0), e_minus=(1.0, 1.0), e_plus=(0.0, 0.0), f=0.5)
+    with pytest.warns(RuntimeWarning, match="alpha = 1"):
         assert rho_rmtp(stuck, 3) == 0.0
 
 
@@ -348,9 +360,38 @@ def test_epsilon_recursion_converges_to_fixed_point(f, m):
 # --- attempt-indexed rates ---
 
 
+def test_the_per_attempt_names_are_the_curves_themselves():
+    assert theory.posterior_rho_rmtp is theory.rho_rmtp
+    assert theory.posterior_rtbs_table is theory.rtbs_table
+
+
+@given(param_tuple(), st.integers(min_value=0, max_value=12), st.integers(1, 5))
+def test_every_curve_prices_constant_rates_as_their_one_entry_table(params, n, m):
+    table = rate_table(params)
+    assert table == PosteriorParams.constant(params) and rate_table(table) is table
+    assert rho_nonreflective(table, n) == rho_nonreflective(params, n) == params.mu**n
+    assert rho_rmtp(table, n) == rho_rmtp(params, n)
+    assert log_rho_rmtp(table, n) == log_rho_rmtp(params, n)
+    assert rho_rtbs(table, m, n) == rho_rtbs(params, m, n)
+    assert log_rho_rtbs(table, m, n) == log_rho_rtbs(params, m, n)
+
+
+def test_the_log_curves_of_a_table_are_the_logs_of_its_curves():
+    table = PosteriorParams(
+        mu=(0.9, 0.6, 0.4), e_minus=(0.1, 0.1, 0.2), e_plus=(0.05, 0.1, 0.1), f=0.7
+    )
+    for n in (1, 6):
+        assert rho_nonreflective(table, n) == 0.9**n
+        assert log_rho_rmtp(table, n) == pytest.approx(math.log(rho_rmtp(table, n)), rel=1e-12)
+        for m in (1, 2, 4):
+            assert log_rho_rtbs(table, m, n) == pytest.approx(
+                math.log(rho_rtbs(table, m, n)), rel=1e-12
+            )
+
+
 @given(param_tuple(), st.integers(min_value=0, max_value=20))
 def test_constant_posterior_recovers_simplified_rmtp(params, n):
-    assert posterior_rho_rmtp(PosteriorParams.constant(params), n) == rho_rmtp(params, n)
+    assert rho_rmtp(PosteriorParams.constant(params), n) == rho_rmtp(params, n)
 
 
 @pytest.mark.parametrize(
@@ -366,13 +407,13 @@ def test_posterior_rmtp_sums_the_retry_series_exactly(mu, e_minus, e_plus):
     exact = [[Fraction(v) for v in seq] for seq in (mu, e_minus, e_plus)]
     for n in (1, 7):
         oracle = frac_posterior_rmtp(*exact, n)
-        assert posterior_rho_rmtp(pparams, n) == pytest.approx(float(oracle), rel=1e-12)
+        assert rho_rmtp(pparams, n) == pytest.approx(float(oracle), rel=1e-12)
 
 
 @given(param_tuple(), st.integers(min_value=1, max_value=6))
 def test_constant_posterior_recovers_simplified_rtbs(params, m):
     simplified = rtbs_table(params, m, 8)
-    posterior = posterior_rtbs_table(PosteriorParams.constant(params), m, 8)
+    posterior = rtbs_table(PosteriorParams.constant(params), m, 8)
     for t in range(9):
         assert posterior.sigma[t] == pytest.approx(float(simplified.sigma[t]), rel=1e-11, abs=1e-14)
         assert posterior.epsilon[t] == pytest.approx(float(simplified.epsilon[t]), rel=1e-11, abs=1e-14)
@@ -395,7 +436,7 @@ def test_posterior_rtbs_matches_exact_search_semantics(mu, e_minus, e_plus, m):
     # its last m - L + 1 attempts share the final entry.
     pparams = PosteriorParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=0.6)
     exact = [[Fraction(v) for v in seq] for seq in (mu, e_minus, e_plus)]
-    rho = posterior_rtbs_table(pparams, m, 5).rho
+    rho = rtbs_table(pparams, m, 5).rho
     for n in range(6):
         oracle = exact_posterior_rtbs_success(*exact, Fraction(0.6), m, n)
         assert rho[n] == pytest.approx(float(oracle), rel=1e-12)
