@@ -94,14 +94,20 @@ class CotExample:
     def __post_init__(self) -> None:
         if not self.answer.is_answer:
             raise ValueError("answer must be an answer step")
-        if any(s.step.is_answer for s in self.steps):
-            raise ValueError("steps must not contain answer steps")
-        if self.style is CotStyle.NONE:
-            if any(s.verification.labels for s in self.steps):
+        # Style none wants no step labelled, optional_detailed either, and
+        # the others every step; an answer step is refused first.
+        style = self.style
+        labelled = None if style is CotStyle.OPTIONAL_DETAILED else style is not CotStyle.NONE
+        mislabelled = False
+        for s in self.steps:
+            if s.step.is_answer:
+                raise ValueError("steps must not contain answer steps")
+            if labelled is not None and bool(s.verification.labels) is not labelled:
+                mislabelled = True
+        if mislabelled:
+            if style is CotStyle.NONE:
                 raise ValueError("style none requires empty verifications")
-        elif self.style is not CotStyle.OPTIONAL_DETAILED:
-            if any(not s.verification.labels for s in self.steps):
-                raise ValueError(f"style {self.style.value} requires labels on every step")
+            raise ValueError(f"style {style.value} requires labels on every step")
 
 
 @dataclass(frozen=True)
@@ -455,8 +461,12 @@ def record_from_json(obj: dict) -> EpisodeRecord:
 # --- JSONL I/O -------------------------------------------------------------
 
 
+# json.dumps builds an encoder per call when given options; one is enough.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(obj)
 
 
 def write_jsonl(objects: Iterable[dict], path: str) -> int:

@@ -22,7 +22,7 @@ from .mtp import (
     Event,
     Outcome,
     Query,
-    SelfVerifying,
+    SelfVerifyingInterface,
     Step,
     TransitionInterface,
     Verification,
@@ -90,7 +90,7 @@ def mode_config(
 
 
 def run_rtbs(
-    self_verifying: SelfVerifying,
+    self_verifying: SelfVerifyingInterface,
     transition: TransitionInterface,
     query: Query,
     config: ReflectConfig,

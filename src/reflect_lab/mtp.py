@@ -49,7 +49,8 @@ class Step:
 
 @dataclass(frozen=True)
 class Verification:
-    """Ordered binary labels for one step; True is positive, False negative.
+    """Ordered binary labels for one step, each a bool: True is positive,
+    False negative; any negative label rejects the step.
 
     An empty tuple means the step was not verified at all (non-reflective).
     """
@@ -58,7 +59,7 @@ class Verification:
 
     @property
     def rejected(self) -> bool:
-        return any(not ok for ok in self.labels)
+        return False in self.labels
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,10 @@ class VerifierInterface(Protocol):
     def verify(
         self, state: Any, step: Step, rng: np.random.Generator
     ) -> Verification: ...
+
+
+class SelfVerifyingInterface(PolicyInterface, VerifierInterface, Protocol):
+    """A policy that verifies its own proposals: what the executor drives."""
 
 
 class TransitionInterface(Protocol):

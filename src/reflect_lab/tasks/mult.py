@@ -5,6 +5,11 @@ value u present in y, zeroes every occurrence of u in y, and adds the matching
 contributions u*x*10^i to the running sum z.  The state is terminal when x or
 y is zero; the answer is then z.  An honestly computed step preserves x*y + z,
 which is what the rule-based binary verifier checks.
+
+The expert scans y's digits once per step and builds its move from that
+scan through the same arithmetic as `make_move`.  Every state and move is
+built by its public constructor, and `MultState` keeps its checks: plain
+nonnegative ints pass one cheap test, anything else the per-field check.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ class MultState:
     z: int
 
     def __post_init__(self) -> None:
+        x, y, z = self.x, self.y, self.z
+        if type(x) is int and type(y) is int and type(z) is int and x >= 0 and y >= 0 and z >= 0:
+            return
         for name in ("x", "y", "z"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -96,18 +104,24 @@ def make_move(state: MultState, digit: int, side: str = "y") -> MultMove:
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
     operand = state.y if side == "y" else state.x
-    other = state.x if side == "y" else state.y
     occurrences = nonzero_digits(operand).get(digit)
     if not occurrences:
         raise ValueError(f"digit {digit} does not occur in {side} = {operand}")
-    positions = tuple(occurrences)
-    delta = digit * other
-    contributions = tuple(delta * 10**p for p in positions)
-    reduced = operand - digit * sum(10**p for p in positions)
+    return _eliminate(state, digit, tuple(occurrences), side)
+
+
+def _eliminate(state: MultState, digit: int, positions: tuple[int, ...], side: str) -> MultMove:
+    """The honest move zeroing `digit` at `positions` of the named operand,
+    which the caller has found there."""
+    powers = [10**p for p in positions]
+    delta = digit * (state.x if side == "y" else state.y)
+    contributions = tuple(delta * power for power in powers)
+    z = state.z + sum(contributions)
+    removed = digit * sum(powers)
     if side == "y":
-        new_state = MultState(state.x, reduced, state.z + sum(contributions))
+        new_state = MultState(state.x, state.y - removed, z)
     else:
-        new_state = MultState(reduced, state.y, state.z + sum(contributions))
+        new_state = MultState(state.x - removed, state.y, z)
     return MultMove(side, digit, positions, delta, contributions, new_state)
 
 
@@ -116,8 +130,9 @@ def mult_expert_step(state: MultState, rng: np.random.Generator | None = None) -
     or emit the answer once the state is terminal."""
     if state.terminal:
         return Step(content=state.z, is_answer=True)
-    smallest = min(nonzero_digits(state.y))
-    return Step(content=make_move(state, smallest))
+    digits = nonzero_digits(state.y)
+    smallest = min(digits)
+    return Step(content=_eliminate(state, smallest, tuple(digits[smallest]), "y"))
 
 
 class MultExpertPolicy:
@@ -170,14 +185,15 @@ def verify_detailed_mult(state: MultState, step: Step) -> Verification:
     operand = state.y if move.side == "y" else state.x
     other = state.x if move.side == "y" else state.y
     new_operand = move.new_state.y if move.side == "y" else move.new_state.x
-    labels = [move.delta == move.digit * other]
+    digit, delta = move.digit, move.delta
+    labels = [delta == digit * other]
     for pos, contribution in zip(move.positions, move.contributions):
-        ok = (
-            digit_at(operand, pos) == move.digit
-            and digit_at(new_operand, pos) == 0
-            and contribution == move.delta * 10**pos
+        power = 10**pos
+        labels.append(
+            operand // power % 10 == digit
+            and new_operand // power % 10 == 0
+            and contribution == delta * power
         )
-        labels.append(ok)
     labels.append(move.new_state.z == state.z + sum(move.contributions))
     return Verification(tuple(labels))
 
@@ -193,10 +209,12 @@ def perturb_contribution(
     value = move.contributions[ci]
     n_digits = len(str(value))
     dpos = int(rng.integers(n_digits))
-    old_digit = digit_at(value, dpos)
-    choices = [d for d in range(10) if d != old_digit]
-    new_digit = int(choices[int(rng.integers(9))])
-    corrupted = value + (new_digit - old_digit) * 10**dpos
+    power = 10**dpos
+    old_digit = value // power % 10
+    # The pick-th digit other than old_digit.
+    pick = int(rng.integers(9))
+    new_digit = pick + (pick >= old_digit)
+    corrupted = value + (new_digit - old_digit) * power
     contributions = tuple(
         corrupted if i == ci else c for i, c in enumerate(move.contributions)
     )
@@ -278,9 +296,9 @@ def _mult_move_from_json(obj: dict) -> MultMove:
     return MultMove(
         side=obj["side"],
         digit=int(obj["digit"]),
-        positions=tuple(int(p) for p in obj["positions"]),
+        positions=tuple(map(int, obj["positions"])),
         delta=int(obj["delta"]),
-        contributions=tuple(int(c) for c in obj["contributions"]),
+        contributions=tuple(map(int, obj["contributions"])),
         new_state=parse_mult_state(obj["new_state"]),
     )
 

@@ -174,6 +174,16 @@ def test_cot_example_validation():
     # optional_detailed tolerates either labeling
     CotExample(q, (labeled,), answer, CotStyle.OPTIONAL_DETAILED)
     CotExample(q, (bare,), answer, CotStyle.OPTIONAL_DETAILED)
+    # An answer step anywhere is refused before any labelling fault.
+    late_answer = VerifiedStep(answer, Verification((True,)))
+    with pytest.raises(ValueError, match="must not contain answer steps"):
+        CotExample(q, (labeled, late_answer), answer, CotStyle.NONE)
+    with pytest.raises(ValueError, match="must not contain answer steps"):
+        CotExample(q, (bare, late_answer), answer, CotStyle.BINARY)
+    with pytest.raises(ValueError, match="^style none requires empty verifications$"):
+        CotExample(q, (bare, labeled), answer, CotStyle.NONE)
+    with pytest.raises(ValueError, match="^style detailed requires labels on every step$"):
+        CotExample(q, (labeled, bare), answer, CotStyle.DETAILED)
 
 
 # --- generation ---

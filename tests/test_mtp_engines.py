@@ -3,6 +3,7 @@ scripted policies and verifiers so every disposition is forced."""
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -79,6 +80,9 @@ def test_verification_rejected_flag():
     assert not Verification((True, True)).rejected
     assert Verification((True, False, True)).rejected
     assert Verification((False,)).rejected
+    for length in range(5):
+        for labels in itertools.product((False, True), repeat=length):
+            assert Verification(labels).rejected == any(not ok for ok in labels)
 
 
 def test_reflect_config_validation():

@@ -1,6 +1,7 @@
 """Long-multiplication task: expert policy, move legality, verifiers, and
 controlled corruptions.  Python's big-int multiply is the external oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +58,16 @@ def test_state_invariant_value():
 def test_state_validation():
     with pytest.raises(ValueError):
         MultState(x=-1, y=2, z=0)
+    # Values that are not plain ints skip the quick check and get the full one.
+    for field in ("x", "y", "z"):
+        for bad in (True, -1, 1.0, np.int64(3)):
+            with pytest.raises(ValueError, match=f"^{field} must be a nonnegative int$"):
+                MultState(**{"x": 2, "y": 3, "z": 0, field: bad})
+
+    class Count(int):
+        pass
+
+    assert MultState(Count(3), 4, Count(0)).value() == 12
 
 
 def test_digit_helpers():
@@ -116,6 +127,18 @@ def test_expert_answers_on_terminal_state():
     step = mult_expert_step(MultState(x=9, y=0, z=63))
     assert step.is_answer
     assert step.content == 63
+
+
+@given(
+    st.integers(0, 10**10 - 1), st.integers(0, 10**10 - 1), st.integers(0, 10**21)
+)
+def test_expert_step_is_the_move_of_its_smallest_digit(x, y, z):
+    state = MultState(x, y, z)
+    step = mult_expert_step(state)
+    if state.terminal:
+        assert step == Step(z, is_answer=True)
+    else:
+        assert step.content == make_move(state, min(nonzero_digits(y)))
 
 
 @given(operands, operands)
@@ -208,6 +231,29 @@ def test_perturbation_always_caught_and_localized(x, y, seed):
     # Exactly one negative label, exactly where claimed.
     assert detailed[label_index] is False
     assert sum(1 for v in detailed if not v) == 1
+
+
+class ScriptedDraws:
+    """Stands in for a generator: integers(n) returns the scripted draws."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def integers(self, n):
+        draw = self._draws.pop(0)
+        assert 0 <= draw < n
+        return draw
+
+
+@pytest.mark.parametrize("old_digit", range(10))
+def test_perturbation_picks_the_drawn_digit_among_the_other_nine(old_digit):
+    # One contribution, 10 + old_digit, with old_digit in the units place.
+    state = MultState(10 + old_digit, 1, 0)
+    move = make_move(state, 1)
+    for draw in range(9):
+        corrupted, _ = perturb_contribution(state, move, ScriptedDraws(0, 0, draw))
+        new_digit = [d for d in range(10) if d != old_digit][draw]
+        assert corrupted.contributions == (10 + new_digit,)
 
 
 def test_perturbation_changes_one_contribution():
