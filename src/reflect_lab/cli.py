@@ -260,6 +260,16 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
     click.echo(tally.to_csv(), nl=False)
 
 
+def _rule_oracle(query, state, step) -> bool:
+    """step_passes_rule, with a task that has no rule as a usage error."""
+    if task_hooks(query.task).binary_rule is None:
+        raise click.BadParameter(
+            f"task {query.task.value!r} has no rule verifier; --oracle truth works for it",
+            param_hint="'--oracle'",
+        )
+    return step_passes_rule(query, state, step)
+
+
 @main.command("estimate-errors")
 @click.option("--records", required=True,
               type=click.Path(exists=True, dir_okay=False),
@@ -271,7 +281,7 @@ def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_estimate_errors(records, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
-    oracle_fn = step_leads_positive if oracle == "truth" else step_passes_rule
+    oracle_fn = step_leads_positive if oracle == "truth" else _rule_oracle
     try:
         estimate = estimate_verification_errors(read_records(records), oracle_fn)
     except CorpusFormatError as exc:

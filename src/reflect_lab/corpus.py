@@ -424,7 +424,7 @@ class _Replay:
         self._proposals = iter(proposals)
         self._labels = Verification()
 
-    def sample(self, state: Any, rng: Any) -> Step:
+    def sample(self, state: Any, rng: Any, attempt: int) -> Step:
         proposal = next(self._proposals, None)
         if proposal is None:
             raise CorpusFormatError("the record ends, but the executor proposes again")

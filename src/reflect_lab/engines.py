@@ -127,7 +127,7 @@ def run_rtbs(
     answer: Optional[Step] = None
     root_exhausted = False
     while proposals < config.total_budget:
-        step = self_verifying.sample(state, rng)
+        step = self_verifying.sample(state, rng, attempts)
         proposals += 1
         attempts += 1
         if verified_used < config.reflective_budget:

@@ -111,8 +111,16 @@ class VerifierInterface(Protocol):
     ) -> Verification: ...
 
 
-class SelfVerifyingInterface(PolicyInterface, VerifierInterface, Protocol):
-    """A policy that verifies its own proposals: what the executor drives."""
+class SelfVerifyingInterface(VerifierInterface, Protocol):
+    """A policy that verifies its own proposals: what the executor drives.
+
+    `attempt` is how many proposals the executor has charged to the state
+    so far: 0 at a fresh state, the stored count at a state a traceback
+    restores, and past the width at an unlimited root.  A per-attempt rate
+    table reads its row there, so both engines run every law.
+    """
+
+    def sample(self, state: Any, rng: np.random.Generator, attempt: int) -> Step: ...
 
 
 class TransitionInterface(Protocol):
@@ -126,7 +134,7 @@ class SelfVerifying:
     policy: PolicyInterface
     verifier: VerifierInterface
 
-    def sample(self, state: Any, rng: np.random.Generator) -> Step:
+    def sample(self, state: Any, rng: np.random.Generator, attempt: int) -> Step:
         return self.policy.sample(state, rng)
 
     def verify(

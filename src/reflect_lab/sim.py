@@ -225,38 +225,36 @@ class SyntheticSelfVerifier:
     """The synthetic self-verifying policy of a law: one uniform a proposal.
 
     `sample` draws u and decides both the step and its verdict, cut where
-    the vector engine cuts it on `law.rates`; `verify` returns that verdict.
-    So `run_rtbs` on a stream makes the decisions a one-row batch of
-    `_mc_chunk` makes on the same stream.  On track, u < beta advances and
-    u < beta + gamma derails, both accepted; a higher u is rejected, and
-    its content is on track when u < beta + gamma + mu e_minus, which keeps
-    the joint law of content and verdict.  Off track the step is derailed
-    and accepted when u < 1 - f.  A scale-0 root restates its answer,
-    rejected when u < e_minus.  Mode none's accept-all table cuts at mu
-    alone.  The executor does not say which attempt a proposal is, so a
-    multi-entry attempt table is refused.
+    the vector engine cuts it on row min(attempt, last) of `law.rates`;
+    `verify` returns that verdict.  So `run_rtbs` on a stream makes the
+    decisions a one-row batch of `_mc_chunk` makes on the same stream.  On
+    track, u < beta advances and u < beta + gamma derails, both accepted; a
+    higher u is rejected, and its content is on track when u < beta + gamma
+    + mu e_minus, which keeps the joint law of content and verdict.  Off
+    track the step is derailed and accepted when u < 1 - f.  A scale-0 root
+    restates its answer, rejected when u < e_minus.  Mode none's accept-all
+    table cuts at mu alone.
     """
 
     def __init__(self, law: Law) -> None:
         rates = law.rates
-        if len(rates.mu) > 1:
-            raise ValueError("the synthetic self-verifier takes one-entry rate tables only")
-        self._beta = rates.beta[0]
-        self._beta_gamma = rates.beta[0] + rates.gamma[0]
-        self._rejected_on_track = self._beta_gamma + rates.mu[0] * rates.e_minus[0]
-        self._e_minus = rates.e_minus[0]
+        # Per table row: beta, beta + gamma, the rejected content's cut, e_minus.
+        rows = zip(rates.beta, rates.gamma, rates.mu, rates.e_minus)
+        self._rows = [(b, b + g, b + g + mu * em, em) for b, g, mu, em in rows]
+        self._last = len(self._rows) - 1
         self._one_minus_f = 1.0 - rates.f
         self._accept = True
 
-    def sample(self, state: SyntheticState, rng: np.random.Generator) -> Step:
+    def sample(self, state: SyntheticState, rng: np.random.Generator, attempt: int) -> Step:
         u = rng.random()
+        beta, beta_gamma, rejected_on_track, e_minus = self._rows[min(attempt, self._last)]
         if state.scale == 0:
             # Degenerate scale-0 query: restate the already-reached answer.
-            self._accept = u >= self._e_minus
+            self._accept = u >= e_minus
             return Step(content=state.positive, is_answer=True)
         if state.positive:
-            self._accept = u < self._beta_gamma
-            on_track = u < (self._beta if self._accept else self._rejected_on_track)
+            self._accept = u < beta_gamma
+            on_track = u < (beta if self._accept else rejected_on_track)
         else:
             self._accept = u < self._one_minus_f
             on_track = False
@@ -587,8 +585,7 @@ def simulate_accuracy(
     numbers do not depend on its group, so results do not depend on the
     thread count.  The budget defaults high enough that exhaustion stays a
     rounding error for sane rates; exhausted episodes count as failures and
-    are tallied in the result.  A rate table (posterior) replaces params; one
-    of more than one entry runs on the vector engine only.
+    are tallied in the result.  A rate table (posterior) replaces params.
     """
     law = Law(posterior or params, mode, m, root_unlimited)
     if episodes < 1:

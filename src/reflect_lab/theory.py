@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -178,13 +179,17 @@ def rmtp_improves(params: SimplifiedParams) -> bool:
 def rtbs_asymptotically_beats_rmtp(params: SimplifiedParams, m: int) -> bool:
     """Width-m backtracking eventually beats retry-in-place iff derailed
     states are rejected more often than on-track attempts fail (f > alpha)
-    and the width exceeds the mean retry count 1/(1 - alpha)."""
+    and the width exceeds the mean retry count 1/(1 - alpha).
+
+    Both comparisons are exact, with each rate read as its shortest decimal
+    (0.1 is 1/10), so a tie f = alpha, where the curves settle at a ratio
+    below one, is never decided by rounding.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rates = derived_rates(params)
-    if rates.alpha >= 1.0:
-        return False
-    return params.f > rates.alpha and m > 1.0 / (1.0 - rates.alpha)
+    mu, e_minus, e_plus, f = (Fraction(repr(float(x))) for x in astuple(params))
+    alpha = mu * e_minus + (1 - mu) * (1 - e_plus)
+    return f > alpha and m * (1 - alpha) > 1
 
 
 def expected_solution_length(params: SimplifiedParams, n: int) -> float:

@@ -9,7 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from reflect_lab import __version__, cli, corpus
+from reflect_lab import rng as rng_mod
 from reflect_lab.cli import main
+from reflect_lab.engines import run_rtbs
+from reflect_lab.mtp import Query, TaskName
+from reflect_lab.sim import Law, SyntheticSelfVerifier, SyntheticTransition
 from reflect_lab.theory import SimplifiedParams, rho_rmtp
 
 REF_FLAGS = ["--mu", "0.8", "--e-minus", "0.3", "--e-plus", "0.2", "--f", "0.8"]
@@ -315,6 +319,32 @@ def test_estimate_errors_truth_oracle_runs(runner, tmp_path):
     assert result.exit_code == 0, result.output
     values = read_bytes(out).decode().strip().split("\n")[1].split(",")
     assert values[0] == "0.0"  # exact verifier never falsely rejects
+
+
+def test_estimate_errors_rule_oracle_on_a_synthetic_task_is_usage_error(runner, tmp_path):
+    # Synthetic records load, but their task has no rule to check steps by.
+    law = Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rtbs", 2)
+    records = str(tmp_path / "syn.jsonl")
+    corpus.write_records(
+        (
+            run_rtbs(SyntheticSelfVerifier(law), SyntheticTransition(),
+                     Query(TaskName.SYNTHETIC, 3), law.config(40), rng_mod.stream(4, i))
+            for i in range(5)
+        ),
+        records,
+    )
+    out = str(tmp_path / "errors.csv")
+    result = runner.invoke(
+        main, ["estimate-errors", "--records", records, "--oracle", "rule", "--out", out]
+    )
+    assert result.exit_code == 2, result.output
+    assert "'--oracle'" in result.output
+    assert "task 'synthetic' has no rule verifier; --oracle truth works for it" in result.output
+    assert not os.path.exists(out)
+    truth = runner.invoke(
+        main, ["estimate-errors", "--records", records, "--oracle", "truth", "--out", out]
+    )
+    assert truth.exit_code == 0, truth.output
 
 
 def test_estimate_errors_reports_a_malformed_records_file_as_usage_error(runner, tmp_path):

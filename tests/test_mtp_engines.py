@@ -397,6 +397,43 @@ def test_rtbs_stops_verifying_after_reflective_budget():
     assert labels[2] == () and labels[3] == ()
 
 
+class AttemptRecorder:
+    """A scripted self-verifier that records the attempt index run_rtbs
+    passes with each proposal."""
+
+    def __init__(self, steps, verdicts):
+        self._scripted = scripted(steps, verdicts)
+        self.attempts = []
+
+    def sample(self, state, rng, attempt):
+        self.attempts.append(attempt)
+        return self._scripted.sample(state, rng, attempt)
+
+    def verify(self, state, step, rng):
+        return self._scripted.verify(state, step, rng)
+
+
+def test_rtbs_passes_each_proposal_its_attempt_index():
+    # Width 3 at an unlimited root, scale 3.  A fresh state starts at 0 and
+    # each rejection adds one; the depth-2 state spends its three, so a
+    # traceback restores depth 1 at its stored 2, which then spends its
+    # last and hands back the root's stored 1.  The root goes on past the
+    # width to 4 before the chain finishes.
+    reject = (False, False)
+    steps = [ADVANCE, reject, ADVANCE, reject, reject, reject, reject,
+             reject, reject, reject, ADVANCE, ADVANCE, ANSWER]
+    verdicts = [True, False, True, False, False, False, False,
+                False, False, False, True, True, True]
+    sv = AttemptRecorder(steps, verdicts)
+    record = run_rtbs(
+        sv, SyntheticTransition(), query(3), mode_config("rtbs", 3, 64, 96), rng_mod.stream(0)
+    )
+    assert sv.attempts == [0, 0, 1, 0, 1, 2, 2, 1, 2, 3, 4, 0, 0]
+    tracebacks = [i for i, e in enumerate(record.events) if e.disposition is Disposition.TRACEBACK]
+    assert tracebacks == [6, 8]
+    assert record.outcome is Outcome.CORRECT
+
+
 def test_records_are_immutable():
     sv = scripted([ANSWER], [True])
     record = run_rtbs(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    exact_posterior_rtbs_success,
     exact_rtbs_success,
     frac_rates,
     frac_rmtp,
@@ -398,12 +399,34 @@ def test_the_synthetic_self_verifier_draws_once_a_proposal():
     assert proposals > 1000
 
 
-def test_the_synthetic_self_verifier_refuses_an_attempt_table():
-    # The executor does not say which attempt a proposal is.
-    with pytest.raises(ValueError, match="one-entry rate tables"):
-        sim.SyntheticSelfVerifier(Law(_POST, "rtbs", 2))
-    # Mode none proposes first attempts only, so it runs the first entry.
-    sim.SyntheticSelfVerifier(Law(_POST, "none"))
+def test_the_synthetic_self_verifier_cuts_at_the_attempt_row():
+    # _POST's rows advance below beta = 0.81, 0.54, 0.36 and derail below
+    # beta + gamma = 0.815, 0.56, 0.39; a rejected step is on track below
+    # beta + gamma + mu e_minus = 0.43 in the last row, which every later
+    # attempt reads.
+    on_track = sim.SyntheticState(3, True)
+
+    def decide(sv, u, attempt):
+        step = sv.sample(on_track, _ScriptedStream([u]), attempt)
+        return step.content, sv.verify(on_track, step, None).labels
+
+    sv = sim.SyntheticSelfVerifier(Law(_POST, "rtbs", 2))
+    accepted, rejected = (True,), (False,)
+    assert [decide(sv, 0.55, a) for a in range(4)] == [
+        (True, accepted), (False, accepted), (False, rejected), (False, rejected)
+    ]
+    assert [decide(sv, 0.42, a) for a in (2, 9)] == [(True, rejected)] * 2
+    # Mode none accepts every proposal at the first entry's mu = 0.9.
+    none = sim.SyntheticSelfVerifier(Law(_POST, "none"))
+    assert [decide(none, 0.85, a) for a in (0, 5)] == [(True, accepted)] * 2
+
+
+def _random_table(gen, rates):
+    """A random admissible table of two or three entries: mu falls and both
+    error rates rise with the attempt, so beta falls and gamma rises."""
+    size = int(gen.integers(2, 4))
+    mu, em, ep = (sorted(float(r) for r in gen.choice(rates, size)) for _ in range(3))
+    return PosteriorParams(tuple(reversed(mu)), tuple(em), tuple(ep), float(gen.choice(rates)))
 
 
 def test_one_row_batches_equal_the_executor_episode_for_episode():
@@ -413,17 +436,25 @@ def test_one_row_batches_equal_the_executor_episode_for_episode():
     # must end every episode as the batch on the same stream does.  Scale 0
     # is left out: the executor verifies the restating answer, the engine
     # does not.
+    # The last 100 configurations run random attempt tables, whose rows the
+    # executor's attempt count picks as the engine's does.
     gen = np.random.default_rng(21)
     rates = (0.0, 0.1, 0.3, 0.5, 0.8, 0.9, 1.0)
     episodes = 0
     seen = set()  # outcomes, and whether an episode backtracked
-    for config_seed in range(100):
-        params = SimplifiedParams(*(float(r) for r in gen.choice(rates, 4)))
+    tables_seen = set()  # (mode, root_unlimited) of the table configurations
+    for config_seed in range(200):
+        if config_seed < 100:
+            params = SimplifiedParams(*(float(r) for r in gen.choice(rates, 4)))
+        else:
+            params = _random_table(gen, rates)
         n = int(gen.integers(1, 7))
         mode = str(gen.choice(MODES))
         m = int(gen.integers(1, 4)) if mode == "rtbs" else None
         budget = int(gen.integers(1, 30))
         law = Law(params, mode, m, root_unlimited=bool(gen.integers(2)))
+        if config_seed >= 100:
+            tables_seen.add((mode, law.root_unlimited))
         executor = sim.SyntheticSelfVerifier(law)
         config = law.config(budget)
         for i in range(40):
@@ -436,8 +467,9 @@ def test_one_row_batches_equal_the_executor_episode_for_episode():
             episodes += 1
             seen.add(record.outcome)
             seen.add(_proposals(record) < len(record.events))
-    assert episodes == 4000
+    assert episodes == 8000
     assert seen == {*Outcome, False, True}
+    assert tables_seen == {("none", False), ("rmtp", False), ("rtbs", False), ("rtbs", True)}
 
 
 def test_linked_pop_finds_the_deepest_spare_ancestor():
@@ -714,27 +746,48 @@ class _ScriptedStream:
 
 # The REF point as fractions: mu, e_minus, e_plus, f.
 _REF_FRACTIONS = (Fraction(4, 5), Fraction(3, 10), Fraction(1, 5), Fraction(4, 5))
+# An admissible two-entry table as fractions (mu, e_minus and e_plus per
+# entry, then f): beta falls from 14/25 to 3/10 and gamma rises from 1/25
+# to 2/25, so every entry adds two cuts of its own.
+_TABLE_FRACTIONS = (
+    (Fraction(4, 5), Fraction(3, 5)),
+    (Fraction(3, 10), Fraction(1, 2)),
+    (Fraction(1, 5), Fraction(1, 5)),
+    Fraction(4, 5),
+)
 
 
-def _enumerate_one_row(n, mode, m, budget):
+def _enumerate_one_row(n, mode, m, budget, table=None):
     """Exact (success, exhaustion) mass of one capped-root row of the vector
-    engine at the REF point, summed over every decision sequence.
+    engine, summed over every decision sequence.
 
-    A one-row batch draws one uniform a pass, and the engine compares it
-    with beta, beta + gamma and 1 - f only (with mu alone in mode none, as
-    its other two rates are 1), so each draw is branched on the cells of
-    [0, 1) cut there; every value of a cell makes the same decision, and
-    the cell's midpoint stands for it.  A leaf weighs the product of its
-    cells' lengths.  The synthetic self-verifier makes its decisions at the
-    same cuts (its cut for a rejected step's content moves no outcome), so
-    `run_rtbs` on each leaf's script must end the episode as the batch does.
+    The rates are the REF point, or a table given as (mu, e_minus, e_plus)
+    sequences and f in fractions.  A one-row batch draws one uniform a
+    pass, and the engine compares it with an entry's beta and beta + gamma
+    and with 1 - f only (with mu alone in mode none, as its other two rates
+    are 1), so each draw is branched on the cells of [0, 1) cut at every
+    entry's values; every value of a cell makes the same decision, and the
+    cell's midpoint stands for it.  A leaf weighs the product of its cells'
+    lengths.  The synthetic self-verifier makes its decisions at the same
+    cuts of the entry its attempt reads (its cut for a rejected step's
+    content moves no outcome), so `run_rtbs` on each leaf's script must end
+    the episode as the batch does.
     """
-    mu, em, ep, f = _REF_FRACTIONS
-    _, beta, gamma = frac_rates(mu, em, ep)
-    thresholds = {mu} if mode == "none" else {beta, beta + gamma, 1 - f}
+    if table is None:
+        mu, em, ep, f = _REF_FRACTIONS
+        table = ((mu,), (em,), (ep,), f)
+    *entries, f = table
+    if mode == "none":
+        thresholds = {entries[0][0]}
+    else:
+        thresholds = {1 - f}
+        for mu, em, ep in zip(*entries):
+            _, beta, gamma = frac_rates(mu, em, ep)
+            thresholds |= {beta, beta + gamma}
     cuts = sorted({Fraction(0), *thresholds, Fraction(1)})
     cells = [(float((lo + hi) / 2), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-    law = Law(SimplifiedParams(*map(float, _REF_FRACTIONS)), mode, m)
+    floats = PosteriorParams(*(tuple(map(float, e)) for e in entries), float(f))
+    law = Law(floats, mode, m)
     executor = sim.SyntheticSelfVerifier(law)
     config = law.config(budget)
     success = exhaustion = Fraction(0)
@@ -761,6 +814,15 @@ def test_vector_engine_backtracking_is_exact_at_the_ref_point(n, m):
     # A capped root ends every episode within the budget of 8.
     success, exhaustion = _enumerate_one_row(n, "rtbs", m, 8)
     assert success == exact_rtbs_success(*_REF_FRACTIONS, m, n)
+    assert exhaustion == 0
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (1, 3)])
+def test_both_engines_backtrack_exactly_on_an_attempt_table(n, m):
+    # A capped root ends every episode within the budget of sum m^k, k <= n.
+    budget = sum(m**k for k in range(1, n + 1))
+    success, exhaustion = _enumerate_one_row(n, "rtbs", m, budget, _TABLE_FRACTIONS)
+    assert success == exact_posterior_rtbs_success(*_TABLE_FRACTIONS, m, n)
     assert exhaustion == 0
 
 
@@ -908,10 +970,29 @@ def test_decaying_rates_hurt_accuracy(ref_params):
     assert post.accuracy_hat < plain.accuracy_hat - 0.02
 
 
-def test_posterior_requires_vector_engine(ref_params):
-    # The executor does not say which attempt a proposal is.
-    with pytest.raises(ValueError, match="one-entry rate tables"):
-        simulate_accuracy(ref_params, 3, "rmtp", 100, 0, posterior=_POST, engine="episode")
+def test_a_table_on_the_episode_engine_ends_as_its_one_row_batches():
+    # Episode i of the episode engine draws from stream (seed, i), as a
+    # one-row batch on that stream does, so their counts sum to the run's.
+    table = PosteriorParams(mu=(0.8, 0.6), e_minus=(0.3, 0.4), e_plus=(0.2, 0.2), f=0.8)
+    seed, episodes, budget = 5, 200, 14
+    for n in (1, 4):
+        for mode, m, root_unlimited in (
+            ("rmtp", None, False), ("rtbs", 2, False), ("rtbs", 2, True)
+        ):
+            run = simulate_accuracy(
+                _ALT, n, mode, episodes, seed, m=m, budget=budget, engine="episode",
+                posterior=table, root_unlimited=root_unlimited,
+            )
+            law = Law(table, mode, m, root_unlimited)
+            assert run.law == law
+            batches = [
+                sim._mc_chunk(law, n, budget, [(1, rng_mod.stream(seed, i))])[:3]
+                for i in range(episodes)
+            ]
+            successes, len_sum, exhausted = map(sum, zip(*batches))
+            assert 0 < successes < episodes, (n, mode, root_unlimited)
+            assert (run.successes, run.budget_exhausted) == (successes, exhausted)
+            assert run.mean_length_correct == len_sum / successes
 
 
 @pytest.mark.parametrize("mode, m", [("none", None), ("rmtp", None), ("rtbs", 2)])

@@ -271,6 +271,26 @@ def test_rtbs_beats_rmtp_predicate_at_an_integer_retry_count():
         assert rho_rtbs(params, 3, n) > rho_rmtp(params, n)
 
 
+def test_rtbs_beats_rmtp_predicate_is_false_at_every_tie():
+    # At f = alpha backtracking never overtakes; in floats alpha can round
+    # below f, as at (0.1, 0.1, 0.9, 0.1), where alpha is 0.09999999999999998.
+    tenths = [Fraction(i, 10) for i in range(10)]
+    ties = 0
+    for mu, f in product(tenths[1:], repeat=2):
+        for em, ep in product(tenths, repeat=2):
+            if frac_rates(mu, em, ep)[0] != f:
+                continue
+            params = SimplifiedParams(float(mu), float(em), float(ep), float(f))
+            for m in (1, 2, 3, 4, 6):
+                assert not rtbs_asymptotically_beats_rmtp(params, m), (params, m)
+            ties += 1
+    assert ties > 100
+    tie = SimplifiedParams(0.1, 0.1, 0.9, 0.1)
+    assert derived_rates(tie).alpha < tie.f
+    for n in (10, 100):
+        assert rho_rtbs(tie, 2, n) < rho_rmtp(tie, n)
+
+
 def test_predicate_agrees_with_deep_curves(ref_params):
     # The asymptotic claim should be visible in the curves themselves.
     n = 300
