@@ -11,9 +11,10 @@ the trade visible.
 
 import argparse
 
-from reflect_lab.sim import crossover_scan
+from reflect_lab.sim import simulate_accuracy
 from reflect_lab.theory import (
     SimplifiedParams,
+    crossover_scan,
     derived_rates,
     rtbs_asymptotically_beats_rmtp,
 )
@@ -39,26 +40,29 @@ def main():
         )
         alpha = derived_rates(params).alpha
         wins = rtbs_asymptotically_beats_rmtp(params, args.m)
-        result = crossover_scan(
-            params, args.m, args.n_max, args.episodes, args.seed
-        )
-        if result.n_star is None:
+        n_star = crossover_scan(params, args.m, args.n_max)
+        if n_star is None:
             print(
                 f"  f={f:.2f} alpha={alpha:.3f} predicted win={wins}: "
                 f"no crossover by n={args.n_max}"
             )
             continue
         confirm = ""
-        if result.mc_rtbs is not None:
+        if args.episodes > 0:
+            # Confirm the ordering a little past the crossover.
+            n = min(n_star + 5, args.n_max)
+            rtbs = simulate_accuracy(params, n, "rtbs", args.episodes, args.seed, m=args.m)
+            rmtp = simulate_accuracy(params, n, "rmtp", args.episodes, args.seed + 1)
+            confirmed = rtbs.accuracy_hat > rmtp.accuracy_hat
             confirm = (
-                f"; MC at n={result.checked_n} "
-                f"({'confirmed' if result.mc_confirmed else 'NOT confirmed'}): "
-                f"backtracking {result.mc_rtbs.accuracy_hat:.4f} "
-                f"vs retry {result.mc_rmtp.accuracy_hat:.4f}"
+                f"; MC at n={n} "
+                f"({'confirmed' if confirmed else 'NOT confirmed'}): "
+                f"backtracking {rtbs.accuracy_hat:.4f} "
+                f"vs retry {rmtp.accuracy_hat:.4f}"
             )
         print(
             f"  f={f:.2f} alpha={alpha:.3f} predicted win={wins}: "
-            f"crossover at n={result.n_star}{confirm}"
+            f"crossover at n={n_star}{confirm}"
         )
 
 

@@ -54,7 +54,7 @@ from .mtp import (
     Verification,
     register_task,
 )
-from .theory import PosteriorParams, SimplifiedParams, rate_table, rho_rmtp, rtbs_table
+from .theory import PosteriorParams, SimplifiedParams, rate_table
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -638,55 +638,4 @@ def simulate_accuracy(
         mean_length_correct=(len_sum / successes) if successes else None,
         budget_exhausted=exhausted,
         stats=stats,
-    )
-
-
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Smallest scale at which width-m backtracking overtakes retry-in-place."""
-
-    n_star: Optional[int]
-    checked_n: Optional[int]
-    mc_confirmed: Optional[bool]
-    mc_rtbs: Optional[SimResult]
-    mc_rmtp: Optional[SimResult]
-
-
-def crossover_scan(
-    params: SimplifiedParams,
-    m: int,
-    n_max: int,
-    episodes: int,
-    seed: int,
-    *,
-    threads: Optional[int] = None,
-) -> CrossoverResult:
-    """Scan scales 1..n_max for the first backtracking advantage.
-
-    The scan itself runs on the closed-form curves; when episodes > 0 the
-    ordering is additionally confirmed by Monte-Carlo a little past the
-    crossover (at n_star + 5, clamped to n_max).
-
-    n_star is the first n with rho_rtbs > rho_rmtp as floats.  Where the
-    two curves agree to within rounding (at large widths such as m = 64
-    they can differ by about 1e-16), rounding decides the comparison, so
-    n_star is not determined there.
-    """
-    rho = rtbs_table(params, m, n_max).rho
-    n_star = next(
-        (n for n in range(1, n_max + 1) if rho[n] > rho_rmtp(params, n)), None
-    )
-    if n_star is None or episodes <= 0:
-        return CrossoverResult(n_star, None, None, None, None)
-    checked_n = min(n_star + 5, n_max)
-    mc_rtbs = simulate_accuracy(
-        params, checked_n, "rtbs", episodes, seed, m=m, threads=threads
-    )
-    mc_rmtp = simulate_accuracy(params, checked_n, "rmtp", episodes, seed + 1, threads=threads)
-    return CrossoverResult(
-        n_star=n_star,
-        checked_n=checked_n,
-        mc_confirmed=mc_rtbs.accuracy_hat > mc_rmtp.accuracy_hat,
-        mc_rtbs=mc_rtbs,
-        mc_rmtp=mc_rmtp,
     )

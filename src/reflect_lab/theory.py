@@ -192,6 +192,25 @@ def rtbs_asymptotically_beats_rmtp(params: SimplifiedParams, m: int) -> bool:
     return f > alpha and m * (1 - alpha) > 1
 
 
+def crossover_scan(params: SimplifiedParams, m: int, n_max: int) -> int | None:
+    """First scale n <= n_max at which width-m backtracking's curve exceeds
+    retry-in-place's, or None if it does not by n_max.
+
+    The scan starts at n = 2: at n = 1 an accepted step ends the episode,
+    so backtracking is retry capped at m attempts, and
+    rho_rtbs(1) = beta (1 + alpha + ... + alpha^(m-1)) <= beta / (1 - alpha)
+    = rho_rmtp(1), equal only when alpha = 0 or beta = 0.  The floats can
+    still say otherwise at large widths.
+
+    From n = 2 on the curves are compared as floats.  Where they agree to
+    within rounding (at large widths such as m = 64 they can differ by
+    about 1e-16), rounding decides the comparison, so the scale is not
+    determined there.
+    """
+    rho = rtbs_table(params, m, n_max).rho
+    return next((n for n in range(2, n_max + 1) if rho[n] > rho_rmtp(params, n)), None)
+
+
 def expected_solution_length(params: SimplifiedParams, n: int) -> float:
     """Mean number of proposals in a retry-in-place run that ends correctly.
 

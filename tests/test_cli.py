@@ -321,6 +321,29 @@ def test_estimate_errors_truth_oracle_runs(runner, tmp_path):
     assert values[0] == "0.0"  # exact verifier never falsely rejects
 
 
+def test_run_task_with_the_oracle_verifier_makes_no_verifier_error(runner, tmp_path):
+    # The oracle verifier judges each step by the query's true answer, so
+    # with no injected error both oracles find none, on noisy proposals.
+    records = str(tmp_path / "oracle.jsonl")
+    run = runner.invoke(
+        main,
+        [
+            "run-task", "--task", "mult", "--tier", "id_easy", "--mode", "rtbs",
+            "--m", "2", "--episodes", "20", "--noise", "0.3", "--verifier", "oracle",
+            "--out", records,
+        ],
+    )
+    assert run.exit_code == 0, run.output
+    for oracle in ("truth", "rule"):
+        out = str(tmp_path / f"{oracle}.csv")
+        est = runner.invoke(
+            main, ["estimate-errors", "--records", records, "--oracle", oracle, "--out", out]
+        )
+        assert est.exit_code == 0, est.output
+        values = read_bytes(out).decode().strip().split("\n")[1].split(",")
+        assert values == ["0.0", "0.0", "70", "57", "13"], oracle
+
+
 def test_estimate_errors_rule_oracle_on_a_synthetic_task_is_usage_error(runner, tmp_path):
     # Synthetic records load, but their task has no rule to check steps by.
     law = Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rtbs", 2)
@@ -396,6 +419,24 @@ def test_report_covers_requested_grid(runner, tmp_path):
     assert read_bytes(out) == read_bytes(out_b)
     manifest = json.loads(read_bytes(out + ".manifest.json"))
     assert manifest["n"] == [1, 2] and manifest["mode"] == ["none", "rmtp", "rtbs"]
+
+
+def test_report_budget_dominated_exits_3(runner, tmp_path):
+    # e- = 1 and e+ = 0 reject every proposal (alpha = 1), so no episode
+    # ends within its budget.
+    out = str(tmp_path / "report.csv")
+    with pytest.warns(RuntimeWarning, match="alpha = 1"):
+        result = runner.invoke(
+            main,
+            [
+                "report", "--mu", "0.5", "--e-minus", "1", "--e-plus", "0", "--f", "0.5",
+                "--mode", "rmtp", "--n", "1", "--episodes", "1000", "--out", out,
+            ],
+        )
+    assert result.exit_code == 3, result.output
+    assert "warning: 1 of 1 points are budget-dominated" in result.stderr
+    row = read_bytes(out).decode().strip().split("\n")[1].split(",")
+    assert row[:5] == ["1", "rmtp", "", "1000", "0.0"]  # the estimate is still written
 
 
 @pytest.mark.parametrize(

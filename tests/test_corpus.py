@@ -492,6 +492,28 @@ def test_traceback_without_an_accepted_step_is_refused():
             record_from_json(obj)
 
 
+def test_a_capped_root_record_cut_before_its_tracebacks_is_refused():
+    # A capped root that runs out ends in the tracebacks that spend it; the
+    # replay writes them, so a line without them is short.
+    law = Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rtbs", 2)
+    record = run_rtbs(
+        SyntheticSelfVerifier(law),
+        SyntheticTransition(),
+        Query(TaskName.SYNTHETIC, 3),
+        law.config(200),
+        rng_mod.stream(2, 0),
+    )
+    obj = record_to_json(record)
+    assert [e["disposition"] for e in obj["events"][-3:]] == ["rejected", "traceback", "traceback"]
+    del obj["events"][-2:]
+    with pytest.raises(
+        CorpusFormatError,
+        match="event 12: the line ends, but the executor writes "
+        "{.*'disposition': 'traceback'.*}",
+    ):
+        record_from_json(obj)
+
+
 def test_record_outcomes_are_rederived_from_the_answer():
     for record in (_mult_rmtp_record(21), _synthetic_rmtp_record(21), _synthetic_rmtp_record(7)):
         obj = record_to_json(record)

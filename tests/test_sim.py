@@ -24,12 +24,12 @@ from reflect_lab.mtp import Disposition, Outcome, Query, TaskName
 from reflect_lab.sim import (
     Law,
     SimplifiedParams,
-    crossover_scan,
     simulate_accuracy,
     wilson_ci,
 )
 from reflect_lab.theory import (
     PosteriorParams,
+    crossover_scan,
     derived_rates,
     rho_nonreflective,
     rho_rmtp,
@@ -897,24 +897,31 @@ def test_mean_length_is_none_without_successes():
 
 
 def test_crossover_scan_reference_point(ref_params):
-    res = crossover_scan(ref_params, 4, 30, episodes=4000, seed=13, threads=1)
-    assert res.n_star == 3  # first scale where width-4 search wins
-    assert res.checked_n == 8
-    assert res.mc_confirmed is True
-    assert res.mc_rtbs.accuracy_hat > res.mc_rmtp.accuracy_hat
+    assert crossover_scan(ref_params, 4, 30) == 3  # first scale where width-4 search wins
+    # Monte-Carlo agrees a little past the crossover.
+    rtbs = simulate_accuracy(ref_params, 8, "rtbs", 4000, 13, m=4, threads=1)
+    rmtp = simulate_accuracy(ref_params, 8, "rmtp", 4000, 14, threads=1)
+    assert rtbs.accuracy_hat > rmtp.accuracy_hat
 
 
 def test_crossover_scan_theory_only(ref_params):
-    res = crossover_scan(ref_params, 4, 30, episodes=0, seed=0)
-    assert res.n_star == 3
-    assert res.mc_confirmed is None and res.mc_rtbs is None
+    # The scan runs on the closed-form curves alone: scale 3 is the first
+    # where width-4 search is ahead, and a scan that stops short finds none.
+    assert crossover_scan(ref_params, 4, 30) == 3
+    assert rho_rtbs(ref_params, 4, 2) <= rho_rmtp(ref_params, 2)
+    assert rho_rtbs(ref_params, 4, 3) > rho_rmtp(ref_params, 3)
+    assert crossover_scan(ref_params, 4, 2) is None
 
 
 def test_crossover_scan_no_crossover(ref_params):
     # Width one never overtakes retry-in-place at these rates.
-    res = crossover_scan(ref_params, 1, 50, episodes=1000, seed=0)
-    assert res.n_star is None
-    assert res.mc_confirmed is None
+    assert crossover_scan(ref_params, 1, 50) is None
+    # Nor does a width that only ties: with alpha = 0 every curve is 1, and
+    # with beta = 0 every curve is 0 from n = 1 on.
+    for rates in ((1.0, 0.0, 0.5, 0.5), (0.0, 0.5, 0.5, 0.5)):
+        params = SimplifiedParams(*rates)
+        assert all(rho_rtbs(params, 4, n) == rho_rmtp(params, n) for n in range(11))
+        assert crossover_scan(params, 4, 10) is None
 
 
 # --- attempt-indexed rates in the vector engine ---

@@ -19,6 +19,7 @@ from reflect_lab import theory
 from reflect_lab.theory import (
     PosteriorParams,
     SimplifiedParams,
+    crossover_scan,
     curve_table,
     derived_rates,
     epsilon_fixed_point,
@@ -289,6 +290,32 @@ def test_rtbs_beats_rmtp_predicate_is_false_at_every_tie():
     assert derived_rates(tie).alpha < tie.f
     for n in (10, 100):
         assert rho_rtbs(tie, 2, n) < rho_rmtp(tie, n)
+
+
+def test_no_width_overtakes_retry_at_scale_one():
+    # At n = 1 an accepted step ends the episode, so backtracking is retry
+    # capped at m attempts: beta (1 + alpha + ... + alpha^(m-1)), below
+    # retry's beta / (1 - alpha) whenever alpha and beta are positive.  f
+    # does not enter, so the (mu, e-, e+) grid covers every f.
+    tenths = [Fraction(repr(i / 10)) for i in range(1, 10)]
+    for mu, em, ep in product(tenths, repeat=3):
+        alpha, beta, _ = frac_rates(mu, em, ep)
+        for m in (1, 2, 4, 16, 64):
+            assert beta * (1 - alpha**m) / (1 - alpha) < frac_rmtp(mu, em, ep, 1)
+    # The capped retry is the search's own success at n = 1, whatever f is.
+    alpha, beta, _ = frac_rates(*REF_FRAC[:3])
+    for m, f in product((1, 2, 4), (Fraction(1, 10), REF_FRAC[3])):
+        capped = beta * (1 - alpha**m) / (1 - alpha)
+        assert exact_rtbs_success(*REF_FRAC[:3], f, m, 1) == capped
+
+
+def test_crossover_scan_never_reports_scale_one():
+    # In floats the width-64 curve can edge past retry at n = 1 (by 1.1e-16
+    # at (0.9, 0.1, 0.5, 0.5)); the exact inequality above says it cannot.
+    tenths = [i / 10 for i in range(1, 10)]
+    for rates in product(tenths, repeat=4):
+        assert crossover_scan(SimplifiedParams(*rates), 64, 2) != 1, rates
+    assert crossover_scan(SimplifiedParams(0.9, 0.1, 0.5, 0.5), 64, 2) == 2
 
 
 def test_predicate_agrees_with_deep_curves(ref_params):
