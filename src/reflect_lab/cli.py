@@ -14,10 +14,12 @@ errors otherwise.
 from __future__ import annotations
 
 import json
+import platform
 import sys
 from typing import Optional
 
 import click
+import numpy as np
 
 from . import __version__
 from . import rng as rng_mod
@@ -86,9 +88,17 @@ def _with_options(options):
 
 def _write_manifest(**resolved) -> None:
     """Write `<out>.manifest.json` for the running command: its name, the
-    package version and every parsed flag, overridden by `resolved`."""
+    versions of the package, numpy (whose Philox draws every random output)
+    and Python, and every parsed flag, overridden by `resolved`."""
     ctx = click.get_current_context()
-    manifest = {"command": ctx.info_name, "version": __version__, **ctx.params, **resolved}
+    manifest = {
+        "command": ctx.info_name,
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        **ctx.params,
+        **resolved,
+    }
     with open(f"{ctx.params['out']}.manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2))
         fh.write("\n")

@@ -462,7 +462,10 @@ def record_from_json(obj: dict) -> EpisodeRecord:
 
 
 # json.dumps builds an encoder per call when given options; one is enough.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Every line is a fresh tree of dicts, lists and strings built by the codecs
+# here, so it holds no cycle and the circular-reference bookkeeping (an id
+# recorded per container) can never find one.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def dumps_json_line(obj: dict) -> str:

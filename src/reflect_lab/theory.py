@@ -181,7 +181,12 @@ def rtbs_asymptotically_beats_rmtp(params: SimplifiedParams, m: int) -> bool:
     states are rejected more often than on-track attempts fail (f > alpha)
     and the width exceeds the mean retry count 1/(1 - alpha).
 
-    Both comparisons are exact, with each rate read as its shortest decimal
+    Both rates beta and gamma must also be positive.  With gamma = 0 retry
+    never derails, so rho_rmtp(n) = 1 at every n while every capped width
+    stays below 1; with beta = 0 neither executor ever advances and both
+    curves are 0.
+
+    Every comparison is exact, with each rate read as its shortest decimal
     (0.1 is 1/10), so a tie f = alpha, where the curves settle at a ratio
     below one, is never decided by rounding.
     """
@@ -189,7 +194,9 @@ def rtbs_asymptotically_beats_rmtp(params: SimplifiedParams, m: int) -> bool:
         raise ValueError("m must be >= 1")
     mu, e_minus, e_plus, f = (Fraction(repr(float(x))) for x in astuple(params))
     alpha = mu * e_minus + (1 - mu) * (1 - e_plus)
-    return f > alpha and m * (1 - alpha) > 1
+    beta = mu * (1 - e_minus)
+    gamma = (1 - mu) * e_plus
+    return beta > 0 and gamma > 0 and f > alpha and m * (1 - alpha) > 1
 
 
 def crossover_scan(params: SimplifiedParams, m: int, n_max: int) -> int | None:

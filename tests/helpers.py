@@ -6,6 +6,7 @@ checks instead of bitmasks, naive first-blank backtracking instead of MRV)
 so that agreement between the two is meaningful.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,6 +33,56 @@ def frac_rates(mu: Fraction, em: Fraction, ep: Fraction) -> tuple[Fraction, Frac
 def frac_rmtp(mu: Fraction, em: Fraction, ep: Fraction, n: int) -> Fraction:
     alpha, beta, _ = frac_rates(mu, em, ep)
     return (beta / (1 - alpha)) ** n
+
+
+def _smallest_fixed_point(c0: Decimal, cm: Decimal, m: int) -> Decimal:
+    """Smallest x in [0, 1] with x = c0 + cm x^m, for c0, cm >= 0 and
+    c0 + cm <= 1, by bisection.
+
+    h(x) = c0 + cm x^m - x is convex with h(0) = c0 >= 0.  If c0 + cm < 1,
+    h(1) < 0 and the root lies in (0, 1).  Otherwise x = 1 is a root, and a
+    smaller one exists iff h'(1) = m cm - 1 > 0; it lies below h's minimiser.
+    """
+    if c0 == 0:
+        return Decimal(0)
+    if c0 + cm < 1:
+        hi = Decimal(1)
+    elif m * cm <= 1:
+        return Decimal(1)
+    else:
+        hi = (1 / (m * cm)) ** (Decimal(1) / (m - 1))
+    lo = Decimal(0)
+    for _ in range(180):  # 2^-180 < 1e-54
+        mid = (lo + hi) / 2
+        if c0 + cm * mid**m - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def limit_rtbs_beats_rmtp(mu: Fraction, em: Fraction, ep: Fraction, f: Fraction, m: int) -> bool:
+    """Whether width-m backtracking's per-level success sigma* exceeds
+    retry-in-place's beta / (beta + gamma), in 50-digit decimals.
+
+    eps* is the smallest root of x = f + (1 - f) x^m (a derailed node ends
+    rejected), delta* the smallest root of x = alpha + gamma eps*^m +
+    beta x^m (an on-track node ends rejected), and
+    sigma* = beta (1 + delta* + ... + delta*^(m-1)).  Gaps of 1e-40 or less
+    are ties: exact ties leave gaps near the working precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, em, ep, f = (Decimal(x.numerator) / x.denominator for x in (mu, em, ep, f))
+        alpha = mu * em + (1 - mu) * (1 - ep)
+        beta = mu * (1 - em)
+        gamma = (1 - mu) * ep
+        if beta + gamma == 0:
+            return False
+        eps = _smallest_fixed_point(f, 1 - f, m)
+        delta = _smallest_fixed_point(alpha + gamma * eps**m, beta, m)
+        sigma = beta * m if delta == 1 else beta * (1 - delta**m) / (1 - delta)
+        return sigma - beta / (beta + gamma) > Decimal("1e-40")
 
 
 def frac_posterior_rmtp(

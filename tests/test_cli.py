@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import platform
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -604,7 +606,7 @@ def test_manifest_records_every_flag(runner, tmp_path, name):
     assert result.exit_code == 0, result.output
     manifest = json.loads(read_bytes(out + ".manifest.json"))
     flags = {param.name for param in main.commands[name].params}
-    assert set(manifest) == flags | {"command", "version"}
+    assert set(manifest) == flags | {"command", "version", "numpy_version", "python_version"}
     assert manifest["command"] == name and manifest["out"] == out
 
 
@@ -666,4 +668,9 @@ def test_pinned_output_manifests_are_unchanged(runner, tmp_path, name):
     assert manifest.pop("out") == out
     if "records" in manifest:
         manifest["records"] = os.path.basename(manifest["records"])
-    assert manifest == {**PINNED_MANIFESTS[name], "version": __version__}
+    assert manifest == {
+        **PINNED_MANIFESTS[name],
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+    }

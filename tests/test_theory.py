@@ -14,6 +14,7 @@ from helpers import (
     frac_posterior_rmtp,
     frac_rates,
     frac_rmtp,
+    limit_rtbs_beats_rmtp,
 )
 from reflect_lab import theory
 from reflect_lab.theory import (
@@ -290,6 +291,47 @@ def test_rtbs_beats_rmtp_predicate_is_false_at_every_tie():
     assert derived_rates(tie).alpha < tie.f
     for n in (10, 100):
         assert rho_rtbs(tie, 2, n) < rho_rmtp(tie, n)
+
+
+def test_rtbs_beats_rmtp_predicate_needs_both_advance_and_derail():
+    # gamma = 0 (e+ = 0 or mu = 1): retry never derails, so rho_rmtp = 1 at
+    # every n and no capped width catches it.  beta = 0: both curves are 0.
+    tenths = [i / 10 for i in range(10)]
+    for mu, f in product(tenths[1:], repeat=2):
+        for em, m in product(tenths, (1, 2, 3, 4, 6)):
+            params = SimplifiedParams(mu, em, 0.0, f)
+            assert not rtbs_asymptotically_beats_rmtp(params, m), (params, m)
+    for rates, m in [
+        ((0.3, 0.2, 0.0, 0.8), 6),
+        ((1.0, 0.3, 0.2, 0.8), 4),
+        ((0.5, 1.0, 0.5, 0.9), 6),
+        ((0.0, 0.3, 0.5, 0.9), 4),
+    ]:
+        params = SimplifiedParams(*rates)
+        assert not rtbs_asymptotically_beats_rmtp(params, m), rates
+        for n in (10, 200):
+            assert rho_rtbs(params, m, n) <= rho_rmtp(params, n)
+    assert rho_rmtp(SimplifiedParams(0.3, 0.2, 0.0, 0.8), 200) == 1.0
+
+
+def test_rtbs_beats_rmtp_predicate_matches_the_limit_sign():
+    # Every tenths-grid pair within 0.01 of f = alpha or of m (1 - alpha) = 1,
+    # so every tie and every width-boundary pair, against the sign of
+    # sigma* - beta / (beta + gamma) at 50 digits.
+    tenths = [Fraction(i, 10) for i in range(10)]
+    checked = beats = 0
+    for mu, f in product(tenths[1:], repeat=2):
+        for em, ep in product(tenths, repeat=2):
+            alpha = frac_rates(mu, em, ep)[0]
+            params = SimplifiedParams(float(mu), float(em), float(ep), float(f))
+            for m in (1, 2, 3, 4, 6):
+                if abs(f - alpha) > Fraction(1, 100) and abs(m * (1 - alpha) - 1) > Fraction(1, 100):
+                    continue
+                want = limit_rtbs_beats_rmtp(mu, em, ep, f, m)
+                assert rtbs_asymptotically_beats_rmtp(params, m) == want, (params, m)
+                checked += 1
+                beats += want
+    assert (checked, beats) == (1574, 112)
 
 
 def test_no_width_overtakes_retry_at_scale_one():
