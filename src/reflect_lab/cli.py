@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import platform
 import sys
-from typing import Optional
 
 import click
 import numpy as np
@@ -43,7 +42,6 @@ from .metrics import (
 )
 from .mtp import (
     DifficultyTier,
-    Outcome,
     SelfVerifying,
     TaskName,
     task_hooks,

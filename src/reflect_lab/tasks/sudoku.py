@@ -1,13 +1,18 @@
 """Sudoku as a step-wise reasoning task.
 
-States are 9x9 boards with 0 for blanks.  The expert step fills every blank
-whose candidate set is a singleton, recomputing candidates after each fill;
-when no singleton exists it guesses once, uniformly, at a blank with the
-fewest candidates.  A blank with an empty candidate set means the branch is
-unsolvable and raises DeadEndError.  A board runs those sweeps at most once:
-it keeps their rng-free outcome beside its text and masks, so a later call on
-the same board only draws the guess.  A board derived by setting one cell
-(a guess, a dead-end fill, a misfill) gets its masks from its parent's.
+States are 9x9 boards, stored as 81 bytes with 0 for blanks: a board hashes
+and compares as one bytes object, holds no container for the garbage
+collector to track, and hands its bytes as they are to its text and to the
+solvability oracle's integers.  Builders fill a list of ints and freeze it.
+
+The expert step fills every blank whose candidate set is a singleton,
+recomputing candidates after each fill; when no singleton exists it guesses
+once, uniformly, at a blank with the fewest candidates.  A blank with an
+empty candidate set means the branch is unsolvable and raises DeadEndError.
+A board runs those sweeps at most once: it keeps their rng-free outcome
+beside its text and masks, so a later call on the same board only draws the
+guess.  A board derived by setting one cell (a guess, a dead-end fill, a
+misfill) gets its masks from its parent's.
 
 The rule-based verifiers check only Sudoku legality (no given modified, no
 duplicate in a row, column, or block).  Solvability questions go through an
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +54,8 @@ _CANDIDATES: tuple[tuple[int, ...], ...] = tuple(
 )
 _DIGITS = frozenset(range(10))
 _TEXT_OF_CELL = bytes.maketrans(bytes(range(10)), b"0123456789")
+# The one-byte cells, by value: what a child board splices in.
+_CELL_BYTE: tuple[bytes, ...] = tuple(bytes((v,)) for v in range(10))
 # ASCII digits to cell values; every other byte to 0xFF, which no cell holds.
 _CELL_OF_TEXT = bytes(ch - 48 if 48 <= ch <= 57 else 0xFF for ch in range(256))
 # Blank cells to 0x00 and filled ones to 0xFF: a byte mask of the filled cells.
@@ -90,35 +97,42 @@ class DeadEndError(Exception):
 
 @dataclass(frozen=True)
 class SudokuBoard:
-    """Row-major cells, 81 ints in 0..9 (0 = blank).
+    """Row-major cells, 81 bytes in 0..9 (0 = blank).
 
-    The text, the unit masks and the expert step's decision are computed at
-    most once per board.  A forced step's board is full or has no singleton
-    left, so its own decision is a guess, which holds no board: a board keeps
-    at most one other board alive.
+    Any sequence of 81 ints in 0..9, bytes included, takes the same check and
+    is normalized to bytes at construction, so a board built from a tuple
+    equals and hashes like one built from bytes.  The text, the unit masks
+    and the expert step's decision are computed at most once per board.  A
+    forced step's board is full or has no singleton left, so its own decision
+    is a guess, which holds no board: a board keeps at most one other board
+    alive.
     """
 
-    cells: tuple[int, ...]
+    cells: bytes
 
     def __post_init__(self) -> None:
         cells = self.cells
         if len(cells) != 81:
             raise ValueError("a board needs exactly 81 cells")
-        # Plain ints in 0..9 pass the set test; anything else (int
-        # subclasses, bools, numpy scalars) gets the per-cell check.
+        # Plain ints in 0..9 (bytes yield them too) pass the set test;
+        # anything else (int subclasses, bools, numpy scalars) gets the
+        # per-cell check.
         if not (set(map(type, cells)) <= {int} and set(cells) <= _DIGITS) and any(
             not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells
         ):
             raise ValueError("cell values must be ints in 0..9")
+        object.__setattr__(self, "cells", bytes(cells))
 
     def get(self, row: int, col: int) -> int:
         return self.cells[row * 9 + col]
 
     def with_fills(self, fills: tuple[tuple[int, int, int], ...]) -> "SudokuBoard":
+        # The list takes the constructor's per-cell check, which refuses a
+        # fill of a bool or a numpy scalar.
         cells = list(self.cells)
         for row, col, value in fills:
             cells[row * 9 + col] = value
-        return SudokuBoard(tuple(cells))
+        return SudokuBoard(cells)
 
     @property
     def full(self) -> bool:
@@ -130,8 +144,8 @@ class SudokuBoard:
 
     @cached_property
     def _text(self) -> str:
-        # Every cell is an int in 0..9, so its byte maps to its digit.
-        digits = bytes(self.cells).translate(_TEXT_OF_CELL).decode()
+        # Every cell is a byte in 0..9, so it maps to its digit.
+        digits = self.cells.translate(_TEXT_OF_CELL).decode()
         return "\n".join([digits[r : r + 9] for r in range(0, 81, 9)])
 
     @cached_property
@@ -156,7 +170,7 @@ class SudokuBoard:
             raw = text.encode()
             digits = raw.translate(_CELL_OF_TEXT, b"\n")
             if len(digits) == 81 and raw[9::10] == _ROW_ENDS and 0xFF not in digits:
-                return _unchecked_board(tuple(digits), _text=text)
+                return _unchecked_board(digits, _text=text)
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
@@ -172,7 +186,7 @@ class SudokuMove:
     new_board: SudokuBoard
 
 
-def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
+def _masks(cells: bytes) -> Optional[Masks]:
     """Used-value bitmasks per row/col/box, or None when a unit holds a
     duplicate."""
     rows = [0] * 9
@@ -190,9 +204,9 @@ def _masks(cells: tuple[int, ...] | list[int]) -> Optional[Masks]:
     return tuple(rows), tuple(cols), tuple(boxes)
 
 
-def _unchecked_board(cells: tuple[int, ...], **cached: object) -> SudokuBoard:
-    """A board built without the per-cell check, for 81 cells known to be
-    ints in 0..9: those of a checked board with cells set to values in 1..9,
+def _unchecked_board(cells: bytes, **cached: object) -> SudokuBoard:
+    """A board built without the constructor's check, for 81 bytes known to
+    be in 0..9: those of a checked board with cells set to values in 1..9,
     or those decoded from canonical text.  `cached` holds the cached
     properties the caller already knows (`masks`, `_text`); a cached_property
     reads the instance dict first."""
@@ -209,7 +223,7 @@ def _with_cell(board: SudokuBoard, idx: int, value: int) -> SudokuBoard:
     holds the new value elsewhere, and its masks are then None.  The child
     of an inconsistent board computes its masks when asked."""
     cells = board.cells
-    child_cells = cells[:idx] + (value,) + cells[idx + 1 :]
+    child_cells = cells[:idx] + _CELL_BYTE[value] + cells[idx + 1 :]
     units = board.masks
     if units is None:
         return _unchecked_board(child_cells)
@@ -248,51 +262,61 @@ def solve(
     rows, cols, boxes = (list(u) for u in units)
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
-
-    def search() -> bool:
-        best = None
-        best_values: tuple[int, ...] = ()
-        best_count = 10
-        for blank in blanks:
-            idx, r, c, b = blank
-            if cells[idx]:
-                continue
-            values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
-            count = len(values)
-            if count == 0:
-                return False
-            if count < best_count:
-                best, best_values, best_count = blank, values, count
-                if count == 1:
-                    break
-        if best is None:
-            return True
-        best_idx, r, c, b = best
-        values = best_values
-        if rng is not None:
-            values = [values[i] for i in rng.permutation(len(values))]
-        for v in values:
-            bit = 1 << v
-            cells[best_idx] = v
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
-            if search():
-                return True
-            cells[best_idx] = 0
-            rows[r] &= ~bit
-            cols[c] &= ~bit
-            boxes[b] &= ~bit
-        return False
-
-    if not search():
+    if not _search(cells, rows, cols, boxes, blanks, rng):
         return None
-    return _unchecked_board(tuple(cells))
+    return _unchecked_board(bytes(cells))
+
+
+def _search(
+    cells: list[int],
+    rows: list[int],
+    cols: list[int],
+    boxes: list[int],
+    blanks: list[tuple[int, int, int, int]],
+    rng: Optional[np.random.Generator],
+) -> bool:
+    """solve's search, filling cells and the unit masks in place.  A
+    module-level function, so a call leaves no reference cycle behind.  The
+    cells are a list: it indexes faster than a bytearray."""
+    best = None
+    best_values: tuple[int, ...] = ()
+    best_count = 10
+    for blank in blanks:
+        idx, r, c, b = blank
+        if cells[idx]:
+            continue
+        values = _CANDIDATES[_ALL_MASK & ~(rows[r] | cols[c] | boxes[b])]
+        count = len(values)
+        if count == 0:
+            return False
+        if count < best_count:
+            best, best_values, best_count = blank, values, count
+            if count == 1:
+                break
+    if best is None:
+        return True
+    best_idx, r, c, b = best
+    values = best_values
+    if rng is not None:
+        values = [values[i] for i in rng.permutation(len(values))]
+    for v in values:
+        bit = 1 << v
+        cells[best_idx] = v
+        rows[r] |= bit
+        cols[c] |= bit
+        boxes[b] |= bit
+        if _search(cells, rows, cols, boxes, blanks, rng):
+            return True
+        cells[best_idx] = 0
+        rows[r] &= ~bit
+        cols[c] &= ~bit
+        boxes[b] &= ~bit
+    return False
 
 
 def generate_full_board(rng: np.random.Generator) -> SudokuBoard:
     """A uniform-ish random completed board via randomized backtracking."""
-    empty = SudokuBoard((0,) * 81)
+    empty = SudokuBoard(bytes(81))
     result = solve(empty, rng=rng)
     assert result is not None
     return result
@@ -306,7 +330,7 @@ def make_puzzle(full: SudokuBoard, blanks: int, rng: np.random.Generator) -> Sud
     cells = list(full.cells)
     for idx in positions:
         cells[int(idx)] = 0
-    return SudokuBoard(tuple(cells))
+    return SudokuBoard(bytes(cells))
 
 
 def _expert_decision(board: SudokuBoard) -> Decision:
@@ -350,7 +374,7 @@ def _expert_decision(board: SudokuBoard) -> Decision:
             break
     if fills:
         new_board = _unchecked_board(
-            tuple(cells), masks=(tuple(rows), tuple(cols), tuple(boxes))
+            bytes(cells), masks=(tuple(rows), tuple(cols), tuple(boxes))
         )
         return Step(content=SudokuMove(tuple(fills), False, new_board))
     return ties
@@ -519,7 +543,7 @@ class _PuzzleFacts:
     __slots__ = ("givens", "givens_mask", "completions", "unsolvable")
 
     def __init__(self, puzzle: SudokuBoard) -> None:
-        cells = bytes(puzzle.cells)
+        cells = puzzle.cells
         self.givens = int.from_bytes(cells, "big")
         self.givens_mask = int.from_bytes(cells.translate(_FILLED), "big")
         # Completions of the puzzle found by solve, and boards it refuted.
@@ -570,7 +594,7 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
     the puzzle's lists have room.
     """
     facts = _puzzle_facts(query.payload)
-    cells = bytes(state.cells)
+    cells = state.cells
     board = int.from_bytes(cells, "big")
     if board & facts.givens_mask != facts.givens:
         return False
@@ -586,7 +610,7 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
             facts.unsolvable.add(board)
         return False
     if len(facts.completions) < _FACTS_COMPLETIONS:
-        facts.completions.append(int.from_bytes(bytes(solution.cells), "big"))
+        facts.completions.append(int.from_bytes(solution.cells, "big"))
     return True
 
 

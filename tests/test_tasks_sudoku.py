@@ -5,7 +5,10 @@ backtracking solver from tests/helpers.py, independent of the package's
 bitmask machinery.
 """
 
+import copy
 import enum
+import gc
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +41,7 @@ from reflect_lab.tasks.sudoku import (
     SudokuTransition,
     _masks,
     _puzzle_facts,
+    _with_cell,
     consistent,
     generate_full_board,
     make_puzzle,
@@ -81,14 +85,99 @@ def test_board_validation():
         SudokuBoard(cells=(0,) * 80)
     with pytest.raises(ValueError):
         SudokuBoard(cells=(0,) * 80 + (10,))
+    cells = tuple(PUZZLE.cells)
     for bad in (True, np.int64(3), -1):
         with pytest.raises(ValueError, match="cell values"):
-            SudokuBoard(cells=PUZZLE.cells[:40] + (bad,) + PUZZLE.cells[41:])
+            SudokuBoard(cells=cells[:40] + (bad,) + cells[41:])
     # int subclasses other than bool are cells like any int.
     Digit = enum.IntEnum("Digit", [("FIVE", 5)])
-    board = SudokuBoard(cells=(Digit.FIVE,) + PUZZLE.cells[1:])
+    board = SudokuBoard(cells=(Digit.FIVE,) + cells[1:])
     assert board == PUZZLE
     assert board.render() == PUZZLE.render()
+
+
+def test_every_kind_of_cells_makes_the_same_bytes_board():
+    parsed = SudokuBoard.parse(PUZZLE.render())
+    cells = tuple(parsed.cells)
+    Digit = enum.IntEnum("Digit", [("FIVE", 5)])
+    assert cells[0] == Digit.FIVE
+    for given in (cells, list(cells), bytes(cells), bytearray(cells),
+                  (Digit.FIVE,) + cells[1:]):
+        board = SudokuBoard(given)
+        assert type(board.cells) is bytes
+        assert board == parsed and hash(board) == hash(parsed)
+        assert board.render() == parsed.render()
+
+
+def test_bytes_cells_are_checked_like_any_cells():
+    cells = PUZZLE.cells
+    for kind in (bytes, bytearray):
+        for value in (10, 255):
+            with pytest.raises(ValueError, match="cell values"):
+                SudokuBoard(kind(cells[:40]) + bytes((value,)) + kind(cells[41:]))
+        with pytest.raises(ValueError, match="81 cells"):
+            SudokuBoard(kind(cells[:80]))
+    # A fill gets the per-cell check that test_board_validation's cells get.
+    for bad in (True, np.int64(3), -1, 10):
+        with pytest.raises(ValueError, match="cell values"):
+            PUZZLE.with_fills(((4, 4, bad),))
+
+
+def test_every_builder_makes_bytes_cells():
+    rng = rng_mod.stream(28, 0)
+    full = generate_full_board(rng)
+    puzzle = make_puzzle(full, 50, rng)
+    forced = sudoku_expert_step(PUZZLE, rng)
+    guess = sudoku_expert_step(EMPTY, rng)
+    dead_fill = SudokuExpertPolicy().sample(PUZZLE.with_fills(((0, 2, 5),)), rng)
+    assert not forced.content.guess and guess.content.guess and dead_fill.content.guess
+    corrupted, _ = misfill(PUZZLE, forced.content, rng)
+    boards = [
+        SudokuBoard.parse(PUZZLE.render()),
+        SudokuBoard.parse(" " + PUZZLE.render()),
+        _with_cell(PUZZLE, 2, 4),
+        solve(PUZZLE),
+        solve(puzzle, rng=rng),
+        full,
+        puzzle,
+        PUZZLE.with_fills(((0, 2, 4),)),
+        forced.content.new_board,
+        guess.content.new_board,
+        dead_fill.content.new_board,
+        corrupted.new_board,
+    ]
+    for board in boards:
+        assert type(board.cells) is bytes and len(board.cells) == 81
+        assert board == SudokuBoard(tuple(board.cells))
+
+
+def test_a_used_board_survives_pickle_and_deepcopy():
+    board = SudokuBoard(PUZZLE.cells)
+    board.render()
+    child = sudoku_expert_step(board, rng_mod.stream(28, 1)).content.new_board
+    assert {"masks", "_text", "_expert"} <= set(vars(board))
+    for used in (board, child):
+        for copied in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+            assert copied == used and hash(copied) == hash(used)
+            assert type(copied.cells) is bytes
+            assert copied.render() == used.render()
+            assert copied.masks == used.masks
+
+
+def test_solve_leaves_no_reference_cycle():
+    puzzle = make_puzzle(generate_full_board(rng_mod.stream(28, 2)), 50,
+                         rng_mod.stream(28, 3))
+    rngs = [rng_mod.stream(28, 4, k) for k in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert solve(puzzle) is not None
+        for rng in rngs:
+            generate_full_board(rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_non_canonical_text_parses_to_the_same_board():
@@ -267,7 +356,7 @@ def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
             for item in vars(obj).values():
                 walk(item)
         else:
-            assert obj is None or type(obj) in (int, bool, str), type(obj)
+            assert obj is None or type(obj) in (int, bool, str, bytes), type(obj)
 
     for value in vars(board).values():
         walk(value)
@@ -450,7 +539,7 @@ def test_solve_agrees_with_reference_solver():
     assert sudoku_is_complete_valid(solved.cells)
     reference = solve_sudoku_reference(PUZZLE.cells)
     # This puzzle has a unique solution, so both solvers must agree exactly.
-    assert solved.cells == reference
+    assert tuple(solved.cells) == reference
 
 
 def test_solve_detects_unsolvable():
@@ -536,7 +625,7 @@ def test_expert_solves_episode_end_to_end():
     # answer must be the real solution.
     if record.outcome is Outcome.CORRECT:
         assert sudoku_is_complete_valid(record.answer.content.cells)
-        assert record.answer.content.cells == solve_sudoku_reference(PUZZLE.cells)
+        assert tuple(record.answer.content.cells) == solve_sudoku_reference(PUZZLE.cells)
 
 
 def test_expert_recovers_from_dead_end_with_conflicting_fill():
