@@ -15,7 +15,6 @@ from reflect_lab.sim import simulate_accuracy
 from reflect_lab.theory import (
     SimplifiedParams,
     crossover_scan,
-    derived_rates,
     rtbs_asymptotically_beats_rmtp,
 )
 
@@ -38,7 +37,7 @@ def main():
         params = SimplifiedParams(
             mu=args.mu, e_minus=args.e_minus, e_plus=args.e_plus, f=f
         )
-        alpha = derived_rates(params).alpha
+        alpha = params.alpha
         wins = rtbs_asymptotically_beats_rmtp(params, args.m)
         n_star = crossover_scan(params, args.m, args.n_max)
         if n_star is None:

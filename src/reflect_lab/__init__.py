@@ -23,7 +23,7 @@ from .mtp import (
     Verification,
     VerifiedStep,
 )
-from .theory import SimplifiedParams, derived_rates
+from .theory import SimplifiedParams
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "TaskName",
     "Verification",
     "VerifiedStep",
-    "derived_rates",
     "mode_config",
     "run_rtbs",
     "__version__",

@@ -14,7 +14,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import rng as rng_mod
 from .mtp import Disposition, EpisodeRecord, Outcome, Query, Step, TaskName, task_hooks
 from .sim import SimResult, simulate_accuracy, wilson_ci
-from .tasks import render_state
 from .theory import SimplifiedParams, rho_nonreflective, rho_rmtp, rho_rtbs
 
 
@@ -44,16 +43,17 @@ def estimate_verification_errors(
     Only verified proposals count (no verdict, nothing to compare), and only
     the first attempt at each state: retries after a rejection at the same
     state would be correlated observations of the same verdict.  States are
-    keyed by (episode, chain depth, state rendering), so a backtracking
-    revisit of an unchanged state does not count twice but a different
-    branch at the same depth does.
+    keyed by (episode, chain depth, state), and two task states are equal
+    exactly when their renderings are, so a backtracking revisit of an
+    unchanged state does not count twice but a different branch at the same
+    depth does.
     """
     n_pos = 0
     n_neg = 0
     rejected_pos = 0
     accepted_neg = 0
-    for episode_index, record in enumerate(records):
-        seen: set[tuple[int, str]] = set()
+    for record in records:
+        seen: set[tuple[int, Any]] = set()
         depth = 0
         for event in record.events:
             if event.disposition is Disposition.TRACEBACK:
@@ -61,7 +61,7 @@ def estimate_verification_errors(
                 continue
             verified = event.verified
             if verified.verification.labels:
-                key = (depth, render_state(event.state))
+                key = (depth, event.state)
                 if key not in seen:
                     seen.add(key)
                     truth = oracle(record.query, event.state, verified.step)

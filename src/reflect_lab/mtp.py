@@ -163,7 +163,7 @@ class TaskHooks:
     transition: TransitionInterface
     check_answer: Callable[[Query, Step], bool]
     validate: Callable[[Query], None]
-    # State: its class (render_state finds the record by it), its stable text
+    # State: its class (state_hooks finds the record by it), its stable text
     # form in JSONL, and the ground-truth oracle "can this state still reach a
     # correct answer of the query?".
     state_type: type

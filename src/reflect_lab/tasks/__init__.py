@@ -85,6 +85,10 @@ class NoisyPolicy:
     base: PolicyInterface
     error_prob: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.error_prob <= 1.0:
+            raise ValueError("error_prob must be in [0, 1]")
+
     def sample(self, state: Any, rng: np.random.Generator) -> Step:
         step = self.base.sample(state, rng)
         if step.is_answer or self.error_prob <= 0.0:
@@ -99,8 +103,6 @@ class NoisyPolicy:
 
 
 def make_noisy_policy(base: PolicyInterface, error_prob: float) -> PolicyInterface:
-    if not 0.0 <= error_prob <= 1.0:
-        raise ValueError("error_prob must be in [0, 1]")
     return NoisyPolicy(base, error_prob)
 
 
@@ -115,6 +117,10 @@ class NoisyVerifier:
     base: VerifierInterface
     e_minus: float
     e_plus: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.e_minus <= 1.0 or not 0.0 <= self.e_plus <= 1.0:
+            raise ValueError("error rates must be in [0, 1]")
 
     def verify(self, state: Any, step: Step, rng: np.random.Generator) -> Verification:
         truth = self.base.verify(state, step, rng)
@@ -134,8 +140,6 @@ class NoisyVerifier:
 def make_noisy_verifier(
     base: VerifierInterface, e_minus: float, e_plus: float
 ) -> VerifierInterface:
-    if not 0.0 <= e_minus <= 1.0 or not 0.0 <= e_plus <= 1.0:
-        raise ValueError("error rates must be in [0, 1]")
     return NoisyVerifier(base, e_minus, e_plus)
 
 
@@ -168,9 +172,3 @@ class OracleVerifier:
 
     def verify(self, state: Any, step: Step, rng: np.random.Generator) -> Verification:
         return Verification((step_leads_positive(self.query, state, step),))
-
-
-def render_state(state: Any) -> str:
-    """Stable text rendering, also used as the JSONL state encoding."""
-    hooks = state_hooks(state)
-    return repr(state) if hooks is None else hooks.render_state(state)

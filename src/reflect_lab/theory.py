@@ -29,10 +29,12 @@ import warnings
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TypeVar
 
 import numpy as np
 
 _BISECT_TOL = 1e-12
+_Rate = TypeVar("_Rate", float, Fraction)
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -48,6 +50,7 @@ class SimplifiedParams:
     e_minus: chance the verifier rejects an on-track proposal (false alarm).
     e_plus: chance the verifier accepts a derailing proposal (miss).
     f: chance the verifier rejects any proposal at a derailed state.
+    alpha, beta, gamma: the branch rates these induce (`_branch_rates`).
     """
 
     mu: float
@@ -59,24 +62,29 @@ class SimplifiedParams:
         for name in ("mu", "e_minus", "e_plus", "f"):
             _check_prob(name, getattr(self, name))
 
+    @property
+    def alpha(self) -> float:
+        return _branch_rates(self.mu, self.e_minus, self.e_plus)[0]
 
-@dataclass(frozen=True)
-class DerivedRates:
-    """Per-proposal branch probabilities at an on-track state.
+    @property
+    def beta(self) -> float:
+        return _branch_rates(self.mu, self.e_minus, self.e_plus)[1]
+
+    @property
+    def gamma(self) -> float:
+        return _branch_rates(self.mu, self.e_minus, self.e_plus)[2]
+
+
+def _branch_rates(mu: _Rate, e_minus: _Rate, e_plus: _Rate) -> tuple[_Rate, _Rate, _Rate]:
+    """(alpha, beta, gamma), the branch probabilities of one proposal at an
+    on-track state; the three sum to one.
 
     alpha: proposal rejected (either kind), state unchanged.
     beta: on-track step accepted, chain advances correctly.
     gamma: derailing step accepted, chain derails.
-    The three sum to one.
+    Floats give floats and Fractions give exact Fractions.
     """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-def derived_rates(params: SimplifiedParams) -> DerivedRates:
-    return DerivedRates(*PosteriorParams.constant(params).at(1))
+    return mu * e_minus + (1 - mu) * (1 - e_plus), mu * (1 - e_minus), (1 - mu) * e_plus
 
 
 def rate_table(rates: SimplifiedParams | PosteriorParams) -> PosteriorParams:
@@ -193,9 +201,7 @@ def rtbs_asymptotically_beats_rmtp(params: SimplifiedParams, m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     mu, e_minus, e_plus, f = (Fraction(repr(float(x))) for x in astuple(params))
-    alpha = mu * e_minus + (1 - mu) * (1 - e_plus)
-    beta = mu * (1 - e_minus)
-    gamma = (1 - mu) * e_plus
+    alpha, beta, gamma = _branch_rates(mu, e_minus, e_plus)
     return beta > 0 and gamma > 0 and f > alpha and m * (1 - alpha) > 1
 
 
@@ -226,8 +232,7 @@ def expected_solution_length(params: SimplifiedParams, n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rates = derived_rates(params)
-    denom = rates.beta + rates.gamma  # 1 - alpha, without the cancellation
+    denom = params.beta + params.gamma  # 1 - alpha, without the cancellation
     if denom <= 0.0:
         raise ValueError(
             "every proposal is rejected; a correct answer is never reached"
@@ -280,10 +285,9 @@ def sigma_stability_band(params: SimplifiedParams) -> tuple[float, float]:
     only near t = 1.8e5.  A tolerance that holds strictly inside the band
     therefore says nothing about the edge; check the edge against this law.
     """
-    rates = derived_rates(params)
-    if rates.beta <= 0.0:
+    if params.beta <= 0.0:
         raise ValueError("advance rate beta is zero; no width can stabilize")
-    lo = 1.0 / rates.beta
+    lo = 1.0 / params.beta
     hi = math.inf if params.f >= 1.0 else 1.0 / (1.0 - params.f)
     if lo > hi:
         raise ValueError(
@@ -332,7 +336,8 @@ class PosteriorParams:
     entry.  Verifier behavior at derailed states keeps a single rate f.
     The induced advance rates must be nonincreasing and the induced derail
     rates nondecreasing in the attempt index (later attempts are never more
-    promising).
+    promising).  alpha, beta and gamma hold the branch rates of each attempt
+    (`_branch_rates`).
     """
 
     mu: tuple[float, ...]
@@ -357,19 +362,20 @@ class PosteriorParams:
             raise ValueError("induced derail rates must be nondecreasing")
 
     @cached_property
+    def _columns(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*map(_branch_rates, self.mu, self.e_minus, self.e_plus)))
+
+    @cached_property
     def alpha(self) -> tuple[float, ...]:
-        return tuple(
-            m * em + (1.0 - m) * (1.0 - ep)
-            for m, em, ep in zip(self.mu, self.e_minus, self.e_plus)
-        )
+        return self._columns[0]
 
     @cached_property
     def beta(self) -> tuple[float, ...]:
-        return tuple(m * (1.0 - em) for m, em in zip(self.mu, self.e_minus))
+        return self._columns[1]
 
     @cached_property
     def gamma(self) -> tuple[float, ...]:
-        return tuple((1.0 - m) * ep for m, ep in zip(self.mu, self.e_plus))
+        return self._columns[2]
 
     @classmethod
     def constant(cls, params: SimplifiedParams) -> PosteriorParams:
@@ -377,13 +383,6 @@ class PosteriorParams:
         return cls(
             mu=(params.mu,), e_minus=(params.e_minus,), e_plus=(params.e_plus,), f=params.f
         )
-
-    def at(self, attempt: int) -> tuple[float, float, float]:
-        """(alpha, beta, gamma) for 1-based attempt index, tail-extended."""
-        i = min(attempt, len(self.mu)) - 1
-        if i < 0:
-            raise ValueError("attempt index must be >= 1")
-        return (self.alpha[i], self.beta[i], self.gamma[i])
 
 
 def _rmtp_advance_rate(pparams: PosteriorParams) -> float:

@@ -63,7 +63,6 @@ from reflect_lab.tasks.mult import MultState, perturb_contribution
 from reflect_lab.tasks.sudoku import misfill
 from reflect_lab.theory import (
     SimplifiedParams,
-    derived_rates,
     epsilon_fixed_point,
     expected_solution_length,
     log_rho_rmtp,
@@ -162,7 +161,7 @@ def test_criterion_03_backtracking_gain_predicate_matches_deep_curves():
     while kept < 200:
         p = _random_params(rng)
         m = int(rng.integers(1, 11))
-        alpha = derived_rates(p).alpha
+        alpha = p.alpha
         if alpha >= 1.0 - 1e-9:
             continue
         if abs(p.f - alpha) <= 1e-3 or abs(m - 1.0 / (1.0 - alpha)) <= 1e-3:
@@ -187,7 +186,7 @@ def test_criterion_04_mean_solution_length_matches_closed_form():
     for i in range(10):
         while True:
             p = _random_params(rng)
-            if derived_rates(p).alpha < 1.0 and rho_rmtp(p, 20) >= 0.15:
+            if p.alpha < 1.0 and rho_rmtp(p, 20) >= 0.15:
                 break
         episodes = int(math.ceil(1.3e5 / rho_rmtp(p, 20)))
         result = simulate_accuracy(
@@ -206,8 +205,7 @@ def _band_edge_gap_constant(params: SimplifiedParams, m: int) -> float:
     """Constant c of the law 1 - sigma[n] ~ c/n at an integer upper window
     edge m = 1/(1-f), from the closed form in the `sigma_stability_band`
     docstring: c = 2 m gamma sigma'(d*) / ((m-1)(1 - lambda))."""
-    rates = derived_rates(params)
-    beta, gamma = rates.beta, rates.gamma
+    beta, gamma = params.beta, params.gamma
     # d* solves d = (1 - beta) + beta d^m, the epsilon fixed-point equation
     # with f = 1 - beta.
     d_star = epsilon_fixed_point(1.0 - beta, m)

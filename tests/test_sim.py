@@ -30,7 +30,6 @@ from reflect_lab.sim import (
 from reflect_lab.theory import (
     PosteriorParams,
     crossover_scan,
-    derived_rates,
     rho_nonreflective,
     rho_rmtp,
     rho_rtbs,
@@ -245,8 +244,7 @@ def _rate_tables(params, posterior, mode="rmtp"):
     if mode == "none":
         return [posterior.mu[0] if posterior else params.mu], [1.0], 1.0
     if posterior is None:
-        rates = derived_rates(params)
-        return [rates.beta], [rates.beta + rates.gamma], 1.0 - params.f
+        return [params.beta], [params.beta + params.gamma], 1.0 - params.f
     bg = [b + g for b, g in zip(posterior.beta, posterior.gamma)]
     return list(posterior.beta), bg, 1.0 - posterior.f
 

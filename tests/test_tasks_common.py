@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.mtp import DifficultyTier, Query, Step, TaskName
+from reflect_lab.mtp import DifficultyTier, Query, Step, TaskName, task_hooks
 from reflect_lab.tasks import (
     MULT_TIER_DIGITS,
     SUDOKU_TIER_BLANKS,
+    NoisyPolicy,
+    NoisyVerifier,
     OracleVerifier,
     binary_verifier,
     detailed_verifier,
@@ -17,7 +19,6 @@ from reflect_lab.tasks import (
     make_noisy_policy,
     make_noisy_verifier,
     parse_mult_state,
-    render_state,
     state_polarity,
     step_leads_positive,
     step_passes_rule,
@@ -117,6 +118,16 @@ def test_noisy_policy_never_corrupts_answers():
 def test_noisy_policy_validation():
     with pytest.raises(ValueError):
         make_noisy_policy(expert_policy(TaskName.MULT), 1.5)
+
+
+@pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+def test_noisy_wrappers_built_directly_check_their_rates(rate):
+    with pytest.raises(ValueError, match="error_prob must be in"):
+        NoisyPolicy(expert_policy(TaskName.MULT), rate)
+    base = binary_verifier(TaskName.MULT)
+    for e_minus, e_plus in ((rate, 0.1), (0.1, rate)):
+        with pytest.raises(ValueError, match="error rates must be in"):
+            NoisyVerifier(base, e_minus, e_plus)
 
 
 def test_noisy_sudoku_policy_produces_bad_fills():
@@ -242,12 +253,14 @@ def test_step_passes_rule_is_the_binary_rule():
 
 def test_render_and_parse_mult_state():
     s = MultState(321, 4052, 77)
+    render_state = task_hooks(TaskName.MULT).render_state
     assert render_state(s) == "321*4052+77"
     assert parse_mult_state(render_state(s)) == s
 
 
 def test_render_sudoku_and_synthetic():
     board = generate_full_board(rng_mod.stream(14, 0))
-    assert render_state(board) == board.render()
+    assert task_hooks(TaskName.SUDOKU).render_state(board) == board.render()
+    render_state = task_hooks(TaskName.SYNTHETIC).render_state
     assert render_state(SyntheticState(4, True)) == "scale 4+"
     assert render_state(SyntheticState(0, False)) == "scale 0-"

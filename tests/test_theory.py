@@ -3,7 +3,6 @@ import warnings
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,6 @@ from reflect_lab.theory import (
     SimplifiedParams,
     crossover_scan,
     curve_table,
-    derived_rates,
     epsilon_fixed_point,
     expected_solution_length,
     log_rho_rmtp,
@@ -49,33 +47,38 @@ def param_tuple() -> st.SearchStrategy[SimplifiedParams]:
     return st.builds(SimplifiedParams, inner_probs, inner_probs, inner_probs, inner_probs)
 
 
-# --- derived rates ---
+# --- branch rates ---
 
 
-def test_derived_rates_reference_point(ref_params):
-    rates = derived_rates(ref_params)
-    assert rates.alpha == pytest.approx(0.4, abs=1e-15)
-    assert rates.beta == pytest.approx(0.56, abs=1e-15)
-    assert rates.gamma == pytest.approx(0.04, abs=1e-15)
-
-
-@given(param_tuple())
-def test_derived_rates_form_a_distribution(params):
-    rates = derived_rates(params)
-    assert rates.alpha >= 0 and rates.beta >= 0 and rates.gamma >= 0
-    assert rates.alpha + rates.beta + rates.gamma == pytest.approx(1.0, abs=1e-12)
+def test_branch_rates_reference_point(ref_params):
+    assert ref_params.alpha == pytest.approx(0.4, abs=1e-15)
+    assert ref_params.beta == pytest.approx(0.56, abs=1e-15)
+    assert ref_params.gamma == pytest.approx(0.04, abs=1e-15)
 
 
 @given(param_tuple())
-def test_derived_rates_match_exact_rationals(params):
+def test_branch_rates_form_a_distribution(params):
+    assert params.alpha >= 0 and params.beta >= 0 and params.gamma >= 0
+    assert params.alpha + params.beta + params.gamma == pytest.approx(1.0, abs=1e-12)
+
+
+@given(param_tuple())
+def test_branch_rates_match_exact_rationals(params):
     mu = Fraction(params.mu)
     em = Fraction(params.e_minus)
     ep = Fraction(params.e_plus)
     a, b, g = frac_rates(mu, em, ep)
-    rates = derived_rates(params)
-    assert rates.alpha == pytest.approx(float(a), abs=1e-15)
-    assert rates.beta == pytest.approx(float(b), abs=1e-15)
-    assert rates.gamma == pytest.approx(float(g), abs=1e-15)
+    assert params.alpha == pytest.approx(float(a), abs=1e-15)
+    assert params.beta == pytest.approx(float(b), abs=1e-15)
+    assert params.gamma == pytest.approx(float(g), abs=1e-15)
+
+
+@given(st.builds(SimplifiedParams, probs, probs, probs, probs))
+def test_a_point_states_the_rates_of_its_one_entry_table(params):
+    table = PosteriorParams.constant(params)
+    assert params.alpha == table.alpha[0]
+    assert params.beta == table.beta[0]
+    assert params.gamma == table.gamma[0]
 
 
 def test_invalid_probability_rejected():
@@ -194,7 +197,7 @@ def test_rtbs_matches_exact_search_semantics(params, m, n):
 def test_width_one_collapses_to_single_try_chain(ref_params):
     # With one attempt per node, only a run of first-try accepted advances
     # survives, so the curve is beta**n.
-    beta = derived_rates(ref_params).beta
+    beta = ref_params.beta
     for n in (1, 4, 9):
         assert rho_rtbs(ref_params, 1, n) == pytest.approx(beta**n, rel=1e-12)
 
@@ -265,7 +268,7 @@ def test_rtbs_beats_rmtp_predicate_at_an_integer_retry_count():
     # alpha = 1/2 exactly, so the mean retry count 1/(1 - alpha) is 2 and a
     # width of exactly 2 does not beat retry-in-place; the curves agree.
     params = SimplifiedParams(0.5, 0.5, 0.5, 0.9)
-    assert derived_rates(params).alpha == 0.5
+    assert params.alpha == 0.5
     assert not rtbs_asymptotically_beats_rmtp(params, 2)
     assert rtbs_asymptotically_beats_rmtp(params, 3)
     for n in (10, 100, 1000):
@@ -288,7 +291,7 @@ def test_rtbs_beats_rmtp_predicate_is_false_at_every_tie():
             ties += 1
     assert ties > 100
     tie = SimplifiedParams(0.1, 0.1, 0.9, 0.1)
-    assert derived_rates(tie).alpha < tie.f
+    assert tie.alpha < tie.f
     for n in (10, 100):
         assert rho_rtbs(tie, 2, n) < rho_rmtp(tie, n)
 
@@ -463,6 +466,9 @@ def test_every_curve_prices_constant_rates_as_their_one_entry_table(params, n, m
     assert log_rho_rmtp(table, n) == log_rho_rmtp(params, n)
     assert rho_rtbs(table, m, n) == rho_rtbs(params, m, n)
     assert log_rho_rtbs(table, m, n) == log_rho_rtbs(params, m, n)
+    # The curve is the product of the advance factors, in scale order.
+    rtbs = rtbs_table(table, m, n)
+    assert all(rtbs.rho[t] == math.prod(rtbs.sigma[1 : t + 1]) for t in range(n + 1))
 
 
 def test_the_log_curves_of_a_table_are_the_logs_of_its_curves():
@@ -476,11 +482,6 @@ def test_the_log_curves_of_a_table_are_the_logs_of_its_curves():
             assert log_rho_rtbs(table, m, n) == pytest.approx(
                 math.log(rho_rtbs(table, m, n)), rel=1e-12
             )
-
-
-@given(param_tuple(), st.integers(min_value=0, max_value=20))
-def test_constant_posterior_recovers_simplified_rmtp(params, n):
-    assert rho_rmtp(PosteriorParams.constant(params), n) == rho_rmtp(params, n)
 
 
 @pytest.mark.parametrize(
@@ -497,17 +498,6 @@ def test_posterior_rmtp_sums_the_retry_series_exactly(mu, e_minus, e_plus):
     for n in (1, 7):
         oracle = frac_posterior_rmtp(*exact, n)
         assert rho_rmtp(pparams, n) == pytest.approx(float(oracle), rel=1e-12)
-
-
-@given(param_tuple(), st.integers(min_value=1, max_value=6))
-def test_constant_posterior_recovers_simplified_rtbs(params, m):
-    simplified = rtbs_table(params, m, 8)
-    posterior = rtbs_table(PosteriorParams.constant(params), m, 8)
-    for field in ("delta", "epsilon", "sigma", "rho"):
-        assert np.array_equal(getattr(posterior, field), getattr(simplified, field))
-    for t in range(9):
-        assert simplified.rho[t] == rho_rtbs(params, m, t)
-        assert posterior.rho[t] == float(np.prod(posterior.sigma[1 : t + 1]))
 
 
 @pytest.mark.parametrize(
@@ -532,11 +522,15 @@ def test_posterior_rtbs_matches_exact_search_semantics(mu, e_minus, e_plus, m):
 
 
 def test_posterior_tail_extension():
+    # Attempts past the table reuse its last entry, so spelling the tail
+    # out entry by entry prices the same curves.
     p = PosteriorParams(mu=(0.9, 0.5), e_minus=(0.1, 0.1), e_plus=(0.05, 0.05), f=0.7)
-    assert p.at(2) == p.at(5)
-    assert p.at(1) != p.at(2)
-    with pytest.raises(ValueError):
-        p.at(0)
+    spelled = PosteriorParams(
+        mu=(0.9,) + (0.5,) * 4, e_minus=(0.1,) * 5, e_plus=(0.05,) * 5, f=0.7
+    )
+    for n in (1, 6):
+        assert rho_rmtp(p, n) == pytest.approx(rho_rmtp(spelled, n), rel=1e-12)
+        assert rho_rtbs(p, 5, n) == pytest.approx(rho_rtbs(spelled, 5, n), rel=1e-12)
 
 
 def test_posterior_rejects_rates_that_improve_with_attempts():
