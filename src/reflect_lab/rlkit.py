@@ -62,15 +62,14 @@ def group_from_records(
 
 @dataclass(frozen=True)
 class AdvantageRow:
-    """Per-event advantages for one trajectory with the two mask bits.
+    """Per-event advantages for one trajectory with its step mask.
 
-    step_masked removes the event's step from any downstream aggregate;
-    labels_live keeps its verification labels trainable even then.
+    step_masked removes the event's step from any downstream aggregate; the
+    event's verification labels stay trainable even then.
     """
 
     advantages: tuple[float, ...]
     step_masked: tuple[bool, ...]
-    labels_live: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,10 @@ class AdvantageTable:
         raise ValueError("record does not belong to this table's group")
 
     def to_csv(self) -> str:
-        lines = ["g,t,advantage,step_masked,labels_live"]
+        lines = ["g,t,advantage,step_masked"]
         for g, row in enumerate(self.rows):
-            for t, (adv, masked, live) in enumerate(
-                zip(row.advantages, row.step_masked, row.labels_live)
-            ):
-                lines.append(f"{g},{t},{adv!r},{int(masked)},{int(live)}")
+            for t, (adv, masked) in enumerate(zip(row.advantages, row.step_masked)):
+                lines.append(f"{g},{t},{adv!r},{int(masked)}")
         return "\n".join(lines) + "\n"
 
 
@@ -133,14 +130,7 @@ def grpo_group_advantages(group: TrajectoryGroup) -> AdvantageTable:
         for t in range(len(record.events)):
             advantages.append(r_outcome[g] + suffix)
             suffix -= row_process[t]
-        count = len(record.events)
-        rows.append(
-            AdvantageRow(
-                advantages=tuple(advantages),
-                step_masked=(False,) * count,
-                labels_live=(True,) * count,
-            )
-        )
+        rows.append(AdvantageRow(tuple(advantages), (False,) * len(advantages)))
     return AdvantageTable(group=group, rows=tuple(rows))
 
 
@@ -149,7 +139,7 @@ def mask_rejected_advantages(
 ) -> AdvantageTable:
     """Mask the step advantage of every rejected event of the record.
 
-    Verification labels stay live on masked steps: the labels themselves
+    Verification labels stay trainable on masked steps: the labels themselves
     were correct even though the step was discarded.  Traceback bookkeeping
     events re-list already-accepted parent steps and are left alone.
     Masking twice is a no-op.

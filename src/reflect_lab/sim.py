@@ -8,7 +8,8 @@ and rejects everything at derailed states with probability f.
 
 A `Law` names what a Monte-Carlo point runs: rate table, mode, width and
 root.  Both engines, the budget and the closed form read it, and the result
-carries it, so a report prices the law that ran.
+carries it, so a report prices the law that ran.  `law.table` is the table
+the chain runs on; mode none's is its accept-all table.
 
 Two engines estimate success probabilities.  The interface engine drives the
 one executor, `engines.run_rtbs`, episode by episode with the configuration
@@ -20,8 +21,8 @@ episode as `run_rtbs` does on the same stream; tests check this episode for
 episode.  Each batch of the vector engine has its own random stream; a worker
 runs a group of batches in one array and one loop, each batch drawing from
 its own stream and compacting its own rows, so grouping never moves a result.
-Every mode runs that loop on its law's per-attempt rates; mode none's
-accept every proposal, and an on-track one stays on track with chance mu.
+Every mode runs that loop on `law.table`; mode none's accept-all table
+accepts every proposal, and an on-track one stays on track with chance mu.
 A backtracking row keeps one small code per level (an attempt count, or a link past a
 spent level), its deepest ancestor with attempts to spare, and the depth of
 its chain's first derailed state (a level is on track exactly when it lies
@@ -37,7 +38,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,15 +120,15 @@ register_task(
 )
 
 
-def wilson_ci(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
-    z2 = z * z
+    z2 = Z_99 * Z_99
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = Z_99 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -137,10 +137,13 @@ class Law:
     """The chain one Monte-Carlo point runs: its rates, executor and root.
 
     table has the rates of each attempt at a state (constant rates become
-    its one-entry case).  mode is one of `engines.MODES`; m is the width,
-    which only rtbs takes.  root_unlimited exempts the rtbs root from the
-    width; no other mode's root runs out of attempts, so it is False for
-    them.  Building a law refuses a mode or width that do not fit.
+    its one-entry case).  Mode none verifies nothing, so every proposal is
+    a first attempt that is accepted: its table becomes the accept-all
+    table of the first attempt's mu, and two mode-none laws with the same
+    mu_1 are equal.  mode is one of `engines.MODES`; m is the width, which
+    only rtbs takes.  root_unlimited exempts the rtbs root from the width;
+    no other mode's root runs out of attempts, so it is False for them.
+    Building a law refuses a mode or width that do not fit.
     """
 
     table: PosteriorParams
@@ -149,7 +152,11 @@ class Law:
     root_unlimited: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", rate_table(self.table))
+        table = rate_table(self.table)
+        if self.mode == "none":
+            # beta + gamma = fl(mu + fl(1 - mu)) is 1 for every double mu.
+            table = PosteriorParams(mu=table.mu[:1], e_minus=(0.0,), e_plus=(1.0,), f=0.0)
+        object.__setattr__(self, "table", table)
         self.config(1)
         if self.mode != "rtbs" and self.m is not None:
             raise ValueError(f"mode {self.mode!r} takes no width")
@@ -160,18 +167,6 @@ class Law:
         verifications alike (mode none verifies none)."""
         return mode_config(self.mode, self.m, budget, budget, self.root_unlimited)
 
-    @cached_property
-    def rates(self) -> PosteriorParams:
-        """The per-attempt table the chain runs on.
-
-        Mode none verifies nothing, so every proposal is a first attempt
-        that is accepted: the table (mu_1, e_minus = 0, e_plus = 1, f = 0),
-        whose beta + gamma = fl(mu + fl(1 - mu)) is 1 for every double mu.
-        """
-        if self.mode == "none":
-            return PosteriorParams(mu=self.table.mu[:1], e_minus=(0.0,), e_plus=(1.0,), f=0.0)
-        return self.table
-
     @property
     def clip(self) -> int:
         """Largest attempt count the rtbs stack stores.
@@ -180,7 +175,7 @@ class Law:
         whose count is clipped here: past max(m, last rate-table index)
         neither the width check nor the rate lookup can tell two counts apart.
         """
-        return max(self.m, len(self.rates.mu) - 1)
+        return max(self.m, len(self.table.mu) - 1)
 
     def stack_dtype(self, n: int) -> np.dtype:
         """Narrowest unsigned dtype of a level of the rtbs stack at scale n.
@@ -225,7 +220,7 @@ class SyntheticSelfVerifier:
     """The synthetic self-verifying policy of a law: one uniform a proposal.
 
     `sample` draws u and decides both the step and its verdict, cut where
-    the vector engine cuts it on row min(attempt, last) of `law.rates`;
+    the vector engine cuts it on row min(attempt, last) of `law.table`;
     `verify` returns that verdict.  So `run_rtbs` on a stream makes the
     decisions a one-row batch of `_mc_chunk` makes on the same stream.  On
     track, u < beta advances and u < beta + gamma derails, both accepted; a
@@ -237,12 +232,12 @@ class SyntheticSelfVerifier:
     """
 
     def __init__(self, law: Law) -> None:
-        rates = law.rates
+        table = law.table
         # Per table row: beta, beta + gamma, the rejected content's cut, e_minus.
-        rows = zip(rates.beta, rates.gamma, rates.mu, rates.e_minus)
+        rows = zip(table.beta, table.gamma, table.mu, table.e_minus)
         self._rows = [(b, b + g, b + g + mu * em, em) for b, g, mu, em in rows]
         self._last = len(self._rows) - 1
-        self._one_minus_f = 1.0 - rates.f
+        self._one_minus_f = 1.0 - table.f
         self._accept = True
 
     def sample(self, state: SyntheticState, rng: np.random.Generator, attempt: int) -> Step:
@@ -366,7 +361,7 @@ def _mc_chunk(
 
     Returns (successes, correct_len_sum, exhausted, done, stats) summed over
     the group.  Event-for-event the same chain law as the interface engine:
-    one uniform draw decides each proposal's fate against `law.rates` and
+    one uniform draw decides each proposal's fate against `law.table` and
     attempts are tracked per state.  The batches share one array and one
     loop, but each draws its rows' uniforms from its own stream and compacts
     its own rows when at most three quarters of them are live, so every
@@ -396,9 +391,9 @@ def _mc_chunk(
         # One restating answer step per episode, always on track.
         total = sum(count for count, _ in batches)
         return (total, total, 0, total, EngineStats())
-    beta_lut = np.asarray(law.rates.beta)
-    bg_lut = beta_lut + law.rates.gamma
-    one_minus_f = 1.0 - law.rates.f
+    beta_lut = np.asarray(law.table.beta)
+    bg_lut = beta_lut + law.table.gamma
+    one_minus_f = 1.0 - law.table.f
     lut_top = len(beta_lut) - 1
     rtbs = law.mode == "rtbs"
     track_attempts = rtbs or lut_top > 0

@@ -52,7 +52,6 @@ _ALL_MASK = 0b1111111110  # candidate bits for values 1..9
 _CANDIDATES: tuple[tuple[int, ...], ...] = tuple(
     tuple(v for v in range(1, 10) if mask >> v & 1) for mask in range(_ALL_MASK + 1)
 )
-_DIGITS = frozenset(range(10))
 _TEXT_OF_CELL = bytes.maketrans(bytes(range(10)), b"0123456789")
 # The one-byte cells, by value: what a child board splices in.
 _CELL_BYTE: tuple[bytes, ...] = tuple(bytes((v,)) for v in range(10))
@@ -114,12 +113,7 @@ class SudokuBoard:
         cells = self.cells
         if len(cells) != 81:
             raise ValueError("a board needs exactly 81 cells")
-        # Plain ints in 0..9 (bytes yield them too) pass the set test;
-        # anything else (int subclasses, bools, numpy scalars) gets the
-        # per-cell check.
-        if not (set(map(type, cells)) <= {int} and set(cells) <= _DIGITS) and any(
-            not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells
-        ):
+        if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells):
             raise ValueError("cell values must be ints in 0..9")
         object.__setattr__(self, "cells", bytes(cells))
 

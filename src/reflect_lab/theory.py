@@ -118,6 +118,8 @@ def rho_rmtp(rates: SimplifiedParams | PosteriorParams, n: int) -> float:
 
 def log_rho_rmtp(rates: SimplifiedParams | PosteriorParams, n: int) -> float:
     """log of rho_rmtp, safe for n large enough to underflow the product."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 0.0
     rate = _rmtp_advance_rate(rate_table(rates))
@@ -170,6 +172,8 @@ def rho_rtbs(rates: SimplifiedParams | PosteriorParams, m: int, n: int) -> float
 
 def log_rho_rtbs(rates: SimplifiedParams | PosteriorParams, m: int, n: int) -> float:
     """log of rho_rtbs, safe for large n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     table = rtbs_table(rates, m, n)
     sig = table.sigma[1 : n + 1]
     if np.any(sig <= 0.0):

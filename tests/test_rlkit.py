@@ -146,7 +146,6 @@ def test_default_rows_are_unmasked_and_live():
     table = grpo_group_advantages(simple_group([1, 0]))
     for row in table.rows:
         assert row.step_masked == (False,) * len(row.advantages)
-        assert row.labels_live == (True,) * len(row.advantages)
 
 
 # --- masking ---
@@ -163,8 +162,6 @@ def test_masking_targets_rejected_events_only():
     table = mask_rejected_advantages(records[1], table)
     assert table.rows[0].step_masked == (False, True, True, False)
     assert table.rows[1].step_masked == (False, False, False, False)
-    # labels stay trainable even on masked steps
-    assert all(all(row.labels_live) for row in table.rows)
 
 
 @given(
@@ -287,12 +284,12 @@ def test_advantage_table_csv_layout():
     table = mask_rejected_advantages(table.group.trajectories[0], table)
     text = table.to_csv()
     lines = text.strip().split("\n")
-    assert lines[0] == "g,t,advantage,step_masked,labels_live"
+    assert lines[0] == "g,t,advantage,step_masked"
     assert len(lines) == 1 + 4  # two trajectories x two events
-    g, t, adv, masked, live = lines[1].split(",")
+    g, t, adv, masked = lines[1].split(",")
     assert (g, t) == ("0", "0")
     assert float(adv) == 1.0
-    assert masked in {"0", "1"} and live in {"0", "1"}
+    assert masked in {"0", "1"}
     # repr-format advantages survive a float round-trip exactly
     for line in lines[1:]:
         value = float(line.split(",")[2])

@@ -90,6 +90,15 @@ def test_auto_budget_pins(ref_params):
     assert Law(ref_params, "rtbs", 4).budget(10_000) == 1_000_000
 
 
+def test_a_mode_none_law_is_the_accept_all_table_of_its_first_mu(ref_params):
+    # Mode none verifies nothing, so its chain reads the first attempt's mu alone.
+    noisy = replace(ref_params, e_minus=0.9, e_plus=0.05, f=0.1)
+    assert Law(ref_params, "none") == Law(noisy, "none")
+    table = PosteriorParams(mu=(0.8, 0.5), e_minus=(0.3, 0.3), e_plus=(0.2, 0.2), f=0.8)
+    assert Law(table, "none") == Law(ref_params, "none")
+    assert Law(table, "none").table == PosteriorParams((0.8,), (0.0,), (1.0,), 0.0)
+
+
 def test_simulate_accuracy_argument_validation(ref_params):
     with pytest.raises(ValueError):
         simulate_accuracy(ref_params, 3, "bogus", 10, 0)
@@ -122,6 +131,12 @@ def test_thread_count_does_not_change_results(ref_params):
     a = simulate_accuracy(ref_params, 5, "rtbs", 70_000, 9, m=4, threads=1)
     b = simulate_accuracy(ref_params, 5, "rtbs", 70_000, 9, m=4, threads=4)
     assert a.successes == b.successes
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_vector_engine_refuses_a_thread_count_below_one(ref_params, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        simulate_accuracy(ref_params, 3, "rmtp", 10, 0, threads=threads)
 
 
 @pytest.mark.parametrize("engine", ["vector", "episode"])

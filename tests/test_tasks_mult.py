@@ -114,6 +114,20 @@ def test_make_move_rejects_absent_digit():
         make_move(MultState(3, 12, 0), 5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_move(MultState(0, 12, 5), 1), "terminal"),
+        (lambda: make_move(MultState(3, 12, 0), 1, side="z"), "side must be"),
+        (lambda: MultTransition().apply(MultState(3, 12, 0), Step(36)), "non-move"),
+    ],
+    ids=["terminal-state", "unknown-side", "transition-of-a-non-move"],
+)
+def test_mult_refuses_moves_that_do_not_exist(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- expert policy ---
 
 
@@ -161,6 +175,11 @@ def test_transition_applies_claimed_state():
     s = MultState(5, 31, 0)
     move = make_move(s, 1)
     assert MultTransition().apply(s, Step(move)) == move.new_state
+
+
+def test_transition_keeps_the_state_on_an_answer_step():
+    s = MultState(5, 31, 0)
+    assert MultTransition().apply(s, Step(155, is_answer=True)) is s
 
 
 # --- verifiers ---
@@ -218,6 +237,11 @@ def test_detailed_verifier_label_layout():
 
 def test_detailed_verifier_rejects_malformed_content():
     assert verify_detailed_mult(MultState(3, 4, 0), Step("garbage")).labels == (False,)
+
+
+@pytest.mark.parametrize("content", ["garbage", 12, MultState(3, 4, 0)])
+def test_binary_verifier_rejects_content_that_is_not_a_move(content):
+    assert verify_binary_mult(MultState(3, 4, 0), Step(content)).labels == (False,)
 
 
 @given(operands, st.integers(min_value=1, max_value=9999), st.integers(min_value=0, max_value=2**32 - 1))

@@ -652,6 +652,29 @@ def test_transition_applies_claimed_board():
     assert SudokuTransition().apply(PUZZLE, step) == step.content.new_board
 
 
+def test_transition_keeps_the_state_on_an_answer_step():
+    assert SudokuTransition().apply(PUZZLE, Step(PUZZLE, is_answer=True)) is PUZZLE
+
+
+_INCONSISTENT = PUZZLE.with_fills(((0, 2, 5),))  # a second 5 in row 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SudokuTransition().apply(PUZZLE, Step(PUZZLE)), "non-move"),
+        (lambda: task_hooks(TaskName.SUDOKU).validate(Query(TaskName.SUDOKU, _INCONSISTENT)),
+         "consistent board"),
+        (lambda: make_puzzle(PUZZLE, -1, rng_mod.stream(0)), "blanks"),
+        (lambda: make_puzzle(PUZZLE, 82, rng_mod.stream(0)), "blanks"),
+    ],
+    ids=["transition-of-a-non-move", "inconsistent-puzzle", "blanks-below-0", "blanks-above-81"],
+)
+def test_sudoku_refuses_what_it_cannot_build(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- verifiers ---
 
 
@@ -668,6 +691,28 @@ def test_binary_verifier_rejects_clue_overwrite():
     assert verify_binary_sudoku(PUZZLE, Step(move)).rejected
     # The detailed verifier flags that fill too.
     assert verify_detailed_sudoku(PUZZLE, Step(move)).labels == (False,)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        SudokuMove(fills=(), guess=False, new_board=PUZZLE),
+        SudokuMove(fills=((9, 2, 1),), guess=False, new_board=PUZZLE),
+        SudokuMove(fills=((0, 9, 1),), guess=False, new_board=PUZZLE),
+        SudokuMove(fills=((0, 2, 0),), guess=False, new_board=PUZZLE),
+        SudokuMove(fills=((0, 2, 10),), guess=False, new_board=PUZZLE),
+        SudokuMove(fills=((0, 2, 1), (0, 2, 4)), guess=False, new_board=PUZZLE),
+        PUZZLE,
+        "garbage",
+    ],
+    ids=["no-fills", "row-9", "col-9", "value-0", "value-10", "repeated-cell", "a-board",
+         "a-string"],
+)
+def test_both_verifiers_refuse_ill_formed_content(content):
+    # Each claimed board is the puzzle itself, which passes the board checks,
+    # so only the well-formedness check refuses the step.
+    assert verify_binary_sudoku(PUZZLE, Step(content)).labels == (False,)
+    assert verify_detailed_sudoku(PUZZLE, Step(content)).labels == (False,)
 
 
 def test_binary_verifier_rejects_inconsistent_result():

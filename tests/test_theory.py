@@ -88,6 +88,42 @@ def test_invalid_probability_rejected():
         SimplifiedParams(0.5, -0.1, 0.1, 0.5)
 
 
+_REFUSALS = {
+    "rho_nonreflective-n": (lambda p: rho_nonreflective(p, -1), "n must be >= 0"),
+    "rho_rmtp-n": (lambda p: rho_rmtp(p, -1), "n must be >= 0"),
+    "rho_rtbs-n": (lambda p: rho_rtbs(p, 2, -1), "n must be >= 0"),
+    "beats-m": (lambda p: rtbs_asymptotically_beats_rmtp(p, 0), "m must be >= 1"),
+    "solution-length-n": (lambda p: expected_solution_length(p, -1), "n must be >= 0"),
+    "fixed-point-m": (lambda p: epsilon_fixed_point(0.5, 0), "m must be >= 1"),
+    "empty-table": (lambda p: PosteriorParams((), (), (), 0.5), "non-empty"),
+    "rtbs_table-m": (lambda p: rtbs_table(p, 0, 3), "m must be >= 1"),
+    "rtbs_table-n_max": (lambda p: rtbs_table(p, 2, -1), "n_max must be >= 0"),
+    "sufficient-mu-1": (
+        lambda p: posterior_sufficient_condition(PosteriorParams((1.0,), (0.1,), (0.1,), 0.5)),
+        "mu_1 must be < 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_theory_refuses_arguments_out_of_range(ref_params, name):
+    call, message = _REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call(ref_params)
+
+
+@pytest.mark.parametrize("curve", ["rmtp", "rtbs"])
+def test_log_curves_refuse_a_negative_scale(ref_params, curve):
+    # As their rho_* curves do; a log of rmtp at n < 0 once read above 0.
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        log_rho_rmtp(ref_params, -1) if curve == "rmtp" else log_rho_rtbs(ref_params, 2, -1)
+
+
+def test_log_rho_rtbs_is_minus_infinity_when_a_scale_cannot_advance():
+    # mu = 0: beta = 0, so no scale ever advances on track.
+    assert log_rho_rtbs(SimplifiedParams(0.0, 0.3, 0.2, 0.8), 2, 3) == -math.inf
+
+
 # --- plain chain and retry-in-place ---
 
 
