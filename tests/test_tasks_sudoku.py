@@ -709,8 +709,8 @@ def test_binary_verifier_rejects_clue_overwrite():
          "a-string"],
 )
 def test_both_verifiers_refuse_ill_formed_content(content):
-    # Each claimed board is the puzzle itself, which passes the board checks,
-    # so only the well-formedness check refuses the step.
+    # A move's claimed board is the puzzle itself, which passes the board
+    # checks, so only the well-formedness check refuses the move.
     assert verify_binary_sudoku(PUZZLE, Step(content)).labels == (False,)
     assert verify_detailed_sudoku(PUZZLE, Step(content)).labels == (False,)
 

@@ -114,7 +114,7 @@ def test_theory_refuses_arguments_out_of_range(ref_params, name):
 
 @pytest.mark.parametrize("curve", ["rmtp", "rtbs"])
 def test_log_curves_refuse_a_negative_scale(ref_params, curve):
-    # As their rho_* curves do; a log of rmtp at n < 0 once read above 0.
+    # The refusal of rho_rmtp and rho_rtbs, whose logs these are.
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         log_rho_rmtp(ref_params, -1) if curve == "rmtp" else log_rho_rtbs(ref_params, 2, -1)
 
