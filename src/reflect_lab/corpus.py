@@ -82,7 +82,7 @@ class CorpusFormatError(ValueError):
     """A JSONL line failed to parse or to validate against the schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CotExample:
     """One serialized chain: query, labeled steps, final answer."""
 

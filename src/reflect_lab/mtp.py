@@ -30,7 +30,7 @@ class DifficultyTier(str, enum.Enum):
     OOD_HARD = "ood_hard"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """A problem instance.  The payload shape is task-specific."""
 
@@ -39,7 +39,7 @@ class Query:
     tier: Optional[DifficultyTier] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One proposed reasoning step.  `is_answer` marks a terminal step."""
 
@@ -47,7 +47,7 @@ class Step:
     is_answer: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verification:
     """Ordered binary labels for one step, each a bool: True is positive,
     False negative; any negative label rejects the step.
@@ -62,7 +62,7 @@ class Verification:
         return False in self.labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifiedStep:
     step: Step
     verification: Verification = Verification()
@@ -74,7 +74,7 @@ class Disposition(str, enum.Enum):
     TRACEBACK = "traceback"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One entry of an episode log: the state seen, the step, the outcome.
 
@@ -93,7 +93,7 @@ class Outcome(str, enum.Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     query: Query
     events: tuple[Event, ...]

@@ -87,13 +87,6 @@ class AdvantageTable:
                 return i
         raise ValueError("record does not belong to this table's group")
 
-    def to_csv(self) -> str:
-        lines = ["g,t,advantage,step_masked"]
-        for g, row in enumerate(self.rows):
-            for t, (adv, masked) in enumerate(zip(row.advantages, row.step_masked)):
-                lines.append(f"{g},{t},{adv!r},{int(masked)}")
-        return "\n".join(lines) + "\n"
-
 
 def _normalize(values: Sequence[float]) -> list[float]:
     """(x - mean) / population std; all zeros when the spread is zero."""

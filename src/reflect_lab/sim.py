@@ -592,6 +592,7 @@ def simulate_accuracy(
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     budget = budget if budget is not None else law.budget(n)
+    threads = _threads(threads)
 
     stats = None
     if engine == "episode":
@@ -603,7 +604,7 @@ def simulate_accuracy(
         ]
         # A worker with less than two batches to run costs more in contention
         # than it saves.
-        workers = min(_threads(threads), max(1, len(batches) // 2))
+        workers = min(threads, max(1, len(batches) // 2))
         per_group = law.batches_per_group(n)
         n_groups = max(workers, -(-len(batches) // per_group))
         groups = [batches[i::n_groups] for i in range(n_groups)]

@@ -36,7 +36,7 @@ MULT_TIER_DIGITS: dict[DifficultyTier, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultState:
     x: int
     y: int
@@ -59,7 +59,7 @@ class MultState:
         return self.x * self.y + self.z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultMove:
     """Eliminate digit value `digit` from one operand at `positions`
     (units place = 0).

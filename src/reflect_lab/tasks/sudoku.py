@@ -4,15 +4,18 @@ States are 9x9 boards, stored as 81 bytes with 0 for blanks: a board hashes
 and compares as one bytes object, holds no container for the garbage
 collector to track, and hands its bytes as they are to its text and to the
 solvability oracle's integers.  Builders fill a list of ints and freeze it.
+A board is slotted, with no instance dict, and packs the used-value masks of
+its 27 units into 54 bytes.
 
 The expert step fills every blank whose candidate set is a singleton,
 recomputing candidates after each fill; when no singleton exists it guesses
 once, uniformly, at a blank with the fewest candidates.  A blank with an
 empty candidate set means the branch is unsolvable and raises DeadEndError.
 A board runs those sweeps at most once: it keeps their rng-free outcome
-beside its text and masks, so a later call on the same board only draws the
-guess.  A board derived by setting one cell (a guess, a dead-end fill, a
-misfill) gets its masks from its parent's.
+in a slot beside its text and masks, so a later call on the same board only
+draws the guess.  A board derived by setting one cell (a guess, a dead-end
+fill, a misfill) gets its masks from its parent's, rewriting only the cell's
+row, column and box.
 
 The rule-based verifiers check only Sudoku legality (no given modified, no
 duplicate in a row, column, or block).  Solvability questions go through an
@@ -24,8 +27,9 @@ filled cell of a board is a proof that the board is solvable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -77,8 +81,15 @@ _PEERS: tuple[tuple[int, ...], ...] = tuple(
     for i, (row, col, box) in enumerate(_UNITS)
 )
 
-# Used-value bitmasks per row, column and box.
-Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# Used-value bitmasks of the 27 units, rows then columns then boxes, as
+# little-endian uint16: 54 bytes, where a tuple of three 9-tuples of ints
+# took about 1 KB a board.
+Masks = bytes
+_UNIT_MASKS = struct.Struct("<27H")
+# Byte offsets of each cell's row, column and box masks in Masks.
+_MASK_AT: tuple[tuple[int, int, int], ...] = tuple(
+    (2 * r, 18 + 2 * c, 36 + 2 * b) for r, c, b in _UNITS
+)
 # The expert step's rng-free outcome on a board with a blank: the forced-fill
 # step, the dead blank's (row, col), or the guess's choices (cell index and
 # candidates of each most constrained blank, row-major).
@@ -100,13 +111,15 @@ class SudokuBoard:
 
     Any sequence of 81 ints in 0..9, bytes included, takes the same check and
     is normalized to bytes at construction, so a board built from a tuple
-    equals and hashes like one built from bytes.  The text, the unit masks
-    and the expert step's decision are computed at most once per board.  A
-    forced step's board is full or has no singleton left, so its own decision
-    is a guess, which holds no board: a board keeps at most one other board
-    alive.
+    equals and hashes like one built from bytes.  Equality and hash read the
+    cells alone.  The board is slotted: its text, its unit masks (54 packed
+    bytes, or None) and the expert step's decision are slots, each filled at
+    most once, on first read, by __getattr__.  A forced step's board is full
+    or has no singleton left, so its own decision is a guess, which holds no
+    board: a board keeps at most one other board alive.
     """
 
+    __slots__ = ("cells", "masks", "_text", "_expert")
     cells: bytes
 
     def __post_init__(self) -> None:
@@ -136,22 +149,26 @@ class SudokuBoard:
     def blank_count(self) -> int:
         return self.cells.count(0)
 
-    @cached_property
-    def _text(self) -> str:
-        # Every cell is a byte in 0..9, so it maps to its digit.
-        digits = self.cells.translate(_TEXT_OF_CELL).decode()
-        return "\n".join([digits[r : r + 9] for r in range(0, 81, 9)])
+    def __getattr__(self, name: str) -> object:
+        """Fill an empty slot on its first read: `masks` (the unit masks, or
+        None when a unit holds a duplicate), `_text` (render's text) or
+        `_expert` (the expert step's decision, for a board with a blank)."""
+        if name == "masks":
+            value = _masks(self.cells)
+        elif name == "_text":
+            # Every cell is a byte in 0..9, so it maps to its digit.
+            digits = self.cells.translate(_TEXT_OF_CELL).decode()
+            value = "\n".join([digits[r : r + 9] for r in range(0, 81, 9)])
+        elif name == "_expert":
+            value = _expert_decision(self)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
-    @cached_property
-    def masks(self) -> Optional[Masks]:
-        """Used-value bitmasks per row, column and box, or None when a unit
-        holds a duplicate."""
-        return _masks(self.cells)
-
-    @cached_property
-    def _expert(self) -> Decision:
-        """The expert step's decision, for a board with a blank."""
-        return _expert_decision(self)
+    def __reduce__(self) -> tuple:
+        # A copy is built from the cells and fills its slots when read.
+        return (SudokuBoard, (self.cells,))
 
     def render(self) -> str:
         return self._text
@@ -164,14 +181,14 @@ class SudokuBoard:
             raw = text.encode()
             digits = raw.translate(_CELL_OF_TEXT, b"\n")
             if len(digits) == 81 and raw[9::10] == _ROW_ENDS and 0xFF not in digits:
-                return _unchecked_board(digits, _text=text)
+                return _unchecked_board(digits, text=text)
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
         return SudokuBoard(tuple(map(int, "".join(rows))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SudokuMove:
     """Fill the listed blanks; `guess` marks a non-forced fill."""
 
@@ -181,8 +198,8 @@ class SudokuMove:
 
 
 def _masks(cells: bytes) -> Optional[Masks]:
-    """Used-value bitmasks per row/col/box, or None when a unit holds a
-    duplicate."""
+    """Used-value bitmasks per row/col/box, packed, or None when a unit
+    holds a duplicate."""
     rows = [0] * 9
     cols = [0] * 9
     boxes = [0] * 9
@@ -195,18 +212,37 @@ def _masks(cells: bytes) -> Optional[Masks]:
         rows[r] |= bit
         cols[c] |= bit
         boxes[b] |= bit
-    return tuple(rows), tuple(cols), tuple(boxes)
+    return _UNIT_MASKS.pack(*rows, *cols, *boxes)
 
 
-def _unchecked_board(cells: bytes, **cached: object) -> SudokuBoard:
+def _unit_lists(masks: Masks) -> tuple[list[int], list[int], list[int]]:
+    """The row, column and box masks, unpacked into lists to update."""
+    units = _UNIT_MASKS.unpack(masks)
+    return list(units[:9]), list(units[9:18]), list(units[18:])
+
+
+# A board's slot setters, which skip the frozen dataclass's __setattr__, and
+# the masks a caller does not know (None is known: a unit holds a duplicate).
+_SET_CELLS = SudokuBoard.cells.__set__
+_SET_MASKS = SudokuBoard.masks.__set__
+_SET_TEXT = SudokuBoard._text.__set__
+_UNKNOWN = object()
+
+
+def _unchecked_board(
+    cells: bytes, *, masks: object = _UNKNOWN, text: Optional[str] = None
+) -> SudokuBoard:
     """A board built without the constructor's check, for 81 bytes known to
     be in 0..9: those of a checked board with cells set to values in 1..9,
-    or those decoded from canonical text.  `cached` holds the cached
-    properties the caller already knows (`masks`, `_text`); a cached_property
-    reads the instance dict first."""
-    cached["cells"] = cells
+    or those decoded from canonical text.  The slots the caller already
+    knows (the masks, which may be None, and the text) are set here
+    directly; the others fill on first read."""
     board = object.__new__(SudokuBoard)
-    board.__dict__.update(cached)
+    _SET_CELLS(board, cells)
+    if masks is not _UNKNOWN:
+        _SET_MASKS(board, masks)
+    if text is not None:
+        _SET_TEXT(board, text)
     return board
 
 
@@ -214,26 +250,25 @@ def _with_cell(board: SudokuBoard, idx: int, value: int) -> SudokuBoard:
     """The board with cell idx set to value (1..9), its masks derived from
     the board's in O(1): each unit of a consistent board holds the old value
     once at most, so the new board clashes exactly when a unit of the cell
-    holds the new value elsewhere, and its masks are then None.  The child
-    of an inconsistent board computes its masks when asked."""
+    holds the new value elsewhere, and its masks are then None.  Only the
+    cell's row, column and box masks are rewritten.  The child of an
+    inconsistent board computes its masks when asked."""
     cells = board.cells
     child_cells = cells[:idx] + _CELL_BYTE[value] + cells[idx + 1 :]
-    units = board.masks
-    if units is None:
+    masks = board.masks
+    if masks is None:
         return _unchecked_board(child_cells)
     keep = ~(1 << cells[idx])  # a blank clears bit 0, which no mask sets
-    r, c, b = _UNITS[idx]
-    rows, cols, boxes = (list(u) for u in units)
     bit = 1 << value
-    rows[r] &= keep
-    cols[c] &= keep
-    boxes[b] &= keep
-    if (rows[r] | cols[c] | boxes[b]) & bit:
-        return _unchecked_board(child_cells, masks=None)
-    rows[r] |= bit
-    cols[c] |= bit
-    boxes[b] |= bit
-    return _unchecked_board(child_cells, masks=(tuple(rows), tuple(cols), tuple(boxes)))
+    units = bytearray(masks)
+    for at in _MASK_AT[idx]:
+        used = (units[at] | units[at + 1] << 8) & keep
+        if used & bit:
+            return _unchecked_board(child_cells, masks=None)
+        used |= bit
+        units[at] = used & 0xFF
+        units[at + 1] = used >> 8
+    return _unchecked_board(child_cells, masks=bytes(units))
 
 
 def consistent(board: SudokuBoard) -> bool:
@@ -250,10 +285,10 @@ def solve(
     unsolvable.  With an rng, candidate values are tried in random order
     (used for board generation); otherwise ascending.
     """
-    units = board.masks
-    if units is None:
+    masks = board.masks
+    if masks is None:
         return None
-    rows, cols, boxes = (list(u) for u in units)
+    rows, cols, boxes = _unit_lists(masks)
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
     if not _search(cells, rows, cols, boxes, blanks, rng):
@@ -331,12 +366,12 @@ def _expert_decision(board: SudokuBoard) -> Decision:
     """Fill every forced blank, recomputing candidates after each fill; with
     none forced, list the most constrained blanks.  A blank without a
     candidate is dead."""
-    units = board.masks
-    if units is None:
+    masks = board.masks
+    if masks is None:
         # The board itself is illegal; candidates are meaningless.  Treat the
         # first blank as dead so callers handle it like any stuck branch.
         return divmod(board.cells.index(0), 9)
-    rows, cols, boxes = (list(u) for u in units)
+    rows, cols, boxes = _unit_lists(masks)
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
     fills: list[tuple[int, int, int]] = []
@@ -367,9 +402,7 @@ def _expert_decision(board: SudokuBoard) -> Decision:
         if not filled_one:
             break
     if fills:
-        new_board = _unchecked_board(
-            bytes(cells), masks=(tuple(rows), tuple(cols), tuple(boxes))
-        )
+        new_board = _unchecked_board(bytes(cells), masks=_UNIT_MASKS.pack(*rows, *cols, *boxes))
         return Step(content=SudokuMove(tuple(fills), False, new_board))
     return ties
 

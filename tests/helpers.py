@@ -20,6 +20,7 @@ from reflect_lab.tasks.sudoku import (
     SudokuBoard,
     SudokuMove,
     _masks,
+    _unit_lists,
 )
 
 
@@ -261,7 +262,7 @@ def sudoku_expert_step_reference(board: SudokuBoard, rng) -> Step:
     if units is None:
         idx = board.cells.index(0)
         raise DeadEndError(*divmod(idx, 9))
-    rows, cols, boxes = (list(u) for u in units)
+    rows, cols, boxes = _unit_lists(units)
     cells = list(board.cells)
     blanks = [(idx, *_UNITS[idx]) for idx, v in enumerate(cells) if v == 0]
     fills: list[tuple[int, int, int]] = []

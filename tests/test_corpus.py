@@ -1,9 +1,11 @@
 """Corpus generation and JSONL round-trips."""
 
 import copy
+import dataclasses
 import gzip
 import itertools
 import json
+import pickle
 import zlib
 
 import pytest
@@ -33,6 +35,8 @@ from reflect_lab.engines import ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
     DifficultyTier,
     Disposition,
+    EpisodeRecord,
+    Event,
     Outcome,
     Query,
     Step,
@@ -43,7 +47,10 @@ from reflect_lab.mtp import (
     task_hooks,
 )
 from reflect_lab.sim import Law, SimplifiedParams, SyntheticSelfVerifier, SyntheticTransition
+from reflect_lab.tasks.mult import MultMove, MultState
+from reflect_lab.tasks.sudoku import SudokuBoard, SudokuMove
 from reflect_lab.tasks import (
+    OracleVerifier,
     binary_verifier,
     expert_policy,
     gen_query,
@@ -410,6 +417,53 @@ def test_record_round_trip(tmp_path):
     # the answer flag is what distinguishes answer steps on decode
     assert any(item["is_answer"] for item in obj["events"])
     assert record_from_json(json.loads(dumps_json_line(obj))) == record
+
+
+def _dataclass_values(obj):
+    """Every dataclass instance obj holds, obj included, through fields and
+    tuples."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _dataclass_values(item)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield obj
+        for field in dataclasses.fields(obj):
+            yield from _dataclass_values(getattr(obj, field.name))
+
+
+def test_records_and_examples_hold_no_instance_dict(tmp_path):
+    rng = rng_mod.stream(30, 0)
+    query = gen_query(TaskName.SUDOKU, DifficultyTier.ID_HARD, rng)
+    record = run_rtbs(
+        SelfVerifying(
+            make_noisy_policy(expert_policy(TaskName.SUDOKU), 0.3),
+            make_noisy_verifier(OracleVerifier(query), 0.1, 0.1),
+        ),
+        transition_for(TaskName.SUDOKU),
+        query,
+        mode_config("rtbs", 2, 64, 96),
+        rng,
+    )
+    path = str(tmp_path / "episodes.jsonl")
+    assert write_records([record], path) == 1
+    (decoded,) = read_records(path)
+    assert decoded == record
+    example = next(iter(generate_corpus(small_spec(example_count=1))))
+    for root, kinds in (
+        (record, {EpisodeRecord, Query, Event, VerifiedStep, Step, Verification, SudokuMove,
+                  SudokuBoard}),
+        (decoded, {EpisodeRecord, Query, Event, VerifiedStep, Step, Verification, SudokuMove,
+                   SudokuBoard}),
+        (example, {CotExample, Query, VerifiedStep, Step, Verification, MultMove, MultState}),
+    ):
+        values = list(_dataclass_values(root))
+        assert {type(value) for value in values} == kinds
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value)
+    for copied in (pickle.loads(pickle.dumps(decoded)), copy.deepcopy(decoded)):
+        assert copied == decoded
+    for copied in (pickle.loads(pickle.dumps(example)), copy.deepcopy(example)):
+        assert copied == example
 
 
 def _synthetic_rmtp_record(seed):

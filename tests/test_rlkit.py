@@ -276,27 +276,6 @@ def test_truncation_is_idempotent(quality, final_answer):
         assert len(once.events) == quality.index("bad") + 1
 
 
-# --- CSV ---
-
-
-def test_advantage_table_csv_layout():
-    table = grpo_group_advantages(simple_group([1, 0]))
-    table = mask_rejected_advantages(table.group.trajectories[0], table)
-    text = table.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "g,t,advantage,step_masked"
-    assert len(lines) == 1 + 4  # two trajectories x two events
-    g, t, adv, masked = lines[1].split(",")
-    assert (g, t) == ("0", "0")
-    assert float(adv) == 1.0
-    assert masked in {"0", "1"}
-    # repr-format advantages survive a float round-trip exactly
-    for line in lines[1:]:
-        value = float(line.split(",")[2])
-        g_i, t_i = int(line.split(",")[0]), int(line.split(",")[1])
-        assert value == table.rows[g_i].advantages[t_i]
-
-
 def test_row_index_prefers_identity():
     group = simple_group([1, 0])
     table = grpo_group_advantages(group)

@@ -140,6 +140,13 @@ def test_vector_engine_refuses_a_thread_count_below_one(ref_params, threads):
 
 
 @pytest.mark.parametrize("engine", ["vector", "episode"])
+@pytest.mark.parametrize("threads", [0, -5])
+def test_both_engines_refuse_a_thread_count_below_one(ref_params, engine, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        simulate_accuracy(ref_params, 3, "rmtp", 10, 0, threads=threads, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["vector", "episode"])
 @pytest.mark.parametrize("mode, m", [("none", None), ("rmtp", None), ("rtbs", 2)])
 @pytest.mark.parametrize("budget", [0, -3])
 def test_budget_below_one_is_refused_by_both_engines(ref_params, engine, mode, m, budget):

@@ -6,6 +6,7 @@ bitmask machinery.
 """
 
 import copy
+import dataclasses
 import enum
 import gc
 import pickle
@@ -151,11 +152,22 @@ def test_every_builder_makes_bytes_cells():
         assert board == SudokuBoard(tuple(board.cells))
 
 
+def _filled_slots(board: SudokuBoard) -> dict[str, object]:
+    """The board's slots that hold a value, read without filling any."""
+    filled = {}
+    for name in SudokuBoard.__slots__:
+        try:
+            filled[name] = getattr(SudokuBoard, name).__get__(board)
+        except AttributeError:
+            pass
+    return filled
+
+
 def test_a_used_board_survives_pickle_and_deepcopy():
     board = SudokuBoard(PUZZLE.cells)
     board.render()
     child = sudoku_expert_step(board, rng_mod.stream(28, 1)).content.new_board
-    assert {"masks", "_text", "_expert"} <= set(vars(board))
+    assert {"masks", "_text", "_expert"} <= set(_filled_slots(board))
     for used in (board, child):
         for copied in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
             assert copied == used and hash(copied) == hash(used)
@@ -331,7 +343,7 @@ def test_expert_step_equals_the_sweep_on_every_call_of_a_board():
     for board, state in _noisy_expert_inputs():
         expected = _outcome(sudoku_expert_step_reference, board, state)
         cold = SudokuBoard(board.cells)
-        assert "_expert" not in vars(cold)
+        assert "_expert" not in _filled_slots(cold)
         for target in (cold, cold, board):
             assert _outcome(sudoku_expert_step, target, state) == expected
         kinds.append((_kind(expected[0]), _masks(board.cells) is None))
@@ -353,12 +365,12 @@ def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
             for item in obj:
                 walk(item)
         elif isinstance(obj, (Step, SudokuMove)):
-            for item in vars(obj).values():
-                walk(item)
+            for field in dataclasses.fields(obj):
+                walk(getattr(obj, field.name))
         else:
             assert obj is None or type(obj) in (int, bool, str, bytes), type(obj)
 
-    for value in vars(board).values():
+    for value in _filled_slots(board).values():
         walk(value)
     return held
 
@@ -805,6 +817,21 @@ def test_misfill_without_conflict_still_breaks_solution():
     assert corrupted.fills != step.content.fills
     new = corrupted.new_board
     assert not (consistent(new) and solve(new) is not None and new.cells == solve(PUZZLE).cells)
+
+
+def test_misfill_finds_no_conflict_on_a_near_empty_board():
+    # A guess on the empty board is the only filled cell, so no wrong value
+    # of it clashes with a peer: require_conflict tries all eight and gives
+    # up, and without it the first wrong value drawn is taken.
+    move = sudoku_expert_step(EMPTY, rng_mod.stream(29, 0)).content
+    assert move.guess and len(move.fills) == 1 and move.new_board.blank_count == 80
+    assert misfill(EMPTY, move, rng_mod.stream(29, 1), require_conflict=True) is None
+    corrupted, label_index = misfill(EMPTY, move, rng_mod.stream(29, 1))
+    ((row, col, wrong),) = corrupted.fills
+    assert (row, col) == move.fills[0][:2] and wrong != move.fills[0][2]
+    assert label_index == 0 and corrupted.guess
+    assert corrupted.new_board == EMPTY.with_fills(corrupted.fills)
+    assert consistent(corrupted.new_board)
 
 
 # --- task hooks ---
