@@ -449,13 +449,10 @@ def test_records_and_examples_hold_no_instance_dict(tmp_path):
     (decoded,) = read_records(path)
     assert decoded == record
     example = next(iter(generate_corpus(small_spec(example_count=1))))
-    for root, kinds in (
-        (record, {EpisodeRecord, Query, Event, VerifiedStep, Step, Verification, SudokuMove,
-                  SudokuBoard}),
-        (decoded, {EpisodeRecord, Query, Event, VerifiedStep, Step, Verification, SudokuMove,
-                   SudokuBoard}),
-        (example, {CotExample, Query, VerifiedStep, Step, Verification, MultMove, MultState}),
-    ):
+    in_record = {EpisodeRecord, Query, Event, VerifiedStep, Step, Verification, SudokuMove,
+                 SudokuBoard}
+    in_example = {CotExample, Query, VerifiedStep, Step, Verification, MultMove, MultState}
+    for root, kinds in ((record, in_record), (decoded, in_record), (example, in_example)):
         values = list(_dataclass_values(root))
         assert {type(value) for value in values} == kinds
         for value in values:
