@@ -95,33 +95,26 @@ class GridCell:
     def ratio(self) -> float:
         return self.verified / self.total if self.total else 0.0
 
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.ratio
-
 
 @dataclass
 class FrequencyGrid:
     """How often steps carry non-empty verification, per difficulty cell.
 
-    Cells are keyed by the task record's grid_key: Mult cells are (y digit
-    count, x digit count), Sudoku cells the puzzle's blank count, and the
-    synthetic task keys on the raw query payload.
+    Cells are keyed by the task record's grid_key, a tuple with one field a
+    column of the CSV header: Mult cells are (y digit count, x digit count),
+    Sudoku cells (blank count,), and the synthetic task keys on (payload,).
     """
 
     task: TaskName
-    cells: dict[Any, GridCell]
+    cells: dict[tuple, GridCell]
 
     def to_csv(self) -> str:
         lines = [f"{task_hooks(self.task).grid_header},verified,total,pct,ratio"]
         for key in sorted(self.cells):
             cell = self.cells[key]
-            key_text = (
-                f"{key[0]},{key[1]}" if isinstance(key, tuple) else str(key)
-            )
             lines.append(
-                f"{key_text},{cell.verified},{cell.total},"
-                f"{cell.percent:.1f},{cell.ratio!r}"
+                f"{','.join(map(str, key))},{cell.verified},{cell.total},"
+                f"{100.0 * cell.ratio:.1f},{cell.ratio!r}"
             )
         return "\n".join(lines) + "\n"
 
@@ -129,7 +122,7 @@ class FrequencyGrid:
 def reflection_frequency(records: Iterable[EpisodeRecord]) -> FrequencyGrid:
     """Percentage of proposal events with non-empty verification per cell."""
     task: Optional[TaskName] = None
-    counts: dict[Any, list[int]] = {}
+    counts: dict[tuple, list[int]] = {}
     for record in records:
         if task is None:
             task = record.query.task

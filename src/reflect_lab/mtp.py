@@ -177,12 +177,13 @@ class TaskHooks:
     payload_from_json: Callable[[Any], Any] = _same
     answer_to_json: Callable[[Any], Any] = _same
     answer_from_json: Callable[[Any], Any] = _same
-    # Reflection-frequency grid: a payload's cell key and the key's CSV header.
-    grid_key: Callable[[Any], Any] = _same
+    # Reflection-frequency grid: a payload's cell key, a tuple with one field
+    # a column, and the key's CSV header.
+    grid_key: Callable[[Any], tuple] = lambda payload: (payload,)
     grid_header: str = "key"
     # gen_query(tier, rng), the expert policy, the exact binary and detailed
     # rules, and corrupt(state, move, rng), which returns a wrong version of
-    # an honest move (or None) for noisy policies.
+    # an honest move for noisy policies.
     gen_query: Optional[Callable[[DifficultyTier, np.random.Generator], Query]] = None
     expert_policy: Optional[PolicyInterface] = None
     binary_rule: Optional[Callable[[Any, Step], Verification]] = None

@@ -108,13 +108,8 @@ def grpo_group_advantages(group: TrajectoryGroup) -> AdvantageTable:
     """
     r_outcome = _normalize(group.outcome_rewards)
     flat = [v for row in group.process_rewards for v in row]
-    if flat:
-        flat_norm = iter(_normalize(flat))
-        process_norm = [
-            [next(flat_norm) for _ in row] for row in group.process_rewards
-        ]
-    else:
-        process_norm = [[] for _ in group.process_rewards]
+    flat_norm = iter(_normalize(flat) if flat else ())
+    process_norm = [[next(flat_norm) for _ in row] for row in group.process_rewards]
     rows = []
     for g, record in enumerate(group.trajectories):
         row_process = process_norm[g]
@@ -159,29 +154,21 @@ def early_truncate(
 
     A chain that accepted a bad step has already failed; everything after it
     is noise for training.  The answer survives only when the truncation
-    point is the answer step itself.  Records with no accepted bad step are
-    returned unchanged; the operation is idempotent.  A cut record is a
-    training view, not one the executor writes, so corpus.record_from_json
-    refuses it.
+    point is the answer step itself.  Records with no accepted bad step, and
+    records the cut leaves equal, are returned as the same object; the
+    operation is idempotent.  A cut record is a training view, not one the
+    executor writes, so corpus.record_from_json refuses it.
     """
     for i, event in enumerate(record.events):
         if event.disposition is not Disposition.ACCEPTED:
             continue
         if oracle_prm(record.query, event.state, event.verified.step):
             continue
-        events = record.events[: i + 1]
-        last_is_answer = event.verified.step.is_answer
-        answer = record.answer if (last_is_answer and record.answer is not None) else None
-        if (
-            len(events) == len(record.events)
-            and record.outcome is Outcome.INCORRECT
-            and answer == record.answer
-        ):
-            return record
-        return EpisodeRecord(
+        cut = EpisodeRecord(
             query=record.query,
-            events=events,
-            answer=answer,
+            events=record.events[: i + 1],
+            answer=record.answer if event.verified.step.is_answer else None,
             outcome=Outcome.INCORRECT,
         )
+        return record if cut == record else cut
     return record

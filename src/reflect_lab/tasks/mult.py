@@ -125,9 +125,10 @@ def _eliminate(state: MultState, digit: int, positions: tuple[int, ...], side: s
     return MultMove(side, digit, positions, delta, contributions, new_state)
 
 
-def mult_expert_step(state: MultState, rng: np.random.Generator | None = None) -> Step:
+def mult_expert_step(state: MultState) -> Step:
     """Deterministic expert: eliminate the smallest digit value left in y,
-    or emit the answer once the state is terminal."""
+    or emit the answer once the state is terminal.  It draws nothing, so it
+    takes no generator."""
     if state.terminal:
         return Step(content=state.z, is_answer=True)
     digits = nonzero_digits(state.y)
@@ -137,7 +138,7 @@ def mult_expert_step(state: MultState, rng: np.random.Generator | None = None) -
 
 class MultExpertPolicy:
     def sample(self, state: MultState, rng: np.random.Generator) -> Step:
-        return mult_expert_step(state, rng)
+        return mult_expert_step(state)
 
 
 class MultTransition:

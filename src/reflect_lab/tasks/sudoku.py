@@ -510,19 +510,19 @@ def verify_detailed_sudoku(state: SudokuBoard, step: Step) -> Verification:
 
 
 def misfill(
-    state: SudokuBoard,
     move: SudokuMove,
     rng: np.random.Generator,
     require_conflict: bool = False,
 ) -> Optional[tuple[SudokuMove, int]]:
     """Replace one fill's value with a wrong one.
 
-    With require_conflict the replacement must break rule-consistency of the
-    new board (None is returned when no replacement at that position does).
     The corrupted board is the move's board with that one value changed; for
-    an honest move made at `state` that is `state` with the corrupted fills.
+    an honest move that is the board it was made at with the corrupted fills.
     Returns the corrupted move and the row-major label index of the
-    corrupted fill.
+    corrupted fill.  Without require_conflict the first wrong value drawn is
+    taken, so a result always comes back.  With it the replacement must
+    break rule-consistency of the new board, and None is returned when no
+    replacement at that position does.
     """
     fi = int(rng.integers(len(move.fills)))
     row, col, honest = move.fills[fi]
@@ -657,13 +657,6 @@ def _sudoku_move_from_json(obj: dict) -> SudokuMove:
     )
 
 
-def _sudoku_corrupt(
-    state: SudokuBoard, move: SudokuMove, rng: np.random.Generator
-) -> Optional[SudokuMove]:
-    result = misfill(state, move, rng)
-    return None if result is None else result[0]
-
-
 register_task(
     TaskName.SUDOKU,
     TaskHooks(
@@ -679,13 +672,13 @@ register_task(
         payload_from_json=SudokuBoard.parse,
         answer_to_json=SudokuBoard.render,
         answer_from_json=SudokuBoard.parse,
-        grid_key=lambda puzzle: puzzle.blank_count,
+        grid_key=lambda puzzle: (puzzle.blank_count,),
         grid_header="blanks",
         gen_query=gen_sudoku_query,
         expert_policy=SudokuExpertPolicy(),
         transition=SudokuTransition(),
         binary_rule=verify_binary_sudoku,
         detailed_rule=verify_detailed_sudoku,
-        corrupt=_sudoku_corrupt,
+        corrupt=lambda state, move, rng: misfill(move, rng)[0],
     ),
 )

@@ -372,7 +372,7 @@ def test_criterion_07_verifiers_catch_and_localize_corruptions():
                 or not event.verified.verification.labels
             ):
                 continue
-            out = misfill(event.state, step.content, rng, require_conflict=True)
+            out = misfill(step.content, rng, require_conflict=True)
             if out is None:
                 continue
             corrupted, index = out

@@ -5,6 +5,8 @@ import json
 import os
 import platform
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +37,16 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert __version__ in result.output
+
+
+def test_the_module_runs_as_a_program(monkeypatch, capsys):
+    # runpy warns that the test session imported reflect_lab.cli already.
+    monkeypatch.setattr(sys, "argv", ["reflect-lab", "--version"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as stopped:
+            runpy.run_module("reflect_lab.cli", run_name="__main__")
+    assert stopped.value.code == 0
+    assert __version__ in capsys.readouterr().out
 
 
 def test_missing_required_flag_is_usage_error(runner, tmp_path):
@@ -227,6 +239,17 @@ def test_gen_data_refuses_a_mix_it_cannot_apportion(runner, tmp_path, mix):
     assert result.exit_code == 2, result.output
     assert "'--tier-mix'" in result.output
     assert not os.path.exists(out)
+
+
+def test_gen_data_skips_empty_tier_mix_parts(runner, tmp_path):
+    paths = []
+    for extra in ([], ["--tier-mix", "id_easy=0.5,,id_hard=0.5,"]):
+        out = str(tmp_path / f"{len(paths)}.jsonl")
+        args = ["gen-data", "--task", "mult", "--count", "4", "--out", out, *extra]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        paths.append(out)
+    assert read_bytes(paths[0]) == read_bytes(paths[1])
 
 
 def test_run_task_writes_records_and_prints_accuracy(runner, tmp_path):

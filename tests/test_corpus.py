@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflect_lab import corpus
 from reflect_lab import rng as rng_mod
 from reflect_lab.corpus import (
     CorpusFormatError,
@@ -202,6 +203,15 @@ def test_generation_is_deterministic():
     second = [dumps_json_line(example_to_json(e)) for e in generate_corpus(spec)]
     assert first == second
     assert len(first) == spec.example_count
+
+
+def test_generation_refuses_an_episode_that_runs_out_of_budget(monkeypatch):
+    # One proposal cannot finish an id_hard product, so the lone episode ends
+    # without an answer.
+    monkeypatch.setattr(corpus, "_EPISODE_BUDGET", 1)
+    spec = small_spec(example_count=1, tier_mix=((DifficultyTier.ID_HARD, 1.0),))
+    with pytest.raises(RuntimeError, match="episode budget exhausted"):
+        list(generate_corpus(spec))
 
 
 def test_generation_respects_tier_apportionment():

@@ -200,8 +200,8 @@ def test_frequency_grid_rejects_mixed_tasks_and_empty_input():
 def test_frequency_grid_synthetic_keys_on_payload():
     records = [record_of([ev(3, True, (True,), A), ev(2, True, (), A)])]
     grid = reflection_frequency(records)
-    assert grid.cells[3].verified == 1
-    assert grid.cells[3].total == 2
+    assert grid.cells[(3,)].verified == 1
+    assert grid.cells[(3,)].total == 2
     assert "key,verified,total" in grid.to_csv().splitlines()[0]
 
 

@@ -19,6 +19,7 @@ from reflect_lab.mtp import (
     VerifiedStep,
 )
 from reflect_lab.rlkit import (
+    AdvantageRow,
     AdvantageTable,
     TrajectoryGroup,
     early_truncate,
@@ -129,6 +130,12 @@ def test_group_outcome_advantages_sum_to_zero(outcomes):
     assert abs(total) < 1e-12
 
 
+def test_a_group_of_empty_records_has_empty_rows():
+    empty = EpisodeRecord(QUERY, (), None, Outcome.INCORRECT)
+    table = grpo_group_advantages(TrajectoryGroup((empty, empty), (0.0, 0.0), ((), ())))
+    assert table.rows == (AdvantageRow((), ()), AdvantageRow((), ()))
+
+
 def test_process_rewards_enter_as_suffix_sums():
     records = (synthetic_record([A, A]), synthetic_record([A, A]))
     group = group_from_records(records, process_rewards=[[1.0, 2.0], [3.0, 4.0]])
@@ -196,6 +203,14 @@ def test_masking_rejects_foreign_record():
     stranger = synthetic_record([A, A, A])
     with pytest.raises(ValueError):
         mask_rejected_advantages(stranger, table)
+
+
+def test_masking_refuses_a_row_shorter_than_its_record():
+    group = simple_group([1, 0])
+    short = (AdvantageRow((0.0,), (False,)),) * 2
+    table = AdvantageTable(group=group, rows=short)
+    with pytest.raises(ValueError, match="does not align"):
+        mask_rejected_advantages(group.trajectories[0], table)
 
 
 # --- early truncation ---
@@ -270,7 +285,7 @@ def test_truncation_is_idempotent(quality, final_answer):
     record = EpisodeRecord(record.query, tuple(events), answer, record.outcome)
     once = early_truncate(record, on_track_oracle)
     twice = early_truncate(once, on_track_oracle)
-    assert twice == once
+    assert twice is once
     if "bad" in quality:
         assert once.outcome is Outcome.INCORRECT
         assert len(once.events) == quality.index("bad") + 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.mtp import DifficultyTier, Query, Step, TaskName, task_hooks
+from reflect_lab.mtp import DifficultyTier, Query, Step, TaskName, Verification, task_hooks
 from reflect_lab.tasks import (
     MULT_TIER_DIGITS,
     SUDOKU_TIER_BLANKS,
@@ -115,6 +115,21 @@ def test_noisy_policy_never_corrupts_answers():
         assert step.is_answer and step.content == 42
 
 
+def test_noisy_policy_leaves_a_task_without_corruption_alone():
+    # The synthetic task's record has no corrupt: at rate 1 the wrapper draws
+    # its one uniform and hands back the base step.
+    class OnTrack:
+        def sample(self, state, rng):
+            return Step(True)
+
+    rng = rng_mod.stream(5, 1)
+    step = make_noisy_policy(OnTrack(), 1.0).sample(SyntheticState(3, True), rng)
+    assert step == Step(True)
+    after_one = rng_mod.stream(5, 1)
+    after_one.random()
+    assert repr(rng.bit_generator.state) == repr(after_one.bit_generator.state)
+
+
 def test_noisy_policy_validation():
     with pytest.raises(ValueError):
         make_noisy_policy(expert_policy(TaskName.MULT), 1.5)
@@ -185,6 +200,19 @@ def test_noisy_verifier_zero_rates_draw_nothing():
     assert repr(rng.bit_generator.state) == before
 
 
+def test_noisy_verifier_passes_an_empty_verification_through():
+    class Silent:
+        def verify(self, state, step, rng):
+            return empty
+
+    empty = Verification()
+    noisy = make_noisy_verifier(Silent(), 1.0, 1.0)
+    rng = rng_mod.stream(11, 1)
+    before = repr(rng.bit_generator.state)
+    assert noisy.verify(MultState(7, 313, 0), Step(5, is_answer=True), rng) is empty
+    assert repr(rng.bit_generator.state) == before
+
+
 def test_noisy_verifier_validation():
     with pytest.raises(ValueError):
         make_noisy_verifier(binary_verifier(TaskName.MULT), -0.1, 0.0)
@@ -246,6 +274,11 @@ def test_step_passes_rule_is_the_binary_rule():
     assert not step_passes_rule(q, state, Step(5, is_answer=True))
     with pytest.raises(ValueError):
         step_passes_rule(Query(TaskName.SYNTHETIC, 1), SyntheticState(1, True), Step(True))
+
+
+def test_an_unregistered_task_is_named_in_the_error():
+    with pytest.raises(KeyError, match="no hooks registered for task 'nope'"):
+        task_hooks("nope")
 
 
 # --- rendering ---

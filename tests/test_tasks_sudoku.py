@@ -132,7 +132,7 @@ def test_every_builder_makes_bytes_cells():
     guess = sudoku_expert_step(EMPTY, rng)
     dead_fill = SudokuExpertPolicy().sample(PUZZLE.with_fills(((0, 2, 5),)), rng)
     assert not forced.content.guess and guess.content.guess and dead_fill.content.guess
-    corrupted, _ = misfill(PUZZLE, forced.content, rng)
+    corrupted, _ = misfill(forced.content, rng)
     boards = [
         SudokuBoard.parse(PUZZLE.render()),
         SudokuBoard.parse(" " + PUZZLE.render()),
@@ -274,7 +274,7 @@ def test_boards_carry_the_masks_and_text_of_their_cells():
             derived.append(move.new_board)
             assert move.new_board == board.with_fills(move.fills)
         for require_conflict in (False, True):
-            result = misfill(board, move, rng, require_conflict=require_conflict)
+            result = misfill(move, rng, require_conflict=require_conflict)
             if result is not None:
                 corrupted = result[0]
                 assert corrupted.new_board == board.with_fills(corrupted.fills)
@@ -758,7 +758,7 @@ def test_misfill_localized_by_detailed_verifier():
         step = sudoku_expert_step(PUZZLE, rng_mod.stream(17, seed))
         if step.is_answer:
             continue
-        result = misfill(PUZZLE, step.content, rng_mod.stream(18, seed), require_conflict=True)
+        result = misfill(step.content, rng_mod.stream(18, seed), require_conflict=True)
         if result is None:
             continue
         corrupted, label_index = result
@@ -784,7 +784,7 @@ def test_detailed_labels_match_the_unit_list_definition():
                 break
             moves = [step.content]
             for require_conflict in (False, True):
-                result = misfill(board, step.content, rng, require_conflict=require_conflict)
+                result = misfill(step.content, rng, require_conflict=require_conflict)
                 if result is not None:
                     moves.append(result[0])
             given = next(i for i, v in enumerate(board.cells) if v)
@@ -811,7 +811,7 @@ def test_misfill_without_conflict_still_breaks_solution():
     # A wrong value that does not clash outright still diverges from the
     # unique solution, so the board stops being solvable-consistent.
     step = sudoku_expert_step(PUZZLE, rng_mod.stream(19, 0))
-    result = misfill(PUZZLE, step.content, rng_mod.stream(19, 1))
+    result = misfill(step.content, rng_mod.stream(19, 1))
     assert result is not None
     corrupted, _ = result
     assert corrupted.fills != step.content.fills
@@ -825,8 +825,8 @@ def test_misfill_finds_no_conflict_on_a_near_empty_board():
     # up, and without it the first wrong value drawn is taken.
     move = sudoku_expert_step(EMPTY, rng_mod.stream(29, 0)).content
     assert move.guess and len(move.fills) == 1 and move.new_board.blank_count == 80
-    assert misfill(EMPTY, move, rng_mod.stream(29, 1), require_conflict=True) is None
-    corrupted, label_index = misfill(EMPTY, move, rng_mod.stream(29, 1))
+    assert misfill(move, rng_mod.stream(29, 1), require_conflict=True) is None
+    corrupted, label_index = misfill(move, rng_mod.stream(29, 1))
     ((row, col, wrong),) = corrupted.fills
     assert (row, col) == move.fills[0][:2] and wrong != move.fills[0][2]
     assert label_index == 0 and corrupted.guess

@@ -4,9 +4,11 @@ Runs tier-1 in this process under a line tracer (`sys.settrace` and
 `threading.settrace`, so the engine's worker threads count) and prints each
 statement of `src/reflect_lab` that never ran, as `path:line` and the
 statement's first line.  `def`/`class` headers are left out, and so are
-statements that compile to no code: bare constants (docstrings, `...`) and
-`try`, `global` and `nonlocal` headers.  A statement ran when any line of it
-ran (for `if`, `for`, `while` and `with`: any line of its header).
+statements that compile to no code: bare constants (docstrings, `...`),
+`try`, `global` and `nonlocal` headers, and a name annotated without a value
+inside a function (at module or class level it stores its annotation).  A
+statement ran when any line of it ran (for `if`, `for`, `while` and `with`:
+any line of its header).
 `tests/test_perfbench.py` and `tests/test_scripts.py` are skipped:
 their work runs in subprocesses, which the tracer cannot see.  Exits with
 pytest's status.  Tracing makes the suite about twice as slow.  Extra
@@ -31,10 +33,22 @@ def _is_constant(node: ast.stmt) -> bool:
     return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
 
 
+def _is_declaration(node: ast.stmt) -> bool:
+    """A name annotated without a value: in a function it compiles to nothing."""
+    return (
+        isinstance(node, ast.AnnAssign)
+        and node.value is None
+        and isinstance(node.target, ast.Name)
+    )
+
+
 def statements(source: str) -> list[tuple[int, int]]:
     """(first line, last line) of each statement that has code of its own."""
     spans = []
-    for node in ast.walk(ast.parse(source)):
+    # Each node with whether it lies in a function's scope.
+    stack = [(ast.parse(source), False)]
+    while stack:
+        node, local = stack.pop()
         for name in ("body", "orelse", "finalbody"):
             block = getattr(node, name, None)
             if not isinstance(block, list):
@@ -42,8 +56,15 @@ def statements(source: str) -> list[tuple[int, int]]:
             for stmt in block:
                 if isinstance(stmt, NO_CODE) or _is_constant(stmt):
                     continue
+                if local and _is_declaration(stmt):
+                    continue
                 last = stmt.body[0].lineno - 1 if isinstance(stmt, HEADED) else stmt.end_lineno
                 spans.append((stmt.lineno, max(stmt.lineno, last)))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append((child, True))
+            else:
+                stack.append((child, local and not isinstance(child, ast.ClassDef)))
     return sorted(set(spans))
 
 
