@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from . import rng as rng_mod
 from .engines import ReflectConfig, mode_config, run_rtbs
 from .mtp import (
+    UNVERIFIED,
     DifficultyTier,
     Disposition,
     EpisodeRecord,
@@ -52,6 +53,7 @@ from .mtp import (
     Verification,
     VerifiedStep,
     task_hooks,
+    verdict,
 )
 from .tasks import (
     TRAINING_TIERS,
@@ -227,11 +229,11 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[CotExample]:
             step = event.verified.step
             if step.is_answer:
                 continue
-            verification = Verification() if rule is None else rule(event.state, step)
+            verification = UNVERIFIED if rule is None else rule(event.state, step)
             steps.append(VerifiedStep(step, verification))
         yield CotExample(query, tuple(steps), record.answer, spec.style)
         if spec.style is CotStyle.OPTIONAL_DETAILED:
-            bare = tuple(VerifiedStep(s.step, Verification()) for s in steps)
+            bare = tuple(VerifiedStep(s.step) for s in steps)
             yield CotExample(query, bare, record.answer, spec.style)
 
 
@@ -242,7 +244,15 @@ def _labels_to_text(verification: Verification) -> str:
     return "".join("+" if ok else "-" for ok in verification.labels)
 
 
+# The labels most steps store, decoded to the shared verifications.
+_SHARED_LABELS = {"": UNVERIFIED, "+": verdict(True), "-": verdict(False)}
+
+
 def _labels_from_text(text: str) -> Verification:
+    # Only a string is looked up: any other stored value iterates, or fails,
+    # as it always has.
+    if isinstance(text, str) and text in _SHARED_LABELS:
+        return _SHARED_LABELS[text]
     return Verification(tuple(ch == "+" for ch in text))
 
 
@@ -422,7 +432,7 @@ class _Replay:
 
     def __init__(self, proposals: list[VerifiedStep]) -> None:
         self._proposals = iter(proposals)
-        self._labels = Verification()
+        self._labels = UNVERIFIED
 
     def sample(self, state: Any, rng: Any, attempt: int) -> Step:
         proposal = next(self._proposals, None)

@@ -17,6 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .mtp import (
+    UNVERIFIED,
     Disposition,
     EpisodeRecord,
     Event,
@@ -25,7 +26,6 @@ from .mtp import (
     SelfVerifyingInterface,
     Step,
     TransitionInterface,
-    Verification,
     VerifiedStep,
     task_hooks,
 )
@@ -58,9 +58,6 @@ class ReflectConfig:
 
 
 MODES = ("none", "rmtp", "rtbs")
-
-# The empty verification of every unverified proposal; frozen, so one is shared.
-_UNVERIFIED = Verification()
 
 
 def mode_config(
@@ -134,7 +131,7 @@ def run_rtbs(
             verification = self_verifying.verify(state, step, rng)
             verified_used += 1
         else:
-            verification = _UNVERIFIED
+            verification = UNVERIFIED
         vstep = VerifiedStep(step, verification)
         if not verification.rejected:
             events.append(Event(state, vstep, Disposition.ACCEPTED))

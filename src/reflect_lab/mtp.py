@@ -53,6 +53,9 @@ class Verification:
     False negative; any negative label rejects the step.
 
     An empty tuple means the step was not verified at all (non-reflective).
+    A verification is immutable, so the package shares the common ones: every
+    one-label verdict is one of two objects (see `verdict`), and every empty
+    verification is UNVERIFIED.
     """
 
     labels: tuple[bool, ...] = ()
@@ -62,10 +65,20 @@ class Verification:
         return False in self.labels
 
 
+UNVERIFIED = Verification()
+_ACCEPT = Verification((True,))
+_REJECT = Verification((False,))
+
+
+def verdict(ok: bool) -> Verification:
+    """The one-label verification of ok, shared: accept or reject."""
+    return _ACCEPT if ok else _REJECT
+
+
 @dataclass(frozen=True, slots=True)
 class VerifiedStep:
     step: Step
-    verification: Verification = Verification()
+    verification: Verification = UNVERIFIED
 
 
 class Disposition(str, enum.Enum):

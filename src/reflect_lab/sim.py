@@ -53,6 +53,7 @@ from .mtp import (
     TaskName,
     Verification,
     register_task,
+    verdict,
 )
 from .theory import PosteriorParams, SimplifiedParams, rate_table
 
@@ -258,7 +259,7 @@ class SyntheticSelfVerifier:
     def verify(
         self, state: SyntheticState, step: Step, rng: np.random.Generator
     ) -> Verification:
-        return Verification((self._accept,))
+        return verdict(self._accept)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from ..mtp import (
     VerifierInterface,
     state_hooks,
     task_hooks,
+    verdict,
 )
 # Importing the task modules registers their records; these names are
 # re-exported for callers that import them from the package.
@@ -105,7 +106,8 @@ class NoisyVerifier:
     with probability e_minus (one uniformly chosen label turns negative), a
     failing step is passed with probability e_plus (all labels turn
     positive).  A zero rate draws nothing, so at rates 0 the wrapper is
-    behaviorally identical to the base verifier."""
+    behaviorally identical to the base verifier.  A flipped one-label verdict
+    is the shared one (`verdict`)."""
 
     base: VerifierInterface
     e_minus: float
@@ -117,16 +119,17 @@ class NoisyVerifier:
 
     def verify(self, state: Any, step: Step, rng: np.random.Generator) -> Verification:
         truth = self.base.verify(state, step, rng)
-        if not truth.labels:
+        count = len(truth.labels)
+        if not count:
             return truth
         if truth.rejected:
             if self.e_plus > 0.0 and rng.random() < self.e_plus:
-                return Verification(tuple(True for _ in truth.labels))
+                return verdict(True) if count == 1 else Verification((True,) * count)
             return truth
         if self.e_minus > 0.0 and rng.random() < self.e_minus:
             labels = list(truth.labels)
-            labels[int(rng.integers(len(labels)))] = False
-            return Verification(tuple(labels))
+            labels[int(rng.integers(count))] = False
+            return verdict(False) if count == 1 else Verification(tuple(labels))
         return truth
 
 
@@ -163,4 +166,4 @@ class OracleVerifier:
     query: Query
 
     def verify(self, state: Any, step: Step, rng: np.random.Generator) -> Verification:
-        return Verification((step_leads_positive(self.query, state, step),))
+        return verdict(step_leads_positive(self.query, state, step))

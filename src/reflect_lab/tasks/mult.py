@@ -26,6 +26,7 @@ from ..mtp import (
     TaskName,
     Verification,
     register_task,
+    verdict,
 )
 
 # Digits of the greater operand per tier; ood_hard is held out of training.
@@ -161,11 +162,11 @@ def verify_binary_mult(state: MultState, step: Step) -> Verification:
     correct accumulated value.
     """
     if step.is_answer:
-        return Verification((state.terminal and step.content == state.z,))
+        return verdict(state.terminal and step.content == state.z)
     move = step.content
     if not isinstance(move, MultMove):
-        return Verification((False,))
-    return Verification((move.new_state.value() == state.value(),))
+        return verdict(False)
+    return verdict(move.new_state.value() == state.value())
 
 
 def verify_detailed_mult(state: MultState, step: Step) -> Verification:
@@ -182,7 +183,7 @@ def verify_detailed_mult(state: MultState, step: Step) -> Verification:
         or not move.positions
         or len(move.positions) != len(move.contributions)
     ):
-        return Verification((False,))
+        return verdict(False)
     operand = state.y if move.side == "y" else state.x
     other = state.x if move.side == "y" else state.y
     new_operand = move.new_state.y if move.side == "y" else move.new_state.x

@@ -22,14 +22,19 @@ duplicate in a row, column, or block).  Solvability questions go through an
 independent most-constrained-first backtracking solver kept free of the
 expert-policy code path.  The solver decides every board that no completion
 found so far covers; a known completion of the puzzle that agrees with every
-filled cell of a board is a proof that the board is solvable.
+filled cell of a board is a proof that the board is solvable.  What the
+oracle learns about a puzzle lives as long as the puzzle's board: it is keyed
+weakly by that board, and an equal board decoded meanwhile finds it.
+
+Moves share their fills: every (row, col, value) triple a builder or the
+decoder makes is one of 729 module-level tuples.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,6 +47,7 @@ from ..mtp import (
     TaskName,
     Verification,
     register_task,
+    verdict,
 )
 
 # Blank cells of the puzzle per tier; ood_hard is held out of training.
@@ -90,6 +96,11 @@ _UNIT_MASKS = struct.Struct("<27H")
 _MASK_AT: tuple[tuple[int, int, int], ...] = tuple(
     (2 * r, 18 + 2 * c, 36 + 2 * b) for r, c, b in _UNITS
 )
+# The 729 legal fills (row, col, value), shared by every move: the fill of
+# value v at cell index idx is _FILLS[9 * idx + v - 1].
+_FILLS: tuple[tuple[int, int, int], ...] = tuple(
+    (idx // 9, idx % 9, v) for idx in range(81) for v in range(1, 10)
+)
 # The expert step's rng-free outcome on a board with a blank: the forced-fill
 # step, the dead blank's (row, col), or the guess's choices (cell index and
 # candidates of each most constrained blank, row-major).
@@ -116,10 +127,11 @@ class SudokuBoard:
     bytes, or None) and the expert step's decision are slots, each filled at
     most once, on first read, by __getattr__.  A forced step's board is full
     or has no singleton left, so its own decision is a guess, which holds no
-    board: a board keeps at most one other board alive.
+    board: a board keeps at most one other board alive.  A board can be
+    weakly referenced, which the oracle's memory of a puzzle is keyed by.
     """
 
-    __slots__ = ("cells", "masks", "_text", "_expert")
+    __slots__ = ("cells", "masks", "_text", "_expert", "__weakref__")
     cells: bytes
 
     def __post_init__(self) -> None:
@@ -393,7 +405,7 @@ def _expert_decision(board: SudokuBoard) -> Decision:
                 rows[r] |= 1 << v
                 cols[c] |= 1 << v
                 boxes[b] |= 1 << v
-                fills.append((r, c, v))
+                fills.append(_FILLS[9 * idx + v - 1])
                 filled_one = True
             elif not fills and len(values) <= fewest:
                 if len(values) < fewest:
@@ -424,7 +436,7 @@ def sudoku_expert_step(board: SudokuBoard, rng: np.random.Generator) -> Step:
     pick, values = decision[int(rng.integers(len(decision)))]
     v = values[int(rng.integers(len(values)))]
     # v is a candidate, so the guessed board stays consistent.
-    fill = (*divmod(pick, 9), v)
+    fill = _FILLS[9 * pick + v - 1]
     return Step(content=SudokuMove((fill,), True, _with_cell(board, pick, v)))
 
 
@@ -437,8 +449,9 @@ class SudokuExpertPolicy:
             return sudoku_expert_step(state, rng)
         except DeadEndError as dead:
             value = 1 + int(rng.integers(9))
-            board = _with_cell(state, dead.row * 9 + dead.col, value)
-            return Step(content=SudokuMove(((dead.row, dead.col, value),), True, board))
+            idx = dead.row * 9 + dead.col
+            fill = _FILLS[9 * idx + value - 1]
+            return Step(content=SudokuMove((fill,), True, _with_cell(state, idx, value)))
 
 
 class SudokuTransition:
@@ -474,12 +487,11 @@ def verify_binary_sudoku(state: SudokuBoard, step: Step) -> Verification:
             and consistent(state)
             and step.content == state
         )
-        return Verification((ok,))
+        return verdict(ok)
     move = step.content
     if not isinstance(move, SudokuMove) or not _fills_well_formed(move):
-        return Verification((False,))
-    ok = board_extends(state, move.new_board) and consistent(move.new_board)
-    return Verification((ok,))
+        return verdict(False)
+    return verdict(board_extends(state, move.new_board) and consistent(move.new_board))
 
 
 def sorted_fills(move: SudokuMove) -> tuple[tuple[int, int, int], ...]:
@@ -496,7 +508,7 @@ def verify_detailed_sudoku(state: SudokuBoard, step: Step) -> Verification:
         return verify_binary_sudoku(state, step)
     move = step.content
     if not isinstance(move, SudokuMove) or not _fills_well_formed(move):
-        return Verification((False,))
+        return verdict(False)
     old, new = state.cells, move.new_board.cells
     labels = []
     for row, col, value in sorted_fills(move):
@@ -534,11 +546,10 @@ def misfill(
             break
     else:
         return None
-    fills = tuple(
-        (row, col, chosen) if i == fi else f for i, f in enumerate(move.fills)
-    )
+    fill = _FILLS[9 * (row * 9 + col) + chosen - 1]
+    fills = tuple(fill if i == fi else f for i, f in enumerate(move.fills))
     corrupted = SudokuMove(fills, move.guess, new_board)
-    label_index = sorted_fills(corrupted).index((row, col, chosen))
+    label_index = sorted_fills(corrupted).index(fill)
     return (corrupted, label_index)
 
 
@@ -550,10 +561,9 @@ def gen_sudoku_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
     return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
 
 
-# The solvability oracle's memory: at most _FACTS_PUZZLES puzzles, each with
-# at most _FACTS_COMPLETIONS completions and _FACTS_REFUTED refuted boards,
-# so 65536 boards in all.  A state the full lists do not answer is searched.
-_FACTS_PUZZLES = 512
+# The solvability oracle's memory of one puzzle: at most _FACTS_COMPLETIONS
+# completions and _FACTS_REFUTED refuted boards.  A state the full lists do
+# not answer is searched.
 _FACTS_COMPLETIONS = 32
 _FACTS_REFUTED = 96
 
@@ -578,10 +588,18 @@ class _PuzzleFacts:
         self.unsolvable: set[int] = set()
 
 
-@lru_cache(maxsize=_FACTS_PUZZLES)
+# The facts of each puzzle, keyed weakly by the first board of the puzzle
+# asked about: they live as long as that board, and an equal board finds
+# them meanwhile.  Facts hold ints only, so they never keep their key alive.
+_FACTS: weakref.WeakKeyDictionary[SudokuBoard, _PuzzleFacts] = weakref.WeakKeyDictionary()
+
+
 def _puzzle_facts(puzzle: SudokuBoard) -> _PuzzleFacts:
-    """The facts of one of the _FACTS_PUZZLES most recently used puzzles."""
-    return _PuzzleFacts(puzzle)
+    """The facts of the puzzle, empty the first time it is asked about."""
+    facts = _FACTS.get(puzzle)
+    if facts is None:
+        facts = _FACTS[puzzle] = _PuzzleFacts(puzzle)
+    return facts
 
 
 def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
@@ -649,9 +667,18 @@ def _sudoku_move_to_json(move: SudokuMove) -> dict:
     }
 
 
+def _fill_from_json(fill: list) -> tuple[int, int, int]:
+    """A stored fill; one of three ints in range is the shared triple, and
+    any other value converts (or fails) element by element."""
+    r, c, v = fill
+    if type(r) is type(c) is type(v) is int and 0 <= r < 9 and 0 <= c < 9 and 1 <= v <= 9:
+        return _FILLS[81 * r + 9 * c + v - 1]
+    return (int(r), int(c), int(v))
+
+
 def _sudoku_move_from_json(obj: dict) -> SudokuMove:
     return SudokuMove(
-        fills=tuple((int(r), int(c), int(v)) for r, c, v in obj["fills"]),
+        fills=tuple(map(_fill_from_json, obj["fills"])),
         guess=bool(obj["guess"]),
         new_board=SudokuBoard.parse(obj["board"]),
     )

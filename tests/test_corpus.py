@@ -34,6 +34,7 @@ from reflect_lab.corpus import (
 )
 from reflect_lab.engines import ReflectConfig, mode_config, run_rtbs
 from reflect_lab.mtp import (
+    UNVERIFIED,
     DifficultyTier,
     Disposition,
     EpisodeRecord,
@@ -46,6 +47,7 @@ from reflect_lab.mtp import (
     Verification,
     VerifiedStep,
     task_hooks,
+    verdict,
 )
 from reflect_lab.sim import Law, SimplifiedParams, SyntheticSelfVerifier, SyntheticTransition
 from reflect_lab.tasks.mult import MultMove, MultState
@@ -677,6 +679,41 @@ def test_labels_the_executor_cannot_write_are_refused(index, labels, message):
     obj["events"][index]["labels"] = labels
     with pytest.raises(CorpusFormatError, match=message):
         record_from_json(obj)
+
+
+def test_stored_labels_decode_to_the_shared_verifications():
+    shared = {"": UNVERIFIED, "+": verdict(True), "-": verdict(False)}
+    for text, verification in shared.items():
+        assert corpus._labels_from_text(text) is verification
+    several = corpus._labels_from_text("+-+")
+    assert several.labels == (True, False, True)
+    assert several is not corpus._labels_from_text("+-+")
+    # A value that is not a string iterates, or fails, as it always has.
+    assert corpus._labels_from_text(["+"]).labels == (True,)
+    with pytest.raises(TypeError, match="'NoneType' object is not iterable"):
+        corpus._labels_from_text(None)
+    record = record_from_json(_synthetic_rtbs_line())
+    held = {id(event.verified.verification) for event in record.events}
+    assert held == {id(v) for v in shared.values()}
+
+
+@pytest.mark.parametrize("alias", [True, 1.0, "1"], ids=["true", "float", "text"])
+def test_a_fill_stored_as_an_alias_of_1_loads_only_where_it_equals_1(alias):
+    obj = _sudoku_record_line()
+    original = record_from_json(copy.deepcopy(obj))
+    fill = next(
+        fill
+        for item in obj["events"]
+        if item["disposition"] != "traceback" and not item["is_answer"]
+        for fill in item["step"]["fills"]
+        if 1 in fill
+    )
+    fill[fill.index(1)] = alias
+    if alias == 1:
+        assert record_from_json(obj) == original
+    else:
+        with pytest.raises(CorpusFormatError, match=r"event \d+: step .*'1'.*executor writes"):
+            record_from_json(obj)
 
 
 def test_a_tier_on_a_task_without_tiers_is_refused():

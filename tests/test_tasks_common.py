@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from reflect_lab import rng as rng_mod
-from reflect_lab.mtp import DifficultyTier, Query, Step, TaskName, Verification, task_hooks
+from reflect_lab.mtp import (
+    DifficultyTier,
+    Query,
+    Step,
+    TaskName,
+    Verification,
+    task_hooks,
+    verdict,
+)
 from reflect_lab.tasks import (
     MULT_TIER_DIGITS,
     SUDOKU_TIER_BLANKS,
@@ -25,8 +33,14 @@ from reflect_lab.tasks import (
     transition_for,
 )
 from reflect_lab.tasks.mult import MultState, mult_expert_step
-from reflect_lab.tasks.sudoku import SudokuBoard, generate_full_board, solve
-from reflect_lab.sim import SyntheticState, SyntheticTransition
+from reflect_lab.tasks.sudoku import SudokuBoard, generate_full_board, make_puzzle, solve
+from reflect_lab.sim import (
+    Law,
+    SimplifiedParams,
+    SyntheticSelfVerifier,
+    SyntheticState,
+    SyntheticTransition,
+)
 
 
 # --- tier-disciplined query generation ---
@@ -216,6 +230,72 @@ def test_noisy_verifier_passes_an_empty_verification_through():
 def test_noisy_verifier_validation():
     with pytest.raises(ValueError):
         make_noisy_verifier(binary_verifier(TaskName.MULT), -0.1, 0.0)
+
+
+# --- shared verdicts ---
+
+
+def _one_label_verdicts():
+    """(verification, expected label) from every one-label producer."""
+    rng = rng_mod.stream(16, 0)
+    mult = MultState(321, 4052, 0)
+    mult_query = Query(TaskName.MULT, (321, 4052))
+    good = mult_expert_step(mult)
+    bad = Step(MultState(0, 0, 0))
+    done = MultState(321, 0, 321 * 4052)
+    right, wrong = Step(321 * 4052, is_answer=True), Step(5, is_answer=True)
+    full = generate_full_board(rng_mod.stream(16, 1))
+    puzzle = make_puzzle(full, 30, rng_mod.stream(16, 2))
+    move = expert_policy(TaskName.SUDOKU).sample(puzzle, rng)
+    solved = Step(full, is_answer=True)
+    mult_binary = binary_verifier(TaskName.MULT)
+    sudoku_binary = binary_verifier(TaskName.SUDOKU)
+    yield mult_binary.verify(mult, good, rng), True
+    yield mult_binary.verify(mult, bad, rng), False
+    yield mult_binary.verify(done, right, rng), True
+    yield mult_binary.verify(done, wrong, rng), False
+    yield detailed_verifier(TaskName.MULT).verify(mult, bad, rng), False
+    yield sudoku_binary.verify(puzzle, move, rng), True
+    yield sudoku_binary.verify(puzzle, Step(3), rng), False
+    yield sudoku_binary.verify(full, solved, rng), True
+    yield detailed_verifier(TaskName.SUDOKU).verify(puzzle, Step(3), rng), False
+    yield OracleVerifier(mult_query).verify(mult, good, rng), True
+    yield OracleVerifier(mult_query).verify(done, wrong, rng), False
+    # Every flip of a one-label verdict, both ways.
+    yield NoisyVerifier(mult_binary, 0.0, 1.0).verify(done, wrong, rng), True
+    yield NoisyVerifier(mult_binary, 1.0, 0.0).verify(done, right, rng), False
+    synthetic = SyntheticSelfVerifier(Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), "rtbs", 2))
+    state = SyntheticState(3, True)
+    for _ in range(20):
+        step = synthetic.sample(state, rng, 0)
+        verification = synthetic.verify(state, step, rng)
+        yield verification, not verification.rejected
+
+
+def test_every_one_label_verdict_is_one_of_two_shared_objects():
+    accept, reject = verdict(True), verdict(False)
+    assert (accept.labels, reject.labels) == ((True,), (False,))
+    seen = set()
+    for verification, ok in _one_label_verdicts():
+        assert verification is (accept if ok else reject)
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_a_multi_label_verdict_is_a_fresh_object():
+    state = MultState(7, 313, 0)
+    step = mult_expert_step(state)
+    detailed = detailed_verifier(TaskName.MULT)
+    labels = detailed.verify(state, step, rng_mod.stream(17, 0))
+    again = detailed.verify(state, step, rng_mod.stream(17, 0))
+    assert len(labels.labels) > 1 and all(labels.labels)
+    assert labels == again and labels is not again
+    flipped = NoisyVerifier(detailed, 1.0, 0.0).verify(state, step, rng_mod.stream(17, 1))
+    assert flipped.labels.count(False) == 1
+    wrong = Step(task_hooks(TaskName.MULT).corrupt(state, step.content, rng_mod.stream(17, 2)))
+    assert detailed.verify(state, wrong, rng_mod.stream(17, 3)).rejected
+    passed = NoisyVerifier(detailed, 0.0, 1.0).verify(state, wrong, rng_mod.stream(17, 4))
+    assert passed.labels == (True,) * len(labels.labels)
 
 
 # --- ground-truth polarity ---

@@ -9,6 +9,8 @@ import copy
 import dataclasses
 import enum
 import gc
+import itertools
+import json
 import pickle
 from functools import lru_cache
 
@@ -412,7 +414,7 @@ def _check_polarity(query: Query, states: list[SudokuBoard]) -> None:
     one with fresh boards in reverse order."""
     puzzle = query.payload
     expected = [_polarity_reference(puzzle, s) for s in states]
-    _puzzle_facts.cache_clear()
+    sudoku_module._FACTS.pop(puzzle, None)
     assert [state_polarity(query, s) for s in states] == expected
     warm = [state_polarity(query, SudokuBoard(s.cells)) for s in reversed(states)]
     assert warm[::-1] == expected
@@ -832,6 +834,97 @@ def test_misfill_finds_no_conflict_on_a_near_empty_board():
     assert label_index == 0 and corrupted.guess
     assert corrupted.new_board == EMPTY.with_fills(corrupted.fills)
     assert consistent(corrupted.new_board)
+
+
+# --- shared fills and the oracle's memory ---
+
+
+def _shared_fill(fill):
+    row, col, value = fill
+    return sudoku_module._FILLS[81 * row + 9 * col + value - 1]
+
+
+def test_the_fill_table_holds_every_legal_fill_once():
+    assert sudoku_module._FILLS == tuple(
+        itertools.product(range(9), range(9), range(1, 10))
+    )
+
+
+def test_every_fill_a_move_builds_or_decodes_is_shared():
+    full = generate_full_board(rng_mod.stream(9, 0))
+    forced = sudoku_expert_step(make_puzzle(full, 6, rng_mod.stream(9, 1)), rng_mod.stream(9, 2))
+    guess = sudoku_expert_step(EMPTY, rng_mod.stream(29, 0))
+    inconsistent = PUZZLE.with_fills(((0, 2, 5),))
+    dead_end = SudokuExpertPolicy().sample(inconsistent, rng_mod.stream(12, 0))
+    moves = [forced.content, guess.content, dead_end.content]
+    assert [len(m.fills) for m in moves] == [6, 1, 1]
+    assert [m.guess for m in moves] == [False, True, True]
+    moves.append(misfill(forced.content, rng_mod.stream(19, 1))[0])
+    hooks = task_hooks(TaskName.SUDOKU)
+    decoded = [
+        hooks.move_from_json(json.loads(json.dumps(hooks.move_to_json(m)))) for m in moves
+    ]
+    assert decoded == moves
+    for move in moves + decoded:
+        for fill in move.fills:
+            assert fill is _shared_fill(fill)
+
+
+@pytest.mark.parametrize(
+    "stored, fill",
+    [
+        ([True, 2, 3], (1, 2, 3)),
+        ([1.0, 2, 3], (1, 2, 3)),
+        (["1", 2, 3], (1, 2, 3)),
+        ([9, 0, 1], (9, 0, 1)),
+        ([0, 0, 0], (0, 0, 0)),
+    ],
+)
+def test_a_fill_that_is_not_three_ints_in_range_converts_as_stored(stored, fill):
+    move = task_hooks(TaskName.SUDOKU).move_from_json(
+        {"fills": [stored], "guess": True, "board": PUZZLE.render()}
+    )
+    assert move.fills == (fill,)
+    assert [type(v) for v in move.fills[0]] == [int, int, int]
+
+
+@pytest.mark.parametrize(
+    "fills, error, message",
+    [
+        ([[1, 2]], ValueError, r"not enough values to unpack \(expected 3, got 2\)"),
+        ([[1, 2, 3, 4]], ValueError, r"too many values to unpack \(expected 3\)"),
+        ([5], TypeError, "cannot unpack non-iterable int object"),
+        (5, TypeError, "'int' object is not iterable"),
+        ([[1, "x", 3]], ValueError, "invalid literal for int"),
+    ],
+)
+def test_a_fill_of_the_wrong_shape_fails_as_it_always_has(fills, error, message):
+    with pytest.raises(error, match=message):
+        task_hooks(TaskName.SUDOKU).move_from_json(
+            {"fills": fills, "guess": True, "board": PUZZLE.render()}
+        )
+
+
+def test_a_puzzles_facts_live_as_long_as_its_board():
+    full = generate_full_board(rng_mod.stream(30, 0))
+    puzzle = make_puzzle(full, 45, rng_mod.stream(30, 1))
+    query = Query(TaskName.SUDOKU, puzzle)
+    assert state_polarity(query, puzzle)
+    facts = _puzzle_facts(puzzle)
+    assert len(facts.completions) == 1
+    # A copy decoded while the puzzle lives finds its facts, and the copy's
+    # oracle answers from the completion found for the puzzle.
+    copied = Query(TaskName.SUDOKU, SudokuBoard.parse(puzzle.render()))
+    assert copied.payload is not puzzle
+    assert _puzzle_facts(copied.payload) is facts
+    assert state_polarity(copied, copied.payload)
+    assert len(facts.completions) == 1
+    # Once the boards die, so does the table's entry, which alone held the
+    # facts; an equal board built later starts afresh.
+    cells = puzzle.cells
+    del facts, query, puzzle, copied
+    assert SudokuBoard(cells) not in sudoku_module._FACTS
+    assert _puzzle_facts(SudokuBoard(cells)).completions == []
 
 
 # --- task hooks ---
