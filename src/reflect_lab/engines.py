@@ -43,9 +43,9 @@ class ReflectConfig:
     the root exactly rtbs_width attempts like any other state.
     """
 
-    reflective_budget: int = 64
-    total_budget: int = 96
-    rtbs_width: int = 4
+    reflective_budget: int
+    total_budget: int
+    rtbs_width: int
     root_unlimited: bool = True
 
     def __post_init__(self) -> None:

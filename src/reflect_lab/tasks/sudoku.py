@@ -28,6 +28,16 @@ weakly by that board, and an equal board decoded meanwhile finds it.
 
 Moves share their fills: every (row, col, value) triple a builder or the
 decoder makes is one of 729 module-level tuples.
+
+One board per value: a weak registry maps 81 cells to the live board that
+holds them.  While that board lives, every builder here (a child board, a
+forced or guessed step, a misfill, a solution, canonical text decoded by
+parse) returns it rather than an equal copy, so a decoded record holds the
+round's own boards, masks and decisions already built, and sibling
+rollouts share their children.  The public constructor still returns a new
+board, which joins the registry only when no equal board is live.  The
+registry holds no board alive, and it takes no lock: boards are built only
+on the calling thread, as the synthetic chain alone runs on engine threads.
 """
 
 from __future__ import annotations
@@ -128,7 +138,11 @@ class SudokuBoard:
     most once, on first read, by __getattr__.  A forced step's board is full
     or has no singleton left, so its own decision is a guess, which holds no
     board: a board keeps at most one other board alive.  A board can be
-    weakly referenced, which the oracle's memory of a puzzle is keyed by.
+    weakly referenced, which the registry of live boards and the oracle's
+    memory of a puzzle are keyed by.  The constructor returns a new board;
+    the module's builders and parse's canonical path return the live board
+    with the same cells, if any (one board per value, see the module
+    docstring), which is safe because a board never changes.
     """
 
     __slots__ = ("cells", "masks", "_text", "_expert", "__weakref__")
@@ -140,7 +154,9 @@ class SudokuBoard:
             raise ValueError("a board needs exactly 81 cells")
         if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells):
             raise ValueError("cell values must be ints in 0..9")
-        object.__setattr__(self, "cells", bytes(cells))
+        cells = bytes(cells)
+        object.__setattr__(self, "cells", cells)
+        _BOARDS.setdefault(cells, self)
 
     def get(self, row: int, col: int) -> int:
         return self.cells[row * 9 + col]
@@ -240,17 +256,25 @@ _SET_MASKS = SudokuBoard.masks.__set__
 _SET_TEXT = SudokuBoard._text.__set__
 _UNKNOWN = object()
 
+# Every live board by its cells, held weakly: a dead board's entry goes with
+# it (one board per value, see the module docstring).
+_BOARDS: weakref.WeakValueDictionary[bytes, SudokuBoard] = weakref.WeakValueDictionary()
+
 
 def _unchecked_board(
     cells: bytes, *, masks: object = _UNKNOWN, text: Optional[str] = None
 ) -> SudokuBoard:
-    """A board built without the constructor's check, for 81 bytes known to
-    be in 0..9: those of a checked board with cells set to values in 1..9,
-    or those decoded from canonical text.  The slots the caller already
-    knows (the masks, which may be None, and the text) are set here
-    directly; the others fill on first read."""
-    board = object.__new__(SudokuBoard)
-    _SET_CELLS(board, cells)
+    """The live board with these cells, or a new one built without the
+    constructor's check, for 81 bytes known to be in 0..9: those of a
+    checked board with cells set to values in 1..9, or those decoded from
+    canonical text.  The slots the caller already knows (the masks, which
+    may be None, and the text) are set here directly, replacing any equal
+    value a live board holds; the others fill on first read."""
+    board = _BOARDS.get(cells)
+    if board is None:
+        board = object.__new__(SudokuBoard)
+        _SET_CELLS(board, cells)
+        _BOARDS[cells] = board
     if masks is not _UNKNOWN:
         _SET_MASKS(board, masks)
     if text is not None:
@@ -647,7 +671,7 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
     for completion in facts.completions:
         if completion & filled == board:
             return True
-    if not consistent(state) or board in facts.unsolvable:
+    if board in facts.unsolvable or not consistent(state):
         return False
     solution = solve(state)
     if solution is None:

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import functools
 import gzip
 import itertools
 import json
 import pickle
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +538,33 @@ def test_sudoku_states_after_a_traceback_are_replayed():
     obj["events"][index]["state"] = child
     with pytest.raises(CorpusFormatError, match=f"event {index}:"):
         record_from_json(obj)
+
+
+def _record_boards(record):
+    """Every board a Sudoku record holds: its puzzle, each event's state and
+    move board, and its answer."""
+    boards = [record.query.payload]
+    for event in record.events:
+        content = event.verified.step.content
+        boards += [event.state, content if event.verified.step.is_answer else content.new_board]
+    if record.answer is not None:
+        boards.append(record.answer.content)
+    return boards
+
+
+def test_read_records_returns_the_writers_own_boards(tmp_path):
+    # While the written records live, their boards are the live boards of
+    # those cells, so reading the file back builds none of its own.
+    records = [_sudoku_rtbs_record_with_traceback()[0]]
+    records += [_task_record(TaskName.SUDOKU, seed) for seed in range(4)]
+    path = str(tmp_path / "records.jsonl")
+    write_records(records, path)
+    decoded = list(read_records(path))
+    assert decoded == records
+    for original, copied in zip(records, decoded):
+        pairs = list(zip(_record_boards(original), _record_boards(copied), strict=True))
+        assert len(pairs) > 2
+        assert all(a is b for a, b in pairs)
 
 
 def test_traceback_of_a_step_not_taken_is_refused():
@@ -1137,6 +1166,148 @@ def test_every_honest_line_loads_and_every_misstored_value_is_refused():
                 pytest.fail(f"{line['task']} {what}: {edit}")
             edits += 1
     assert edits > 1000
+
+
+# --- the codec law, edit by edit ---
+
+
+_LINE_KINDS = {
+    (example_from_json, TaskName.MULT): tuple(CotStyle),
+    (example_from_json, TaskName.SUDOKU): tuple(CotStyle),
+    (record_from_json, TaskName.MULT): ("rmtp", "rtbs"),
+    (record_from_json, TaskName.SUDOKU): ("rmtp", "rtbs"),
+    (record_from_json, TaskName.SYNTHETIC): ("rmtp", "rtbs"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _written_line(decode, task, variant, seed):
+    """(value, its line as read back) for one honest example or record."""
+    if decode is example_from_json:
+        spec = CorpusSpec(
+            task=task,
+            example_count=1,
+            tier_mix=((DifficultyTier.ID_EASY, 1.0), (DifficultyTier.ID_HARD, 1.0)),
+            style=variant,
+            proposal_noise=0.0 if variant is CotStyle.NONE else 0.3,
+            seed=seed,
+        )
+        value = next(iter(generate_corpus(spec)))
+        return value, json.loads(dumps_json_line(example_to_json(value)))
+    if task is TaskName.SYNTHETIC:
+        m = 2 if variant == "rtbs" else None
+        value = run_rtbs(
+            SyntheticSelfVerifier(Law(SimplifiedParams(0.8, 0.3, 0.2, 0.8), variant, m)),
+            SyntheticTransition(),
+            Query(TaskName.SYNTHETIC, 3),
+            mode_config(variant, m, 24, 32, seed % 2 == 0),
+            rng_mod.stream(seed, 0),
+        )
+    else:
+        value = _task_record(task, seed, variant, seed % 2 == 0)
+    return value, json.loads(dumps_json_line(record_to_json(value)))
+
+
+def _paths(tree, path=()):
+    """The path of every value in a JSON tree, the root's included."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _paths(value, (*path, key))
+
+
+def _at_path(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+_DROP = object()
+_OTHER_TYPES = (None, False, 0, 2.5, "", "x", [], {})
+
+
+def _edits(value, in_dict, at):
+    """The values that may replace `value` (_DROP deletes its key): another
+    type, a neighbouring int, an alias of 1, a dropped or extra key, a
+    shorter or longer list, and a string with the character at `at` moved
+    to a neighbouring code point, or with a line break moved one place."""
+    edits = [other for other in _OTHER_TYPES if type(other) is not type(value)]
+    if type(value) is int:
+        edits += [value - 1, value + 1]
+    if type(value) in (int, float, bool) and value == 1:
+        edits += [alias for alias in (1, 1.0, True) if type(alias) is not type(value)]
+    if in_dict:
+        edits.append(_DROP)
+    if isinstance(value, dict):
+        edits.append({**value, "note": 0})
+    if isinstance(value, list) and value:
+        edits += [value[:-1], value[1:], [*value, value[-1]], [value[0], *value]]
+    if isinstance(value, str) and value:
+        at %= len(value)
+        edits += [value[:at] + chr(ord(value[at]) + step) + value[at + 1 :] for step in (-1, 1)]
+        brk = value.find("\n", at)
+        if brk > 0:
+            edits.append(value[: brk - 1] + "\n" + value[brk - 1] + value[brk + 1 :])
+    return edits
+
+
+@st.composite
+def _edited_lines(draw):
+    """(decode, encode, original, line, edited): an honest value, its line,
+    and a copy of the line with one value replaced, as read from a file."""
+    decode, task = draw(st.sampled_from(sorted(_LINE_KINDS, key=repr)))
+    variant = draw(st.sampled_from(_LINE_KINDS[decode, task]))
+    original, line = _written_line(decode, task, variant, draw(st.integers(0, 3)))
+    edited = copy.deepcopy(line)
+    paths = list(_paths(edited))
+    # Half the edits land on a string, so that board texts are edited often.
+    strings = [path for path in paths if isinstance(_at_path(edited, path), str)]
+    path = draw(st.sampled_from(paths) | st.sampled_from(strings))
+    parent = _at_path(edited, path[:-1])
+    value = parent[path[-1]] if path else edited
+    in_dict = bool(path) and isinstance(parent, dict)
+    new = draw(st.sampled_from(_edits(value, in_dict, draw(st.integers(0, 88)))))
+    if not path:
+        edited = new
+    elif new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    encode = example_to_json if decode is example_from_json else record_to_json
+    return decode, encode, original, line, json.loads(dumps_json_line(edited))
+
+
+@given(case=_edited_lines())
+@settings(max_examples=500, deadline=None)
+def test_an_edited_line_loads_exactly_as_what_encodes_back_to_it(case):
+    # Either the edited line loads and its value encodes back to a tree equal
+    # to it, or it is refused with CorpusFormatError: by a decoder, or by the
+    # round trip, naming the first field _first_difference finds between the
+    # edited line and what the writer writes for its value, which loads in
+    # turn.  Decoding an edit changes nothing the original value holds, such
+    # as the text of a board it shares.
+    decode, encode, original, line, edited = case
+    checked = []
+    check = corpus._check_round_trip
+
+    def spy(stored, written, writer):
+        checked.append((stored, written, writer))
+        check(stored, written, writer)
+
+    try:
+        with mock.patch.object(corpus, "_check_round_trip", spy):
+            value = decode(edited)
+    except CorpusFormatError as exc:
+        if checked:
+            stored, written, writer = checked[0]
+            assert stored is edited and written != edited
+            assert str(exc) == corpus._first_difference(edited, written, writer)
+            assert encode(decode(written)) == written
+        else:
+            assert exc.__cause__ is None or isinstance(exc.__cause__, corpus._DECODE_ERRORS)
+    else:
+        assert encode(value) == edited
+    assert encode(original) == line
 
 
 # --- codec round trips over both tasks ---

@@ -86,12 +86,14 @@ def test_verification_rejected_flag():
 
 
 def test_reflect_config_validation():
-    with pytest.raises(ValueError):
-        ReflectConfig(total_budget=0)
-    with pytest.raises(ValueError):
-        ReflectConfig(rtbs_width=0)
-    with pytest.raises(ValueError):
-        ReflectConfig(reflective_budget=-1)
+    # Each field's least legal value passes and the one below it is refused.
+    assert ReflectConfig(0, 1, 1).root_unlimited
+    with pytest.raises(ValueError, match="total_budget must be >= 1"):
+        ReflectConfig(reflective_budget=0, total_budget=0, rtbs_width=1)
+    with pytest.raises(ValueError, match="rtbs_width must be >= 1"):
+        ReflectConfig(reflective_budget=0, total_budget=1, rtbs_width=0)
+    with pytest.raises(ValueError, match="reflective_budget must be >= 0"):
+        ReflectConfig(reflective_budget=-1, total_budget=1, rtbs_width=1)
 
 
 def test_mode_config_sets_up_each_mode():

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import pickle
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -357,10 +358,14 @@ def test_expert_step_equals_the_sweep_on_every_call_of_a_board():
 
 
 def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
-    """The boards a board's cells and cached values refer to."""
+    """The boards a board's cells and cached values refer to.  A weak
+    reference (the live-board registry's, in the weakref slot) holds
+    nothing alive."""
     held: list[SudokuBoard] = []
 
     def walk(obj) -> None:
+        if isinstance(obj, weakref.ref):
+            return
         if isinstance(obj, SudokuBoard):
             held.append(obj)
         elif isinstance(obj, (tuple, list)):
@@ -912,19 +917,70 @@ def test_a_puzzles_facts_live_as_long_as_its_board():
     assert state_polarity(query, puzzle)
     facts = _puzzle_facts(puzzle)
     assert len(facts.completions) == 1
-    # A copy decoded while the puzzle lives finds its facts, and the copy's
-    # oracle answers from the completion found for the puzzle.
+    # Text decoded while the puzzle lives is the puzzle itself, so it finds
+    # its facts, and its oracle answers from the completion already found.
     copied = Query(TaskName.SUDOKU, SudokuBoard.parse(puzzle.render()))
-    assert copied.payload is not puzzle
+    assert copied.payload is puzzle
     assert _puzzle_facts(copied.payload) is facts
     assert state_polarity(copied, copied.payload)
     assert len(facts.completions) == 1
+    # A board the constructor builds is a new object, and finds them too.
+    twin = SudokuBoard(puzzle.cells)
+    assert twin is not puzzle and _puzzle_facts(twin) is facts
     # Once the boards die, so does the table's entry, which alone held the
     # facts; an equal board built later starts afresh.
     cells = puzzle.cells
-    del facts, query, puzzle, copied
+    del facts, query, puzzle, copied, twin
     assert SudokuBoard(cells) not in sudoku_module._FACTS
     assert _puzzle_facts(SudokuBoard(cells)).completions == []
+
+
+def test_while_a_board_lives_every_builder_returns_it():
+    """One board per value: parse, _with_cell, the expert's forced and
+    guessed steps, misfill and solve return the live board with the cells
+    they build, never an equal copy.  The constructor returns a new board
+    and leaves the live one in the registry."""
+    forced = sudoku_expert_step(PUZZLE, rng_mod.stream(31, 0)).content
+    assert not forced.guess
+    board = forced.new_board
+    twin_step = sudoku_expert_step(SudokuBoard(PUZZLE.cells), rng_mod.stream(31, 0))
+    assert twin_step.content.new_board is board
+    assert SudokuBoard.parse(board.render()) is board
+    twin = SudokuBoard(board.cells)
+    assert twin is not board and twin == board
+    assert SudokuBoard.parse(twin.render()) is board
+    child = _with_cell(PUZZLE, 2, 1)
+    assert _with_cell(SudokuBoard(PUZZLE.cells), 2, 1) is child
+    guessed = sudoku_expert_step(EMPTY, rng_mod.stream(31, 1)).content
+    assert guessed.guess
+    blank = SudokuBoard(EMPTY.cells)
+    assert sudoku_expert_step(blank, rng_mod.stream(31, 1)).content.new_board is guessed.new_board
+    corrupted, _ = misfill(forced, rng_mod.stream(31, 2))
+    again, _ = misfill(forced, rng_mod.stream(31, 2))
+    assert again is not corrupted and again.new_board is corrupted.new_board
+    # A board one blank short of a live full board solves to that board.
+    full = generate_full_board(rng_mod.stream(31, 3))
+    assert solve(SudokuBoard(bytes(1) + full.cells[1:])) is full
+    assert solve(SudokuBoard(PUZZLE.cells)) is solve(PUZZLE)
+
+
+def test_the_board_registry_keeps_no_board_alive():
+    """10,000 boards built through the constructor, parse and _with_cell
+    are each registered while they live, and all gone once dropped."""
+    gc.collect()
+    before = set(sudoku_module._BOARDS.keys())
+    boards = []
+    for k in range(1, 10_001):
+        cells = bytes(76) + bytes(map(int, f"{k:05d}"))
+        built = SudokuBoard(cells) if k % 2 else SudokuBoard.parse(SudokuBoard(cells).render())
+        boards += [built, _with_cell(built, 0, 1 + k % 9)]
+    made = {board.cells for board in boards}
+    assert len(made) == 20_000 and made.isdisjoint(before)
+    assert all(sudoku_module._BOARDS.get(board.cells) is board for board in boards)
+    del boards, built
+    gc.collect()
+    assert not made & set(sudoku_module._BOARDS.keys())
+    assert set(sudoku_module._BOARDS.keys()) <= before
 
 
 # --- task hooks ---

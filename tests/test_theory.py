@@ -124,6 +124,18 @@ def test_log_rho_rtbs_is_minus_infinity_when_a_scale_cannot_advance():
     assert log_rho_rtbs(SimplifiedParams(0.0, 0.3, 0.2, 0.8), 2, 3) == -math.inf
 
 
+@pytest.mark.parametrize("curve", ["rmtp", "rtbs"])
+def test_log_curves_are_minus_infinity_at_a_zero_rate_without_a_warning(curve):
+    # mu = 0: beta = 0, so rmtp's advance rate and every rtbs sigma are zero.
+    # Each curve catches the zero before it takes a log, where math.log
+    # would raise and numpy would warn.
+    zero = SimplifiedParams(0.0, 0.3, 0.2, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = log_rho_rmtp(zero, 3) if curve == "rmtp" else log_rho_rtbs(zero, 2, 3)
+    assert value == -math.inf
+
+
 # --- plain chain and retry-in-place ---
 
 

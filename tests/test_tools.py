@@ -1,5 +1,5 @@
-"""The tools under tools/: the untested-line tool's statement list, and a
-smoke run of the retained-bytes counter on files the CLI writes."""
+"""The tools under tools/: the untested-line tool's statement list, and
+runs of the retained-bytes counter on files the CLI writes."""
 
 import importlib.util
 import os
@@ -55,3 +55,29 @@ def test_retained_bytes_counts_records_and_examples(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1].startswith(f"{kind}: 2")
+
+
+def _retained_total(*paths):
+    """(total bytes, last line) of the retained-bytes counter over paths."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "retained_bytes.py"), *paths],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    return int(lines[-2].split()[-1]), lines[-1]
+
+
+def test_retained_bytes_counts_what_two_files_share_once(tmp_path):
+    # A second decoding of a Sudoku file, made while the first's records
+    # live, holds the first's boards: the pair retains far less than twice
+    # the one.
+    records = str(tmp_path / "records.jsonl")
+    args = ["run-task", "--task", "sudoku", "--tier", "id_easy", "--episodes", "3",
+            "--out", records]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    once, summary = _retained_total(records)
+    twice, summary_twice = _retained_total(records, records)
+    assert summary.startswith("records: 3") and summary_twice.startswith("records: 6")
+    assert once < twice < 1.5 * once

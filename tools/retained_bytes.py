@@ -1,9 +1,12 @@
 """Count the bytes that decoded episode records or examples hold, by type.
 
-Decodes a records JSONL file (or, with `--examples`, an examples file;
-plain or .gz) through `reflect_lab.corpus` and walks everything the decoded
+Decodes one or more records JSONL files (or, with `--examples`, examples
+files; plain or .gz) through `reflect_lab.corpus`, in order, each while the
+items of the files before it are alive, and walks everything the decoded
 objects hold: the items of tuples, lists, sets and dicts, instance dicts
-and filled slots.  Each object counts once, at `sys.getsizeof`.  Shared
+and filled slots.  Each object counts once, at `sys.getsizeof`, even when
+items of two files hold it, so the same file given twice shows what a
+second decoding shares with the first (for Sudoku, every board).  Shared
 objects are skipped, since no record owns them: None, bools, the small ints
 the interpreter caches, enum members and types.  Prints the objects and
 bytes of each type, largest first, then the total and the bytes per
@@ -12,6 +15,7 @@ interpreter keeps a plain instance's attributes inline (3.11 and later), so
 for a class without slots the count is an upper bound.
 
     python3 tools/retained_bytes.py records.jsonl
+    python3 tools/retained_bytes.py records.jsonl records.jsonl
     python3 tools/retained_bytes.py --examples corpus.jsonl
 """
 
@@ -76,10 +80,11 @@ def retained(roots: list) -> tuple[Counter, Counter]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("path", help="a JSONL file, plain or .gz")
-    parser.add_argument("--examples", action="store_true", help="the file holds examples")
+    parser.add_argument("paths", nargs="+", help="JSONL files, plain or .gz")
+    parser.add_argument("--examples", action="store_true", help="the files hold examples")
     args = parser.parse_args()
-    items = list((read_examples if args.examples else read_records)(args.path))
+    read = read_examples if args.examples else read_records
+    items = [item for path in args.paths for item in read(path)]
     count, size = retained(items)
     print(f"{'type':<16} {'objects':>9} {'bytes':>11}")
     for name, total in size.most_common():
