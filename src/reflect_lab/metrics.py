@@ -29,9 +29,12 @@ class ErrorEstimate:
 
     e_plus_hat: Optional[float]
     e_minus_hat: Optional[float]
-    n_first_attempts: int
     n_oracle_positive: int
     n_oracle_negative: int
+
+    @property
+    def n_first_attempts(self) -> int:
+        return self.n_oracle_positive + self.n_oracle_negative
 
 
 def estimate_verification_errors(
@@ -80,7 +83,6 @@ def estimate_verification_errors(
     return ErrorEstimate(
         e_plus_hat=(accepted_neg / n_neg) if n_neg else None,
         e_minus_hat=(rejected_pos / n_pos) if n_pos else None,
-        n_first_attempts=n_pos + n_neg,
         n_oracle_positive=n_pos,
         n_oracle_negative=n_neg,
     )

@@ -292,12 +292,18 @@ class SimResult:
     n: int
     episodes: int
     successes: int
-    accuracy_hat: float
-    wilson_ci: tuple[float, float]
     mean_length_correct: Optional[float]
     budget_exhausted: int
     # Work counts of the vector engine; None for the episode engine.
     stats: Optional[EngineStats] = field(default=None, compare=False)
+
+    @property
+    def accuracy_hat(self) -> float:
+        return self.successes / self.episodes
+
+    @property
+    def wilson_ci(self) -> tuple[float, float]:
+        return wilson_ci(self.successes, self.episodes)
 
     @property
     def budget_dominated(self) -> bool:
@@ -630,8 +636,6 @@ def simulate_accuracy(
         n=n,
         episodes=episodes,
         successes=successes,
-        accuracy_hat=successes / episodes,
-        wilson_ci=wilson_ci(successes, episodes),
         mean_length_correct=(len_sum / successes) if successes else None,
         budget_exhausted=exhausted,
         stats=stats,

@@ -276,9 +276,12 @@ def render_mult_state(state: MultState) -> str:
 
 
 def parse_mult_state(text: str) -> MultState:
-    x_part, rest = text.split("*", 1)
-    y_part, z_part = rest.split("+", 1)
-    return MultState(int(x_part), int(y_part), int(z_part))
+    x_part, _, rest = text.partition("*")
+    y_part, _, z_part = rest.partition("+")
+    parts = (x_part, y_part, z_part)
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"a mult state is x*y+z in the digits 0-9, got {text!r}")
+    return MultState(*map(int, parts))
 
 
 def _mult_move_to_json(move: MultMove) -> dict:

@@ -23,21 +23,20 @@ independent most-constrained-first backtracking solver kept free of the
 expert-policy code path.  The solver decides every board that no completion
 found so far covers; a known completion of the puzzle that agrees with every
 filled cell of a board is a proof that the board is solvable.  What the
-oracle learns about a puzzle lives as long as the puzzle's board: it is keyed
-weakly by that board, and an equal board decoded meanwhile finds it.
+oracle learns about a puzzle is a slot of the puzzle's board, so it lives as
+long as that board.
 
 Moves share their fills: every (row, col, value) triple a builder or the
 decoder makes is one of 729 module-level tuples.
 
 One board per value: a weak registry maps 81 cells to the live board that
-holds them.  While that board lives, every builder here (a child board, a
-forced or guessed step, a misfill, a solution, canonical text decoded by
-parse) returns it rather than an equal copy, so a decoded record holds the
-round's own boards, masks and decisions already built, and sibling
-rollouts share their children.  The public constructor still returns a new
-board, which joins the registry only when no equal board is live.  The
-registry holds no board alive, and it takes no lock: boards are built only
-on the calling thread, as the synthetic chain alone runs on engine threads.
+holds them.  While that board lives, every way of building a board (the
+constructor, a child board, a forced or guessed step, a misfill, a
+solution, parse, copy and pickle) returns it rather than an equal copy, so
+a decoded record holds the round's own boards, masks, decisions and oracle
+facts, and sibling rollouts share their children.  The registry holds no
+board alive, and it takes no lock: boards are built only on the calling
+thread, as the synthetic chain alone runs on engine threads.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ class DeadEndError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SudokuBoard:
     """Row-major cells, 81 bytes in 0..9 (0 = blank).
 
@@ -134,29 +133,25 @@ class SudokuBoard:
     is normalized to bytes at construction, so a board built from a tuple
     equals and hashes like one built from bytes.  Equality and hash read the
     cells alone.  The board is slotted: its text, its unit masks (54 packed
-    bytes, or None) and the expert step's decision are slots, each filled at
-    most once, on first read, by __getattr__.  A forced step's board is full
-    or has no singleton left, so its own decision is a guess, which holds no
-    board: a board keeps at most one other board alive.  A board can be
-    weakly referenced, which the registry of live boards and the oracle's
-    memory of a puzzle are keyed by.  The constructor returns a new board;
-    the module's builders and parse's canonical path return the live board
-    with the same cells, if any (one board per value, see the module
-    docstring), which is safe because a board never changes.
+    bytes, or None), the expert step's decision and the oracle's facts about
+    it as a puzzle are slots, each filled at most once, on first read, by
+    __getattr__.  A forced step's board is full or has no singleton left, so
+    its own decision is a guess, which holds no board, and facts hold ints
+    only: a board keeps at most one other board alive.  The constructor
+    returns the live board with the same cells, if any, as every builder
+    does (one board per value, see the module docstring); that is safe
+    because a board never changes.
     """
 
-    __slots__ = ("cells", "masks", "_text", "_expert", "__weakref__")
+    __slots__ = ("cells", "masks", "_text", "_expert", "_facts", "__weakref__")
     cells: bytes
 
-    def __post_init__(self) -> None:
-        cells = self.cells
+    def __new__(cls, cells) -> "SudokuBoard":
         if len(cells) != 81:
             raise ValueError("a board needs exactly 81 cells")
         if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9 for v in cells):
             raise ValueError("cell values must be ints in 0..9")
-        cells = bytes(cells)
-        object.__setattr__(self, "cells", cells)
-        _BOARDS.setdefault(cells, self)
+        return _unchecked_board(bytes(cells))
 
     def get(self, row: int, col: int) -> int:
         return self.cells[row * 9 + col]
@@ -179,8 +174,9 @@ class SudokuBoard:
 
     def __getattr__(self, name: str) -> object:
         """Fill an empty slot on its first read: `masks` (the unit masks, or
-        None when a unit holds a duplicate), `_text` (render's text) or
-        `_expert` (the expert step's decision, for a board with a blank)."""
+        None when a unit holds a duplicate), `_text` (render's text),
+        `_expert` (the expert step's decision, for a board with a blank) or
+        `_facts` (the oracle's facts, for a puzzle)."""
         if name == "masks":
             value = _masks(self.cells)
         elif name == "_text":
@@ -189,13 +185,15 @@ class SudokuBoard:
             value = "\n".join([digits[r : r + 9] for r in range(0, 81, 9)])
         elif name == "_expert":
             value = _expert_decision(self)
+        elif name == "_facts":
+            value = _PuzzleFacts(self)
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
         return value
 
     def __reduce__(self) -> tuple:
-        # A copy is built from the cells and fills its slots when read.
+        # A copy or an unpickled board is built by the constructor.
         return (SudokuBoard, (self.cells,))
 
     def render(self) -> str:
@@ -204,7 +202,7 @@ class SudokuBoard:
     @staticmethod
     def parse(text: str) -> "SudokuBoard":
         # Canonical text, as render() writes it, decodes in one translate and
-        # becomes the board's text; any other layout takes the general path.
+        # becomes the board's text; other layouts may pad rows with whitespace.
         if len(text) == _TEXT_LENGTH and text.isascii():
             raw = text.encode()
             digits = raw.translate(_CELL_OF_TEXT, b"\n")
@@ -213,7 +211,10 @@ class SudokuBoard:
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if len(rows) != 9 or any(len(r) != 9 for r in rows):
             raise ValueError("expected 9 lines of 9 digits")
-        return SudokuBoard(tuple(map(int, "".join(rows))))
+        digits = "".join(rows)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"a board's cells are the digits 0-9, got {text!r}")
+        return _unchecked_board(digits.encode().translate(_CELL_OF_TEXT))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,10 +265,10 @@ _BOARDS: weakref.WeakValueDictionary[bytes, SudokuBoard] = weakref.WeakValueDict
 def _unchecked_board(
     cells: bytes, *, masks: object = _UNKNOWN, text: Optional[str] = None
 ) -> SudokuBoard:
-    """The live board with these cells, or a new one built without the
-    constructor's check, for 81 bytes known to be in 0..9: those of a
-    checked board with cells set to values in 1..9, or those decoded from
-    canonical text.  The slots the caller already knows (the masks, which
+    """The live board with these cells, or a new one: the one builder of
+    every board, for 81 bytes known to be in 0..9 (cells the constructor
+    checked, those of a board with cells set to values in 1..9, or digits
+    decoded from text).  The slots the caller already knows (the masks, which
     may be None, and the text) are set here directly, replacing any equal
     value a live board holds; the others fill on first read."""
     board = _BOARDS.get(cells)
@@ -593,7 +594,8 @@ _FACTS_REFUTED = 96
 
 
 class _PuzzleFacts:
-    """What the solvability oracle has learned about one puzzle.
+    """What the solvability oracle has learned about one puzzle: the `_facts`
+    slot of its board, holding ints only, so it keeps no board alive.
 
     Boards are compared as 81-byte big-endian integers, one byte per cell:
     `board & givens_mask == givens` says the board keeps every given, and
@@ -610,20 +612,6 @@ class _PuzzleFacts:
         # Completions of the puzzle found by solve, and boards it refuted.
         self.completions: list[int] = []
         self.unsolvable: set[int] = set()
-
-
-# The facts of each puzzle, keyed weakly by the first board of the puzzle
-# asked about: they live as long as that board, and an equal board finds
-# them meanwhile.  Facts hold ints only, so they never keep their key alive.
-_FACTS: weakref.WeakKeyDictionary[SudokuBoard, _PuzzleFacts] = weakref.WeakKeyDictionary()
-
-
-def _puzzle_facts(puzzle: SudokuBoard) -> _PuzzleFacts:
-    """The facts of the puzzle, empty the first time it is asked about."""
-    facts = _FACTS.get(puzzle)
-    if facts is None:
-        facts = _FACTS[puzzle] = _PuzzleFacts(puzzle)
-    return facts
 
 
 def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
@@ -662,7 +650,7 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
     completion covers are searched, and each search's answer is kept while
     the puzzle's lists have room.
     """
-    facts = _puzzle_facts(query.payload)
+    facts = query.payload._facts
     cells = state.cells
     board = int.from_bytes(cells, "big")
     if board & facts.givens_mask != facts.givens:

@@ -106,7 +106,8 @@ def test_traceback_returns_to_earlier_depth():
 def test_unverified_events_do_not_count():
     events = [ev(3, True, (), A), ev(2, True, (), A)]
     est = estimate_verification_errors([record_of(events)], truth_by_step_content)
-    assert est == ErrorEstimate(None, None, 0, 0, 0)
+    assert est == ErrorEstimate(None, None, 0, 0)
+    assert est.n_first_attempts == 0
 
 
 def test_zero_rate_is_a_measurement_none_is_absence():

@@ -371,6 +371,17 @@ def test_render_and_parse_mult_state():
     assert parse_mult_state(render_state(s)) == s
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0*2+3", "+12*3+0", " 12*3+0", "12*3+0 ", "\uff11\uff12*3+0", "12*\u00b3+0",
+     "12*-3+0", "12*3", "12+3*0", "12*3+0+1", "*3+0", ""],
+)
+def test_parse_mult_state_refuses_what_render_never_writes(text):
+    with pytest.raises(ValueError, match="digits 0-9") as refused:
+        parse_mult_state(text)
+    assert str(refused.value).endswith(repr(text))
+
+
 def test_render_sudoku_and_synthetic():
     board = generate_full_board(rng_mod.stream(14, 0))
     assert task_hooks(TaskName.SUDOKU).render_state(board) == board.render()

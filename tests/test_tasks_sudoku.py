@@ -44,7 +44,7 @@ from reflect_lab.tasks.sudoku import (
     SudokuMove,
     SudokuTransition,
     _masks,
-    _puzzle_facts,
+    _PuzzleFacts,
     _with_cell,
     consistent,
     generate_full_board,
@@ -166,17 +166,36 @@ def _filled_slots(board: SudokuBoard) -> dict[str, object]:
     return filled
 
 
+def _clear_slot(board: SudokuBoard, name: str) -> None:
+    """Empty one of the board's lazy slots, so that its next read fills it
+    from scratch: one board per value leaves no cold copy to build."""
+    if name in _filled_slots(board):
+        getattr(SudokuBoard, name).__delete__(board)
+
+
 def test_a_used_board_survives_pickle_and_deepcopy():
-    board = SudokuBoard(PUZZLE.cells)
+    # While a board lives its copies are the board itself (see
+    # test_copy_deepcopy_and_pickle_return_the_live_board); once it is gone,
+    # its pickle loads as a new board that rebuilds its slots from the cells.
+    rng = rng_mod.stream(28, 1)
+    board = make_puzzle(generate_full_board(rng), 50, rng)
     board.render()
-    child = sudoku_expert_step(board, rng_mod.stream(28, 1)).content.new_board
+    child = sudoku_expert_step(board, rng).content.new_board
     assert {"masks", "_text", "_expert"} <= set(_filled_slots(board))
-    for used in (board, child):
-        for copied in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
-            assert copied == used and hash(copied) == hash(used)
-            assert type(copied.cells) is bytes
-            assert copied.render() == used.render()
-            assert copied.masks == used.masks
+    saved = [(pickle.dumps(used), used.cells, used.render(), used.masks, hash(used))
+             for used in (board, child)]
+    gone = weakref.ref(board), weakref.ref(child)
+    del board, child
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+    for dumped, cells, text, masks, hashed in saved:
+        copied = pickle.loads(dumped)
+        assert not {"masks", "_text", "_expert"} & set(_filled_slots(copied))
+        assert type(copied.cells) is bytes and copied.cells == cells
+        assert hash(copied) == hashed
+        assert copied.render() == text
+        assert copied.masks == masks
+        assert copy.deepcopy(copied) is copied
 
 
 def test_solve_leaves_no_reference_cycle():
@@ -220,9 +239,23 @@ def test_non_canonical_text_parses_to_the_same_board():
             SudokuBoard.parse(text[:40] + char + text[41:])
     with pytest.raises(ValueError, match="9 lines"):
         SudokuBoard.parse(text[:9] + text[10] + "\n" + text[11:])
-    # int() reads non-ASCII digits too; that path is kept.
-    arabic_three = SudokuBoard.parse(text[:40] + "\u0663" + text[41:])
-    assert arabic_three.cells[36] == 3
+    # Only the digits 0-9 are cells, though int() reads other digits too.
+    arabic_three = text[:40] + "\u0663" + text[41:]
+    with pytest.raises(ValueError, match="digits 0-9") as refused:
+        SudokuBoard.parse(arabic_three)
+    assert str(refused.value).endswith(repr(arabic_three))
+
+
+@pytest.mark.parametrize("digit", ["\uff11", "\u0661", "\u00b9", "\u2460"])
+def test_parse_refuses_any_digit_but_0_to_9(digit):
+    # Full-width and Arabic-Indic 1 are digits int() reads; superscript and
+    # circled 1 are digits it does not.  None of them is a cell.
+    block = "\n".join([digit * 9] * 9)
+    spaced = PUZZLE.render().replace("1", digit, 1).replace("\n", " \n ")
+    for text in (block, spaced, "\n" + block + "\n"):
+        with pytest.raises(ValueError, match="digits 0-9") as refused:
+            SudokuBoard.parse(text)
+        assert str(refused.value).endswith(repr(text))
 
 
 def test_solver_and_expert_leave_the_cached_masks_alone():
@@ -233,18 +266,19 @@ def test_solver_and_expert_leave_the_cached_masks_alone():
         solve(board)
         sudoku_expert_step(board, rng_mod.stream(8, 2))
         assert board.masks == masks
-        # A fresh board of the same cells agrees with the cached value.
-        assert SudokuBoard(board.cells).masks == masks
+        # The masks computed afresh from the cells agree with the cached value.
+        assert _masks(board.cells) == masks
         assert consistent(board)
 
 
 def test_boards_carry_the_masks_and_text_of_their_cells():
     """Boards built by the expert step and by parse come with derived data;
-    it must be what a fresh board of the same cells computes."""
+    it must be what the cells alone give."""
 
     def check(board: SudokuBoard) -> None:
         assert board.masks == _masks(board.cells)
-        assert board.render() == SudokuBoard(board.cells).render()
+        digits = "".join(map(str, board.cells))
+        assert board.render() == "\n".join(digits[r : r + 9] for r in range(0, 81, 9))
 
     boards = []
     saw_guess = False
@@ -345,10 +379,9 @@ def test_expert_step_equals_the_sweep_on_every_call_of_a_board():
     kinds = []
     for board, state in _noisy_expert_inputs():
         expected = _outcome(sudoku_expert_step_reference, board, state)
-        cold = SudokuBoard(board.cells)
-        assert "_expert" not in _filled_slots(cold)
-        for target in (cold, cold, board):
-            assert _outcome(sudoku_expert_step, target, state) == expected
+        _clear_slot(board, "_expert")
+        for _ in range(3):
+            assert _outcome(sudoku_expert_step, board, state) == expected
         kinds.append((_kind(expected[0]), _masks(board.cells) is None))
     # Illegal boards dead-end at once; legal ones reach every outcome.
     assert set(kinds) == {("dead", True)} | {
@@ -360,7 +393,7 @@ def test_expert_step_equals_the_sweep_on_every_call_of_a_board():
 def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
     """The boards a board's cells and cached values refer to.  A weak
     reference (the live-board registry's, in the weakref slot) holds
-    nothing alive."""
+    nothing alive, and a puzzle's facts hold ints."""
     held: list[SudokuBoard] = []
 
     def walk(obj) -> None:
@@ -368,7 +401,10 @@ def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
             return
         if isinstance(obj, SudokuBoard):
             held.append(obj)
-        elif isinstance(obj, (tuple, list)):
+        elif isinstance(obj, _PuzzleFacts):
+            for name in _PuzzleFacts.__slots__:
+                walk(getattr(obj, name))
+        elif isinstance(obj, (tuple, list, set)):
             for item in obj:
                 walk(item)
         elif isinstance(obj, (Step, SudokuMove)):
@@ -387,7 +423,6 @@ def test_a_board_keeps_at_most_one_other_board_alive():
     a guess that holds no board."""
     forced = 0
     for board, state in _noisy_expert_inputs():
-        board = SudokuBoard(board.cells)
         board.render()
         result, _ = _outcome(sudoku_expert_step, board, state)
         kind = _kind(result)
@@ -408,20 +443,20 @@ def test_a_board_keeps_at_most_one_other_board_alive():
 
 
 def _polarity_reference(puzzle: SudokuBoard, state: SudokuBoard) -> bool:
-    """The oracle's definition, on a fresh board with nothing cached."""
-    fresh = SudokuBoard(state.cells)
-    keeps_givens = all(g == 0 or g == c for g, c in zip(puzzle.cells, fresh.cells))
-    return consistent(fresh) and keeps_givens and solve(fresh) is not None
+    """The oracle's definition, from the state's cells and none of the
+    oracle's facts."""
+    keeps_givens = all(g == 0 or g == c for g, c in zip(puzzle.cells, state.cells))
+    return _masks(state.cells) is not None and keeps_givens and solve(state) is not None
 
 
 def _check_polarity(query: Query, states: list[SudokuBoard]) -> None:
     """The oracle equals its definition on a cold cache, and again on a warm
-    one with fresh boards in reverse order."""
+    one in reverse order."""
     puzzle = query.payload
     expected = [_polarity_reference(puzzle, s) for s in states]
-    sudoku_module._FACTS.pop(puzzle, None)
+    _clear_slot(puzzle, "_facts")
     assert [state_polarity(query, s) for s in states] == expected
-    warm = [state_polarity(query, SudokuBoard(s.cells)) for s in reversed(states)]
+    warm = [state_polarity(query, s) for s in reversed(states)]
     assert warm[::-1] == expected
 
 
@@ -506,7 +541,7 @@ def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
     _check_polarity(query, states)
     # States that follow the second completion first missed the known
     # completions and were searched, then were covered by what was found.
-    facts = _puzzle_facts(query.payload)
+    facts = query.payload._facts
     searched = len(facts.completions) + len(facts.unsolvable)
     solvable_states = sum(_polarity_reference(puzzle, s) for s in states)
     assert len(facts.completions) >= 2
@@ -519,7 +554,7 @@ def test_polarity_oracle_with_full_lists_searches_again(monkeypatch):
     monkeypatch.setattr(sudoku_module, "_FACTS_REFUTED", 1)
     query, states = _many_solution_case()
     _check_polarity(query, states)
-    facts = _puzzle_facts(query.payload)
+    facts = query.payload._facts
     assert len(facts.completions) == 1
     assert len(facts.unsolvable) <= 1
 
@@ -915,57 +950,90 @@ def test_a_puzzles_facts_live_as_long_as_its_board():
     puzzle = make_puzzle(full, 45, rng_mod.stream(30, 1))
     query = Query(TaskName.SUDOKU, puzzle)
     assert state_polarity(query, puzzle)
-    facts = _puzzle_facts(puzzle)
+    facts = puzzle._facts
     assert len(facts.completions) == 1
-    # Text decoded while the puzzle lives is the puzzle itself, so it finds
-    # its facts, and its oracle answers from the completion already found.
+    # Text decoded while the puzzle lives, and a board the constructor
+    # builds, are the puzzle itself: they hold its facts, and the oracle
+    # answers from the completion already found.
     copied = Query(TaskName.SUDOKU, SudokuBoard.parse(puzzle.render()))
-    assert copied.payload is puzzle
-    assert _puzzle_facts(copied.payload) is facts
+    twin = SudokuBoard(puzzle.cells)
+    assert copied.payload is puzzle and twin is puzzle
+    assert twin._facts is facts
     assert state_polarity(copied, copied.payload)
     assert len(facts.completions) == 1
-    # A board the constructor builds is a new object, and finds them too.
-    twin = SudokuBoard(puzzle.cells)
-    assert twin is not puzzle and _puzzle_facts(twin) is facts
-    # Once the boards die, so does the table's entry, which alone held the
-    # facts; an equal board built later starts afresh.
+
+    def facts_of(cells: bytes) -> list[_PuzzleFacts]:
+        givens = int.from_bytes(cells, "big")
+        return [obj for obj in gc.get_objects()
+                if type(obj) is _PuzzleFacts and obj.givens == givens]
+
+    # Once the board dies, so do its facts, which nothing else held; an
+    # equal board built later starts afresh.
     cells = puzzle.cells
+    assert facts_of(cells) == [facts]
+    board = weakref.ref(puzzle)
     del facts, query, puzzle, copied, twin
-    assert SudokuBoard(cells) not in sudoku_module._FACTS
-    assert _puzzle_facts(SudokuBoard(cells)).completions == []
+    assert board() is None
+    assert facts_of(cells) == []
+    assert SudokuBoard(cells)._facts.completions == []
 
 
 def test_while_a_board_lives_every_builder_returns_it():
-    """One board per value: parse, _with_cell, the expert's forced and
-    guessed steps, misfill and solve return the live board with the cells
-    they build, never an equal copy.  The constructor returns a new board
-    and leaves the live one in the registry."""
+    """One board per value: the constructor, parse, _with_cell, the
+    expert's forced and guessed steps, misfill and solve return the live
+    board with the cells they build, never an equal copy."""
     forced = sudoku_expert_step(PUZZLE, rng_mod.stream(31, 0)).content
     assert not forced.guess
     board = forced.new_board
-    twin_step = sudoku_expert_step(SudokuBoard(PUZZLE.cells), rng_mod.stream(31, 0))
-    assert twin_step.content.new_board is board
+    for cells in (PUZZLE.cells, tuple(PUZZLE.cells), list(PUZZLE.cells), bytearray(PUZZLE.cells)):
+        assert SudokuBoard(cells) is PUZZLE
+    assert SudokuBoard(board.cells) is board
+    # The forced step built afresh, with the decision cleared.
+    _clear_slot(PUZZLE, "_expert")
+    assert sudoku_expert_step(PUZZLE, rng_mod.stream(31, 0)).content.new_board is board
     assert SudokuBoard.parse(board.render()) is board
-    twin = SudokuBoard(board.cells)
-    assert twin is not board and twin == board
-    assert SudokuBoard.parse(twin.render()) is board
+    assert SudokuBoard.parse(" " + board.render()) is board
     child = _with_cell(PUZZLE, 2, 1)
-    assert _with_cell(SudokuBoard(PUZZLE.cells), 2, 1) is child
+    assert _with_cell(PUZZLE, 2, 1) is child
     guessed = sudoku_expert_step(EMPTY, rng_mod.stream(31, 1)).content
     assert guessed.guess
-    blank = SudokuBoard(EMPTY.cells)
-    assert sudoku_expert_step(blank, rng_mod.stream(31, 1)).content.new_board is guessed.new_board
+    assert sudoku_expert_step(EMPTY, rng_mod.stream(31, 1)).content.new_board is guessed.new_board
     corrupted, _ = misfill(forced, rng_mod.stream(31, 2))
     again, _ = misfill(forced, rng_mod.stream(31, 2))
     assert again is not corrupted and again.new_board is corrupted.new_board
     # A board one blank short of a live full board solves to that board.
     full = generate_full_board(rng_mod.stream(31, 3))
     assert solve(SudokuBoard(bytes(1) + full.cells[1:])) is full
-    assert solve(SudokuBoard(PUZZLE.cells)) is solve(PUZZLE)
+    assert solve(PUZZLE) is solve(PUZZLE)
+
+
+def test_copy_deepcopy_and_pickle_return_the_live_board():
+    board = _with_cell(PUZZLE, 2, 1)
+    assert copy.copy(board) is board
+    assert copy.deepcopy(board) is board
+    assert pickle.loads(pickle.dumps(board)) is board
+    # Inside a container too, as a decoded record or a query holds it.
+    query = Query(TaskName.SUDOKU, board)
+    assert copy.deepcopy(query).payload is board
+    assert pickle.loads(pickle.dumps(query)).payload is board
+
+
+def test_a_refused_constructor_call_adds_no_registry_entry():
+    # The bool cell equals 1, so its board by value would be this child.
+    child_cells = _with_cell(PUZZLE, 2, 1).cells
+    cells = tuple(PUZZLE.cells)
+    refused = [cells[:80], cells[:2] + (True,) + cells[3:], cells[:80] + (10,)]
+    gc.collect()
+    before = set(sudoku_module._BOARDS.keys())
+    assert child_cells not in before
+    for bad in refused:
+        with pytest.raises(ValueError):
+            SudokuBoard(bad)
+    assert set(sudoku_module._BOARDS.keys()) <= before
 
 
 def test_the_board_registry_keeps_no_board_alive():
-    """10,000 boards built through the constructor, parse and _with_cell
+    """20,000 boards, built through the constructor, parse and _with_cell,
     are each registered while they live, and all gone once dropped."""
     gc.collect()
     before = set(sudoku_module._BOARDS.keys())
