@@ -14,6 +14,7 @@ errors otherwise.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 
@@ -75,6 +76,19 @@ _params_options = [
 ]
 
 
+def _existing_folder(ctx, param, path: str) -> str:
+    """Refuse an output path whose directory does not exist, before any work."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise click.BadParameter(f"directory {folder!r} does not exist", ctx, param)
+    return path
+
+
+_out_option = click.option(
+    "--out", required=True, type=click.Path(dir_okay=False), callback=_existing_folder
+)
+
+
 def _with_options(options):
     def wrap(fn):
         for option in reversed(options):
@@ -133,7 +147,7 @@ def main() -> None:
               help="Backtracking widths, one column each.")
 @click.option("--n", type=click.IntRange(min=0), default=30, show_default=True,
               help="Largest scale tabulated.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
     """Tabulate the closed-form accuracy curves to CSV."""
     params = SimplifiedParams(mu=mu, e_minus=e_minus, e_plus=e_plus, f=f)
@@ -158,7 +172,7 @@ def cmd_theory_curve(mu, e_minus, e_plus, f, m, n, out) -> None:
 @click.option("--root-unlimited", is_flag=True, default=False,
               help="Give the backtracking root unlimited attempts (deployed "
                    "behavior; the closed forms assume a capped root).")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
                  threads, engine, root_unlimited, out) -> None:
     """Monte-Carlo estimate of one (params, n, mode) point, with theory."""
@@ -192,7 +206,7 @@ def cmd_simulate(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, budget,
 @click.option("--tier-mix", default="id_easy=0.5,id_hard=0.5", show_default=True,
               help="Comma list of tier=weight pairs over the training tiers.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
     """Generate a labeled chain-of-thought corpus as JSONL (gzip by .gz)."""
     task_name = TaskName(task)
@@ -236,7 +250,7 @@ def cmd_gen_data(task, style, count, noise, tier_mix, seed, out) -> None:
               help="Verified proposals before reverting to non-reflective.")
 @click.option("--budget", type=click.IntRange(min=1), default=96, show_default=True,
               help="Total proposals per episode.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_run_task(task, tier, mode, m, episodes, seed, noise, e_minus, e_plus,
                  verifier, reflective_budget, budget, out) -> None:
     """Run task episodes, write the records as JSONL, print the accuracy."""
@@ -286,7 +300,7 @@ def _rule_oracle(query, state, step) -> bool:
               show_default=True,
               help="rule: the task's exact rule verifier; truth: solvability "
                    "of the state the step leads to.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_estimate_errors(records, oracle, out) -> None:
     """Measure first-attempt verifier error rates from episode records."""
     oracle_fn = step_leads_positive if oracle == "truth" else _rule_oracle
@@ -319,7 +333,7 @@ def cmd_estimate_errors(records, oracle, out) -> None:
 @click.option("--episodes", type=click.IntRange(min=1), default=200_000, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=None)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@_out_option
 def cmd_report(mu, e_minus, e_plus, f, mode, m, n, episodes, seed, threads,
                out) -> None:
     """Theory-vs-Monte-Carlo comparison table over (n, mode, width)."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import gzip
+import io
 import json
 import math
 import zlib
@@ -485,15 +486,19 @@ def dumps_json_line(obj: dict) -> str:
 def write_jsonl(objects: Iterable[dict], path: str) -> int:
     """Write one JSON object per line; gzip when the path ends in .gz.
 
+    The gzip header records no file name and a zero time, so equal objects
+    give equal bytes whatever the file is called and whenever it is written.
     Returns the number of lines written.
     """
     count = 0
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as sink:
-        for obj in objects:
-            sink.write(dumps_json_line(obj))
-            sink.write("\n")
-            count += 1
+    with open(path, "wb") as file:
+        if path.endswith(".gz"):
+            file = gzip.GzipFile(filename="", mode="wb", fileobj=file, mtime=0)
+        with io.TextIOWrapper(file, encoding="utf-8") as sink:
+            for obj in objects:
+                sink.write(dumps_json_line(obj))
+                sink.write("\n")
+                count += 1
     return count
 
 
@@ -510,7 +515,7 @@ def _read_jsonl(path: str, decode: Callable[[dict], Any]) -> Iterator[Any]:
                 if line.strip():
                     yield decode(json.loads(line.decode("utf-8")))
                 lineno += 1
-    except (EOFError, gzip.BadGzipFile, zlib.error, ValueError) as exc:
+    except (EOFError, gzip.BadGzipFile, zlib.error, ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 

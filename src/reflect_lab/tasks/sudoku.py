@@ -18,13 +18,15 @@ fill, a misfill) gets its masks from its parent's, rewriting only the cell's
 row, column and box.
 
 The rule-based verifiers check only Sudoku legality (no given modified, no
-duplicate in a row, column, or block).  Solvability questions go through an
-independent most-constrained-first backtracking solver kept free of the
-expert-policy code path.  The solver decides every board that no completion
+duplicate in a row, column, or block); board_extends is the one test of the
+givens, which the verifiers, the answer check and the oracle share.
+Solvability questions go through an independent most-constrained-first
+backtracking solver kept free of the expert-policy code path.  The solver
+decides every consistent board that keeps the givens and that no completion
 found so far covers; a known completion of the puzzle that agrees with every
-filled cell of a board is a proof that the board is solvable.  What the
-oracle learns about a puzzle is a slot of the puzzle's board, so it lives as
-long as that board.
+filled cell of a board is a proof that the board is solvable.  The
+completions the oracle finds for a puzzle are a slot of the puzzle's board,
+so they live as long as that board.
 
 Moves share their fills: every (row, col, value) triple a builder or the
 decoder makes is one of 729 module-level tuples.
@@ -136,11 +138,11 @@ class SudokuBoard:
     bytes, or None), the expert step's decision and the oracle's facts about
     it as a puzzle are slots, each filled at most once, on first read, by
     __getattr__.  A forced step's board is full or has no singleton left, so
-    its own decision is a guess, which holds no board, and facts hold ints
-    only: a board keeps at most one other board alive.  The constructor
-    returns the live board with the same cells, if any, as every builder
-    does (one board per value, see the module docstring); that is safe
-    because a board never changes.
+    its own decision is a guess, which holds no board, and the facts are a
+    list of completions as ints: a board keeps at most one other board
+    alive.  The constructor returns the live board with the same cells, if
+    any, as every builder does (one board per value, see the module
+    docstring); that is safe because a board never changes.
     """
 
     __slots__ = ("cells", "masks", "_text", "_expert", "_facts", "__weakref__")
@@ -176,7 +178,7 @@ class SudokuBoard:
         """Fill an empty slot on its first read: `masks` (the unit masks, or
         None when a unit holds a duplicate), `_text` (render's text),
         `_expert` (the expert step's decision, for a board with a blank) or
-        `_facts` (the oracle's facts, for a puzzle)."""
+        `_facts` (the completions the oracle found, for a puzzle)."""
         if name == "masks":
             value = _masks(self.cells)
         elif name == "_text":
@@ -186,7 +188,7 @@ class SudokuBoard:
         elif name == "_expert":
             value = _expert_decision(self)
         elif name == "_facts":
-            value = _PuzzleFacts(self)
+            value = []
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -586,41 +588,20 @@ def gen_sudoku_query(tier: DifficultyTier, rng: np.random.Generator) -> Query:
     return Query(TaskName.SUDOKU, make_puzzle(full, blanks, rng), tier)
 
 
-# The solvability oracle's memory of one puzzle: at most _FACTS_COMPLETIONS
-# completions and _FACTS_REFUTED refuted boards.  A state the full lists do
-# not answer is searched.
+# The completions of one puzzle that the solvability oracle keeps, at most.
 _FACTS_COMPLETIONS = 32
-_FACTS_REFUTED = 96
-
-
-class _PuzzleFacts:
-    """What the solvability oracle has learned about one puzzle: the `_facts`
-    slot of its board, holding ints only, so it keeps no board alive.
-
-    Boards are compared as 81-byte big-endian integers, one byte per cell:
-    `board & givens_mask == givens` says the board keeps every given, and
-    `completion & filled == board`, with `filled` the byte mask of the
-    board's filled cells, says the completion agrees with every one of them.
-    """
-
-    __slots__ = ("givens", "givens_mask", "completions", "unsolvable")
-
-    def __init__(self, puzzle: SudokuBoard) -> None:
-        cells = puzzle.cells
-        self.givens = int.from_bytes(cells, "big")
-        self.givens_mask = int.from_bytes(cells.translate(_FILLED), "big")
-        # Completions of the puzzle found by solve, and boards it refuted.
-        self.completions: list[int] = []
-        self.unsolvable: set[int] = set()
 
 
 def board_extends(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
-    """Every given (nonzero) cell of the puzzle is preserved in the board."""
-    return all(
-        given == cell
-        for given, cell in zip(puzzle.cells, board.cells)
-        if given != 0
-    )
+    """Every given (nonzero) cell of the puzzle is preserved in the board.
+
+    Boards are compared as 81-byte big-endian integers, one byte per cell:
+    the board keeps every given when masking it to the puzzle's filled cells
+    leaves the puzzle.
+    """
+    givens = puzzle.cells
+    filled = int.from_bytes(givens.translate(_FILLED), "big")
+    return int.from_bytes(board.cells, "big") & filled == int.from_bytes(givens, "big")
 
 
 def _sudoku_check(query: Query, answer: Step) -> bool:
@@ -645,29 +626,26 @@ def _sudoku_polarity(query: Query, state: SudokuBoard) -> bool:
     """consistent(state), board_extends(puzzle, state) and solve(state) is
     not None.
 
-    A completion found earlier for the same puzzle that agrees with every
-    filled cell proves the state solvable; only states that no known
-    completion covers are searched, and each search's answer is kept while
-    the puzzle's lists have room.
+    A completion of the puzzle found earlier that agrees with every filled
+    cell of the state proves it solvable; only states that no known
+    completion covers are searched, and each completion found is kept in
+    the puzzle's `_facts` while it has room.
     """
-    facts = query.payload._facts
+    puzzle = query.payload
+    if not (consistent(state) and board_extends(puzzle, state)):
+        return False
+    completions = puzzle._facts
     cells = state.cells
     board = int.from_bytes(cells, "big")
-    if board & facts.givens_mask != facts.givens:
-        return False
     filled = int.from_bytes(cells.translate(_FILLED), "big")
-    for completion in facts.completions:
+    for completion in completions:
         if completion & filled == board:
             return True
-    if board in facts.unsolvable or not consistent(state):
-        return False
     solution = solve(state)
     if solution is None:
-        if len(facts.unsolvable) < _FACTS_REFUTED:
-            facts.unsolvable.add(board)
         return False
-    if len(facts.completions) < _FACTS_COMPLETIONS:
-        facts.completions.append(int.from_bytes(solution.cells, "big"))
+    if len(completions) < _FACTS_COMPLETIONS:
+        completions.append(int.from_bytes(solution.cells, "big"))
     return True
 
 

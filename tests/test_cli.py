@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import gzip
 import hashlib
 import json
 import os
@@ -179,6 +180,24 @@ def test_gen_data_counts_and_determinism(runner, tmp_path):
     assert first["task"] == "mult" and first["style"] == "binary"
     manifest = json.loads(read_bytes(out_a + ".manifest.json"))
     assert manifest["count"] == 12 and manifest["command"] == "gen-data"
+
+
+def test_gen_data_writes_the_same_gzip_bytes_under_any_name_at_any_time(
+    runner, tmp_path, monkeypatch
+):
+    # A gzip header can carry the file's name and the time it was written;
+    # neither may reach the output.
+    args = ["gen-data", "--task", "mult", "--count", "3", "--seed", "1", "--out"]
+    plain = str(tmp_path / "c.jsonl")
+    assert runner.invoke(main, args + [plain]).exit_code == 0
+    packed = []
+    for name, now in (("c1.jsonl.gz", 1.0e9), ("c2.jsonl.gz", 2.0e9)):
+        monkeypatch.setattr(gzip.time, "time", lambda: now)
+        result = runner.invoke(main, args + [str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        packed.append(read_bytes(str(tmp_path / name)))
+    assert packed[0] == packed[1]
+    assert gzip.decompress(packed[0]) == read_bytes(plain)
 
 
 def test_gen_data_style_none_defaults_to_zero_noise(runner, tmp_path):
@@ -540,6 +559,28 @@ def test_out_of_range_rate_is_usage_error(runner, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert command[-2] in result.output
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        _THEORY,
+        _SIMULATE,
+        ["gen-data", "--task", "mult", "--count", "1"],
+        _RUN_TASK,
+        ["estimate-errors", "--records", "records.jsonl"],
+        _REPORT,
+    ],
+    ids=lambda command: command[0],
+)
+def test_an_out_in_a_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert runner.invoke(main, [*_RUN_TASK, "--out", "records.jsonl"]).exit_code == 0
+    out = str(tmp_path / "missing" / "out")
+    result = runner.invoke(main, [*command, "--out", out])
+    assert result.exit_code == 2, result.output
+    assert "'--out'" in result.output and "does not exist" in result.output
+    assert not os.path.exists(os.path.dirname(out))
 
 
 # sha256 of small data outputs, recorded before the per-task code moved into

@@ -360,6 +360,31 @@ def test_a_file_that_is_not_gzip_is_refused_at_line_1(tmp_path):
         list(read_records(str(path)))
 
 
+def _deeply_nested(good: dict) -> list[str]:
+    """Lines nested past the recursion limit: 100,000 open brackets, and the
+    good object with a 5,000-deep extra field."""
+    good_line = dumps_json_line(good)
+    return ["[" * 100_000, good_line[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}"]
+
+
+@pytest.mark.parametrize("shape", [0, 1], ids=["brackets", "deep_field"])
+def test_a_deeply_nested_record_is_a_format_error(tmp_path, shape):
+    good = record_to_json(_synthetic_rtbs_record())
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{dumps_json_line(good)}\n{_deeply_nested(good)[shape]}\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="records.jsonl: line 2: maximum recursion depth"):
+        list(read_records(str(path)))
+
+
+@pytest.mark.parametrize("shape", [0, 1], ids=["brackets", "deep_field"])
+def test_a_deeply_nested_example_is_a_format_error(tmp_path, shape):
+    good = example_to_json(next(iter(generate_corpus(small_spec(example_count=1)))))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{dumps_json_line(good)}\n{_deeply_nested(good)[shape]}\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="corpus.jsonl: line 2: maximum recursion depth"):
+        list(read_examples(str(path)))
+
+
 def test_invalid_utf8_names_its_line(tmp_path):
     line = dumps_json_line(example_to_json(next(iter(generate_corpus(small_spec(example_count=1))))))
     path = tmp_path / "corpus.jsonl"

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import pickle
+import sys
 import weakref
 from functools import lru_cache
 
@@ -44,8 +45,8 @@ from reflect_lab.tasks.sudoku import (
     SudokuMove,
     SudokuTransition,
     _masks,
-    _PuzzleFacts,
     _with_cell,
+    board_extends,
     consistent,
     generate_full_board,
     make_puzzle,
@@ -401,9 +402,6 @@ def _boards_held(board: SudokuBoard) -> list[SudokuBoard]:
             return
         if isinstance(obj, SudokuBoard):
             held.append(obj)
-        elif isinstance(obj, _PuzzleFacts):
-            for name in _PuzzleFacts.__slots__:
-                walk(getattr(obj, name))
         elif isinstance(obj, (tuple, list, set)):
             for item in obj:
                 walk(item)
@@ -535,28 +533,58 @@ def _many_solution_case() -> tuple[Query, list[SudokuBoard]]:
     return Query(TaskName.SUDOKU, puzzle), states
 
 
-def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle():
+def test_polarity_oracle_matches_its_definition_on_a_many_solution_puzzle(monkeypatch):
     query, states = _many_solution_case()
     puzzle = query.payload
+    searched = []
+    search = sudoku_module.solve
+    monkeypatch.setattr(
+        sudoku_module, "solve", lambda state: searched.append(state) or search(state))
     _check_polarity(query, states)
     # States that follow the second completion first missed the known
     # completions and were searched, then were covered by what was found.
-    facts = query.payload._facts
-    searched = len(facts.completions) + len(facts.unsolvable)
     solvable_states = sum(_polarity_reference(puzzle, s) for s in states)
-    assert len(facts.completions) >= 2
-    assert searched < solvable_states / 4
+    assert len(puzzle._facts) >= 2
+    assert len(searched) < solvable_states / 4
 
 
 def test_polarity_oracle_with_full_lists_searches_again(monkeypatch):
-    # Once a puzzle's lists are full, what they do not answer is searched.
+    # Once a puzzle's list is full, what it does not answer is searched.
     monkeypatch.setattr(sudoku_module, "_FACTS_COMPLETIONS", 1)
-    monkeypatch.setattr(sudoku_module, "_FACTS_REFUTED", 1)
     query, states = _many_solution_case()
     _check_polarity(query, states)
-    facts = query.payload._facts
-    assert len(facts.completions) == 1
-    assert len(facts.unsolvable) <= 1
+    assert len(query.payload._facts) == 1
+
+
+def test_board_extends_is_the_per_cell_rule():
+    """board_extends(puzzle, board) holds exactly when every given of the
+    puzzle keeps its value in the board."""
+
+    def keeps_givens(puzzle: SudokuBoard, board: SudokuBoard) -> bool:
+        return all(g == 0 or g == c for g, c in zip(puzzle.cells, board.cells))
+
+    query, states = _many_solution_case()
+    rng = rng_mod.stream(32, 0)
+    sparse = [
+        SudokuBoard((rng.integers(0, 10, 81) * (rng.random(81) < density)).tolist())
+        for density in (0.1, 0.3, 0.6, 0.9) for _ in range(5)
+    ]
+    # Each sparse board with its blanks filled at random extends it.
+    filled = [
+        SudokuBoard(bytes(v or int(rng.integers(1, 10)) for v in board.cells))
+        for board in sparse
+    ]
+    boards = [EMPTY, PUZZLE, *states, *sparse, *filled]
+    verdicts = []
+    for puzzle in [EMPTY, PUZZLE, query.payload, *sparse]:
+        for board in boards:
+            expected = keeps_givens(puzzle, board)
+            assert board_extends(puzzle, board) is expected
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts) / 2
+    for board in boards:
+        assert board_extends(board, board)
+        assert board_extends(EMPTY, board)
 
 
 def test_board_accessors():
@@ -951,7 +979,7 @@ def test_a_puzzles_facts_live_as_long_as_its_board():
     query = Query(TaskName.SUDOKU, puzzle)
     assert state_polarity(query, puzzle)
     facts = puzzle._facts
-    assert len(facts.completions) == 1
+    assert len(facts) == 1
     # Text decoded while the puzzle lives, and a board the constructor
     # builds, are the puzzle itself: they hold its facts, and the oracle
     # answers from the completion already found.
@@ -960,22 +988,16 @@ def test_a_puzzles_facts_live_as_long_as_its_board():
     assert copied.payload is puzzle and twin is puzzle
     assert twin._facts is facts
     assert state_polarity(copied, copied.payload)
-    assert len(facts.completions) == 1
-
-    def facts_of(cells: bytes) -> list[_PuzzleFacts]:
-        givens = int.from_bytes(cells, "big")
-        return [obj for obj in gc.get_objects()
-                if type(obj) is _PuzzleFacts and obj.givens == givens]
-
-    # Once the board dies, so do its facts, which nothing else held; an
-    # equal board built later starts afresh.
+    assert len(facts) == 1
+    # Once the board dies, nothing but this test holds its facts (the
+    # argument of getrefcount is the other reference), and an equal board
+    # built later starts afresh.
     cells = puzzle.cells
-    assert facts_of(cells) == [facts]
     board = weakref.ref(puzzle)
-    del facts, query, puzzle, copied, twin
+    del query, puzzle, copied, twin
     assert board() is None
-    assert facts_of(cells) == []
-    assert SudokuBoard(cells)._facts.completions == []
+    assert sys.getrefcount(facts) == 2
+    assert SudokuBoard(cells)._facts == []
 
 
 def test_while_a_board_lives_every_builder_returns_it():
