@@ -80,10 +80,6 @@ class MultMove:
     new_state: MultState
 
 
-def digit_at(value: int, position: int) -> int:
-    return (value // 10**position) % 10
-
-
 def nonzero_digits(value: int) -> dict[int, list[int]]:
     """Map digit value -> positions where it occurs, low position first."""
     out: dict[int, list[int]] = {}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from reflect_lab import __version__, cli, corpus
+from reflect_lab import __version__, cli, corpus, metrics
 from reflect_lab import rng as rng_mod
 from reflect_lab.cli import main
 from reflect_lab.engines import run_rtbs
@@ -356,13 +356,17 @@ def test_estimate_errors_truth_oracle_runs(runner, tmp_path):
         ).exit_code
         == 0
     )
-    out = str(tmp_path / "t.csv")
-    result = runner.invoke(
-        main, ["estimate-errors", "--records", records, "--oracle", "truth", "--out", out]
-    )
-    assert result.exit_code == 0, result.output
-    values = read_bytes(out).decode().strip().split("\n")[1].split(",")
-    assert values[0] == "0.0"  # exact verifier never falsely rejects
+    for oracle in ("truth", "rule"):
+        out = str(tmp_path / f"{oracle}.csv")
+        result = runner.invoke(
+            main, ["estimate-errors", "--records", records, "--oracle", oracle, "--out", out]
+        )
+        assert result.exit_code == 0, result.output
+        values = read_bytes(out).decode().strip().split("\n")[1].split(",")
+        assert values[0] == "0.0"  # exact verifier never falsely rejects
+        # A clean policy makes no oracle-negative first attempt, so e+ has
+        # no denominator and is reported as absent, not as zero.
+        assert values[1] == "" and values[4] == "0"
 
 
 def test_run_task_with_the_oracle_verifier_makes_no_verifier_error(runner, tmp_path):
@@ -447,16 +451,21 @@ def test_estimate_errors_reports_an_infinite_number_as_usage_error(runner, tmp_p
 def test_report_covers_requested_grid(runner, tmp_path):
     out = str(tmp_path / "report.csv")
     args = [
-        "report", *REF_FLAGS, "--n", "1", "--n", "2", "--m", "1",
+        "report", *REF_FLAGS, "--n", "1", "--n", "2", "--m", "1", "--m", "4",
         "--episodes", "1500", "--seed", "5", "--threads", "1", "--out", out,
     ]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     lines = read_bytes(out).decode().strip().split("\n")
     assert lines[0] == "n,mode,m,episodes,acc_hat,ci_lo,ci_hi,theory,zscore"
-    assert len(lines) == 1 + 2 * 3
-    modes = [line.split(",")[1] for line in lines[1:]]
-    assert modes == ["none", "rmtp", "rtbs"] * 2
+    assert [line.split(",")[1:3] for line in lines[1:]] == [
+        ["none", ""], ["rmtp", ""], ["rtbs", "1"], ["rtbs", "4"],
+    ] * 2
+    rows = metrics.theory_vs_sim_rows(
+        SimplifiedParams(mu=0.8, e_minus=0.3, e_plus=0.2, f=0.8),
+        ("none", "rmtp", "rtbs"), (1, 2), (1, 4), 1500, 5, threads=1,
+    )
+    assert read_bytes(out) == metrics.report_to_csv(rows).encode()
     out_b = str(tmp_path / "report_b.csv")
     rerun = runner.invoke(main, args[:-1] + [out_b])
     assert rerun.exit_code == 0

@@ -22,7 +22,6 @@ from reflect_lab.tasks.mult import (
     MultExpertPolicy,
     MultState,
     MultTransition,
-    digit_at,
     make_move,
     mult_expert_step,
     nonzero_digits,
@@ -71,9 +70,6 @@ def test_state_validation():
 
 
 def test_digit_helpers():
-    assert digit_at(4096, 0) == 6
-    assert digit_at(4096, 3) == 4
-    assert digit_at(4096, 5) == 0
     assert nonzero_digits(4096) == {6: [0], 9: [1], 4: [3]}
     assert nonzero_digits(777) == {7: [0, 1, 2]}
 
