@@ -194,8 +194,10 @@ class Law:
         polarity per level of its rtbs stack: 5n bytes a row.  A group keeps
         a `stack_dtype` level plus a first-derailed depth a row, counted here
         as int32 (it is narrower below n = 2**16), and holds no more of those
-        bytes than that batch did.  Modes without a stack hold no more rows
-        than an rtbs group of one-byte levels.
+        bytes than that batch did.  Compaction never copies the stack, so
+        that is the group's peak, up to its other per-row arrays.  Modes
+        without a stack hold no more rows than an rtbs group of one-byte
+        levels.
         """
         level_bytes = self.stack_dtype(n).itemsize if self.mode == "rtbs" else 1
         return max(1, 5 * n // (n * level_bytes + 4))
@@ -344,17 +346,17 @@ def _stack_write(
 
 
 def _stack_pop(
-    stack: np.ndarray, n: int, rows: np.ndarray, spare: np.ndarray, m: int
+    stack: np.ndarray, offsets: np.ndarray, rows: np.ndarray, spare: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(level, restored count, next spare) of rows that spent their attempts.
 
     Each row pops to its `spare` level, the root when it has none, and
     restores that level's count.  Its next `spare` is the level below,
     when that level has attempts left, or else the link stored there; 0
-    from levels 0 and 1.  Level l of row r is stack entry r * n + l.
+    from levels 0 and 1.  Level l of row r is stack entry offsets[r] + l.
     """
     level = spare[rows]
-    at = rows * n + level
+    at = offsets[rows] + level
     # At level 0 this reads another row's entry (or the last one): unused.
     link = stack[at - 1]
     below = np.where(link < m, level - 1, link - m) * (level > 1)
@@ -380,8 +382,10 @@ def _mc_chunk(
 
     Derailed states only have derailed children, so a level is on track
     exactly when it lies above the chain's first derailed depth: one int per
-    row replaces a polarity stack.  The attempt stack is one flat array,
-    level l of row r at entry r * n + l, of `law.stack_dtype`.  Each pass
+    row replaces a polarity stack.  The attempt stack is one flat array of
+    `law.stack_dtype`, n entries a row, with level l of row r at entry
+    offsets[r] + l.  Compaction moves a row's offset and never its levels,
+    so a group allocates one stack for its life.  Each pass
     every row writes the code of its attempts so far plus one at its own depth
     (`_stack_write`); that entry becomes a level of the row's chain only
     when the row descends, and entries at the row's depth and deeper are
@@ -420,7 +424,7 @@ def _mc_chunk(
         # A count stops at clip (an unlimited root's is clipped as it is
         # stored), so one more always fits.
         att = np.zeros(rows, dtype=np.min_scalar_type(clip + 1))
-        # Entry of each row's level 0; rows stay numbered from 0 when compacted.
+        # Entry of each row's level 0; compaction gathers these, not the levels.
         offsets = np.arange(0, rows * n, n)
         # First derailed depth of the row's chain; n while it is on track.
         derailed_at = np.full(rows, n, dtype=row_dtype)
@@ -472,7 +476,7 @@ def _mc_chunk(
                 if law.root_unlimited:
                     np.minimum(tried, clip, out=tried)
                 # Stale wherever the row does not descend.
-                _stack_write(stack, offsets[:size], depth, tried, spare, desc, m)
+                _stack_write(stack, offsets, depth, tried, spare, desc, m)
             att = tried * rejected
         depth += desc
         cur_pol ^= derail
@@ -483,7 +487,7 @@ def _mc_chunk(
             over = (att >= m).nonzero()[0]  # only rejecting rows kept a count
             if over.size:
                 pops += int(np.count_nonzero(depth[over]))  # rows above the root
-                level, restored, spare[over] = _stack_pop(stack, n, over, spare, m)
+                level, restored, spare[over] = _stack_pop(stack, offsets, over, spare, m)
                 depth[over] = level
                 att[over] = restored
                 back_on_track = level < derailed_at[over]
@@ -527,8 +531,7 @@ def _mc_chunk(
             cur_pol = cur_pol[idx]
             att = att[idx]
             if rtbs:
-                # Whole rows move, so every row's levels stay together.
-                stack = stack.reshape(size, n).take(idx, axis=0).reshape(-1)
+                offsets = offsets[idx]
                 derailed_at = derailed_at[idx]
                 spare = spare[idx]
             alive = alive[idx]

@@ -2,6 +2,7 @@
 the closed forms, and agreement between the vectorized and interface-level
 engines."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -499,6 +500,9 @@ def test_linked_pop_finds_the_deepest_spare_ancestor():
     # popped against a scan of the counts.  A level is spare with fewer than
     # m attempts; the root is the fallback, and an unlimited root may have
     # tried more than m.  At n = 255 links reach 256 - m, past one byte.
+    # Each case runs twice on the same counts: rows in entry order, then
+    # with their offsets permuted among twice as many slots, since compaction
+    # leaves a row's levels where they were written.
     gen = np.random.default_rng(3)
     rows = 60
     far = False
@@ -514,31 +518,33 @@ def test_linked_pop_finds_the_deepest_spare_ancestor():
         spare_counts = gen.integers(1, max(m, 2), (rows, n))  # all m at m = 1
         counts = np.where(gen.random((rows, n)) < spare_share, spare_counts, m)
         counts[:, 0] = gen.integers(1, (clip if root_unlimited else m) + 1, rows)
-        stack = np.zeros(rows * n, dtype=law.stack_dtype(n))
         row_dtype = np.min_scalar_type(n)
-        spare = np.zeros(rows, dtype=row_dtype)
-        offsets = np.arange(0, rows * n, n)
         ids = np.arange(rows)
-        registers = []  # each row's spare register at top = depth + 1
-        for depth in range(n):
-            tried = counts[:, depth].astype(np.min_scalar_type(clip + 1))
-            level = np.full(rows, depth, dtype=row_dtype)
-            sim._stack_write(stack, offsets, level, tried, spare, np.ones(rows, bool), m)
-            registers.append(spare.copy())
-        if n == 255:
-            assert stack.dtype.itemsize == 2 and stack.max() >= 256, m
         # Scanned: every spare level above the root, else 0.
         levels = np.arange(n)
         spare_levels = np.where(counts < m, levels, 0)
         spare_levels[:, 0] = 0
-        for top in range(1, n + 1):
-            level, restored, below = sim._stack_pop(stack, n, ids, registers[top - 1], m)
-            want = np.where(levels < top, spare_levels, 0).max(axis=1)
-            assert level.tolist() == want.tolist(), (n, m, top)
-            assert restored.tolist() == counts[ids, want].tolist(), (n, m, top)
-            want_below = np.where(levels < want[:, None], spare_levels, 0).max(axis=1)
-            assert below.tolist() == want_below.tolist(), (n, m, top)
-            far |= bool(np.any((want > 0) & (want < top - 17)))
+        for offsets in (np.arange(0, rows * n, n), gen.permutation(2 * rows)[:rows] * n):
+            stack = np.zeros(2 * rows * n, dtype=law.stack_dtype(n))
+            spare = np.zeros(rows, dtype=row_dtype)
+            registers = []  # each row's spare register at top = depth + 1
+            for depth in range(n):
+                tried = counts[:, depth].astype(np.min_scalar_type(clip + 1))
+                level = np.full(rows, depth, dtype=row_dtype)
+                sim._stack_write(stack, offsets, level, tried, spare, np.ones(rows, bool), m)
+                registers.append(spare.copy())
+            if n == 255:
+                assert stack.dtype.itemsize == 2 and stack.max() >= 256, m
+            for top in range(1, n + 1):
+                level, restored, below = sim._stack_pop(
+                    stack, offsets, ids, registers[top - 1], m
+                )
+                want = np.where(levels < top, spare_levels, 0).max(axis=1)
+                assert level.tolist() == want.tolist(), (n, m, top)
+                assert restored.tolist() == counts[ids, want].tolist(), (n, m, top)
+                want_below = np.where(levels < want[:, None], spare_levels, 0).max(axis=1)
+                assert below.tolist() == want_below.tolist(), (n, m, top)
+                far |= bool(np.any((want > 0) & (want < top - 17)))
     assert far
 
 
@@ -685,6 +691,22 @@ def test_a_group_holds_no_more_stack_bytes_than_one_int32_and_bool_batch(n):
         assert per_group * sim._CHUNK * (n * level_bytes + 4) <= budget, (m, per_group)
     assert Law(_REF, "rtbs", 2).batches_per_group(n) == (4 if n < 255 else 2)
     assert Law(_REF, "rmtp").batches_per_group(n) == 4
+
+
+def test_compaction_leaves_the_rtbs_stack_in_place():
+    # A batch that compacts allocates one stack for its life, so its traced
+    # peak stays near the stack's bytes; copying the kept rows' levels on
+    # each compaction added up to three quarters of the stack on top.
+    n, m, rows = 1000, 1, 4096
+    law = Law(_REF, "rtbs", m)
+    tracemalloc.start()
+    try:
+        stats = sim._mc_chunk(law, n, law.budget(n), [(rows, rng_mod.stream(1, 0))])[4]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.compactions >= 10
+    assert peak <= 1.25 * rows * n * law.stack_dtype(n).itemsize
 
 
 # --- agreement with closed forms ---

@@ -1,5 +1,6 @@
-"""The tools under tools/: the untested-line tool's statement list, and
-runs of the retained-bytes counter on files the CLI writes."""
+"""The tools under tools/: the untested-line tool's statement list, runs of
+the retained-bytes counter on files the CLI writes, and the engine A/B run
+of the repo against itself."""
 
 import importlib.util
 import os
@@ -81,3 +82,13 @@ def test_retained_bytes_counts_what_two_files_share_once(tmp_path):
     twice, summary_twice = _retained_total(records, records)
     assert summary.startswith("records: 3") and summary_twice.startswith("records: 6")
     assert once < twice < 1.5 * once
+
+
+def test_engine_ab_finds_the_repo_identical_to_itself():
+    done = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "engine_ab.py"), ROOT, ROOT,
+         "--episodes", "200", "--n-max", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "identical: 21 of 21 points"
